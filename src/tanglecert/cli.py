@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .colorings import (
@@ -105,7 +106,10 @@ def cmd_color(args) -> int:
     }
     lines = [f"{space.count} colorings, nontrivial: {'yes' if nontrivial else 'no'}"]
     if args.enumerate:
-        colorings = list(space.colorings(cap=args.enumerate))
+        # list at most CAP colorings, never raising: the count above is exact anyway
+        colorings = list(islice(space.colorings(cap=space.count), args.enumerate))
+        complete = len(colorings) == space.count
+        payload["complete"] = complete
         payload["colorings"] = [
             {
                 "modulus": args.mod,
@@ -115,6 +119,8 @@ def cmd_color(args) -> int:
             for c in colorings
         ]
         lines += [str(sorted(c.colors.items())) for c in colorings]
+        if not complete:
+            lines.append(f"first {len(colorings)} of {space.count} colorings listed (truncated)")
     _emit(payload, args.json, lines)
     return EXIT_OK
 

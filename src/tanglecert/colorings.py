@@ -3,9 +3,8 @@
 A Fox coloring mod N assigns residues to arcs so that at every crossing the
 two under-arc colors sum to twice the over-arc color.  The unknowns are
 strand classes (the two over-slot labels of a crossing always share a
-color), and the crossing relations form an integer linear system solved
-exactly for any modulus via gcd-pivot elimination, so composite moduli are
-handled without CRT special cases.
+color), and the crossing relations form a sparse linear system solved
+exactly over Z/N for any modulus, composite or prime (see linalg).
 
 Quandle colorings generalize this: a crossing forces under_out = under_in
 * over (or its right inverse at negative crossings).  Dihedral quandles,
@@ -88,22 +87,26 @@ def verify_fox(d: Diagram, c: FoxColoring) -> bool:
     return True
 
 
-def fox_matrix(d: Diagram) -> tuple[list[list[int]], list[int]]:
-    """Integer crossing matrix (rows: crossings, columns: strand classes).
+def fox_matrix(d: Diagram) -> tuple[list[dict[int, int]], list[int]]:
+    """Sparse integer crossing matrix (rows: crossings, columns: strand classes).
 
-    Entries are +2 on the over strand and -1 on each under strand, summed
-    when strands coincide.  Returns (matrix, ordered strand representatives).
+    Each row is a dict, column -> coefficient: +2 on the over strand and -1
+    on each under strand, summed when strands coincide (zeros dropped).
+    Returns (rows, ordered strand representatives).
     """
-    rep = strand_classes(d)
+    return _crossing_rows(d, strand_classes(d))
+
+
+def _crossing_rows(d: Diagram, rep: dict[int, int]) -> tuple[list[dict[int, int]], list[int]]:
     strands = sorted(set(rep.values()))
     col = {s: i for i, s in enumerate(strands)}
     rows = []
     for x in d.crossings:
-        row = [0] * len(strands)
-        row[col[rep[x.slots[1]]]] += 2
-        row[col[rep[x.slots[0]]]] -= 1
-        row[col[rep[x.slots[2]]]] -= 1
-        rows.append(row)
+        row: dict[int, int] = {}
+        for slot, coeff in ((1, 2), (0, -1), (2, -1)):
+            c = col[rep[x.slots[slot]]]
+            row[c] = row.get(c, 0) + coeff
+        rows.append({c: v for c, v in row.items() if v})
     return rows, strands
 
 
@@ -127,9 +130,21 @@ class FoxSolutionSpace:
             yield self._expand(x)
 
     def first_nonconstant(self, cap: int = DEFAULT_CAP) -> FoxColoring | None:
-        for x in self._space.enumerate(cap):
-            if len(set(x)) >= 2:
-                return self._expand(x)
+        """A nonconstant coloring read off the basis, or None when every coloring is constant.
+
+        The particular solution if it is nonconstant, else the particular
+        solution plus the first nonconstant generator.  Nothing is
+        enumerated, so `cap` does not limit the search; it is accepted for
+        callers written against the enumerating version.
+        """
+        if self.count == 0:
+            return None
+        particular, generators = self._space.basis()
+        if len(set(particular)) >= 2:
+            return self._expand(particular)
+        for g, _ in generators:
+            if len(set(g)) >= 2:  # the particular solution is constant, so particular + g is not
+                return self._expand(tuple((a + b) % self.modulus for a, b in zip(particular, g)))
         return None
 
     def forced_equal_pair(self) -> tuple[int, int] | None:
@@ -137,16 +152,23 @@ class FoxSolutionSpace:
 
         This is the propagation clash behind a failed certificate search:
         the boundary pins force two internal arcs to agree, collapsing every
-        coloring to a constant one.  Returns None when the space is empty,
-        too large to scan, or has no such pair.
+        coloring to a constant one.  Two strands agree in every solution iff
+        they agree in the particular solution and in every generator.
+        Returns the lexicographically first such pair, or None when the
+        space is empty or has no such pair.
         """
-        if self.count == 0 or self.count > 4096 or len(self.strands) < 2:
+        if self.count == 0:
             return None
-        solutions = list(self._space.enumerate(cap=4096))
-        for i, j in combinations(range(len(self.strands)), 2):
-            if all(x[i] == x[j] for x in solutions):
-                return (self.strands[i], self.strands[j])
-        return None
+        particular, generators = self._space.basis()
+        groups: dict[tuple, list[int]] = {}
+        for i in range(len(self.strands)):
+            key = (particular[i],) + tuple(g[i] for g, _ in generators)
+            groups.setdefault(key, []).append(i)
+        pairs = [g[:2] for g in groups.values() if len(g) >= 2]
+        if not pairs:
+            return None
+        i, j = min(pairs)
+        return (self.strands[i], self.strands[j])
 
     def _expand(self, strand_values) -> FoxColoring:
         value = dict(zip(self.strands, strand_values))
@@ -162,16 +184,17 @@ def fox_solution_space(d: Diagram, modulus: int, pins: dict[int, int] | None = N
     if modulus < 2:
         raise ColoringError("modulus must be at least 2")
     rep = strand_classes(d)
-    rows, strands = fox_matrix(d)
+    crossing_rows, strands = _crossing_rows(d, rep)
     col = {s: i for i, s in enumerate(strands)}
-    rhs = [0] * len(rows)
+    rows, rhs = [], []
     for label, value in (pins or {}).items():
         if label not in rep:
             raise ColoringError(f"pinned arc {label} is not in the diagram")
-        row = [0] * len(strands)
-        row[col[rep[label]]] = 1
-        rows = rows + [row]
-        rhs = rhs + [value % modulus]
+        rows.append({col[rep[label]]: 1})
+        rhs.append(value)
+    # pins go first: each fixes one unknown, and eliminating it first adds no fill
+    rows += crossing_rows
+    rhs += [0] * len(crossing_rows)
     space = linalg.solve_mod(rows, rhs, len(strands), modulus)
     return FoxSolutionSpace(d, modulus, strands, space, rep)
 
@@ -195,19 +218,12 @@ def _require_closed_knot(d: Diagram) -> None:
 
 
 def determinant(d: Diagram) -> int:
-    """Knot determinant: the invariant-factor product of the crossing matrix.
+    """Knot determinant: the absolute value of a first minor of the crossing matrix.
 
-    Equals the absolute value of a first minor of the crossing matrix; the
-    crossing-free unknot returns 1 by the empty-matrix convention.
+    The crossing-free unknot returns 1 by the empty-matrix convention.
     """
     _require_closed_knot(d)
-    if not d.crossings:
-        return 1
-    rows, strands = fox_matrix(d)
-    rank, prod = linalg.invariant_product(rows)
-    if rank != len(strands) - 1:
-        raise ColoringError("crossing matrix has unexpected corank")
-    return prod
+    return link_determinant(d)
 
 
 def link_determinant(d: Diagram) -> int:
@@ -215,16 +231,25 @@ def link_determinant(d: Diagram) -> int:
 
     Nontrivial colorings mod p exist iff p divides this value (with the
     convention that everything divides 0), uniformly over component counts.
+
+    The crossing matrix A has A*1 = 0 and, from the one redundant crossing
+    relation, a left null vector with entries +-1; so all first minors of a
+    square A agree up to sign, and |any first minor| is the product of the
+    invariant factors when the corank is 1, and 0 when it is larger.  A
+    has more strands than crossings exactly when some component never
+    passes under another; with another component present the diagram is
+    split, and the corank is at least 2.
     """
     if d.boundary:
         raise ColoringError("link determinant is defined for closed diagrams")
     rows, strands = fox_matrix(d)
-    if not strands:
+    if len(strands) <= 1:
         return 1
-    rank, prod = linalg.invariant_product(rows) if rows else (0, 1)
-    if rank == len(strands) - 1:
-        return prod
-    return 0
+    if len(rows) != len(strands):
+        return 0
+    last = len(strands) - 1
+    minor = [{c: v for c, v in row.items() if c != last} for row in rows[:-1]]
+    return linalg.abs_determinant(minor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,32 @@
-"""Exact integer matrix routines behind the coloring solvers.
+"""Exact modular linear algebra behind the coloring solvers.
 
-Everything runs on plain Python ints, so there is no overflow and no float
-round-off; matrices are small (one row per crossing), so clarity wins over
-asymptotics.  The central tool is a unimodular diagonalization U*A*V = D
-obtained by gcd pivoting, which solves A*x = b over Z/N for any modulus N,
-composite or prime, with an exact solution count.
+A Fox crossing matrix is sparse: each row has at most three nonzeros (+2 on
+the over strand, -1 on each under strand).  Rows are therefore dicts
+(column -> residue), and all elimination runs over Z/N, so no entry ever
+exceeds the modulus and nothing grows with the size of the diagram.
+
+solve_mod brings the augmented system [A | b] to Howell form over Z/N
+(Howell 1986; Storjohann and Mulders 1998): an echelon form, pivot at the
+leftmost column of each row, in which each pivot row's annihilator multiple
+(N/g) * row has been reduced into the rows to its right.  Composite moduli
+need no factoring.  When a pivot does not divide the entry below it, one
+extended-gcd step (a unimodular 2x2 transform) replaces the pivot by their
+gcd, so the pivot's ideal strictly grows.  In Howell form the system is
+inconsistent iff some pivot sits in the right-hand-side column.  The
+solution count is the product of gcd(pivot, N) over pivot columns times N
+per free column.  Back substitution solves the system without
+backtracking.  The basis of solutions (a particular solution plus
+generators with their orders) is built only when a caller asks for it.
+
+abs_determinant runs the same elimination modulo a Mersenne prime P above
+twice the Hadamard bound of the matrix and lifts the result to
+(-P/2, P/2), so its coefficients stay below P.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 
 class SolutionCapExceeded(Exception):
@@ -22,96 +38,9 @@ class SolutionCapExceeded(Exception):
         self.cap = cap
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_copy(a):
-    return [list(row) for row in a]
-
-
-def diagonalize(matrix: list[list[int]]):
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    Returns (diag, U, V) with U*matrix*V diagonal; diag is the list of its
-    nonzero diagonal entries (the rank is len(diag)).  The divisibility
-    chain of Smith normal form is not enforced; any diagonalization gives
-    the same solution counts and the same invariant-factor product.
-    """
-    a = _mat_copy(matrix)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = identity(m)
-    v = identity(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):  # row[dst] -= q * row[src]
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    k = 0
-    while k < m and k < n:
-        # smallest nonzero entry of the trailing submatrix as pivot
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        while True:
-            done = True
-            for i in range(k + 1, m):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    add_row(i, k, q)
-                    if a[i][k] != 0:  # remainder smaller than pivot: promote it
-                        swap_rows(i, k)
-                        done = False
-            for j in range(k + 1, n):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    add_col(j, k, q)
-                    if a[k][j] != 0:
-                        swap_cols(j, k)
-                        done = False
-            if done:
-                break
-        k += 1
-
-    diag = [a[i][i] for i in range(k)]
-    return diag, u, v
-
-
-def invariant_product(matrix: list[list[int]]) -> tuple[int, int]:
-    """Return (rank, |product of nonzero diagonal invariants|)."""
-    diag, _, _ = diagonalize(matrix)
-    prod = 1
-    for d in diag:
-        prod *= abs(d)
-    return len(diag), prod
-
-
 def bareiss_determinant(matrix: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free elimination)."""
-    a = _mat_copy(matrix)
+    a = [list(row) for row in matrix]
     n = len(a)
     if n == 0:
         return 1
@@ -134,99 +63,216 @@ def bareiss_determinant(matrix: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _modinv(x: int, n: int) -> int:
-    return pow(x, -1, n)
+# ---------------------------------------------------------------------------
+# sparse elimination over Z/N
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _combine(x: int, p: dict[int, int], y: int, r: dict[int, int], n: int) -> dict[int, int]:
+    """x*p + y*r mod n, zero entries dropped."""
+    out = {}
+    for k in p.keys() | r.keys():
+        v = (x * p.get(k, 0) + y * r.get(k, 0)) % n
+        if v:
+            out[k] = v
+    return out
+
+
+class _Echelon:
+    """Howell echelon form over Z/n, grown one row at a time.
+
+    rows maps each pivot column to its row, whose leftmost column is that
+    pivot; units maps it to (g, u) with g = gcd(pivot, n) and u the inverse
+    of pivot/g modulo n/g.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows: dict[int, dict[int, int]] = {}
+        self.units: dict[int, tuple[int, int]] = {}
+
+    def _set_pivot(self, c: int, row: dict[int, int], pending: list) -> None:
+        n = self.n
+        g = gcd(row[c], n)
+        self.rows[c] = row
+        self.units[c] = (g, pow(row[c] // g, -1, n // g))
+        if g > 1:  # the annihilator multiple has a zero pivot; it joins the rows to the right
+            pending.append(_combine(n // g, row, 0, {}, n))
+
+    def insert(self, row: dict[int, int]) -> None:
+        """Reduce a row (entries already mod n, no zeros) into the form."""
+        n = self.n
+        pending = [row]
+        while pending:
+            row = pending.pop()
+            while row:
+                c = min(row)
+                pivot = self.rows.get(c)
+                if pivot is None:
+                    self._set_pivot(c, row, pending)
+                    break
+                g, u = self.units[c]
+                b = row[c]
+                if b % g == 0:
+                    q = (b // g) * u % (n // g)
+                    for k, v in pivot.items():
+                        w = (row.get(k, 0) - q * v) % n
+                        if w:
+                            row[k] = w
+                        else:
+                            row.pop(k, None)
+                else:  # the pivot's ideal grows to gcd(a, b)
+                    a = pivot[c]
+                    e, s, t = _xgcd(a, b)
+                    self._set_pivot(c, _combine(s, pivot, t, row, n), pending)
+                    row = _combine(b // e, pivot, -(a // e), row, n)
+
+    def back_substitute(self, n_vars: int, values: dict[int, int], rhs: bool) -> tuple[int, ...]:
+        """The solution with the given free and pivot-offset values (default 0).
+
+        A free column takes its value directly; a pivot column c takes the
+        back-substituted value plus (n/g) times its offset, for g = gcd(pivot, n).
+        """
+        n = self.n
+        x = [0] * n_vars
+        for c in reversed(range(n_vars)):
+            row = self.rows.get(c)
+            if row is None:
+                x[c] = values.get(c, 0) % n
+                continue
+            r = row.get(n_vars, 0) if rhs else 0
+            for k, v in row.items():
+                if c < k < n_vars:
+                    r -= v * x[k]
+            g, u = self.units[c]
+            x[c] = (r % n // g) * u % (n // g) + n // g * values.get(c, 0)
+        return tuple(x)
 
 
 @dataclass
 class ModularAffineSpace:
     """The solution set of A*x = b (mod N), exactly counted and enumerable.
 
-    Coordinates are expressed through the substitution x = V*y; every y
-    coordinate ranges over an arithmetic progression mod N, so enumeration
-    is a plain product walk in deterministic (lexicographic in y) order.
+    The count comes straight from the Howell form.  basis() builds, on
+    first use, a particular solution x0 and generators g_i of orders o_i
+    such that every solution is x0 + sum(l_i * g_i) for exactly one choice
+    of 0 <= l_i < o_i.  Enumeration walks these choices in lexicographic
+    order, the last generator fastest.
     """
 
     modulus: int
     n_vars: int
     count: int
-    _v: list[list[int]] | None = None
-    _bases: list[int] | None = None
-    _steps: list[int] | None = None
-    _choices: list[int] | None = None
+    _form: _Echelon | None = None
+    _basis: tuple | None = None
 
-    @property
-    def is_empty(self) -> bool:
-        return self.count == 0
+    def basis(self) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]:
+        """(particular solution, [(generator, order), ...]); the space must not be empty."""
+        if self.count == 0:
+            raise ValueError("the solution set is empty")
+        if self._basis is None:
+            form, n_vars = self._form, self.n_vars
+            particular = form.back_substitute(n_vars, {}, rhs=True)
+            generators = []
+            for c in range(n_vars):
+                order = form.units[c][0] if c in form.rows else self.modulus
+                if order > 1:
+                    generators.append((form.back_substitute(n_vars, {c: 1}, rhs=False), order))
+            self._basis = (particular, generators)
+        return self._basis
 
     def enumerate(self, cap: int = 10 ** 6):
         """Yield all solutions as tuples; raises SolutionCapExceeded first if count > cap."""
         if self.count > cap:
             raise SolutionCapExceeded(self.count, cap)
-        yield from self._walk()
-
-    def first(self):
-        for x in self._walk():
-            return x
-        return None
-
-    def _walk(self):
         if self.count == 0:
             return
+        particular, generators = self.basis()
         n = self.modulus
-        idx = [0] * len(self._choices)
+        coeffs = [0] * len(generators)
+        x = particular
         while True:
-            y = [(b + i * s) % n for b, s, i in zip(self._bases, self._steps, idx)]
-            x = tuple(
-                sum(self._v[r][c] * y[c] for c in range(len(y))) % n
-                for r in range(self.n_vars)
-            )
             yield x
-            for pos in reversed(range(len(idx))):
-                idx[pos] += 1
-                if idx[pos] < self._choices[pos]:
+            for pos in reversed(range(len(coeffs))):  # odometer step, last generator fastest
+                g, order = generators[pos]
+                coeffs[pos] = (coeffs[pos] + 1) % order
+                step = 1 if coeffs[pos] else 1 - order
+                x = tuple((a + step * b) % n for a, b in zip(x, g))
+                if coeffs[pos]:
                     break
-                idx[pos] = 0
             else:
                 return
 
+    def first(self):
+        return self.basis()[0] if self.count else None
 
-def solve_mod(matrix: list[list[int]], rhs: list[int], n_vars: int, modulus: int) -> ModularAffineSpace:
-    """Solve matrix * x = rhs (mod modulus) for x in (Z/modulus)^n_vars."""
+
+def solve_mod(rows: list[dict[int, int]], rhs: list[int], n_vars: int, modulus: int) -> ModularAffineSpace:
+    """Solve rows * x = rhs (mod modulus) for x in (Z/modulus)^n_vars.
+
+    Each row is a sparse dict, column -> integer coefficient.  Rows enter
+    the elimination in order, so rows that fix single unknowns (pins) are
+    cheapest first.
+    """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    if not matrix:
-        count = modulus ** n_vars
-        return ModularAffineSpace(
-            modulus, n_vars, count,
-            _v=identity(n_vars), _bases=[0] * n_vars,
-            _steps=[1] * n_vars, _choices=[modulus] * n_vars,
-        )
-    diag, u, v = diagonalize(matrix)
-    m = len(matrix)
-    r = len(diag)
-    c = [sum(u[i][j] * rhs[j] for j in range(m)) % modulus for i in range(m)]
-    for i in range(r, m):
-        if c[i] % modulus != 0:
-            return ModularAffineSpace(modulus, n_vars, 0)
-    bases, steps, choices = [], [], []
-    count = 1
-    for i in range(n_vars):
-        if i < r:
-            d = diag[i]
-            g = gcd(d, modulus)
-            if c[i] % g != 0:
-                return ModularAffineSpace(modulus, n_vars, 0)
-            base = (c[i] // g) * _modinv((d // g) % (modulus // g), modulus // g) % (modulus // g)
-            bases.append(base)
-            steps.append(modulus // g)
-            choices.append(g)
-            count *= g
-        else:
-            bases.append(0)
-            steps.append(1)
-            choices.append(modulus)
-            count *= modulus
-    return ModularAffineSpace(
-        modulus, n_vars, count, _v=v, _bases=bases, _steps=steps, _choices=choices
+    form = _Echelon(modulus)
+    for row, b in zip(rows, rhs):
+        augmented = {c: v % modulus for c, v in row.items() if v % modulus}
+        if b % modulus:
+            augmented[n_vars] = b % modulus
+        if augmented:
+            form.insert(augmented)
+    if n_vars in form.rows:
+        return ModularAffineSpace(modulus, n_vars, 0)
+    count = modulus ** (n_vars - len(form.rows)) * prod(g for g, _ in form.units.values())
+    return ModularAffineSpace(modulus, n_vars, count, form)
+
+
+# Exponents e of Mersenne primes 2^e - 1, enough for Hadamard bounds of
+# about 44,000 bits (tens of thousands of crossings).
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+    9689, 9941, 11213, 19937, 21701, 23209, 44497,
+)
+
+
+def abs_determinant(rows: list[dict[int, int]]) -> int:
+    """|det| of the square integer matrix with these sparse rows (columns 0..len(rows)-1).
+
+    Eliminates modulo a prime P > 2 * H, where H is the Hadamard bound (the
+    product of the row norms), so the residue of det lifts uniquely to
+    (-P/2, P/2).  The row order and hence the sign are not tracked.
+    """
+    if not rows:
+        return 1
+    squared = prod(sum(v * v for v in row.values()) for row in rows)  # H^2
+    if squared == 0:
+        return 0
+    prime = next(
+        (p for p in (2 ** e - 1 for e in _MERSENNE_EXPONENTS) if p * p > 4 * squared), None
     )
+    if prime is None:
+        raise ValueError("determinant bound exceeds the largest listed Mersenne prime")
+    form = _Echelon(prime)
+    for row in rows:
+        before = len(form.rows)
+        reduced = {c: v % prime for c, v in row.items() if v % prime}
+        if reduced:
+            form.insert(reduced)
+        if len(form.rows) == before:  # the row reduced to zero: singular
+            return 0
+    det = 1
+    for c, row in form.rows.items():
+        det = det * row[c] % prime
+    return min(det, prime - det)

@@ -2,11 +2,13 @@
 
 Nothing here calls into the solver paths under test: strand merging is a
 separate union-find, counting is exhaustive backtracking over strand
-assignments, determinants use recursive cofactor expansion, and fractions
-use the stdlib Fraction type.
+assignments, determinants use recursive cofactor expansion, fractions use
+the stdlib Fraction type, and the dense integer diagonalization below is
+the unimodular elimination over Z that the sparse modular solver replaced.
 """
 
 from fractions import Fraction
+from math import gcd
 
 INF = "inf"
 
@@ -128,3 +130,119 @@ def cf_value(twists):
         else:
             value = a + 1 / value
     return value
+
+
+def diagonalize(matrix, modulus=None):
+    """Diagonalize an integer matrix by unimodular row/column operations.
+
+    Returns (diag, U, V) with U*matrix*V diagonal; diag is the list of its
+    nonzero diagonal entries (the rank is len(diag)).  The divisibility
+    chain of Smith normal form is not enforced; any diagonalization gives
+    the same solution counts and the same invariant-factor product.
+
+    Over Z (no modulus) the entries of U, V and the matrix itself can grow
+    to thousands of bits on closures of about a hundred crossings, so keep
+    those inputs small.  With a modulus every entry is reduced after each
+    operation, and the result diagonalizes the matrix over Z/modulus.
+    """
+    a = [list(row) for row in matrix]
+    if modulus is not None:
+        a = [[x % modulus for x in row] for row in a]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def reduce(x):
+        return x if modulus is None else x % modulus
+
+    def add_row(dst, src, q):  # row[dst] -= q * row[src]
+        a[dst] = [reduce(x - q * y) for x, y in zip(a[dst], a[src])]
+        u[dst] = [reduce(x - q * y) for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, q):
+        for row in a:
+            row[dst] = reduce(row[dst] - q * row[src])
+        for row in v:
+            row[dst] = reduce(row[dst] - q * row[src])
+
+    k = 0
+    while k < m and k < n:
+        # smallest nonzero entry of the trailing submatrix as pivot
+        pivot = None
+        for i in range(k, m):
+            for j in range(k, n):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(k, pivot[0])
+        swap_cols(k, pivot[1])
+        while True:
+            done = True
+            for i in range(k + 1, m):
+                if a[i][k] != 0:
+                    q = a[i][k] // a[k][k]
+                    add_row(i, k, q)
+                    if a[i][k] != 0:  # remainder smaller than pivot: promote it
+                        swap_rows(i, k)
+                        done = False
+            for j in range(k + 1, n):
+                if a[k][j] != 0:
+                    q = a[k][j] // a[k][k]
+                    add_col(j, k, q)
+                    if a[k][j] != 0:
+                        swap_cols(j, k)
+                        done = False
+            if done:
+                break
+        k += 1
+
+    diag = [a[i][i] for i in range(k)]
+    return diag, u, v
+
+
+def invariant_product(matrix):
+    """Return (rank, |product of nonzero diagonal invariants|)."""
+    diag, _, _ = diagonalize(matrix)
+    product = 1
+    for d in diag:
+        product *= abs(d)
+    return len(diag), product
+
+
+def diagonal_count(matrix, rhs, n_vars, modulus):
+    """Solutions of matrix * x = rhs (mod modulus), counted from U*A*V = D over Z/modulus."""
+    if not matrix:
+        return modulus ** n_vars
+    diag, u, _ = diagonalize(matrix, modulus)
+    c = [sum(x * b for x, b in zip(row, rhs)) % modulus for row in u]
+    if any(c[i] for i in range(len(diag), len(matrix))):
+        return 0
+    count = modulus ** (n_vars - len(diag))
+    for d, ci in zip(diag, c):
+        g = gcd(d, modulus)
+        if ci % g:
+            return 0
+        count *= g
+    return count
+
+
+def link_invariant(d):
+    """The link determinant from the diagonalization: the invariant product at corank 1, else 0."""
+    rows = crossing_matrix(d)
+    n_strands = len(set(strand_partition(d).values()))
+    if not n_strands:
+        return 1
+    rank, product = invariant_product(rows) if rows else (0, 1)
+    return product if rank == n_strands - 1 else 0

@@ -33,6 +33,18 @@ class TestColor:
         code, out, _ = run(capsys, "color", str(corpus_dir / "trefoil.pd"), "--quandle", str(qf))
         assert code == 0 and "9 colorings" in out
 
+    def test_enumerate_lists_at_most_cap(self, capsys, corpus_dir):
+        trefoil = str(corpus_dir / "trefoil.pd")
+        code, out, _ = run(capsys, "color", trefoil, "--mod", "3", "--enumerate", "5")
+        assert code == 0 and "(truncated)" in out
+        code, out, _ = run(capsys, "color", trefoil, "--mod", "3", "--enumerate", "5", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["count"] == 9
+        assert payload["complete"] is False and len(payload["colorings"]) == 5
+        code, out, _ = run(capsys, "color", trefoil, "--mod", "3", "--enumerate", "9", "--json")
+        payload = json.loads(out)
+        assert payload["complete"] is True and len(payload["colorings"]) == 9
+
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.pd"
         bad.write_text("X 1 4 2\n")

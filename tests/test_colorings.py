@@ -85,6 +85,23 @@ class TestSolutionSpace:
         assert len(sols) == space.count
         assert all(verify_fox(trefoil, c) for c in sols)
 
+    def test_forced_equal_pair_beyond_4096_solutions(self):
+        # the trefoil has only constant colorings mod 97; each circle is free
+        d = parse_diagram("X 1 4 2 5 ; X 3 6 4 1 ; X 5 2 6 3 ; O 7 ; O 8 ; O 9")
+        space = fox_solution_space(d, 97)
+        assert space.count == 97 ** 4
+        pair = space.forced_equal_pair()
+        assert pair is not None and set(pair) <= {1, 2, 3, 4, 5, 6}
+        free = fox_solution_space(parse_diagram("O 1 ; O 2"), 97)
+        assert free.forced_equal_pair() is None
+
+    def test_first_nonconstant_without_enumeration(self):
+        space = fox_solution_space(parse_diagram("O 1 ; O 2 ; O 3 ; O 4"), 97)
+        assert space.count == 97 ** 4
+        c = space.first_nonconstant()
+        assert c is not None and c.nontrivial and verify_fox(space.diagram, c)
+        assert fox_solution_space(parse_diagram("O 1"), 97).first_nonconstant() is None
+
     @given(st.integers(2, 9), st.integers(0, 50), st.integers(1, 50))
     @settings(max_examples=40, deadline=None)
     def test_affine_symmetry(self, trefoil, n, v, u):

@@ -1,0 +1,120 @@
+"""The sparse modular solver and the bounded determinant against the oracles.
+
+Counts are compared with the dense diagonalization of oracles.py run over
+Z/N, determinants with the same diagonalization over Z (kept to closures of
+at most 40 crossings, where its entries stay small).
+"""
+
+import random
+from itertools import islice
+
+import pytest
+
+from oracles import crossing_matrix, diagonal_count, link_invariant, strand_partition
+from tanglecert.braids import braid_closure
+from tanglecert.colorings import determinant, fox_solution_space, link_determinant, verify_fox
+from tanglecert.diagram import components, parse_diagram
+from tanglecert.tangle import denominator_closure, numerator_closure, rational_tangle
+
+MODULI = (2, 3, 4, 5, 9, 15, 97)
+LISTED = 200  # colorings checked one by one per space; smaller spaces are listed whole
+TREFOIL = "X 1 4 2 5 ; X 3 6 4 1 ; X 5 2 6 3"
+
+
+def random_closure(rng, strands, crossings):
+    word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(crossings)]
+    return braid_closure(word, strands)
+
+
+def pinned_system(d, pins):
+    """Dense crossing matrix plus one row per pin, in the oracle's own strand order."""
+    rep = strand_partition(d)
+    strands = sorted(set(rep.values()))
+    rows = crossing_matrix(d)
+    rhs = [0] * len(rows)
+    for label, value in pins.items():
+        row = [0] * len(strands)
+        row[strands.index(rep[label])] = 1
+        rows.append(row)
+        rhs.append(value)
+    return rows, rhs, len(strands)
+
+
+def first_forced_pair(strands, solutions):
+    """The lexicographically first pair of strands equal in every listed solution."""
+    for i in range(len(strands)):
+        for j in range(i + 1, len(strands)):
+            if all(x[i] == x[j] for x in solutions):
+                return (strands[i], strands[j])
+    return None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_counts_and_solutions_match_oracle(seed):
+    rng = random.Random(seed)
+    d = random_closure(rng, rng.randint(3, 5), rng.randint(10, 100))
+    labels = sorted(d.arcs())
+    for pins in ({}, {a: rng.randrange(2) for a in rng.sample(labels, rng.randint(1, 3))}):
+        rows, rhs, n_vars = pinned_system(d, pins)
+        for n in MODULI:
+            space = fox_solution_space(d, n, pins)
+            assert space.count == diagonal_count(rows, rhs, n_vars, n), (seed, pins, n)
+            listed = list(islice(space.colorings(cap=space.count), LISTED))
+            for c in listed:
+                assert verify_fox(d, c)
+                assert all(c.colors[a] == v % n for a, v in pins.items())
+            first = space.first_nonconstant()
+            assert first is None or (verify_fox(d, first) and first.nontrivial)
+            if not pins:
+                assert (first is not None) == (space.count > n)
+            if space.count <= LISTED:
+                assert len(listed) == len({tuple(sorted(c.colors.items())) for c in listed})
+                assert len(listed) == space.count
+                vectors = [tuple(c.colors[s] for s in space.strands) for c in listed]
+                assert space.forced_equal_pair() == (
+                    first_forced_pair(space.strands, vectors) if vectors else None
+                )
+                assert (first is None) == all(len(set(x)) == 1 for x in vectors)
+
+
+def test_link_determinant_matches_oracle_on_closures():
+    rng = random.Random(0)
+    for _ in range(150):
+        d = random_closure(rng, rng.randint(2, 5), rng.randint(1, 40))
+        expected = link_invariant(d)
+        assert link_determinant(d) == expected
+        if len(components(d)) == 1:
+            assert determinant(d) == expected
+
+
+def test_link_determinant_matches_oracle_on_rational_closures():
+    rng = random.Random(1)
+    for _ in range(40):
+        t = rational_tangle([rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(rng.randint(1, 5))])
+        for d in (numerator_closure(t), denominator_closure(t)):
+            assert link_determinant(d) == link_invariant(d)
+
+
+def test_link_determinant_matches_oracle_on_corpus(corpus_diagrams):
+    for name, d in corpus_diagrams.items():
+        if d.boundary:
+            continue
+        expected = link_invariant(d)
+        assert link_determinant(d) == expected, name
+        if len(components(d)) == 1:
+            assert determinant(d) == expected, name
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "O 1",
+        "O 1 ; O 2",
+        "X 1 2 4 3 ; X 3 4 2 1",  # Hopf link
+        TREFOIL + " ; O 7",
+        TREFOIL + " ; X 11 14 12 15 ; X 13 16 14 11 ; X 15 12 16 13",  # two trefoils, apart
+    ],
+)
+def test_link_determinant_matches_oracle_on_small_and_split_diagrams(text):
+    d = parse_diagram(text)
+    assert link_determinant(d) == link_invariant(d)

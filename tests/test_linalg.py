@@ -1,14 +1,14 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cofactor_det
+from oracles import cofactor_det, diagonal_count, diagonalize, invariant_product
 from tanglecert.linalg import (
     SolutionCapExceeded,
+    abs_determinant,
     bareiss_determinant,
-    diagonalize,
-    invariant_product,
     solve_mod,
 )
 
@@ -31,6 +31,19 @@ def test_bareiss_matches_cofactor(m):
 
 
 @given(small_matrices)
+@settings(max_examples=150, deadline=None)
+def test_abs_determinant_matches_cofactor(m):
+    assert abs_determinant(sparse(m)) == abs(cofactor_det(m))
+
+
+def test_abs_determinant_lifts_past_a_small_prime():
+    # 3^40 needs more than the 61-bit Mersenne prime
+    m = [{i: 3} for i in range(40)]
+    assert abs_determinant(m) == 3 ** 40
+    assert abs_determinant([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 0
+
+
+@given(small_matrices)
 @settings(max_examples=100, deadline=None)
 def test_diagonalize_is_unimodular_equivalence(m):
     diag, u, v = diagonalize(m)
@@ -42,6 +55,10 @@ def test_diagonalize_is_unimodular_equivalence(m):
             assert d[i][j] == expect
     assert abs(bareiss_determinant(u)) == 1
     assert abs(bareiss_determinant(v)) == 1
+
+
+def sparse(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
 
 
 def brute_count(rows, rhs, n_vars, modulus):
@@ -64,7 +81,7 @@ def test_solution_counts_match_brute_force():
         modulus = rng.choice([2, 3, 4, 5, 6, 8, 9, 12])
         rows = [[rng.randint(-4, 4) for _ in range(n_vars)] for _ in range(n_rows)]
         rhs = [rng.randint(0, modulus - 1) for _ in range(n_rows)]
-        space = solve_mod(rows, rhs, n_vars, modulus)
+        space = solve_mod(sparse(rows), rhs, n_vars, modulus)
         expected = brute_count(rows, rhs, n_vars, modulus)
         assert space.count == expected
         got = sorted(space.enumerate(cap=10 ** 6))
@@ -73,6 +90,23 @@ def test_solution_counts_match_brute_force():
         for vec in got:
             for row, b in zip(rows, rhs):
                 assert sum(r * v for r, v in zip(row, vec)) % modulus == b % modulus
+
+
+def test_composite_counts_match_diagonal_oracle():
+    # systems too large to brute-force, over moduli whose pivots are often not units
+    rng = random.Random(1)
+    for _ in range(80):
+        n_vars = rng.randint(2, 7)
+        n_rows = rng.randint(1, 8)
+        modulus = rng.choice([4, 8, 12, 36, 64, 72, 100, 2 ** 40 * 3 ** 5])
+        rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n_vars)] for _ in range(n_rows)]
+        rhs = [rng.choice([0, rng.randint(0, modulus - 1)]) for _ in range(n_rows)]
+        space = solve_mod(sparse(rows), rhs, n_vars, modulus)
+        assert space.count == diagonal_count(rows, rhs, n_vars, modulus)
+        if space.count:
+            for vec in islice(space.enumerate(cap=space.count), 50):
+                for row, b in zip(rows, rhs):
+                    assert sum(r * v for r, v in zip(row, vec)) % modulus == b % modulus
 
 
 def test_cap_overflow_signalled():
@@ -90,5 +124,5 @@ def test_invariant_product_of_diag():
 
 
 def test_inconsistent_system_is_empty():
-    space = solve_mod([[2]], [1], 1, 4)  # 2x = 1 mod 4 has no solution
+    space = solve_mod([{0: 2}], [1], 1, 4)  # 2x = 1 mod 4 has no solution
     assert space.count == 0 and space.first() is None
