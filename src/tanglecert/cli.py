@@ -2,9 +2,10 @@
 
 Subcommands: color, det, certify, cut, build, closure, krebes, report.
 Exit codes: 0 when the requested object was found or produced, 1 when a
-search legitimately comes up empty, 2 on bad input.  --json switches to
-machine output; every JSON document carries "schema": 1, and a fixed seed
-makes reruns byte-identical.
+search legitimately comes up empty, 2 on bad input or an exceeded limit
+(the message names it).  --json switches to machine output; every JSON
+document carries "schema": 1, and a fixed seed makes reruns byte-identical.
+`python -m tanglecert` runs the same CLI.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from .colorings import (
     ColoringError,
+    SolutionCapExceeded,
     determinant,
     fox_solution_space,
     link_determinant,
@@ -175,23 +177,21 @@ def cmd_certify(args) -> int:
 
 def cmd_cut(args) -> int:
     d = _load(args.diagram)
-    space = fox_solution_space(d, args.mod)
+    nontrivial = fox_solution_space(d, args.mod).first_nonconstant()
     if args.arc2 is None:
-        chosen = space.first_nonconstant()
-        if chosen is None:
+        if nontrivial is None:
             print(f"no nontrivial coloring mod {args.mod}", file=sys.stderr)
             return EXIT_NOT_FOUND
-        t, cert = cut_arc_twice(d, chosen, args.arc)
+        t, cert = cut_arc_twice(d, nontrivial, args.arc)
         moves = []
     else:
-        colorings = [c for c in space.colorings() if c.nontrivial]
-        chosen = next(
-            (c for c in colorings if c.colors[args.arc] == c.colors[args.arc2]), None
-        )
+        # adding a constant keeps a coloring valid, so pinning both arcs to 0 loses nothing
+        pins = {args.arc: 0, args.arc2: 0}
+        chosen = fox_solution_space(d, args.mod, pins).first_nonconstant()
         if chosen is None:
             msg = (
                 f"no nontrivial coloring mod {args.mod}"
-                if not colorings
+                if nontrivial is None
                 else f"arcs {args.arc} and {args.arc2} never share a color mod {args.mod}"
             )
             print(msg, file=sys.stderr)
@@ -352,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DiagramError, ColoringError, CertificateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except SolutionCapExceeded as exc:
+        print(f"error: limit exceeded: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

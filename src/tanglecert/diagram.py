@@ -24,10 +24,18 @@ next-corner permutation, with tangle boundaries capped by a virtual vertex.
 Planarity is enforced by the per-component Euler count V - E + F = 2, not
 by an embedding search; a rotation system that fails Euler is rejected as
 an inconsistent code.
+
+Trust boundary: validate() runs once per Diagram object.  A diagram that
+passes is marked in its instance dict, and later calls on the same object
+return at once; the fields are tuples, so the object cannot change after
+the check.  parse_diagram and every public constructor
+return validated diagrams.  Intermediates that never leave a function (the
+tangle sum inside insert_into_host, for one) are not validated.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -74,10 +82,6 @@ class Diagram:
     @property
     def oriented(self) -> bool:
         return bool(self.crossings) and all(c.sign != 0 for c in self.crossings)
-
-    @property
-    def is_tangle(self) -> bool:
-        return len(self.boundary) > 0
 
     @property
     def endpoints(self) -> tuple[int, ...]:
@@ -174,36 +178,80 @@ def serialize(d: Diagram) -> str:
 
 # ---------------------------------------------------------------------------
 # validation
+#
+# Darts are integers: crossing i, slot s is dart 4i+s, and the darts of the
+# boundary cap follow all crossing darts, so dart j sits at vertex j >> 2
+# (the cap is vertex len(crossings)).  One linear scan builds the dart
+# pairing and the face permutation; validation checks them, and faces,
+# orient, canonical_form and the move and cut helpers read them.
 
-_CAP = -1  # virtual vertex index for the capped tangle boundary
-
-
-def _occurrences(d: Diagram) -> dict[int, list[tuple[int, int]]]:
-    """Map each arc label to its (vertex, slot) occurrences; cap vertex is -1."""
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for ci, c in enumerate(d.crossings):
-        for si, label in enumerate(c.slots):
-            occ.setdefault(label, []).append((ci, si))
-    for bi, label in enumerate(d.boundary):
-        occ.setdefault(label, []).append((_CAP, bi))
-    return occ
+_CAP = -1  # vertex index of the capped tangle boundary in (vertex, slot) places
 
 
 def validate(d: Diagram) -> None:
-    """Check occurrence counts, orientation consistency, and planarity."""
+    """Check occurrence counts, orientation consistency, and planarity.
+
+    A diagram that passes is marked in its instance dict (ignored by == and
+    hash); later calls on the same object return at once.
+    """
+    if "_valid" in d.__dict__:
+        return
     if d.boundary and len(d.boundary) not in (2, 4):
         raise ArcOccurrenceError("boundary must list 2 or 4 endpoints")
-    crossing_count: dict[int, int] = {}
+    labels, other, face_next = _dart_structure(d)
+    signs = {c.sign for c in d.crossings}
+    # every label exactly twice: each dart's partner carries its label, and
+    # there are half as many labels as darts
+    twice = 2 * len(set(labels)) == len(labels) and list(map(labels.__getitem__, other)) == labels
+    if d.circles or not (twice and signs <= {-1, 0, 1} and min(labels, default=1) > 0):
+        _check_records(d)
+    if 0 in signs and len(signs) > 1:
+        raise OrientationError("diagram mixes signed and unsigned crossings")
+    _check_euler(d, other, face_next)
+    if d.oriented:
+        _check_flow(d, labels, other)
+    d.__dict__["_valid"] = True
+
+
+def _dart_structure(d: Diagram) -> tuple[list[int], list[int], list[int]]:
+    """(labels, other, face_next): the label at each dart, the dart at the far
+    end of its arc, and the next dart on its face.
+
+    The pairing is meaningful only when every label occurs exactly twice.
+    """
+    labels = [label for c in d.crossings for label in c.slots]
+    labels += d.boundary
+    other = [0] * len(labels)
+    pairs = iter(sorted(range(len(labels)), key=labels.__getitem__))
+    for a, b in zip(pairs, pairs):
+        other[a] = b
+        other[b] = a
+    # the face walk leaves dart j along its arc to k = other[j], then turns
+    # to the next dart at k's vertex: (k & ~3) | ((k + 1) & 3) at a crossing
+    c4 = 4 * len(d.crossings)
+    corner = list(range(1, len(labels) + 1))
+    corner[3:c4:4] = range(0, c4, 4)
+    if d.boundary:
+        corner[-1] = c4
+    return labels, other, list(map(corner.__getitem__, other))
+
+
+def _darts(d: Diagram) -> tuple[list[int], list[int], list[int]]:
+    """The dart structure of a diagram, validating it first."""
+    validate(d)
+    return _dart_structure(d)
+
+
+def _check_records(d: Diagram) -> None:
+    """Crossing signs and labels, circle labels, and the occurrences of every label."""
     for c in d.crossings:
         if c.sign not in (-1, 0, 1):
             raise DiagramError(f"bad crossing sign {c.sign}")
         for label in c.slots:
             if label <= 0:
                 raise ArcOccurrenceError(f"arc labels must be positive, got {label}")
-            crossing_count[label] = crossing_count.get(label, 0) + 1
-    boundary_count: dict[int, int] = {}
-    for label in d.boundary:
-        boundary_count[label] = boundary_count.get(label, 0) + 1
+    crossing_count = Counter(label for c in d.crossings for label in c.slots)
+    boundary_count = Counter(d.boundary)
     for k in d.circles:
         if k in crossing_count or k in boundary_count or d.circles.count(k) > 1:
             raise ArcOccurrenceError(f"circle label {k} reused elsewhere")
@@ -222,85 +270,91 @@ def validate(d: Diagram) -> None:
             raise ArcOccurrenceError(f"endpoint {label} repeated in boundary")
         if n == 1 and label not in crossing_count:
             raise ArcOccurrenceError(f"endpoint {label} dangles (no crossing occurrence)")
-    signs = {c.sign for c in d.crossings}
-    if 0 in signs and len(signs) > 1:
-        raise OrientationError("diagram mixes signed and unsigned crossings")
-    _check_euler(d)
-    if d.oriented:
-        _edge_directions(d)  # raises on inconsistent orientation
 
 
-def _vertex_rotations(d: Diagram) -> dict[int, tuple[int, ...]]:
-    rot = {ci: c.slots for ci, c in enumerate(d.crossings)}
-    if d.boundary:
-        rot[_CAP] = d.boundary
-    return rot
+def _check_euler(d: Diagram, other: list[int], face_next: list[int]) -> None:
+    """V - E + F = 2 on every connected component of the vertex graph.
 
-
-def _face_orbits(d: Diagram) -> list[list[tuple[int, int]]]:
-    """Orbits of the next-corner permutation sigmaedge-swap over all darts."""
-    rot = _vertex_rotations(d)
-    occ = _occurrences(d)
-    other: dict[tuple[int, int], tuple[int, int]] = {}
-    for label, places in occ.items():
-        if len(places) != 2:
-            raise ArcOccurrenceError(f"arc {label} has {len(places)} occurrences")
-        a, b = places
-        other[a] = b
-        other[b] = a
-    orbits = []
-    seen = set()
-    darts = [(v, s) for v in sorted(rot, key=lambda x: (x == _CAP, x)) for s in range(len(rot[v]))]
-    for start in darts:
-        if start in seen:
-            continue
-        orbit = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            v, s = other[cur]
-            cur = (v, (s + 1) % len(rot[v]))
-        orbits.append(orbit)
-    return orbits
-
-
-def _check_euler(d: Diagram) -> None:
+    A component's V - E + F is 2 - 2 * genus <= 2, so the totals decide: they
+    sum to twice the number of components exactly when every one is planar.
+    """
     if not d.crossings and not d.boundary:
         return
-    rot = _vertex_rotations(d)
-    occ = _occurrences(d)
-    # vertex components through shared edges
-    parent = {v: v for v in rot}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for places in occ.values():
-        if len(places) == 2:
-            a, b = find(places[0][0]), find(places[1][0])
-            if a != b:
-                parent[a] = b
-    orbits = _face_orbits(d)
-    comp_faces: dict[int, int] = {}
-    for orbit in orbits:
-        comp_faces[find(orbit[0][0])] = comp_faces.get(find(orbit[0][0]), 0) + 1
-    comp_v: dict[int, int] = {}
-    for v in rot:
-        comp_v[find(v)] = comp_v.get(find(v), 0) + 1
-    comp_e: dict[int, int] = {}
-    for places in occ.values():
-        comp_e[find(places[0][0])] = comp_e.get(find(places[0][0]), 0) + 1
-    for comp, nv in comp_v.items():
-        ne = comp_e.get(comp, 0)
-        nf = comp_faces.get(comp, 0)
+    n_vertices = len(d.crossings) + (1 if d.boundary else 0)
+    comp = [-1] * n_vertices  # each vertex's component, named by its first vertex
+    roots = []
+    for v in range(n_vertices):
+        if comp[v] < 0:
+            comp[v] = v
+            roots.append(v)
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                for k in other[4 * u : 4 * u + 4]:  # the cap's darts are the last slice
+                    if comp[k >> 2] < 0:
+                        comp[k >> 2] = v
+                        stack.append(k >> 2)
+    orbits = _dart_orbits(face_next)
+    if n_vertices - len(other) // 2 + len(orbits) == 2 * len(roots):
+        return
+    for r in roots:  # name the first component that fails
+        members = [v for v in range(n_vertices) if comp[v] == r]
+        nv = len(members)
+        ne = sum(4 if v < len(d.crossings) else len(d.boundary) for v in members) // 2
+        nf = sum(comp[orbit[0] >> 2] == r for orbit in orbits)
         if nv - ne + nf != 2:
             raise PlanarityError(
                 f"rotation system is not planar: V-E+F = {nv}-{ne}+{nf} != 2"
             )
+
+
+def _check_flow(d: Diagram, labels: list[int], other: list[int]) -> None:
+    """Each arc between two crossings must leave one and enter the other."""
+    flows_in = []
+    for c in d.crossings:
+        over_in = 3 if c.sign > 0 else 1
+        flows_in += [True, over_in == 1, False, over_in == 3]
+    for j, k in enumerate(other):
+        if j < k < len(flows_in) and flows_in[j] == flows_in[k]:
+            raise OrientationError(f"arc {labels[j]} has inconsistent flow")
+
+
+def _place(d: Diagram, j: int) -> tuple[int, int]:
+    """The (vertex, slot) place of dart j; the cap's vertex is _CAP."""
+    c4 = 4 * len(d.crossings)
+    return (j >> 2, j & 3) if j < c4 else (_CAP, j - c4)
+
+
+def _dart_orbits(face_next: list[int]) -> list[list[int]]:
+    """The darts of each face, faces in order of their smallest dart."""
+    orbits = []
+    seen = bytearray(len(face_next))
+    for start in range(len(face_next)):
+        if not seen[start]:
+            orbit = []
+            j = start
+            while not seen[j]:
+                seen[j] = 1
+                orbit.append(j)
+                j = face_next[j]
+            orbits.append(orbit)
+    return orbits
+
+
+def _face_orbits(d: Diagram) -> list[list[tuple[int, int]]]:
+    """The darts of each face as (vertex, slot) places, indexed like faces(d)."""
+    return [[_place(d, j) for j in orbit] for orbit in _dart_orbits(_darts(d)[2])]
+
+
+def _far_ends(d: Diagram, arcs: list[int]) -> list[tuple[int, int]] | None:
+    """Per arc, the (vertex, slot) place at its far end from the first face
+    with a crossing corner that all `arcs` border; None if no face does."""
+    labels, other, face_next = _darts(d)
+    c4 = 4 * len(d.crossings)
+    for orbit in _dart_orbits(face_next):
+        if min(orbit) < c4 and set(arcs) <= {labels[j] for j in orbit}:
+            return [_place(d, other[next(j for j in orbit if labels[j] == a)]) for a in arcs]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +363,12 @@ def _check_euler(d: Diagram) -> None:
 
 def faces(d: Diagram) -> list[Face]:
     """Complete face decomposition; crossing-free circles add their two sides."""
-    validate(d)
+    labels, _, face_next = _darts(d)
+    c4 = 4 * len(d.crossings)
     result = []
-    for orbit in _face_orbits(d):
-        corners = tuple((v, s) for v, s in orbit if v != _CAP)
-        labels = frozenset(
-            (d.crossings[v].slots[s] if v != _CAP else d.boundary[s]) for v, s in orbit
-        )
-        result.append(Face(len(result), corners, labels))
+    for orbit in _dart_orbits(face_next):
+        corners = tuple((j >> 2, j & 3) for j in orbit if j < c4)
+        result.append(Face(len(result), corners, frozenset([labels[j] for j in orbit])))
     for k in d.circles:
         result.append(Face(len(result), (), frozenset({k})))
         result.append(Face(len(result), (), frozenset({k})))
@@ -376,29 +428,6 @@ def co_facial(d: Diagram, a1: int, a2: int) -> bool:
 # orientation
 
 
-def _edge_directions(d: Diagram):
-    """Tail/head occurrence of every arc under the declared crossing signs."""
-    heads: dict[tuple[int, int], bool] = {}  # occurrence -> flows into vertex?
-    for ci, c in enumerate(d.crossings):
-        into = {0: True, 2: False}
-        into[3 if c.sign >= 0 else 1] = True
-        into[1 if c.sign >= 0 else 3] = False
-        for s in range(4):
-            heads[(ci, s)] = into[s]
-    occ = _occurrences(d)
-    directions = {}
-    for label, places in occ.items():
-        ins = [p for p in places if heads.get(p, None) is True]
-        outs = [p for p in places if heads.get(p, None) is False]
-        caps = [p for p in places if p[0] == _CAP]
-        if len(ins) + len(caps) < 1 or len(outs) + len(caps) < 1 or len(ins) > 1 or len(outs) > 1:
-            raise OrientationError(f"arc {label} has inconsistent flow")
-        tail = outs[0] if outs else caps[0]
-        head = ins[0] if ins else caps[-1]
-        directions[label] = (tail, head)
-    return directions
-
-
 def orient(d: Diagram) -> Diagram:
     """Assign a deterministic orientation: every crossing becomes signed.
 
@@ -408,44 +437,38 @@ def orient(d: Diagram) -> Diagram:
     """
     if d.oriented:
         return d
-    occ = _occurrences(d)
-    flow_in: dict[tuple[int, int], bool] = {}  # crossing occurrence -> arc flows in
+    _, other, _ = _darts(d)
+    c4 = 4 * len(d.crossings)
+    flow_in: list[bool | None] = [None] * c4  # crossing dart -> arc flows in
 
-    def walk(label, tail):
-        # follow the strand, marking flow at each crossing occurrence
+    def walk(tail):
+        # follow the strand, marking flow at each crossing dart
         while True:
-            places = [p for p in occ[label] if p != tail]
-            head = places[0] if places else None
-            if tail[0] != _CAP:
+            head = other[tail]
+            if tail < c4:
                 flow_in[tail] = False
-            if head is None or head[0] == _CAP:
+            if head >= c4:
                 return
             flow_in[head] = True
-            v, s = head
-            nxt = (v, (s + 2) % 4)
-            if nxt in flow_in:
+            tail = head ^ 2
+            if flow_in[tail] is not None:
                 return
-            label = d.crossings[v].slots[(s + 2) % 4]
-            tail = nxt
 
-    for bi, label in enumerate(d.boundary):
-        start = (_CAP, bi)
-        crossing_places = [p for p in occ[label] if p[0] != _CAP]
-        if crossing_places and (crossing_places[0] not in flow_in):
-            walk(label, start)
-    for ci, c in enumerate(d.crossings):
-        for s in range(4):
-            if (ci, s) not in flow_in:
-                walk(c.slots[s], (ci, s))
+    for start in range(c4, len(other)):
+        if other[start] < c4 and flow_in[other[start]] is None:
+            walk(start)
+    for j in range(c4):
+        if flow_in[j] is None:
+            walk(j)
     new_crossings = []
     for ci, c in enumerate(d.crossings):
         slots = c.slots
-        if not flow_in[(ci, 0)]:
+        if not flow_in[4 * ci]:
             slots = (slots[2], slots[3], slots[0], slots[1])
             base = 2
         else:
             base = 0
-        over_in_at_3 = flow_in[(ci, (base + 3) % 4)]
+        over_in_at_3 = flow_in[4 * ci + (base + 3) % 4]
         sign = 1 if over_in_at_3 else -1
         new_crossings.append(Crossing(slots, sign))
     out = Diagram(tuple(new_crossings), d.circles, d.boundary)
@@ -491,7 +514,8 @@ def canonical_form(d: Diagram) -> str:
             base += "B " + " ".join(map(str, names)) + "\n"
         return base
     best = None
-    occ = _occurrences(d)
+    _, other, _ = _darts(d)
+    c4 = 4 * len(d.crossings)
     for start_ci in range(len(d.crossings)):
         for offset in range(4):
             names: dict[int, int] = {}
@@ -513,9 +537,9 @@ def canonical_form(d: Diagram) -> str:
                     if label not in names:
                         names[label] = len(names) + 1
                         # scan the neighbor from the slot this label enters at
-                        for v, s in occ[label]:
-                            if v != _CAP and v not in visited and (v, s) != (ci, slot):
-                                queue.append((v, s))
+                        k = other[4 * ci + slot]
+                        if k < c4 and k >> 2 not in visited:
+                            queue.append((k >> 2, k & 3))
             rows = []
             for ci, off in order:
                 c = d.crossings[ci]

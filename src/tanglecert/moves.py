@@ -18,10 +18,15 @@ from dataclasses import dataclass, field
 
 from .colorings import FoxColoring, QuandleColoring, fox_solution_space, quandle_colorings
 from .diagram import (
+    _CAP,
     Crossing,
     Diagram,
     DiagramError,
     OrientationError,
+    _darts,
+    _face_orbits,
+    _far_ends,
+    _place,
     co_facial,
     faces,
     max_label,
@@ -41,9 +46,6 @@ __all__ = [
     "records_to_json",
     "undo_move",
 ]
-
-_CAP = -1
-
 
 class MoveError(DiagramError):
     pass
@@ -82,34 +84,20 @@ def _require_unoriented(d: Diagram) -> None:
         raise OrientationError("moves operate on unoriented diagrams")
 
 
-def _occurrences_of(d: Diagram, label: int):
-    occ = []
-    for ci, c in enumerate(d.crossings):
-        for si, s in enumerate(c.slots):
-            if s == label:
-                occ.append((ci, si))
-    for bi, s in enumerate(d.boundary):
-        if s == label:
-            occ.append((_CAP, bi))
-    return occ
-
-
 def _replace_at(d: Diagram, spots) -> Diagram:
     """Substitute labels at specific (vertex, slot, old, new) positions."""
-    crossings = [list(c.slots) for c in d.crossings]
+    crossings = list(d.crossings)
     boundary = list(d.boundary)
     for v, s, old, new in spots:
         if v == _CAP:
             assert boundary[s] == old
             boundary[s] = new
         else:
-            assert crossings[v][s] == old
-            crossings[v][s] = new
-    return Diagram(
-        tuple(Crossing(tuple(slots), c.sign) for slots, c in zip(crossings, d.crossings)),
-        d.circles,
-        tuple(boundary),
-    )
+            slots = list(crossings[v].slots)
+            assert slots[s] == old
+            slots[s] = new
+            crossings[v] = Crossing(tuple(slots), crossings[v].sign)
+    return Diagram(tuple(crossings), d.circles, tuple(boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +117,11 @@ def apply_r1(d: Diagram, arc: int, positive: bool = True) -> tuple[Diagram, Move
             "R1+", ("arc", arc), fresh=(loop,), added=(len(d.crossings),), removed_circle=arc
         )
         return out, rec
-    occ = _occurrences_of(d, arc)
-    if not occ:
+    labels, other, _ = _darts(d)
+    if arc not in labels:
         raise MoveError(f"unknown arc {arc}")
-    tail = max(occ)  # split at the later occurrence; deterministic
+    j = labels.index(arc)
+    tail = max(_place(d, j), _place(d, other[j]))  # split at the later occurrence; deterministic
     loop, new = max_label(d) + 1, max_label(d) + 2
     slots = (arc, loop, loop, new) if positive else (arc, new, loop, loop)
     replaced = ((tail[0], tail[1], arc, new),)
@@ -158,21 +147,11 @@ def apply_r2_over(d: Diagram, mover: int, target: int) -> tuple[Diagram, MoveRec
     _require_unoriented(d)
     if not co_facial(d, mover, target):
         raise MoveError(f"arcs {mover} and {target} are not co-facial")
-    shared = None
-    for f in faces(d):
-        if mover in f.arcs and target in f.arcs and f.corners:
-            shared = f
-            break
-    if shared is None:
-        raise MoveError(f"arcs {mover} and {target} only share a degenerate face")
-    occ_m = _occurrences_of(d, mover)
-    occ_t = _occurrences_of(d, target)
     # darts of the shared face, in orbit order, identify which ends stay put
-    orbit = _face_orbit_darts(d, shared.index)
-    dart_m = next(dt for dt in orbit if dt in occ_m)
-    dart_t = next(dt for dt in orbit if dt in occ_t)
-    far_m = next(p for p in occ_m if p != dart_m)
-    far_t = next(p for p in occ_t if p != dart_t)
+    ends = _far_ends(d, [mover, target])
+    if ends is None:
+        raise MoveError(f"arcs {mover} and {target} only share a degenerate face")
+    far_m, far_t = ends
     lab = max_label(d)
     m_mid, m_far, t_mid, t_far = lab + 1, lab + 2, lab + 3, lab + 4
     replaced = (
@@ -194,13 +173,6 @@ def apply_r2_over(d: Diagram, mover: int, target: int) -> tuple[Diagram, MoveRec
     return out, rec
 
 
-def _face_orbit_darts(d: Diagram, face_index: int):
-    from .diagram import _face_orbits
-
-    orbits = _face_orbits(d)
-    return orbits[face_index]
-
-
 # ---------------------------------------------------------------------------
 # R3
 
@@ -209,11 +181,8 @@ def find_r3_triangles(d: Diagram) -> list[int]:
     """Faces where a triangle slide applies: three distinct crossings and
     sides, with one side passing over (or under) at both of its corners."""
     out = []
-    for f in faces(d):
-        if len(f.corners) != 3:
-            continue
-        orbit = _face_orbit_darts(d, f.index)
-        if any(v == _CAP for v, _ in orbit):
+    for index, orbit in enumerate(_face_orbits(d)):
+        if len(orbit) != 3 or any(v == _CAP for v, _ in orbit):
             continue
         (P, p), (Q, q), (R, r) = orbit
         if len({P, Q, R}) != 3:
@@ -227,7 +196,7 @@ def find_r3_triangles(d: Diagram) -> list[int]:
         over_y = (q % 2 == 1) + (r % 2 == 0)
         over_z = (r % 2 == 1) + (p % 2 == 0)
         if 2 in (over_x, over_y, over_z):
-            out.append(f.index)
+            out.append(index)
     return out
 
 
@@ -240,8 +209,7 @@ def apply_r3(d: Diagram, face_index: int) -> tuple[Diagram, MoveRecord]:
     _require_unoriented(d)
     if face_index not in find_r3_triangles(d):
         raise MoveError(f"face {face_index} does not admit a triangle slide")
-    orbit = _face_orbit_darts(d, face_index)
-    (P, p), (Q, q), (R, r) = orbit
+    (P, p), (Q, q), (R, r) = _face_orbits(d)[face_index]
     sl = lambda ci, k: d.crossings[ci].slots[k % 4]
     x, y, z = sl(P, p), sl(Q, q), sl(R, r)
     a_in, c_out = sl(P, p + 2), sl(P, p + 1)

@@ -32,10 +32,9 @@ from .colorings import (
     verify_coloring,
 )
 from .diagram import (
-    Crossing,
     Diagram,
     DiagramError,
-    _face_orbits,
+    _far_ends,
     co_facial,
     components,
     faces,
@@ -44,7 +43,14 @@ from .diagram import (
     serialize,
     validate,
 )
-from .moves import MoveRecord, apply_r2_over, r2_transport, recolor_after_move, records_to_json
+from .moves import (
+    MoveRecord,
+    _replace_at,
+    apply_r2_over,
+    r2_transport,
+    recolor_after_move,
+    records_to_json,
+)
 from .tangle import (
     TangleFraction,
     close_one_tangle,
@@ -135,39 +141,15 @@ def _check_certificate_shape(t: Diagram, cert: PersistenceCertificate) -> None:
 # cutting constructions
 
 
-def _face_darts(d: Diagram, want: set[int]):
-    """First face whose arcs contain `want`; returns its orbit darts."""
-    fs = faces(d)
-    orbits = _face_orbits(d)
-    for f in fs:
-        if want <= f.arcs and f.corners:
-            return f.index, orbits[f.index]
-    raise DiagramError(f"no face contains all of {sorted(want)}")
+def _cut_places(d: Diagram, arcs: list[int]) -> list[tuple[int, int]]:
+    """Per arc, the (vertex, slot) place to cut: its far end from a face all `arcs` border.
 
-
-def _edge_at(d: Diagram, dart):
-    v, s = dart
-    return d.boundary[s] if v == -1 else d.crossings[v].slots[s]
-
-
-def _other_occurrence(d: Diagram, label: int, dart):
-    occ = []
-    for ci, c in enumerate(d.crossings):
-        for si, s in enumerate(c.slots):
-            if s == label:
-                occ.append((ci, si))
-    return next(p for p in occ if p != dart)
-
-
-def _replace_slot(d: Diagram, dart, new: int) -> Diagram:
-    v, s = dart
-    crossings = [list(c.slots) for c in d.crossings]
-    crossings[v][s] = new
-    return Diagram(
-        tuple(Crossing(tuple(sl), c.sign) for sl, c in zip(crossings, d.crossings)),
-        d.circles,
-        d.boundary,
-    )
+    Cutting there keeps each arc's label on the face side of the cut.
+    """
+    places = _far_ends(d, arcs)
+    if places is None:
+        raise DiagramError(f"no face contains all of {sorted(arcs)}")
+    return places
 
 
 def cut_arc_once(d: Diagram, arc: int) -> Diagram:
@@ -182,11 +164,9 @@ def cut_arc_once(d: Diagram, arc: int) -> Diagram:
         return out
     if arc not in d.arcs():
         raise DiagramError(f"unknown arc {arc}")
-    _, orbit = _face_darts(d, {arc})
-    dart = next(dt for dt in orbit if dt[0] != -1 and _edge_at(d, dt) == arc)
-    far = _other_occurrence(d, arc, dart)
+    (far,) = _cut_places(d, [arc])
     fresh = max_label(d) + 1
-    out = _replace_slot(d, far, fresh)
+    out = _replace_at(d, [(*far, arc, fresh)])
     out = Diagram(out.crossings, out.circles, (arc, fresh))
     validate(out)
     return out
@@ -209,11 +189,9 @@ def cut_arc_twice(d: Diagram, coloring, arc: int):
         raise DiagramError("cut the circle once to get the trivial 1-tangle")
     if arc not in d.arcs():
         raise DiagramError(f"unknown arc {arc}")
-    _, orbit = _face_darts(d, {arc})
-    dart = next(dt for dt in orbit if dt[0] != -1 and _edge_at(d, dt) == arc)
-    far = _other_occurrence(d, arc, dart)
+    (far,) = _cut_places(d, [arc])
     mid, tail = max_label(d) + 1, max_label(d) + 2
-    out = _replace_slot(d, far, tail)
+    out = _replace_at(d, [(*far, arc, tail)])
     out = Diagram(out.crossings, out.circles, (arc, mid, mid, tail))
     validate(out)
     colors = dict(coloring.colors)
@@ -248,14 +226,9 @@ def _cut_pair(d: Diagram, arc1: int, arc2: int) -> tuple[Diagram, int, int]:
     Returns (tangle, fresh1, fresh2) where the numerator closure of the
     tangle re-glues both cuts.
     """
-    _, orbit = _face_darts(d, {arc1, arc2})
-    dart1 = next(dt for dt in orbit if dt[0] != -1 and _edge_at(d, dt) == arc1)
-    dart2 = next(dt for dt in orbit if dt[0] != -1 and _edge_at(d, dt) == arc2)
-    far1 = _other_occurrence(d, arc1, dart1)
-    far2 = _other_occurrence(d, arc2, dart2)
+    far1, far2 = _cut_places(d, [arc1, arc2])
     fresh1, fresh2 = max_label(d) + 1, max_label(d) + 2
-    out = _replace_slot(d, far1, fresh1)
-    out = _replace_slot(out, far2, fresh2)
+    out = _replace_at(d, [(*far1, arc1, fresh1), (*far2, arc2, fresh2)])
     # endpoints read clockwise, which reverses the face-walk encounter order
     out = Diagram(out.crossings, out.circles, (fresh1, arc1, fresh2, arc2))
     validate(out)

@@ -93,28 +93,34 @@ def _apply_joins(crossings, circles, joins, carry):
     """Glue pairs of loose ends by merging labels; self-joins become circles.
 
     `carry` is a list of labels (e.g. a boundary) that must be renamed along
-    with the merges.  Smaller label wins each merge, which keeps the left
-    operand's labels stable under addition.
+    with the merges.  Joins apply in order, each to the labels left by the
+    ones before it.  Smaller label wins each merge, which keeps the left
+    operand's labels stable under addition.  The crossings are rewritten in
+    one pass at the end; those without a merged label are kept as they are.
     """
-    crossings = [[list(c.slots), c.sign] for c in crossings]
+    merged: dict[int, int] = {}  # dropped label -> the label it merged into
+
+    def current(x):
+        while x in merged:
+            x = merged[x]
+        return x
+
     circles = list(circles)
-    joins = [list(j) for j in joins]
-    carry = list(carry)
-    for idx, (x, y) in enumerate(joins):
+    for x, y in joins:
+        x, y = current(x), current(y)
         if x == y:
-            if any(x in slots for slots, _ in crossings):
+            if any(current(s) == x for c in crossings for s in c.slots):
                 raise TangleError(f"self-join of arc {x} with crossing occurrences")
             circles.append(x)
-            continue
-        keep, drop = (x, y) if x < y else (y, x)
-        for slots, _ in crossings:
-            for i, s in enumerate(slots):
-                if s == drop:
-                    slots[i] = keep
-        for j in range(idx + 1, len(joins)):
-            joins[j] = [keep if v == drop else v for v in joins[j]]
-        carry = [keep if v == drop else v for v in carry]
-    return [Crossing(tuple(slots), sign) for slots, sign in crossings], circles, carry
+        else:
+            merged[max(x, y)] = min(x, y)
+    rename = {x: current(x) for x in merged}
+    crossings = [
+        c if rename.keys().isdisjoint(c.slots)
+        else Crossing(tuple(rename.get(s, s) for s in c.slots), c.sign)
+        for c in crossings
+    ]
+    return crossings, circles, [rename.get(v, v) for v in carry]
 
 
 def _closure(d: Diagram, joins) -> Diagram:
@@ -122,6 +128,10 @@ def _closure(d: Diagram, joins) -> Diagram:
     out = Diagram(tuple(crossings), tuple(circles), ())
     validate(out)
     return out
+
+
+def _shifted(t: Diagram, shift: int) -> Diagram:
+    return relabel(t, {a: a + shift for a in t.arcs()})
 
 
 def numerator_closure(t: Diagram) -> Diagram:
@@ -148,8 +158,7 @@ def tangle_add(t1: Diagram, t2: Diagram) -> Diagram:
     """Planar juxtaposition: fuse t1's NE/SE side to t2's NW/SW side."""
     _require_tangle(t1)
     _require_tangle(t2)
-    shift = max_label(t1)
-    t2 = relabel(t2, {a: a + shift for a in t2.arcs()})
+    t2 = _shifted(t2, max_label(t1))
     joins = [(t1.boundary[1], t2.boundary[0]), (t1.boundary[2], t2.boundary[3])]
     carry = [t1.boundary[0], t2.boundary[1], t2.boundary[2], t1.boundary[3]]
     crossings, circles, carry = _apply_joins(
@@ -189,24 +198,25 @@ def insert_into_host(t: Diagram, host: Diagram, closure: str = "N") -> Diagram:
     Up to isotopy of the complement, any knot diagram containing t is such
     a closure, so certificates are exercised by sampling hosts.  1-tangles
     connect-sum with 1-tangle hosts instead (closure type is irrelevant).
+    The sum and its closure are glued in one pass, and only the closed
+    diagram is validated.
     """
     if len(t.boundary) == 2:
         _require_tangle(host, arity=2)
-        shift = max_label(t)
-        host = relabel(host, {a: a + shift for a in host.arcs()})
-        joins = [(t.boundary[0], host.boundary[0]), (t.boundary[1], host.boundary[1])]
-        crossings, circles, _ = _apply_joins(
-            t.crossings + host.crossings, t.circles + host.circles, joins, []
-        )
-        out = Diagram(tuple(crossings), tuple(circles), ())
-        validate(out)
-        return out
-    s = tangle_add(t, host)
-    if closure == "N":
-        return numerator_closure(s)
-    if closure == "D":
-        return denominator_closure(s)
-    raise TangleError(f"closure must be 'N' or 'D', got {closure!r}")
+        host = _shifted(host, max_label(t))
+        joins = list(zip(t.boundary, host.boundary))
+    else:
+        _require_tangle(t)
+        _require_tangle(host)
+        if closure not in ("N", "D"):
+            raise TangleError(f"closure must be 'N' or 'D', got {closure!r}")
+        host = _shifted(host, max_label(t))
+        nw, ne, se, sw = t.boundary
+        hnw, hne, hse, hsw = host.boundary
+        # the sum's boundary is (nw, hne, hse, sw); then cap it N or D
+        caps = [(nw, hne), (sw, hse)] if closure == "N" else [(nw, sw), (hne, hse)]
+        joins = [(ne, hnw), (se, hsw)] + caps
+    return _closure(Diagram(t.crossings + host.crossings, t.circles + host.circles), joins)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ separate union-find, counting is exhaustive backtracking over strand
 assignments, determinants use recursive cofactor expansion, fractions use
 the stdlib Fraction type, and the dense integer diagonalization below is
 the unimodular elimination over Z that the sparse modular solver replaced.
+The diagram validator at the end is the tuple-keyed occurrence scan that
+the integer-dart validator replaced; it shares only the exception types.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from tanglecert.diagram import ArcOccurrenceError, DiagramError, OrientationError, PlanarityError
 
 INF = "inf"
 
@@ -246,3 +250,157 @@ def link_invariant(d):
         return 1
     rank, product = invariant_product(rows) if rows else (0, 1)
     return product if rank == n_strands - 1 else 0
+
+
+# ---------------------------------------------------------------------------
+# diagram validation over (vertex, slot) occurrences
+
+_CAP = -1  # virtual vertex index for the capped tangle boundary
+
+
+def _occurrences(d):
+    """Map each arc label to its (vertex, slot) occurrences; cap vertex is -1."""
+    occ = {}
+    for ci, c in enumerate(d.crossings):
+        for si, label in enumerate(c.slots):
+            occ.setdefault(label, []).append((ci, si))
+    for bi, label in enumerate(d.boundary):
+        occ.setdefault(label, []).append((_CAP, bi))
+    return occ
+
+
+def reference_validate(d):
+    """Check occurrence counts, orientation consistency, and planarity."""
+    if d.boundary and len(d.boundary) not in (2, 4):
+        raise ArcOccurrenceError("boundary must list 2 or 4 endpoints")
+    crossing_count = {}
+    for c in d.crossings:
+        if c.sign not in (-1, 0, 1):
+            raise DiagramError(f"bad crossing sign {c.sign}")
+        for label in c.slots:
+            if label <= 0:
+                raise ArcOccurrenceError(f"arc labels must be positive, got {label}")
+            crossing_count[label] = crossing_count.get(label, 0) + 1
+    boundary_count = {}
+    for label in d.boundary:
+        boundary_count[label] = boundary_count.get(label, 0) + 1
+    for k in d.circles:
+        if k in crossing_count or k in boundary_count or d.circles.count(k) > 1:
+            raise ArcOccurrenceError(f"circle label {k} reused elsewhere")
+    for label, n in crossing_count.items():
+        expected = 2 - boundary_count.get(label, 0)
+        if n != expected:
+            raise ArcOccurrenceError(
+                f"arc {label} occurs {n} times in crossings, expected {expected}"
+            )
+    for label, n in boundary_count.items():
+        if n == 2 and label in crossing_count:
+            raise ArcOccurrenceError(
+                f"strand {label} listed twice in boundary but also crosses"
+            )
+        if n > 2:
+            raise ArcOccurrenceError(f"endpoint {label} repeated in boundary")
+        if n == 1 and label not in crossing_count:
+            raise ArcOccurrenceError(f"endpoint {label} dangles (no crossing occurrence)")
+    signs = {c.sign for c in d.crossings}
+    if 0 in signs and len(signs) > 1:
+        raise OrientationError("diagram mixes signed and unsigned crossings")
+    _check_euler(d)
+    if d.crossings and all(c.sign != 0 for c in d.crossings):
+        _edge_directions(d)  # raises on inconsistent orientation
+
+
+def _vertex_rotations(d):
+    rot = {ci: c.slots for ci, c in enumerate(d.crossings)}
+    if d.boundary:
+        rot[_CAP] = d.boundary
+    return rot
+
+
+def reference_face_orbits(d):
+    """Orbits of the next-corner permutation over all (vertex, slot) darts."""
+    rot = _vertex_rotations(d)
+    occ = _occurrences(d)
+    other = {}
+    for label, places in occ.items():
+        if len(places) != 2:
+            raise ArcOccurrenceError(f"arc {label} has {len(places)} occurrences")
+        a, b = places
+        other[a] = b
+        other[b] = a
+    orbits = []
+    seen = set()
+    darts = [(v, s) for v in sorted(rot, key=lambda x: (x == _CAP, x)) for s in range(len(rot[v]))]
+    for start in darts:
+        if start in seen:
+            continue
+        orbit = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            orbit.append(cur)
+            v, s = other[cur]
+            cur = (v, (s + 1) % len(rot[v]))
+        orbits.append(orbit)
+    return orbits
+
+
+def _check_euler(d):
+    if not d.crossings and not d.boundary:
+        return
+    rot = _vertex_rotations(d)
+    occ = _occurrences(d)
+    # vertex components through shared edges
+    parent = {v: v for v in rot}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for places in occ.values():
+        if len(places) == 2:
+            a, b = find(places[0][0]), find(places[1][0])
+            if a != b:
+                parent[a] = b
+    orbits = reference_face_orbits(d)
+    comp_faces = {}
+    for orbit in orbits:
+        comp_faces[find(orbit[0][0])] = comp_faces.get(find(orbit[0][0]), 0) + 1
+    comp_v = {}
+    for v in rot:
+        comp_v[find(v)] = comp_v.get(find(v), 0) + 1
+    comp_e = {}
+    for places in occ.values():
+        comp_e[find(places[0][0])] = comp_e.get(find(places[0][0]), 0) + 1
+    for comp, nv in comp_v.items():
+        ne = comp_e.get(comp, 0)
+        nf = comp_faces.get(comp, 0)
+        if nv - ne + nf != 2:
+            raise PlanarityError(
+                f"rotation system is not planar: V-E+F = {nv}-{ne}+{nf} != 2"
+            )
+
+
+def _edge_directions(d):
+    """Tail/head occurrence of every arc under the declared crossing signs."""
+    heads = {}  # occurrence -> flows into vertex?
+    for ci, c in enumerate(d.crossings):
+        into = {0: True, 2: False}
+        into[3 if c.sign >= 0 else 1] = True
+        into[1 if c.sign >= 0 else 3] = False
+        for s in range(4):
+            heads[(ci, s)] = into[s]
+    occ = _occurrences(d)
+    directions = {}
+    for label, places in occ.items():
+        ins = [p for p in places if heads.get(p, None) is True]
+        outs = [p for p in places if heads.get(p, None) is False]
+        caps = [p for p in places if p[0] == _CAP]
+        if len(ins) + len(caps) < 1 or len(outs) + len(caps) < 1 or len(ins) > 1 or len(outs) > 1:
+            raise OrientationError(f"arc {label} has inconsistent flow")
+        tail = outs[0] if outs else caps[0]
+        head = ins[0] if ins else caps[-1]
+        directions[label] = (tail, head)
+    return directions

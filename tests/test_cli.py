@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from tanglecert.cli import main
 
@@ -116,6 +120,46 @@ class TestCut:
         )
         assert code == 1 and "no nontrivial coloring" in err
 
+    def test_two_arc_cut_without_any_coloring(self, capsys, corpus_dir, tmp_path):
+        code, _, err = run(
+            capsys, "cut", str(corpus_dir / "trefoil.pd"), "--arc", "1", "--arc2", "6",
+            "--mod", "5", "--out", str(tmp_path / "nope"),
+        )
+        assert code == 1 and "no nontrivial coloring mod 5" in err
+
+    def test_two_arcs_that_never_share_a_color(self, capsys, corpus_dir, tmp_path):
+        # arcs 1 and 2 lie on different strands, which every nontrivial 3-coloring separates
+        code, _, err = run(
+            capsys, "cut", str(corpus_dir / "trefoil.pd"), "--arc", "1", "--arc2", "2",
+            "--mod", "3", "--out", str(tmp_path / "nope"),
+        )
+        assert code == 1 and "arcs 1 and 2 never share a color mod 3" in err
+
+    def test_two_arc_cut_past_the_enumeration_cap(self, capsys, tmp_path):
+        # 12 trefoils in a row have 3^13 colorings mod 3, more than the 10^6 cap
+        from tanglecert.braids import braid_closure
+        from tanglecert.diagram import serialize
+
+        knot = tmp_path / "trefoils.pd"
+        knot.write_text(serialize(braid_closure([i for i in range(1, 13) for _ in range(3)], 13)))
+        code, _, err = run(
+            capsys, "cut", str(knot), "--arc", "1", "--arc2", "80", "--mod", "3",
+            "--out", str(tmp_path / "cut"),
+        )
+        assert code == 0, err
+        cert = json.loads((tmp_path / "cut.cert.json").read_text())
+        assert cert["kind"] == {"fox": 3} and cert["moves"]
+
+    def test_two_arc_cut_on_a_huge_solution_space(self, capsys, tmp_path):
+        # 97^4 colorings: far above the enumeration cap, so no coloring may be listed
+        circles = tmp_path / "circles.pd"
+        circles.write_text("O 1 ; O 2 ; O 3 ; O 4\n")
+        code, _, err = run(
+            capsys, "cut", str(circles), "--arc", "1", "--arc2", "2", "--mod", "97",
+            "--out", str(tmp_path / "nope"),
+        )
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
 
 class TestBuild:
     def test_rational_closure(self, capsys, tmp_path):
@@ -168,3 +212,40 @@ class TestOthers:
         assert payload["verdict"] == "consistent with irreducible"
         assert payload["closure_N"]["determinant"] == 5
         assert payload["closure_D"]["determinant"] == 3
+
+
+class TestLimits:
+    def test_solution_cap_exits_2_and_names_the_limit(self, capsys, corpus_dir, monkeypatch):
+        import tanglecert.cli as cli
+        from tanglecert.colorings import SolutionCapExceeded
+
+        def too_many(*args, **kwargs):
+            raise SolutionCapExceeded(97 ** 4, 10 ** 6)
+
+        monkeypatch.setattr(cli, "fox_solution_space", too_many)
+        code, _, err = run(capsys, "color", str(corpus_dir / "trefoil.pd"), "--mod", "97")
+        assert code == 2
+        assert "limit exceeded" in err and "88529281" in err and "1000000" in err
+
+
+def run_module(*argv):
+    """Run `python -m tanglecert` in a child process on this checkout's sources."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "tanglecert", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, corpus_dir):
+        proc = run_module("color", str(corpus_dir / "trefoil.pd"), "--mod", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert "9 colorings, nontrivial: yes" in proc.stdout
+
+    def test_python_dash_m_reports_bad_input_with_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.pd"
+        bad.write_text("X 1 2 3\n")
+        proc = run_module("det", str(bad))
+        assert proc.returncode == 2 and proc.stderr.startswith("error:")
