@@ -129,13 +129,11 @@ class FoxSolutionSpace:
         for x in self._space.enumerate(cap):
             yield self._expand(x)
 
-    def first_nonconstant(self, cap: int = DEFAULT_CAP) -> FoxColoring | None:
+    def first_nonconstant(self) -> FoxColoring | None:
         """A nonconstant coloring read off the basis, or None when every coloring is constant.
 
         The particular solution if it is nonconstant, else the particular
-        solution plus the first nonconstant generator.  Nothing is
-        enumerated, so `cap` does not limit the search; it is accepted for
-        callers written against the enumerating version.
+        solution plus the first nonconstant generator.  Nothing is enumerated.
         """
         if self.count == 0:
             return None

@@ -21,15 +21,18 @@ and nowhere else.
 
 Faces come from the rotation system: darts (crossing, slot) walk the
 next-corner permutation, with tangle boundaries capped by a virtual vertex.
-Planarity is enforced by the per-component Euler count V - E + F = 2, not
-by an embedding search; a rotation system that fails Euler is rejected as
-an inconsistent code.
+Strands walk the same darts along the arc pairing, straight on through
+each crossing (slot s to slot s ^ 2); components and orient share that
+walk, and co_facial reads the face orbits.  Planarity is enforced by the
+per-component Euler count V - E + F = 2, not by an embedding search; a
+rotation system that fails Euler is rejected as an inconsistent code.
 
 Trust boundary: validate() runs once per Diagram object.  A diagram that
 passes is marked in its instance dict, and later calls on the same object
-return at once; the fields are tuples, so the object cannot change after
-the check.  parse_diagram and every public constructor
-return validated diagrams.  Intermediates that never leave a function (the
+return at once.  validate rejects a Diagram whose fields, or a Crossing
+whose slots, are not tuples, so a marked object cannot change after the
+check.  parse_diagram and every public constructor return validated
+diagrams.  Intermediates that never leave a function (the
 tangle sum inside insert_into_host, for one) are not validated.
 """
 
@@ -82,10 +85,6 @@ class Diagram:
     @property
     def oriented(self) -> bool:
         return bool(self.crossings) and all(c.sign != 0 for c in self.crossings)
-
-    @property
-    def endpoints(self) -> tuple[int, ...]:
-        return self.boundary
 
     def arcs(self) -> frozenset[int]:
         labels = set()
@@ -183,7 +182,8 @@ def serialize(d: Diagram) -> str:
 # boundary cap follow all crossing darts, so dart j sits at vertex j >> 2
 # (the cap is vertex len(crossings)).  One linear scan builds the dart
 # pairing and the face permutation; validation checks them, and faces,
-# orient, canonical_form and the move and cut helpers read them.
+# co_facial, the strand walk of components and orient, canonical_form and
+# the move and cut helpers read them.
 
 _CAP = -1  # vertex index of the capped tangle boundary in (vertex, slot) places
 
@@ -196,6 +196,12 @@ def validate(d: Diagram) -> None:
     """
     if "_valid" in d.__dict__:
         return
+    # the marker trusts the fields never to change, which only tuples ensure
+    for name in ("crossings", "circles", "boundary"):
+        if not isinstance(getattr(d, name), tuple):
+            raise DiagramError(f"Diagram.{name} must be a tuple")
+    if not all(isinstance(c.slots, tuple) for c in d.crossings):
+        raise DiagramError("Crossing.slots must be a tuple")
     if d.boundary and len(d.boundary) not in (2, 4):
         raise ArcOccurrenceError("boundary must list 2 or 4 endpoints")
     labels, other, face_next = _dart_structure(d)
@@ -375,8 +381,43 @@ def faces(d: Diagram) -> list[Face]:
     return result
 
 
-def _union_classes(d: Diagram, pairs) -> dict[int, int]:
-    """Union-find over arc labels; returns label -> representative (min label)."""
+def _strands(d: Diagram) -> tuple[list[int], list[list[int]]]:
+    """(labels, strands): each strand's darts in walk order, tail then head of
+    each arc.  Open strands run from their first boundary dart, in boundary
+    order; closed strands follow, each from its first crossing dart."""
+    labels, other, _ = _darts(d)
+    c4 = 4 * len(d.crossings)
+    seen = bytearray(len(other))
+    strands = []
+    for start in [*range(c4, len(other)), *range(c4)]:
+        if seen[start]:
+            continue
+        strand = []
+        j = start
+        while True:
+            k = other[j]
+            seen[j] = seen[k] = 1
+            strand += (j, k)
+            j = k ^ 2  # straight on through the crossing
+            if k >= c4 or seen[j]:  # at the boundary, or back at the start
+                break
+        strands.append(strand)
+    return labels, strands
+
+
+def components(d: Diagram) -> list[frozenset[int]]:
+    """Partition arcs into link components / open strands by strand-following."""
+    labels, strands = _strands(d)
+    parts = [frozenset(map(labels.__getitem__, strand[::2])) for strand in strands]
+    parts += [frozenset((k,)) for k in d.circles]
+    return sorted(parts, key=min)
+
+
+def strand_classes(d: Diagram) -> dict[int, int]:
+    """Merge the two labels of each over-strand; the classes are the coloring unknowns.
+
+    Returns label -> representative, the smallest label of its class.
+    """
     parent = {a: a for a in d.arcs()}
 
     def find(x):
@@ -385,7 +426,8 @@ def _union_classes(d: Diagram, pairs) -> dict[int, int]:
             x = parent[x]
         return x
 
-    for a, b in pairs:
+    for c in d.crossings:
+        _, a, _, b = c.slots
         ra, rb = find(a), find(b)
         if ra != rb:
             if ra < rb:
@@ -394,34 +436,17 @@ def _union_classes(d: Diagram, pairs) -> dict[int, int]:
     return {a: find(a) for a in parent}
 
 
-def components(d: Diagram) -> list[frozenset[int]]:
-    """Partition arcs into link components / open strands by strand-following."""
-    pairs = []
-    for c in d.crossings:
-        pairs.append((c.slots[0], c.slots[2]))
-        pairs.append((c.slots[1], c.slots[3]))
-    rep = _union_classes(d, pairs)
-    groups: dict[int, set[int]] = {}
-    for label, r in rep.items():
-        groups.setdefault(r, set()).add(label)
-    return [frozenset(g) for _, g in sorted(groups.items())]
-
-
-def strand_classes(d: Diagram) -> dict[int, int]:
-    """Merge the two labels of each over-strand; the classes are the coloring unknowns."""
-    pairs = [(c.slots[1], c.slots[3]) for c in d.crossings]
-    return _union_classes(d, pairs)
-
-
 def co_facial(d: Diagram, a1: int, a2: int) -> bool:
     """True iff some face is incident to both arcs."""
     if a1 == a2:
         raise DiagramError("co_facial needs two distinct arcs")
-    labels = d.arcs()
+    arcs = d.arcs()
     for a in (a1, a2):
-        if a not in labels:
+        if a not in arcs:
             raise DiagramError(f"unknown arc label {a}")
-    return any(a1 in f.arcs and a2 in f.arcs for f in faces(d))
+    labels, _, face_next = _darts(d)
+    pair = {a1, a2}
+    return any(pair <= {labels[j] for j in orbit} for orbit in _dart_orbits(face_next))
 
 
 # ---------------------------------------------------------------------------
@@ -431,35 +456,19 @@ def co_facial(d: Diagram, a1: int, a2: int) -> bool:
 def orient(d: Diagram) -> Diagram:
     """Assign a deterministic orientation: every crossing becomes signed.
 
-    Open strands run from their first boundary occurrence; closed components
-    start at their smallest arc label.  Crossing records are rotated so slot
-    0 is the incoming under-strand, then signed.
+    Open strands run from their first boundary occurrence.  A closed
+    component runs out of its first crossing dart: the lowest slot it holds
+    at the lowest-numbered crossing it passes, so it starts along the arc
+    in that slot, which is not always its smallest label.  Crossing records
+    are rotated so slot 0 is the incoming under-strand, then signed.
     """
     if d.oriented:
         return d
-    _, other, _ = _darts(d)
-    c4 = 4 * len(d.crossings)
-    flow_in: list[bool | None] = [None] * c4  # crossing dart -> arc flows in
-
-    def walk(tail):
-        # follow the strand, marking flow at each crossing dart
-        while True:
-            head = other[tail]
-            if tail < c4:
-                flow_in[tail] = False
-            if head >= c4:
-                return
-            flow_in[head] = True
-            tail = head ^ 2
-            if flow_in[tail] is not None:
-                return
-
-    for start in range(c4, len(other)):
-        if other[start] < c4 and flow_in[other[start]] is None:
-            walk(start)
-    for j in range(c4):
-        if flow_in[j] is None:
-            walk(j)
+    labels, strands = _strands(d)
+    flow_in = bytearray(len(labels))  # dart -> its arc flows into the dart's vertex
+    for strand in strands:
+        for head in strand[1::2]:
+            flow_in[head] = 1
     new_crossings = []
     for ci, c in enumerate(d.crossings):
         slots = c.slots

@@ -23,12 +23,12 @@ from .diagram import (
     Diagram,
     DiagramError,
     OrientationError,
+    _dart_orbits,
     _darts,
     _face_orbits,
     _far_ends,
     _place,
     co_facial,
-    faces,
     max_label,
     validate,
 )
@@ -145,11 +145,11 @@ def apply_r2_over(d: Diagram, mover: int, target: int) -> tuple[Diagram, MoveRec
     face dart; the middle segment lands in the face beyond the target.
     """
     _require_unoriented(d)
-    if not co_facial(d, mover, target):
-        raise MoveError(f"arcs {mover} and {target} are not co-facial")
     # darts of the shared face, in orbit order, identify which ends stay put
-    ends = _far_ends(d, [mover, target])
+    ends = _far_ends(d, [mover, target]) if mover != target else None
     if ends is None:
+        if not co_facial(d, mover, target):  # raises on equal or unknown arcs
+            raise MoveError(f"arcs {mover} and {target} are not co-facial")
         raise MoveError(f"arcs {mover} and {target} only share a degenerate face")
     far_m, far_t = ends
     lab = max_label(d)
@@ -271,7 +271,7 @@ def undo_move(d: Diagram, rec: MoveRecord) -> tuple[Diagram, MoveRecord]:
 # recoloring
 
 
-def recolor_after_move(coloring, rec: MoveRecord, before: Diagram, after: Diagram):
+def recolor_after_move(coloring, rec: MoveRecord, after: Diagram):
     """The unique coloring of `after` agreeing with the old one off the move site."""
     changed = rec.changed_labels()
     surviving = after.arcs()
@@ -307,39 +307,32 @@ class TransportResult:
     records: list[MoveRecord] = field(default_factory=list)
 
 
-def _first_step_arc(d: Diagram, mover: int, dest: int) -> int:
-    """BFS over the face-adjacency graph; the arc to cross first, or raise."""
-    fs = faces(d)
-    arc_to_faces: dict[int, list[int]] = {}
-    for f in fs:
-        for a in f.arcs:
-            arc_to_faces.setdefault(a, []).append(f.index)
-    sources = sorted(f.index for f in fs if mover in f.arcs)
-    targets = {f.index for f in fs if dest in f.arcs}
-    prev: dict[int, tuple[int, int] | None] = {f: None for f in sources}
-    queue = list(sources)
-    goal = None
-    while queue:
-        fi = queue.pop(0)
-        if fi in targets:
-            goal = fi
-            break
-        crossable = sorted(a for a in fs[fi].arcs if a != mover)
-        for a in crossable:
-            for nf in sorted(arc_to_faces[a]):
+def _first_step_arc(d: Diagram, mover: int, dest: int) -> int | None:
+    """The arc to cross first on a shortest face path from `mover` to `dest`,
+    or None when a face already holds both; raises when no path exists.
+
+    Breadth-first over the face-adjacency graph, faces in the order of faces(d).
+    """
+    labels, _, face_next = _darts(d)
+    face_arcs = [{labels[j] for j in orbit} for orbit in _dart_orbits(face_next)]
+    arc_faces: dict[int, list[int]] = {}
+    for fi, arcs in enumerate(face_arcs):
+        for a in arcs:
+            arc_faces.setdefault(a, []).append(fi)
+    queue = list(arc_faces.get(mover, ()))
+    prev: dict[int, tuple[int, int] | None] = dict.fromkeys(queue)
+    for fi in queue:  # the queue grows while it is walked
+        if dest in face_arcs[fi]:
+            step = None
+            while prev[fi] is not None:
+                fi, step = prev[fi]
+            return step
+        for a in sorted(face_arcs[fi] - {mover}):
+            for nf in arc_faces[a]:
                 if nf not in prev:
                     prev[nf] = (fi, a)
                     queue.append(nf)
-    if goal is None:
-        raise MoveError(f"no face path from arc {mover} to arc {dest}")
-    step = None
-    fi = goal
-    while prev[fi] is not None:
-        fi, arc = prev[fi]
-        step = arc
-    if step is None:
-        raise MoveError("arcs are already co-facial")
-    return step
+    raise MoveError(f"no face path from arc {mover} to arc {dest}")
 
 
 def r2_transport(d: Diagram, coloring, source: int, dest: int) -> TransportResult:
@@ -351,13 +344,15 @@ def r2_transport(d: Diagram, coloring, source: int, dest: int) -> TransportResul
     """
     if source == dest:
         raise MoveError("source and destination must differ")
+    arcs = d.arcs()
+    for a in (source, dest):
+        if a not in arcs:
+            raise DiagramError(f"unknown arc label {a}")
     records: list[MoveRecord] = []
     mover = source
-    while not co_facial(d, mover, dest):
-        target = _first_step_arc(d, mover, dest)
-        d2, rec = apply_r2_over(d, mover, target)
-        coloring = recolor_after_move(coloring, rec, d, d2)
-        d = d2
+    while (target := _first_step_arc(d, mover, dest)) is not None:
+        d, rec = apply_r2_over(d, mover, target)
+        coloring = recolor_after_move(coloring, rec, d)
         records.append(rec)
         mover = rec.fresh[0]  # the middle segment, now one face closer
     return TransportResult(d, coloring, mover, records)

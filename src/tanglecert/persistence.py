@@ -244,6 +244,8 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
     """
     if d.boundary:
         raise DiagramError("cut operations need a closed diagram")
+    if len(components(d)) != 1:
+        raise DiagramError("cut operations need a 1-component diagram")
     if a1 == a2:
         raise DiagramError("need two distinct arcs")
     if not coloring.nontrivial:
@@ -252,12 +254,8 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
         raise CertificateError(f"arcs {a1} and {a2} carry different colors")
     if not verify_coloring(d, coloring):
         raise CertificateError("coloring is not valid on the diagram")
-    records: list[MoveRecord] = []
-    mover = a1
-    if not co_facial(d, a1, a2):
-        moved = r2_transport(d, coloring, a1, a2)
-        d, coloring, mover = moved.diagram, moved.coloring, moved.segment
-        records.extend(moved.records)
+    moved = r2_transport(d, coloring, a1, a2)
+    d, coloring, mover, records = moved.diagram, moved.coloring, moved.segment, moved.records
     dest_labels = [a2]
     for _ in range(extra_passes):
         target = None
@@ -267,9 +265,8 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
                 break
         if target is None:
             raise CertificateError("cannot continue the spiral: no co-facial segment")
-        d2, rec = apply_r2_over(d, mover, target)
-        coloring = recolor_after_move(coloring, rec, d, d2)
-        d = d2
+        d, rec = apply_r2_over(d, mover, target)
+        coloring = recolor_after_move(coloring, rec, d)
         records.append(rec)
         mover = rec.fresh[0]
         dest_labels.extend([rec.fresh[2], rec.fresh[3]])
@@ -349,7 +346,7 @@ def ensure_same_colored_pair(d: Diagram, coloring):
                 if not match:
                     continue
                 d2, rec = apply_r2_over(d, mover, target)
-                c2 = recolor_after_move(coloring, rec, d, d2)
+                c2 = recolor_after_move(coloring, rec, d2)
                 pair = (rec.fresh[2], match[0])  # the new middle segment of target
                 assert c2.colors[pair[0]] % n == c2.colors[pair[1]] % n
                 return d2, c2, pair, [rec]
@@ -420,7 +417,6 @@ def find_certificate_report(
     t: Diagram,
     moduli: list[int] | None = None,
     quandles: tuple[Quandle, ...] = (),
-    cap: int = 10 ** 6,
 ) -> CertificateSearchReport:
     """Search Fox moduli then quandles for a boundary-monochromatic coloring.
 
@@ -437,7 +433,7 @@ def find_certificate_report(
         report.cannot_exist = cannot
     for n in sorted(moduli):
         space = fox_solution_space(t, n, pins={e: 0 for e in t.boundary})
-        cert_coloring = space.first_nonconstant(cap)
+        cert_coloring = space.first_nonconstant()
         if cert_coloring is not None:
             cert = PersistenceCertificate(
                 ("fox", n), cert_coloring, 0, cert_coloring.witness()
@@ -453,7 +449,7 @@ def find_certificate_report(
         report.entries.append(entry)
     for q in quandles:
         for v in q.orbit_representatives():
-            search = quandle_colorings(t, q, pins={e: v for e in t.boundary}, cap=cap)
+            search = quandle_colorings(t, q, pins={e: v for e in t.boundary})
             hit = next((qc for qc in search if qc.nontrivial), None)
             if hit is not None:
                 cert = PersistenceCertificate(("quandle", q), hit, v, hit.witness())

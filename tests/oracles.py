@@ -5,14 +5,30 @@ separate union-find, counting is exhaustive backtracking over strand
 assignments, determinants use recursive cofactor expansion, fractions use
 the stdlib Fraction type, and the dense integer diagonalization below is
 the unimodular elimination over Z that the sparse modular solver replaced.
-The diagram validator at the end is the tuple-keyed occurrence scan that
-the integer-dart validator replaced; it shares only the exception types.
+The diagram validator is the tuple-keyed occurrence scan that the
+integer-dart validator replaced; it shares only the exception types.  The
+structure references at the end are the versions that the strand walk and
+the face-orbit reads replaced: components by a dict union-find, orient by
+its own strand walk, co-faciality and the transport's face path from the
+Face list of faces().  These read the library's dart pairing, faces() and
+R2 move, which the validator and move tests check against references of
+their own.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from tanglecert.diagram import ArcOccurrenceError, DiagramError, OrientationError, PlanarityError
+from tanglecert.diagram import (
+    ArcOccurrenceError,
+    Crossing,
+    Diagram,
+    DiagramError,
+    OrientationError,
+    PlanarityError,
+    _darts,
+    faces,
+)
+from tanglecert.moves import MoveError, apply_r2_over, recolor_after_move
 
 INF = "inf"
 
@@ -404,3 +420,119 @@ def _edge_directions(d):
         head = ins[0] if ins else caps[-1]
         directions[label] = (tail, head)
     return directions
+
+
+# ---------------------------------------------------------------------------
+# strands, components and face paths
+
+
+def reference_components(d):
+    """Link components / open strands: union-find over the under and over pairs."""
+    parent = {a: a for a in d.arcs()}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c in d.crossings:
+        for a, b in ((c.slots[0], c.slots[2]), (c.slots[1], c.slots[3])):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for label in parent:
+        groups.setdefault(find(label), set()).add(label)
+    return [frozenset(g) for _, g in sorted(groups.items())]
+
+
+def reference_orient(d):
+    """orient() by a walk per strand: boundary strands first, then closed ones
+    from their first unvisited crossing dart."""
+    if d.oriented:
+        return d
+    _, other, _ = _darts(d)
+    c4 = 4 * len(d.crossings)
+    flow_in = [None] * c4  # crossing dart -> arc flows in
+
+    def walk(tail):
+        while True:
+            head = other[tail]
+            if tail < c4:
+                flow_in[tail] = False
+            if head >= c4:
+                return
+            flow_in[head] = True
+            tail = head ^ 2
+            if flow_in[tail] is not None:
+                return
+
+    for start in range(c4, len(other)):
+        if other[start] < c4 and flow_in[other[start]] is None:
+            walk(start)
+    for j in range(c4):
+        if flow_in[j] is None:
+            walk(j)
+    crossings = []
+    for ci, c in enumerate(d.crossings):
+        slots, base = (c.slots, 0) if flow_in[4 * ci] else (c.slots[2:] + c.slots[:2], 2)
+        crossings.append(Crossing(slots, 1 if flow_in[4 * ci + (base + 3) % 4] else -1))
+    return Diagram(tuple(crossings), d.circles, d.boundary)
+
+
+def reference_co_facial(d, a1, a2):
+    """True iff some face of faces(d) holds both arcs."""
+    if a1 == a2:
+        raise DiagramError("co_facial needs two distinct arcs")
+    for a in (a1, a2):
+        if a not in d.arcs():
+            raise DiagramError(f"unknown arc label {a}")
+    return any(a1 in f.arcs and a2 in f.arcs for f in faces(d))
+
+
+def reference_first_step_arc(d, mover, dest):
+    """BFS over the Face list; the arc to cross first, or raise."""
+    fs = faces(d)
+    arc_to_faces = {}
+    for f in fs:
+        for a in f.arcs:
+            arc_to_faces.setdefault(a, []).append(f.index)
+    sources = sorted(f.index for f in fs if mover in f.arcs)
+    targets = {f.index for f in fs if dest in f.arcs}
+    prev = {f: None for f in sources}
+    queue = list(sources)
+    goal = None
+    while queue:
+        fi = queue.pop(0)
+        if fi in targets:
+            goal = fi
+            break
+        for a in sorted(a for a in fs[fi].arcs if a != mover):
+            for nf in sorted(arc_to_faces[a]):
+                if nf not in prev:
+                    prev[nf] = (fi, a)
+                    queue.append(nf)
+    if goal is None:
+        raise MoveError(f"no face path from arc {mover} to arc {dest}")
+    step = None
+    fi = goal
+    while prev[fi] is not None:
+        fi, step = prev[fi]
+    if step is None:
+        raise MoveError("arcs are already co-facial")
+    return step
+
+
+def reference_r2_transport(d, coloring, source, dest):
+    """(diagram, coloring, segment, records): r2_transport asking co-faciality
+    of the Face list before every step."""
+    records = []
+    mover = source
+    while not reference_co_facial(d, mover, dest):
+        target = reference_first_step_arc(d, mover, dest)
+        d, rec = apply_r2_over(d, mover, target)
+        coloring = recolor_after_move(coloring, rec, d)
+        records.append(rec)
+        mover = rec.fresh[0]
+    return d, coloring, mover, records

@@ -159,6 +159,8 @@ class TestCut:
             "--out", str(tmp_path / "nope"),
         )
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
+        # four circles are four components: the cut refuses them before any transport
+        assert err.strip() == "error: cut operations need a 1-component diagram"
 
 
 class TestBuild:

@@ -59,13 +59,13 @@ class TestR2:
     def test_constant_coloring_stays_constant(self, trefoil):
         c = FoxColoring(5, {a: 3 for a in trefoil.arcs()})
         d2, rec = apply_r2_over(trefoil, 2, 4)
-        c2 = recolor_after_move(c, rec, trefoil, d2)
+        c2 = recolor_after_move(c, rec, d2)
         assert set(c2.colors.values()) == {3}
 
     def test_recoloring_preserves_nontriviality(self, trefoil):
         c = fox_solution_space(trefoil, 3).first_nonconstant()
         d2, rec = apply_r2_over(trefoil, 2, 4)
-        c2 = recolor_after_move(c, rec, trefoil, d2)
+        c2 = recolor_after_move(c, rec, d2)
         assert verify_fox(d2, c2) and c2.nontrivial
         # the mover keeps its color on all three segments
         assert c2.colors[rec.fresh[0]] == c.colors[2]

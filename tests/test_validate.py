@@ -214,6 +214,30 @@ def test_a_rejected_diagram_stays_unmarked():
     assert "_valid" not in d.__dict__
 
 
+def test_a_diagram_built_from_lists_is_rejected_and_never_marked():
+    crossings = [Crossing((1, 4, 2, 5)), Crossing((3, 6, 4, 1)), Crossing((5, 2, 6, 3))]
+    d = Diagram(crossings)
+    with pytest.raises(DiagramError, match="Diagram.crossings must be a tuple"):
+        validate(d)
+    crossings.append(Crossing((7, 8, 9, 10)))  # a marked list could change under the marker
+    with pytest.raises(DiagramError, match="Diagram.crossings must be a tuple"):
+        validate(d)
+    assert "_valid" not in d.__dict__
+
+
+@pytest.mark.parametrize(
+    "d,field",
+    [
+        (Diagram((), [1]), "Diagram.circles"),
+        (Diagram((Crossing((1, 1, 2, 2)),), (), [2, 2]), "Diagram.boundary"),
+        (Diagram((Crossing((1, 2, 2, 1)), Crossing([3, 4, 4, 3]))), "Crossing.slots"),
+    ],
+)
+def test_list_fields_are_named_in_the_rejection(d, field):
+    with pytest.raises(DiagramError, match=f"{field} must be a tuple"):
+        validate(d)
+
+
 def _constructed():
     """(name, diagram) for the output of every public constructor."""
     trefoil = parse_diagram(TREFOIL)
