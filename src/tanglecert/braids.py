@@ -9,6 +9,7 @@ crossing-free circles.
 from __future__ import annotations
 
 from .diagram import Crossing, Diagram, validate
+from .tangle import _apply_joins
 
 __all__ = ["braid_closure"]
 
@@ -33,20 +34,7 @@ def braid_closure(word: list[int], strands: int) -> Diagram:
             crossings.append(Crossing((e_j, e_i, f_i, f_j)))
         current[i], current[i + 1] = f_i, f_j
     # plat closure: bottom edge at each position merges with the top edge
-    crossings = [list(c.slots) for c in crossings]
-    circles = []
-    for pos in range(strands):
-        a, b = top[pos], current[pos]
-        if a == b:
-            circles.append(a)
-            continue
-        keep, drop = (a, b) if a < b else (b, a)
-        for slots in crossings:
-            for k in range(4):
-                if slots[k] == drop:
-                    slots[k] = keep
-        top = [keep if v == drop else v for v in top]
-        current = [keep if v == drop else v for v in current]
-    d = Diagram(tuple(Crossing(tuple(s)) for s in crossings), tuple(circles), ())
+    crossings, circles, _ = _apply_joins(crossings, (), list(zip(top, current)), [])
+    d = Diagram(tuple(crossings), tuple(circles), ())
     validate(d)
     return d

@@ -3,8 +3,10 @@
 Subcommands: color, det, certify, cut, build, closure, krebes, report.
 Exit codes: 0 when the requested object was found or produced, 1 when a
 search legitimately comes up empty, 2 on bad input or an exceeded limit
-(the message names it).  --json switches to machine output; every JSON
-document carries "schema": 1, and a fixed seed makes reruns byte-identical.
+(the message names it), 3 on an internal error, reported on one line as
+"internal error: <type>: <message>" without a traceback.  --json
+switches to machine output; every JSON document carries "schema": 1,
+and a fixed seed makes reruns byte-identical.
 `python -m tanglecert` runs the same CLI.
 """
 
@@ -47,6 +49,7 @@ from .tangle import (
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _load(path: str) -> Diagram:
@@ -356,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolutionCapExceeded as exc:
         print(f"error: limit exceeded: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:  # the CLI boundary: a defect is reported, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

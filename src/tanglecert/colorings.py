@@ -9,7 +9,8 @@ exactly over Z/N for any modulus, composite or prime (see linalg).
 Quandle colorings generalize this: a crossing forces under_out = under_in
 * over (or its right inverse at negative crossings).  Dihedral quandles,
 a*b = 2b - a, reproduce Fox colorings and are involutory, so they accept
-unoriented diagrams.
+unoriented diagrams.  They are enumerated by one loop over strand indices:
+a propagation worklist, an undo trail and an explicit backtracking stack.
 """
 
 from __future__ import annotations
@@ -94,20 +95,30 @@ def fox_matrix(d: Diagram) -> tuple[list[dict[int, int]], list[int]]:
     on each under strand, summed when strands coincide (zeros dropped).
     Returns (rows, ordered strand representatives).
     """
-    return _crossing_rows(d, strand_classes(d))
+    strands, _, triples = _strand_columns(d)
+    return _crossing_rows(triples), strands
 
 
-def _crossing_rows(d: Diagram, rep: dict[int, int]) -> tuple[list[dict[int, int]], list[int]]:
+def _strand_columns(d: Diagram) -> tuple[list[int], dict[int, int], list[tuple[int, int, int]]]:
+    """(strands, col, triples): the strand representatives in order, each
+    label's column (the index of its strand), and each crossing's
+    (under-in, over, under-out) columns."""
+    rep = strand_classes(d)
     strands = sorted(set(rep.values()))
-    col = {s: i for i, s in enumerate(strands)}
+    index = {s: i for i, s in enumerate(strands)}
+    col = {label: index[r] for label, r in rep.items()}
+    triples = [(col[a], col[b], col[c]) for a, b, c, _ in [x.slots for x in d.crossings]]
+    return strands, col, triples
+
+
+def _crossing_rows(triples: list[tuple[int, int, int]]) -> list[dict[int, int]]:
     rows = []
-    for x in d.crossings:
-        row: dict[int, int] = {}
-        for slot, coeff in ((1, 2), (0, -1), (2, -1)):
-            c = col[rep[x.slots[slot]]]
-            row[c] = row.get(c, 0) + coeff
+    for u_in, over, u_out in triples:
+        row = {over: 2}
+        row[u_in] = row.get(u_in, 0) - 1
+        row[u_out] = row.get(u_out, 0) - 1
         rows.append({c: v for c, v in row.items() if v})
-    return rows, strands
+    return rows
 
 
 @dataclass
@@ -118,7 +129,7 @@ class FoxSolutionSpace:
     modulus: int
     strands: list[int]
     _space: linalg.ModularAffineSpace
-    _rep: dict[int, int]
+    _col: dict[int, int]
 
     @property
     def count(self) -> int:
@@ -169,9 +180,7 @@ class FoxSolutionSpace:
         return (self.strands[i], self.strands[j])
 
     def _expand(self, strand_values) -> FoxColoring:
-        value = dict(zip(self.strands, strand_values))
-        colors = {label: value[r] for label, r in self._rep.items()}
-        return FoxColoring(self.modulus, colors)
+        return FoxColoring(self.modulus, {label: strand_values[c] for label, c in self._col.items()})
 
 
 def fox_solution_space(d: Diagram, modulus: int, pins: dict[int, int] | None = None) -> FoxSolutionSpace:
@@ -181,20 +190,18 @@ def fox_solution_space(d: Diagram, modulus: int, pins: dict[int, int] | None = N
     """
     if modulus < 2:
         raise ColoringError("modulus must be at least 2")
-    rep = strand_classes(d)
-    crossing_rows, strands = _crossing_rows(d, rep)
-    col = {s: i for i, s in enumerate(strands)}
+    strands, col, triples = _strand_columns(d)
     rows, rhs = [], []
     for label, value in (pins or {}).items():
-        if label not in rep:
+        if label not in col:
             raise ColoringError(f"pinned arc {label} is not in the diagram")
-        rows.append({col[rep[label]]: 1})
+        rows.append({col[label]: 1})
         rhs.append(value)
     # pins go first: each fixes one unknown, and eliminating it first adds no fill
-    rows += crossing_rows
-    rhs += [0] * len(crossing_rows)
+    rows += _crossing_rows(triples)
+    rhs += [0] * len(triples)
     space = linalg.solve_mod(rows, rhs, len(strands), modulus)
-    return FoxSolutionSpace(d, modulus, strands, space, rep)
+    return FoxSolutionSpace(d, modulus, strands, space, col)
 
 
 def has_nontrivial_fox(d: Diagram, modulus: int) -> bool:
@@ -389,90 +396,83 @@ def quandle_colorings(
     pins: dict[int, int] | None = None,
     cap: int = DEFAULT_CAP,
 ) -> QuandleSearch:
-    """Enumerate colorings of d by q via backtracking with strand propagation.
+    """Enumerate colorings of d by q, in lexicographic order of strand values.
+
+    One loop, no recursion: assigning a value pushes the strand onto a
+    worklist, a crossing whose over strand and one under strand are known
+    forces the other, and every assignment goes on an undo trail.  The
+    search is a stack of (strand, next value, trail length) that branches
+    on the first free strand.  complete is False only when a (cap+1)-th
+    coloring exists.  Every pin is checked before any is assigned, and
+    clashing pins give the empty, complete search.
 
     Non-involutory quandles need an oriented diagram; dihedral (and any
     involutory) quandles accept unoriented input.
     """
     validate_quandle(q)
-    involutory = q.involutory
-    if not involutory and not d.oriented:
+    if not q.involutory and not d.oriented:
         raise ColoringError("orientation required for non-involutory quandle colorings")
-    rep = strand_classes(d)
-    strands = sorted(set(rep.values()))
-    # crossing constraints in strand variables: (under_in, over, under_out, positive)
-    constraints = []
-    for x in d.crossings:
-        positive = x.sign >= 0
-        constraints.append((rep[x.slots[0]], rep[x.slots[1]], rep[x.slots[2]], positive))
-    by_strand: dict[int, list[int]] = {s: [] for s in strands}
-    for i, (u_in, over, u_out, _) in enumerate(constraints):
-        for s in (u_in, over, u_out):
-            by_strand[s].append(i)
-    assignment: dict[int, int] = {}
-    for label, value in (pins or {}).items():
-        if label not in rep:
+    pins = pins or {}
+    strands, col, triples = _strand_columns(d)
+    for label, v in pins.items():
+        if label not in col:
             raise ColoringError(f"pinned arc {label} is not in the diagram")
-        r = rep[label]
-        if not (0 <= value < q.size):
-            raise ColoringError(f"pin value {value} outside the quandle")
-        if assignment.get(r, value) != value:
-            return QuandleSearch([], True)
-        assignment[r] = value
+        if not (0 <= v < q.size):
+            raise ColoringError(f"pin value {v} outside the quandle")
+    # a rule is (under-in, over, under-out, forward table, backward table): at a
+    # positive crossing under-out = under-in * over, at a negative one the inverse
+    table, inverse = q.table, q._inverse()
+    rules: list[list[tuple]] = [[] for _ in strands]
+    for (u_in, over, u_out), x in zip(triples, d.crossings):
+        forward, backward = (table, inverse) if x.sign >= 0 else (inverse, table)
+        rule = (u_in, over, u_out, forward, backward)
+        for s in {u_in, over, u_out}:
+            rules[s].append(rule)
+    value: list[int | None] = [None] * len(strands)
+    trail: list[int] = []
 
-    found: list[QuandleColoring] = []
-    truncated = False
-
-    def consistent(i) -> bool | None:
-        """True/False when decidable; None while the over strand is unknown."""
-        u_in, over, u_out, positive = constraints[i]
-        b = assignment.get(over)
-        if b is None:
-            return None
-        a = assignment.get(u_in)
-        c = assignment.get(u_out)
-        if a is not None:
-            want = q.op(a, b) if positive else q.inv(a, b)
-            if c is None:
-                assignment[u_out] = want
-                return propagate_from(u_out)
-            return c == want
-        if c is not None:
-            want = q.inv(c, b) if positive else q.op(c, b)
-            assignment[u_in] = want
-            return propagate_from(u_in)
-        return None
-
-    def propagate_from(s) -> bool:
-        for i in by_strand[s]:
-            if consistent(i) is False:
-                return False
+    def assign(s: int, v: int) -> bool:
+        """Give strand s the value v and every value it forces; False on a clash."""
+        if value[s] is not None:
+            return value[s] == v
+        value[s] = v
+        trail.append(s)
+        work = [s]
+        while work:
+            for u_in, over, u_out, forward, backward in rules[work.pop()]:
+                a, b, c = value[u_in], value[over], value[u_out]
+                if b is None or a is None and c is None:
+                    continue
+                t, want = (u_in, backward[c][b]) if a is None else (u_out, forward[a][b])
+                if value[t] is None:
+                    value[t] = want
+                    trail.append(t)
+                    work.append(t)
+                elif value[t] != want:
+                    return False
         return True
 
-    def solve():
-        nonlocal truncated
-        pending = [s for s in strands if s not in assignment]
-        if not pending:
-            if len(found) >= cap:
-                truncated = True
-                return
-            value = dict(assignment)
-            found.append(QuandleColoring(q, {label: value[r] for label, r in rep.items()}))
-            return
-        s = pending[0]
-        for v in range(q.size):
-            saved = dict(assignment)
-            assignment[s] = v
-            if propagate_from(s):
-                solve()
-            assignment.clear()
-            assignment.update(saved)
-            if truncated:
-                return
+    def first_free(start: int) -> int:
+        return next((s for s in range(start, len(value)) if value[s] is None), len(value))
 
-    if all(propagate_from(s) for s in list(assignment)):
-        solve()
-    return QuandleSearch(found, not truncated)
+    if not all(assign(col[label], v) for label, v in pins.items()):
+        return QuandleSearch([], True)
+    found: list[QuandleColoring] = []
+    stack = [(first_free(0), 0, len(trail))]
+    while stack:
+        s, v, mark = stack.pop()
+        for t in trail[mark:]:
+            value[t] = None
+        del trail[mark:]
+        if s == len(value):  # every strand has a value
+            if len(found) >= cap:
+                return QuandleSearch(found, False)
+            found.append(QuandleColoring(q, {label: value[c] for label, c in col.items()}))
+        elif v < q.size:
+            stack.append((s, v + 1, mark))
+            if assign(s, v):
+                stack.append((first_free(s + 1), 0, len(trail)))
+    return QuandleSearch(found, True)
 
 
 def verify_coloring(d: Diagram, coloring) -> bool:

@@ -306,12 +306,15 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
 def find_same_colored_pairs(d: Diagram, coloring, require_non_cofacial: bool = False):
     """Distinct arc pairs with equal colors, smallest labels first."""
     arcs = sorted(d.arcs())
+    # the co-facial pairs, collected face by face: a crossing-free circle's
+    # faces hold only its own label, so pairs with a circle are never dropped
+    cofacial = set()
+    if require_non_cofacial:
+        cofacial = {(a, b) for f in faces(d) for a in f.arcs for b in f.arcs}
     out = []
     for i, a in enumerate(arcs):
         for b in arcs[i + 1:]:
-            if coloring.colors[a] == coloring.colors[b]:
-                if require_non_cofacial and co_facial(d, a, b):
-                    continue
+            if coloring.colors[a] == coloring.colors[b] and (a, b) not in cofacial:
                 out.append((a, b))
     return out
 

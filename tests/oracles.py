@@ -5,6 +5,8 @@ separate union-find, counting is exhaustive backtracking over strand
 assignments, determinants use recursive cofactor expansion, fractions use
 the stdlib Fraction type, and the dense integer diagonalization below is
 the unimodular elimination over Z that the sparse modular solver replaced.
+The quandle coloring reference is the recursive backtracking search that
+the one-loop search replaced.
 The diagram validator is the tuple-keyed occurrence scan that the
 integer-dart validator replaced; it shares only the exception types.  The
 structure references at the end are the versions that the strand walk and
@@ -18,6 +20,7 @@ their own.
 from fractions import Fraction
 from math import gcd
 
+from tanglecert.colorings import ColoringError, QuandleColoring, QuandleSearch, validate_quandle
 from tanglecert.diagram import (
     ArcOccurrenceError,
     Crossing,
@@ -95,6 +98,90 @@ def brute_fox_count(d, modulus, pins=None):
         return total
 
     return walk(0)
+
+
+def reference_quandle_colorings(d, q, pins=None, cap=10 ** 6):
+    """Quandle colorings by recursive backtracking with strand propagation:
+    strands in sorted order, values 0..n-1, and complete False only when a
+    (cap+1)-th coloring exists."""
+    validate_quandle(q)
+    if not q.involutory and not d.oriented:
+        raise ColoringError("orientation required for non-involutory quandle colorings")
+    rep = strand_partition(d)
+    strands = sorted(set(rep.values()))
+    # crossing constraints in strand variables: (under_in, over, under_out, positive)
+    constraints = []
+    for x in d.crossings:
+        positive = x.sign >= 0
+        constraints.append((rep[x.slots[0]], rep[x.slots[1]], rep[x.slots[2]], positive))
+    by_strand = {s: [] for s in strands}
+    for i, (u_in, over, u_out, _) in enumerate(constraints):
+        for s in (u_in, over, u_out):
+            by_strand[s].append(i)
+    assignment = {}
+    for label, value in (pins or {}).items():
+        if label not in rep:
+            raise ColoringError(f"pinned arc {label} is not in the diagram")
+        r = rep[label]
+        if not (0 <= value < q.size):
+            raise ColoringError(f"pin value {value} outside the quandle")
+        if assignment.get(r, value) != value:
+            return QuandleSearch([], True)
+        assignment[r] = value
+
+    found = []
+    truncated = False
+
+    def consistent(i):
+        """True/False when decidable; None while the over strand is unknown."""
+        u_in, over, u_out, positive = constraints[i]
+        b = assignment.get(over)
+        if b is None:
+            return None
+        a = assignment.get(u_in)
+        c = assignment.get(u_out)
+        if a is not None:
+            want = q.op(a, b) if positive else q.inv(a, b)
+            if c is None:
+                assignment[u_out] = want
+                return propagate_from(u_out)
+            return c == want
+        if c is not None:
+            want = q.inv(c, b) if positive else q.op(c, b)
+            assignment[u_in] = want
+            return propagate_from(u_in)
+        return None
+
+    def propagate_from(s):
+        for i in by_strand[s]:
+            if consistent(i) is False:
+                return False
+        return True
+
+    def solve():
+        nonlocal truncated
+        pending = [s for s in strands if s not in assignment]
+        if not pending:
+            if len(found) >= cap:
+                truncated = True
+                return
+            value = dict(assignment)
+            found.append(QuandleColoring(q, {label: value[r] for label, r in rep.items()}))
+            return
+        s = pending[0]
+        for v in range(q.size):
+            saved = dict(assignment)
+            assignment[s] = v
+            if propagate_from(s):
+                solve()
+            assignment.clear()
+            assignment.update(saved)
+            if truncated:
+                return
+
+    if all(propagate_from(s) for s in list(assignment)):
+        solve()
+    return QuandleSearch(found, not truncated)
 
 
 def crossing_matrix(d):

@@ -37,6 +37,23 @@ class TestColor:
         code, out, _ = run(capsys, "color", str(corpus_dir / "trefoil.pd"), "--quandle", str(qf))
         assert code == 0 and "9 colorings" in out
 
+    def test_quandle_search_on_a_1500_crossing_closure(self, capsys, tmp_path):
+        # the search's depth grows with the strand count; a recursive one overflows here
+        import random
+
+        from tanglecert.braids import braid_closure
+        from tanglecert.diagram import serialize
+
+        rng = random.Random(1)
+        word = [rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(1500)]
+        knot = tmp_path / "big.pd"
+        knot.write_text(serialize(braid_closure(word, 3)))
+        qf = tmp_path / "d3.q"
+        qf.write_text("Q 3\n0 2 1\n2 1 0\n1 0 2\n")
+        code, out, err = run(capsys, "color", str(knot), "--quandle", str(qf))
+        assert code == 0, err
+        assert out == "3 colorings by d3, nontrivial: no\n"
+
     def test_enumerate_lists_at_most_cap(self, capsys, corpus_dir):
         trefoil = str(corpus_dir / "trefoil.pd")
         code, out, _ = run(capsys, "color", trefoil, "--mod", "3", "--enumerate", "5")
@@ -228,6 +245,19 @@ class TestLimits:
         code, _, err = run(capsys, "color", str(corpus_dir / "trefoil.pd"), "--mod", "97")
         assert code == 2
         assert "limit exceeded" in err and "88529281" in err and "1000000" in err
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_3_and_names_it(self, capsys, corpus_dir, monkeypatch):
+        import tanglecert.cli as cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_det", broken)
+        code, out, err = run(capsys, "det", str(corpus_dir / "trefoil.pd"))
+        assert code == 3
+        assert out == "" and err == "internal error: RuntimeError: boom\n"
 
 
 def run_module(*argv):

@@ -3,7 +3,9 @@
 components and orient share one walk over the dart pairing; co_facial and
 the transport's face path read the face orbits.  Each must agree with the
 version it replaced in tests/oracles.py: a dict union-find, a walk of its
-own, and the Face list of faces().
+own, and the Face list of faces().  The co-facial filter of
+find_same_colored_pairs, which collects the pairs face by face, must agree
+with co_facial asked pair by pair.
 """
 
 import random
@@ -24,7 +26,7 @@ from tanglecert.braids import braid_closure
 from tanglecert.colorings import FoxColoring, fox_solution_space
 from tanglecert.diagram import co_facial, components, orient, parse_diagram, unoriented
 from tanglecert.moves import MoveError, _first_step_arc, r2_transport
-from tanglecert.persistence import cut_arc_once
+from tanglecert.persistence import cut_arc_once, find_same_colored_pairs
 from tanglecert.tangle import (
     infinity_tangle,
     mirror,
@@ -91,6 +93,17 @@ def test_orient_matches_the_reference_walk(d):
 def test_co_facial_matches_the_face_list_on_every_pair(d):
     for a1, a2 in combinations(sorted(d.arcs()), 2):
         assert co_facial(d, a1, a2) == reference_co_facial(d, a1, a2), (a1, a2)
+
+
+@pytest.mark.parametrize("d", DIAGRAMS, ids=IDS)
+def test_non_cofacial_pairs_match_co_facial_on_every_pair(d):
+    colorings = [FoxColoring(3, {a: 0 for a in d.arcs()})]  # every pair shares a color
+    nonconstant = fox_solution_space(d, 3).first_nonconstant()
+    if nonconstant is not None:
+        colorings.append(nonconstant)
+    for c in colorings:
+        expected = [p for p in find_same_colored_pairs(d, c) if not co_facial(d, *p)]
+        assert find_same_colored_pairs(d, c, require_non_cofacial=True) == expected
 
 
 def first_step(step_arc, d, mover, dest):
