@@ -50,7 +50,6 @@ from .diagram import (
     OrientationError,
     PDSyntaxError,
     PlanarityError,
-    canonical_form,
     co_facial,
     components,
     faces,

@@ -56,6 +56,13 @@ def _load(path: str) -> Diagram:
     return parse_diagram(Path(path).read_text())
 
 
+def _count(text: str) -> int:
+    """argparse type for counts; anything else is a usage error (exit 2) naming the option."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _twists(text: str) -> list[int]:
     try:
         return [int(t) for t in text.split(",") if t.strip() != ""]
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=int, default=3)
     p.add_argument("--quandle", help="quandle table file")
     p.add_argument("--count", action="store_true", help="report the count (default)")
-    p.add_argument("--enumerate", type=int, metavar="CAP", help="list colorings up to CAP")
+    p.add_argument("--enumerate", type=_count, metavar="CAP", help="list colorings up to CAP")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("det", help="determinant of a closed diagram")
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tangle")
     p.add_argument("--mods", help="comma-separated Fox moduli")
     p.add_argument("--quandles", help="comma-separated quandle files")
-    p.add_argument("--verify", type=int, metavar="TRIALS", help="verify over random hosts")
+    p.add_argument("--verify", type=_count, metavar="TRIALS", help="verify over random hosts")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_certify)
 
@@ -316,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arc", type=int, required=True)
     p.add_argument("--arc2", type=int)
     p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--passes", type=int, default=0, help="extra transport passes")
+    p.add_argument("--passes", type=_count, default=0, help="extra transport passes")
     p.add_argument("--out", default="cut-output")
     p.set_defaults(func=cmd_cut)
 

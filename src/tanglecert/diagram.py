@@ -28,16 +28,20 @@ per-component Euler count V - E + F = 2, not by an embedding search; a
 rotation system that fails Euler is rejected as an inconsistent code.
 
 Trust boundary: validate() runs once per Diagram object.  A diagram that
-passes is marked in its instance dict, and later calls on the same object
-return at once.  validate rejects a Diagram whose fields, or a Crossing
-whose slots, are not tuples, so a marked object cannot change after the
-check.  parse_diagram and every public constructor return validated
-diagrams.  Intermediates that never leave a function (the
-tangle sum inside insert_into_host, for one) are not validated.
+passes keeps the dart index the check built (dart labels, arc pairing and
+face permutation, as array('i')) in its instance dict; later calls on the
+same object return at once, and every structural read takes that index.
+validate rejects a Diagram whose fields, or a Crossing whose slots, are
+not tuples, so a marked object cannot change after the check, and labels
+the index cannot hold (not integers below 2**31).  parse_diagram and
+every public constructor return validated diagrams.  Intermediates that
+never leave a function (the tangle sum inside insert_into_host, for one)
+are not validated.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -181,9 +185,9 @@ def serialize(d: Diagram) -> str:
 # Darts are integers: crossing i, slot s is dart 4i+s, and the darts of the
 # boundary cap follow all crossing darts, so dart j sits at vertex j >> 2
 # (the cap is vertex len(crossings)).  One linear scan builds the dart
-# pairing and the face permutation; validation checks them, and faces,
-# co_facial, the strand walk of components and orient, canonical_form and
-# the move and cut helpers read them.
+# pairing and the face permutation; validation checks them and keeps them
+# on the diagram as its index, which faces, co_facial, the strand walk of
+# components and orient, and the move and cut helpers read through _darts.
 
 _CAP = -1  # vertex index of the capped tangle boundary in (vertex, slot) places
 
@@ -191,8 +195,9 @@ _CAP = -1  # vertex index of the capped tangle boundary in (vertex, slot) places
 def validate(d: Diagram) -> None:
     """Check occurrence counts, orientation consistency, and planarity.
 
-    A diagram that passes is marked in its instance dict (ignored by == and
-    hash); later calls on the same object return at once.
+    A diagram that passes keeps its dart index in its instance dict under
+    "_valid" (ignored by == and hash); later calls on the same object
+    return at once.
     """
     if "_valid" in d.__dict__:
         return
@@ -216,7 +221,11 @@ def validate(d: Diagram) -> None:
     _check_euler(d, other, face_next)
     if d.oriented:
         _check_flow(d, labels, other)
-    d.__dict__["_valid"] = True
+    try:
+        index = (array("i", labels), array("i", other), array("i", face_next))
+    except (OverflowError, TypeError):
+        raise ArcOccurrenceError("arc labels must be integers below 2**31") from None
+    d.__dict__["_valid"] = index
 
 
 def _dart_structure(d: Diagram) -> tuple[list[int], list[int], list[int]]:
@@ -242,10 +251,10 @@ def _dart_structure(d: Diagram) -> tuple[list[int], list[int], list[int]]:
     return labels, other, list(map(corner.__getitem__, other))
 
 
-def _darts(d: Diagram) -> tuple[list[int], list[int], list[int]]:
-    """The dart structure of a diagram, validating it first."""
+def _darts(d: Diagram) -> tuple[array, array, array]:
+    """(labels, other, face_next) as validate keeps them, validating d first."""
     validate(d)
-    return _dart_structure(d)
+    return d.__dict__["_valid"]
 
 
 def _check_records(d: Diagram) -> None:
@@ -381,7 +390,7 @@ def faces(d: Diagram) -> list[Face]:
     return result
 
 
-def _strands(d: Diagram) -> tuple[list[int], list[list[int]]]:
+def _strands(d: Diagram) -> tuple[array, list[list[int]]]:
     """(labels, strands): each strand's darts in walk order, tail then head of
     each arc.  Open strands run from their first boundary dart, in boundary
     order; closed strands follow, each from its first crossing dart."""
@@ -490,7 +499,7 @@ def unoriented(d: Diagram) -> Diagram:
 
 
 # ---------------------------------------------------------------------------
-# relabeling and comparison
+# relabeling
 
 
 def relabel(d: Diagram, mapping: dict[int, int]) -> Diagram:
@@ -510,60 +519,3 @@ def relabel(d: Diagram, mapping: dict[int, int]) -> Diagram:
 def max_label(d: Diagram) -> int:
     labels = d.arcs()
     return max(labels) if labels else 0
-
-
-def canonical_form(d: Diagram) -> str:
-    """A relabeling-invariant rendering, for isomorphism-up-to-relabel checks."""
-    if not d.crossings:
-        circles = sorted(range(1, len(d.circles) + 1))
-        base = "".join(f"O {k}\n" for k in circles)
-        if d.boundary:
-            seen: dict[int, int] = {}
-            names = [seen.setdefault(e, len(seen) + 1) for e in d.boundary]
-            base += "B " + " ".join(map(str, names)) + "\n"
-        return base
-    best = None
-    _, other, _ = _darts(d)
-    c4 = 4 * len(d.crossings)
-    for start_ci in range(len(d.crossings)):
-        for offset in range(4):
-            names: dict[int, int] = {}
-            order = []
-            queue = [(start_ci, offset)]
-            visited = set()
-            while queue or len(visited) < len(d.crossings):
-                if not queue:
-                    rest = [ci for ci in range(len(d.crossings)) if ci not in visited]
-                    queue.append((rest[0], 0))
-                ci, off = queue.pop(0)
-                if ci in visited:
-                    continue
-                visited.add(ci)
-                order.append((ci, off))
-                for k in range(4):
-                    slot = (off + k) % 4
-                    label = d.crossings[ci].slots[slot]
-                    if label not in names:
-                        names[label] = len(names) + 1
-                        # scan the neighbor from the slot this label enters at
-                        k = other[4 * ci + slot]
-                        if k < c4 and k >> 2 not in visited:
-                            queue.append((k >> 2, k & 3))
-            rows = []
-            for ci, off in order:
-                c = d.crossings[ci]
-                even = off - (off % 2)  # keep the under pair at positions 0/2
-                slots = tuple(names[c.slots[(even + k) % 4]] for k in range(4))
-                if c.sign == 0:
-                    alt = (slots[2], slots[3], slots[0], slots[1])
-                    slots = min(slots, alt)
-                rows.append((slots, c.sign))
-            rows.sort()
-            text = "".join(f"{sign}:{slots}\n" for slots, sign in rows)
-            for k in d.circles:
-                text += "O\n"
-            if d.boundary:
-                text += "B " + " ".join(str(names.get(e, 0)) for e in d.boundary) + "\n"
-            if best is None or text < best:
-                best = text
-    return best

@@ -1,10 +1,13 @@
 """Reidemeister rewriting with consistent recoloring.
 
 Moves operate on unoriented diagrams and return a new diagram plus a
-replayable MoveRecord.  Recoloring re-solves the coloring with every
-untouched arc pinned, which both computes the unique extension and checks
-it exists; counts of colorings are preserved by all three move types, which
-the test suite exercises directly.
+replayable MoveRecord.  Recoloring is local: every untouched arc keeps its
+color, and the crossing rule (2*over - under mod N for Fox colorings, the
+quandle table for quandle ones, involutory since the diagrams are
+unoriented) fixes each changed label from the crossings around the move
+site; the result is then checked on every crossing.  Counts of colorings
+are preserved by all three move types, which the test suite exercises
+directly.
 
 The transport routine repeatedly pushes a chosen arc across faces (always
 passing over the obstructions, so the mover keeps its color) along a
@@ -14,9 +17,9 @@ segment shares a face with the destination arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .colorings import FoxColoring, QuandleColoring, fox_solution_space, quandle_colorings
+from .colorings import FoxColoring, QuandleColoring
 from .diagram import (
     _CAP,
     Crossing,
@@ -272,27 +275,61 @@ def undo_move(d: Diagram, rec: MoveRecord) -> tuple[Diagram, MoveRecord]:
 
 
 def recolor_after_move(coloring, rec: MoveRecord, after: Diagram):
-    """The unique coloring of `after` agreeing with the old one off the move site."""
-    changed = rec.changed_labels()
-    surviving = after.arcs()
-    pins = {
-        label: value
-        for label, value in coloring.colors.items()
-        if label in surviving and label not in changed
-    }
+    """The unique coloring of `after` agreeing with the old one off the move site.
+
+    Raises MoveError when the old coloring does not extend: it breaks a
+    crossing of `after`, or leaves an arc of it without a color.
+    """
     if isinstance(coloring, FoxColoring):
-        space = fox_solution_space(after, coloring.modulus, pins)
-        if space.count != 1:
-            raise MoveError(f"recoloring is not unique ({space.count} extensions)")
-        return next(space.colorings())
-    if isinstance(coloring, QuandleColoring):
-        search = quandle_colorings(after, coloring.quandle, pins)
-        if len(search.colorings) != 1:
-            raise MoveError(
-                f"recoloring is not unique ({len(search.colorings)} extensions)"
-            )
-        return search.colorings[0]
-    raise MoveError(f"cannot recolor a {type(coloring).__name__}")
+        n = coloring.modulus
+        colors = {label: value % n for label, value in coloring.colors.items()}
+        op = lambda a, b: (2 * b - a) % n
+    elif isinstance(coloring, QuandleColoring) and coloring.quandle.involutory:
+        n, table = coloring.quandle.size, coloring.quandle.table
+        colors = dict(coloring.colors)
+        op = lambda a, b: table[a][b]
+    else:
+        raise MoveError("recoloring needs a Fox coloring or an involutory quandle")
+    if not all(0 <= value < n for value in colors.values()):
+        raise MoveError("a color lies outside the quandle")
+    changed = rec.changed_labels()
+    for label in changed:
+        colors.pop(label, None)
+    labels, other, _ = _darts(after)
+
+    def ends(label):  # the vertices at both ends of an arc; the cap's is len(crossings)
+        j = labels.index(label)
+        return j >> 2, other[j] >> 2
+
+    work = [v for label in changed if label in labels for v in ends(label)]
+    while work:  # the crossing rule at each crossing that holds a newly colored arc
+        v = work.pop()
+        if v == len(after.crossings):
+            continue
+        a, b, c, e = after.crossings[v].slots
+        over = colors.get(b, colors.get(e))
+        if over is None and {a, c} & {b, e}:  # a kink: one color on the whole crossing
+            over = colors.get(a, colors.get(c))
+        if over is None:
+            continue
+        forced = {b: over, e: over}
+        if a in colors:
+            forced[c] = op(colors[a], over)
+        elif c in colors:
+            forced[a] = op(colors[c], over)
+        for label, value in forced.items():
+            if label not in colors:
+                colors[label] = value
+                work += ends(label)
+    try:
+        out = {label: colors[label] for label in after.arcs()}
+    except KeyError as exc:
+        raise MoveError(f"recoloring leaves arc {exc.args[0]} without a color") from None
+    for x in after.crossings:
+        a, b, c, e = (out[label] for label in x.slots)
+        if b != e or c != op(a, b):
+            raise MoveError(f"the coloring does not extend across crossing {x.slots}")
+    return replace(coloring, colors=out)
 
 
 # ---------------------------------------------------------------------------

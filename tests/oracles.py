@@ -14,13 +14,25 @@ the face-orbit reads replaced: components by a dict union-find, orient by
 its own strand walk, co-faciality and the transport's face path from the
 Face list of faces().  These read the library's dart pairing, faces() and
 R2 move, which the validator and move tests check against references of
-their own.
+their own.  reference_recolor_after_move is the re-solve that local
+recoloring replaced: every untouched arc pinned, and exactly one solution
+required of the library's solvers, which the counting oracles above check.
+canonical_form, a relabeling-invariant rendering that only tests compare,
+reads the library's dart pairing.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from tanglecert.colorings import ColoringError, QuandleColoring, QuandleSearch, validate_quandle
+from tanglecert.colorings import (
+    ColoringError,
+    FoxColoring,
+    QuandleColoring,
+    QuandleSearch,
+    fox_solution_space,
+    quandle_colorings,
+    validate_quandle,
+)
 from tanglecert.diagram import (
     ArcOccurrenceError,
     Crossing,
@@ -31,7 +43,7 @@ from tanglecert.diagram import (
     _darts,
     faces,
 )
-from tanglecert.moves import MoveError, apply_r2_over, recolor_after_move
+from tanglecert.moves import MoveError, apply_r2_over
 
 INF = "inf"
 
@@ -619,7 +631,88 @@ def reference_r2_transport(d, coloring, source, dest):
     while not reference_co_facial(d, mover, dest):
         target = reference_first_step_arc(d, mover, dest)
         d, rec = apply_r2_over(d, mover, target)
-        coloring = recolor_after_move(coloring, rec, d)
+        coloring = reference_recolor_after_move(coloring, rec, d)
         records.append(rec)
         mover = rec.fresh[0]
     return d, coloring, mover, records
+
+
+def reference_recolor_after_move(coloring, rec, after):
+    """recolor_after_move by re-solving: every untouched arc is pinned and the
+    solver must find exactly one coloring of `after`."""
+    changed = rec.changed_labels()
+    surviving = after.arcs()
+    pins = {
+        label: value
+        for label, value in coloring.colors.items()
+        if label in surviving and label not in changed
+    }
+    if isinstance(coloring, FoxColoring):
+        space = fox_solution_space(after, coloring.modulus, pins)
+        if space.count != 1:
+            raise MoveError(f"recoloring is not unique ({space.count} extensions)")
+        return next(space.colorings())
+    if isinstance(coloring, QuandleColoring):
+        search = quandle_colorings(after, coloring.quandle, pins)
+        if len(search.colorings) != 1:
+            raise MoveError(f"recoloring is not unique ({len(search.colorings)} extensions)")
+        return search.colorings[0]
+    raise MoveError(f"cannot recolor a {type(coloring).__name__}")
+
+
+def canonical_form(d):
+    """A relabeling-invariant rendering, for isomorphism-up-to-relabel checks:
+    the least text over breadth-first renamings from every crossing slot."""
+    if not d.crossings:
+        circles = sorted(range(1, len(d.circles) + 1))
+        base = "".join(f"O {k}\n" for k in circles)
+        if d.boundary:
+            seen = {}
+            names = [seen.setdefault(e, len(seen) + 1) for e in d.boundary]
+            base += "B " + " ".join(map(str, names)) + "\n"
+        return base
+    best = None
+    _, other, _ = _darts(d)
+    c4 = 4 * len(d.crossings)
+    for start_ci in range(len(d.crossings)):
+        for offset in range(4):
+            names = {}
+            order = []
+            queue = [(start_ci, offset)]
+            visited = set()
+            while queue or len(visited) < len(d.crossings):
+                if not queue:
+                    rest = [ci for ci in range(len(d.crossings)) if ci not in visited]
+                    queue.append((rest[0], 0))
+                ci, off = queue.pop(0)
+                if ci in visited:
+                    continue
+                visited.add(ci)
+                order.append((ci, off))
+                for k in range(4):
+                    slot = (off + k) % 4
+                    label = d.crossings[ci].slots[slot]
+                    if label not in names:
+                        names[label] = len(names) + 1
+                        # scan the neighbor from the slot this label enters at
+                        k = other[4 * ci + slot]
+                        if k < c4 and k >> 2 not in visited:
+                            queue.append((k >> 2, k & 3))
+            rows = []
+            for ci, off in order:
+                c = d.crossings[ci]
+                even = off - (off % 2)  # keep the under pair at positions 0/2
+                slots = tuple(names[c.slots[(even + k) % 4]] for k in range(4))
+                if c.sign == 0:
+                    alt = (slots[2], slots[3], slots[0], slots[1])
+                    slots = min(slots, alt)
+                rows.append((slots, c.sign))
+            rows.sort()
+            text = "".join(f"{sign}:{slots}\n" for slots, sign in rows)
+            for k in d.circles:
+                text += "O\n"
+            if d.boundary:
+                text += "B " + " ".join(str(names.get(e, 0)) for e in d.boundary) + "\n"
+            if best is None or text < best:
+                best = text
+    return best

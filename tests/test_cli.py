@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tanglecert.cli import main
 
 
@@ -245,6 +247,43 @@ class TestLimits:
         code, _, err = run(capsys, "color", str(corpus_dir / "trefoil.pd"), "--mod", "97")
         assert code == 2
         assert "limit exceeded" in err and "88529281" in err and "1000000" in err
+
+
+class TestNegativeCounts:
+    """A negative count is a usage error: exit 2, with the option named."""
+
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        return exc.value.code, capsys.readouterr().err
+
+    def test_fox_enumerate(self, capsys, corpus_dir):
+        code, err = self.usage_error(
+            capsys, "color", str(corpus_dir / "trefoil.pd"), "--mod", "3", "--enumerate", "-1"
+        )
+        assert code == 2 and "--enumerate" in err
+
+    def test_quandle_enumerate(self, capsys, corpus_dir, tmp_path):
+        qf = tmp_path / "d3.q"
+        qf.write_text("Q 3\n0 2 1\n2 1 0\n1 0 2\n")
+        code, err = self.usage_error(
+            capsys, "color", str(corpus_dir / "trefoil.pd"), "--quandle", str(qf), "--enumerate", "-1"
+        )
+        assert code == 2 and "--enumerate" in err
+
+    def test_certify_verify(self, capsys, corpus_dir):
+        code, err = self.usage_error(
+            capsys, "certify", str(corpus_dir / "fig1-krebes.pd"), "--verify", "-5"
+        )
+        assert code == 2 and "--verify" in err
+
+    def test_cut_passes(self, capsys, corpus_dir, tmp_path):
+        code, err = self.usage_error(
+            capsys, "cut", str(corpus_dir / "trefoil.pd"), "--arc", "1", "--arc2", "6",
+            "--mod", "3", "--passes", "-2", "--out", str(tmp_path / "cut"),
+        )
+        assert code == 2 and "--passes" in err
+        assert not (tmp_path / "cut.pd").exists()
 
 
 class TestInternalError:

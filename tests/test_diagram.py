@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import canonical_form
 from tanglecert.diagram import (
     ArcOccurrenceError,
     DiagramError,
     PDSyntaxError,
     PlanarityError,
-    canonical_form,
     co_facial,
     components,
     faces,

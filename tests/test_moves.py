@@ -1,11 +1,22 @@
 import random
+from itertools import islice
 
 import pytest
 
+from oracles import canonical_form, reference_recolor_after_move
+from tanglecert import diagram
 from tanglecert.braids import braid_closure
-from tanglecert.colorings import FoxColoring, determinant, fox_solution_space, verify_fox
+from tanglecert.colorings import (
+    FoxColoring,
+    Quandle,
+    QuandleColoring,
+    determinant,
+    dihedral,
+    fox_solution_space,
+    quandle_colorings,
+    verify_fox,
+)
 from tanglecert.diagram import (
-    canonical_form,
     co_facial,
     components,
     faces,
@@ -23,6 +34,7 @@ from tanglecert.moves import (
     recolor_after_move,
     undo_move,
 )
+from tanglecert.tangle import rational_tangle
 
 
 def counts(d, moduli=(2, 3, 5, 7)):
@@ -194,3 +206,96 @@ class TestTransport:
         trace = records_to_json(res.records)
         assert all(entry["kind"] == "R2+" for entry in trace)
         assert all("site" in entry and "fresh" in entry for entry in trace)
+
+
+def some_colorings(d, rng):
+    """One seeded coloring of d per coloring type: Fox mod 3, 5, 15 and dihedral 3, 5."""
+    out = []
+    for n in (3, 5, 15):
+        space = fox_solution_space(d, n)
+        out.append(rng.choice(list(islice(space.colorings(cap=space.count), 40))))
+    for n in (3, 5):
+        out.append(rng.choice(quandle_colorings(d, dihedral(n), cap=40).colorings))
+    return out
+
+
+class TestLocalRecoloring:
+    def test_matches_the_re_solve_on_seeded_moves(self):
+        rng = random.Random(17)
+        kinds = {}
+        for d in random_diagrams(40, seed=23, max_len=10) + [rational_tangle([2, -1, 3])]:
+            moves = [apply_r1(d, rng.choice(sorted(d.arcs())), positive=rng.random() < 0.5)]
+            eligible = [f for f in faces(d) if len(f.arcs) >= 2 and f.corners]
+            if eligible:
+                moves.append(apply_r2_over(d, *rng.sample(sorted(rng.choice(eligible).arcs), 2)))
+            tris = find_r3_triangles(d)
+            if tris:
+                moves.append(apply_r3(d, rng.choice(tris)))
+            for c in some_colorings(d, rng):
+                for after, rec in moves:
+                    got = recolor_after_move(c, rec, after)
+                    want = reference_recolor_after_move(c, rec, after)
+                    # same colors in the same order, so payloads built from them match too
+                    assert got == want and list(got.colors.items()) == list(want.colors.items())
+                    back, inverse = undo_move(after, rec)
+                    assert recolor_after_move(got, inverse, back) == reference_recolor_after_move(
+                        got, inverse, back
+                    )
+                    kinds[rec.kind] = kinds.get(rec.kind, 0) + 1
+        assert kinds["R1+"] == 205 and kinds["R2+"] >= 180 and kinds["R3"] >= 50
+
+    def test_kink_on_a_crossing_free_open_strand(self):
+        d = parse_diagram("B 1 1")
+        for c in (FoxColoring(3, {1: 2}), QuandleColoring(dihedral(5), {1: 4})):
+            after, rec = apply_r1(d, 1)
+            assert recolor_after_move(c, rec, after) == reference_recolor_after_move(c, rec, after)
+
+    def test_unreduced_fox_values_come_back_reduced(self, trefoil):
+        c = fox_solution_space(trefoil, 3).first_nonconstant()
+        shifted = FoxColoring(3, {a: v + 3 * a - 6 for a, v in c.colors.items()})
+        d2, rec = apply_r2_over(trefoil, 2, 4)
+        got = recolor_after_move(shifted, rec, d2)
+        assert got == recolor_after_move(c, rec, d2)
+        assert set(got.colors.values()) <= {0, 1, 2}
+
+    def test_a_broken_coloring_raises(self, trefoil):
+        c = fox_solution_space(trefoil, 3).first_nonconstant()
+        broken = FoxColoring(3, {**c.colors, 6: c.colors[6] + 1})
+        d2, rec = apply_r2_over(trefoil, 2, 4)
+        with pytest.raises(MoveError):
+            recolor_after_move(broken, rec, d2)
+        q = QuandleColoring(dihedral(3), {a: v % 3 for a, v in broken.colors.items()})
+        with pytest.raises(MoveError):
+            recolor_after_move(q, rec, d2)
+
+    def test_an_incomplete_coloring_raises(self, trefoil):
+        d2, rec = apply_r2_over(trefoil, 2, 4)
+        for c in (FoxColoring(3, {}), QuandleColoring(dihedral(3), {2: 1})):
+            with pytest.raises(MoveError):
+                recolor_after_move(c, rec, d2)
+
+    def test_colors_outside_the_quandle_raise(self, trefoil):
+        d2, rec = apply_r2_over(trefoil, 2, 4)
+        with pytest.raises(MoveError):
+            recolor_after_move(QuandleColoring(dihedral(3), {a: 3 for a in trefoil.arcs()}), rec, d2)
+
+    def test_a_non_involutory_quandle_raises(self, trefoil):
+        # the Alexander quandle a * b = 2a - b mod 5: (a * b) * b = 4a - 3b
+        q = Quandle(tuple(tuple((2 * a - b) % 5 for b in range(5)) for a in range(5)))
+        d2, rec = apply_r2_over(trefoil, 2, 4)
+        with pytest.raises(MoveError):
+            recolor_after_move(QuandleColoring(q, {a: 0 for a in trefoil.arcs()}), rec, d2)
+
+
+class TestDartIndex:
+    def test_the_index_is_built_once_per_diagram(self, monkeypatch):
+        d = parse_diagram(serialize(braid_closure([1, -2] * 4, 3)))
+        assert diagram._darts(d) is diagram._darts(d)
+        builds = []
+        real = diagram._dart_structure
+        monkeypatch.setattr(diagram, "_dart_structure", lambda x: builds.append(x) or real(x))
+        c = fox_solution_space(d, 5).first_nonconstant()
+        res = r2_transport(d, c, 1, 7)
+        assert len(res.records) >= 2
+        # one build per new diagram: the validation of each R2 result
+        assert len(builds) == len(res.records)

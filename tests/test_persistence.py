@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import canonical_form
 from tanglecert.colorings import (
     FoxColoring,
     determinant,
@@ -7,7 +8,7 @@ from tanglecert.colorings import (
     fox_solution_space,
     link_determinant,
 )
-from tanglecert.diagram import canonical_form, co_facial, orient, parse_diagram
+from tanglecert.diagram import co_facial, orient, parse_diagram
 from tanglecert.persistence import (
     CertificateError,
     CertificateNotFound,

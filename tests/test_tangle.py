@@ -3,9 +3,9 @@ from itertools import product
 
 import pytest
 
-from oracles import INF, cf_value
+from oracles import INF, canonical_form, cf_value
 from tanglecert.colorings import determinant, has_nontrivial_fox, link_determinant
-from tanglecert.diagram import canonical_form, components, orient, parse_diagram, serialize
+from tanglecert.diagram import components, orient, parse_diagram, serialize
 from tanglecert.tangle import (
     TangleError,
     connectivity,

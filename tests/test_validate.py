@@ -2,9 +2,11 @@
 
 validate() must accept and reject exactly what oracles.reference_validate
 does, with the same exception type and message, and its faces must be the
-reference's face orbits in the same order.  Every public constructor must
-return a diagram that passes validation from scratch, since validation runs
-once per Diagram object and internal intermediates are never validated.
+reference's face orbits in the same order.  The one exception is a label
+that is not an integer below 2**31, which the kept dart index cannot hold.
+Every public constructor must return a diagram that passes validation from
+scratch, since validation runs once per Diagram object and internal
+intermediates are never validated.
 """
 
 import random
@@ -14,9 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_face_orbits, reference_validate
+from tanglecert import diagram
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import fox_solution_space
 from tanglecert.diagram import (
+    ArcOccurrenceError,
     Crossing,
     Diagram,
     DiagramError,
@@ -192,8 +196,6 @@ def test_validation_marker_is_per_object_and_invisible_to_equality():
 
 
 def test_second_validate_on_the_same_object_returns_at_once(monkeypatch):
-    import tanglecert.diagram as diagram
-
     d = fresh(parse_diagram(TREFOIL))
     validate(d)
 
@@ -236,6 +238,21 @@ def test_a_diagram_built_from_lists_is_rejected_and_never_marked():
 def test_list_fields_are_named_in_the_rejection(d, field):
     with pytest.raises(DiagramError, match=f"{field} must be a tuple"):
         validate(d)
+
+
+@pytest.mark.parametrize("label", [2 ** 31, 10 ** 30, 2.0])
+def test_labels_the_dart_index_cannot_hold_are_rejected(label):
+    d = Diagram((Crossing((1, label, label, 1)),))
+    with pytest.raises(ArcOccurrenceError, match="integers below 2"):
+        validate(d)
+    assert "_valid" not in d.__dict__
+
+
+def test_the_largest_label_the_dart_index_holds():
+    d = parse_diagram(f"X 1 {2 ** 31 - 1} {2 ** 31 - 1} 1")
+    assert max(diagram._darts(d)[0]) == 2 ** 31 - 1
+    with pytest.raises(ArcOccurrenceError):
+        parse_diagram(f"X 1 {2 ** 31} {2 ** 31} 1")
 
 
 def _constructed():
