@@ -21,7 +21,6 @@ from pathlib import Path
 from .colorings import (
     ColoringError,
     SolutionCapExceeded,
-    determinant,
     fox_solution_space,
     link_determinant,
     parse_quandle,
@@ -61,6 +60,14 @@ def _count(text: str) -> int:
     if not text.isdigit():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _moduli(text: str) -> list[int]:
+    """argparse type for comma-separated moduli; anything else is a usage error (exit 2)."""
+    try:
+        return [int(m) for m in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _twists(text: str) -> list[int]:
@@ -140,7 +147,7 @@ def cmd_color(args) -> int:
 def cmd_det(args) -> int:
     d = _load(args.diagram)
     n = len(components(d))
-    value = determinant(d) if n == 1 and not d.boundary else link_determinant(d)
+    value = link_determinant(d)
     _emit(
         {"schema": 1, "determinant": value, "components": n},
         args.json,
@@ -151,12 +158,11 @@ def cmd_det(args) -> int:
 
 def cmd_certify(args) -> int:
     t = _load(args.tangle)
-    moduli = [int(m) for m in args.mods.split(",")] if args.mods else None
     quandles = tuple(
         parse_quandle(Path(p).read_text(), name=Path(p).stem)
         for p in (args.quandles.split(",") if args.quandles else [])
     )
-    report = find_certificate_report(t, moduli, quandles)
+    report = find_certificate_report(t, args.mods, quandles)
     if report.certificate is None:
         reasons = []
         if report.cannot_exist:
@@ -312,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="search for a persistence certificate")
     p.add_argument("tangle")
-    p.add_argument("--mods", help="comma-separated Fox moduli")
+    p.add_argument("--mods", type=_moduli, help="comma-separated Fox moduli")
     p.add_argument("--quandles", help="comma-separated quandle files")
     p.add_argument("--verify", type=_count, metavar="TRIALS", help="verify over random hosts")
     p.add_argument("--seed", type=int, default=0)

@@ -23,20 +23,22 @@ Faces come from the rotation system: darts (crossing, slot) walk the
 next-corner permutation, with tangle boundaries capped by a virtual vertex.
 Strands walk the same darts along the arc pairing, straight on through
 each crossing (slot s to slot s ^ 2); components and orient share that
-walk, and co_facial reads the face orbits.  Planarity is enforced by the
-per-component Euler count V - E + F = 2, not by an embedding search; a
-rotation system that fails Euler is rejected as an inconsistent code.
+walk.  An arc borders the faces of its two darts, which is all co_facial
+asks.  Planarity is enforced by the per-component Euler count
+V - E + F = 2, not by an embedding search; a rotation system that fails
+Euler is rejected as an inconsistent code.
 
 Trust boundary: validate() runs once per Diagram object.  A diagram that
-passes keeps the dart index the check built (dart labels, arc pairing and
-face permutation, as array('i')) in its instance dict; later calls on the
-same object return at once, and every structural read takes that index.
-validate rejects a Diagram whose fields, or a Crossing whose slots, are
-not tuples, so a marked object cannot change after the check, and labels
-the index cannot hold (not integers below 2**31).  parse_diagram and
-every public constructor return validated diagrams.  Intermediates that
-never leave a function (the tangle sum inside insert_into_host, for one)
-are not validated.
+passes keeps the dart index the check built (dart labels, arc pairing,
+face permutation and face ids numbered in order of smallest dart, as
+array('i')) in its instance dict; later calls on the same object return
+at once, and every structural read takes that index.  Only validate and
+faces() walk every face.  validate rejects a Diagram whose fields, or a
+Crossing whose slots, are not tuples, so a marked object cannot change
+after the check, and labels the index cannot hold (not integers below
+2**31).  parse_diagram and every public constructor return validated
+diagrams.  Intermediates that never leave a function (the tangle sum
+inside insert_into_host, for one) are not validated.
 """
 
 from __future__ import annotations
@@ -185,7 +187,8 @@ def serialize(d: Diagram) -> str:
 # Darts are integers: crossing i, slot s is dart 4i+s, and the darts of the
 # boundary cap follow all crossing darts, so dart j sits at vertex j >> 2
 # (the cap is vertex len(crossings)).  One linear scan builds the dart
-# pairing and the face permutation; validation checks them and keeps them
+# pairing and the face permutation, and one walk of the face orbits numbers
+# the faces for the Euler count; validation checks them and keeps all four
 # on the diagram as its index, which faces, co_facial, the strand walk of
 # components and orient, and the move and cut helpers read through _darts.
 
@@ -195,9 +198,9 @@ _CAP = -1  # vertex index of the capped tangle boundary in (vertex, slot) places
 def validate(d: Diagram) -> None:
     """Check occurrence counts, orientation consistency, and planarity.
 
-    A diagram that passes keeps its dart index in its instance dict under
-    "_valid" (ignored by == and hash); later calls on the same object
-    return at once.
+    A diagram that passes keeps its dart index (labels, other, face_next,
+    face) in its instance dict under "_valid" (ignored by == and hash);
+    later calls on the same object return at once.
     """
     if "_valid" in d.__dict__:
         return
@@ -218,11 +221,12 @@ def validate(d: Diagram) -> None:
         _check_records(d)
     if 0 in signs and len(signs) > 1:
         raise OrientationError("diagram mixes signed and unsigned crossings")
-    _check_euler(d, other, face_next)
+    face = _face_ids(face_next)
+    _check_euler(d, other, face)
     if d.oriented:
         _check_flow(d, labels, other)
     try:
-        index = (array("i", labels), array("i", other), array("i", face_next))
+        index = (array("i", labels), array("i", other), array("i", face_next), array("i", face))
     except (OverflowError, TypeError):
         raise ArcOccurrenceError("arc labels must be integers below 2**31") from None
     d.__dict__["_valid"] = index
@@ -251,8 +255,22 @@ def _dart_structure(d: Diagram) -> tuple[list[int], list[int], list[int]]:
     return labels, other, list(map(corner.__getitem__, other))
 
 
-def _darts(d: Diagram) -> tuple[array, array, array]:
-    """(labels, other, face_next) as validate keeps them, validating d first."""
+def _face_ids(face_next: list[int]) -> list[int]:
+    """Each dart's face, faces numbered in order of their smallest dart."""
+    face = [-1] * len(face_next)
+    n = 0
+    for start in range(len(face_next)):
+        if face[start] < 0:
+            j = start
+            while face[j] < 0:
+                face[j] = n
+                j = face_next[j]
+            n += 1
+    return face
+
+
+def _darts(d: Diagram) -> tuple[array, array, array, array]:
+    """(labels, other, face_next, face) as validate keeps them, validating d first."""
     validate(d)
     return d.__dict__["_valid"]
 
@@ -287,7 +305,7 @@ def _check_records(d: Diagram) -> None:
             raise ArcOccurrenceError(f"endpoint {label} dangles (no crossing occurrence)")
 
 
-def _check_euler(d: Diagram, other: list[int], face_next: list[int]) -> None:
+def _check_euler(d: Diagram, other: list[int], face: list[int]) -> None:
     """V - E + F = 2 on every connected component of the vertex graph.
 
     A component's V - E + F is 2 - 2 * genus <= 2, so the totals decide: they
@@ -309,14 +327,13 @@ def _check_euler(d: Diagram, other: list[int], face_next: list[int]) -> None:
                     if comp[k >> 2] < 0:
                         comp[k >> 2] = v
                         stack.append(k >> 2)
-    orbits = _dart_orbits(face_next)
-    if n_vertices - len(other) // 2 + len(orbits) == 2 * len(roots):
+    if n_vertices - len(other) // 2 + max(face) + 1 == 2 * len(roots):
         return
     for r in roots:  # name the first component that fails
         members = [v for v in range(n_vertices) if comp[v] == r]
         nv = len(members)
         ne = sum(4 if v < len(d.crossings) else len(d.boundary) for v in members) // 2
-        nf = sum(comp[orbit[0] >> 2] == r for orbit in orbits)
+        nf = len({f for j, f in enumerate(face) if comp[j >> 2] == r})
         if nv - ne + nf != 2:
             raise PlanarityError(
                 f"rotation system is not planar: V-E+F = {nv}-{ne}+{nf} != 2"
@@ -340,34 +357,32 @@ def _place(d: Diagram, j: int) -> tuple[int, int]:
     return (j >> 2, j & 3) if j < c4 else (_CAP, j - c4)
 
 
-def _dart_orbits(face_next: list[int]) -> list[list[int]]:
-    """The darts of each face, faces in order of their smallest dart."""
-    orbits = []
-    seen = bytearray(len(face_next))
-    for start in range(len(face_next)):
-        if not seen[start]:
-            orbit = []
-            j = start
-            while not seen[j]:
-                seen[j] = 1
-                orbit.append(j)
-                j = face_next[j]
-            orbits.append(orbit)
-    return orbits
+def _orbit(face_next, start: int) -> list[int]:
+    """The darts of start's face in walk order, from start."""
+    orbit = [start]
+    j = face_next[start]
+    while j != start:
+        orbit.append(j)
+        j = face_next[j]
+    return orbit
 
 
-def _face_orbits(d: Diagram) -> list[list[tuple[int, int]]]:
-    """The darts of each face as (vertex, slot) places, indexed like faces(d)."""
-    return [[_place(d, j) for j in orbit] for orbit in _dart_orbits(_darts(d)[2])]
+def _sides(d: Diagram, a: int) -> set[int]:
+    """The ids of the faces arc a borders; none for a crossing-free circle."""
+    labels, other, _, face = _darts(d)
+    if a not in labels:
+        return set()
+    j = labels.index(a)
+    return {face[j], face[other[j]]}
 
 
 def _far_ends(d: Diagram, arcs: list[int]) -> list[tuple[int, int]] | None:
     """Per arc, the (vertex, slot) place at its far end from the first face
     with a crossing corner that all `arcs` border; None if no face does."""
-    labels, other, face_next = _darts(d)
-    c4 = 4 * len(d.crossings)
-    for orbit in _dart_orbits(face_next):
-        if min(orbit) < c4 and set(arcs) <= {labels[j] for j in orbit}:
+    labels, other, face_next, face = _darts(d)
+    for f in sorted(set.intersection(*(_sides(d, a) for a in arcs))):
+        orbit = _orbit(face_next, face.index(f))  # from the face's smallest dart
+        if orbit[0] < 4 * len(d.crossings):
             return [_place(d, other[next(j for j in orbit if labels[j] == a)]) for a in arcs]
     return None
 
@@ -378,12 +393,14 @@ def _far_ends(d: Diagram, arcs: list[int]) -> list[tuple[int, int]] | None:
 
 def faces(d: Diagram) -> list[Face]:
     """Complete face decomposition; crossing-free circles add their two sides."""
-    labels, _, face_next = _darts(d)
+    labels, _, face_next, face = _darts(d)
     c4 = 4 * len(d.crossings)
     result = []
-    for orbit in _dart_orbits(face_next):
-        corners = tuple((j >> 2, j & 3) for j in orbit if j < c4)
-        result.append(Face(len(result), corners, frozenset([labels[j] for j in orbit])))
+    for start, f in enumerate(face):
+        if f == len(result):  # the smallest dart of face f
+            orbit = _orbit(face_next, start)
+            corners = tuple((j >> 2, j & 3) for j in orbit if j < c4)
+            result.append(Face(f, corners, frozenset([labels[j] for j in orbit])))
     for k in d.circles:
         result.append(Face(len(result), (), frozenset({k})))
         result.append(Face(len(result), (), frozenset({k})))
@@ -394,7 +411,7 @@ def _strands(d: Diagram) -> tuple[array, list[list[int]]]:
     """(labels, strands): each strand's darts in walk order, tail then head of
     each arc.  Open strands run from their first boundary dart, in boundary
     order; closed strands follow, each from its first crossing dart."""
-    labels, other, _ = _darts(d)
+    labels, other, _, _ = _darts(d)
     c4 = 4 * len(d.crossings)
     seen = bytearray(len(other))
     strands = []
@@ -453,9 +470,7 @@ def co_facial(d: Diagram, a1: int, a2: int) -> bool:
     for a in (a1, a2):
         if a not in arcs:
             raise DiagramError(f"unknown arc label {a}")
-    labels, _, face_next = _darts(d)
-    pair = {a1, a2}
-    return any(pair <= {labels[j] for j in orbit} for orbit in _dart_orbits(face_next))
+    return not _sides(d, a1).isdisjoint(_sides(d, a2))
 
 
 # ---------------------------------------------------------------------------

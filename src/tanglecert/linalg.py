@@ -213,9 +213,6 @@ class ModularAffineSpace:
             else:
                 return
 
-    def first(self):
-        return self.basis()[0] if self.count else None
-
 
 def solve_mod(rows: list[dict[int, int]], rhs: list[int], n_vars: int, modulus: int) -> ModularAffineSpace:
     """Solve rows * x = rhs (mod modulus) for x in (Z/modulus)^n_vars.

@@ -26,12 +26,11 @@ from .diagram import (
     Diagram,
     DiagramError,
     OrientationError,
-    _dart_orbits,
     _darts,
-    _face_orbits,
     _far_ends,
     _place,
     co_facial,
+    faces,
     max_label,
     validate,
 )
@@ -120,7 +119,7 @@ def apply_r1(d: Diagram, arc: int, positive: bool = True) -> tuple[Diagram, Move
             "R1+", ("arc", arc), fresh=(loop,), added=(len(d.crossings),), removed_circle=arc
         )
         return out, rec
-    labels, other, _ = _darts(d)
+    labels, other, _, _ = _darts(d)
     if arc not in labels:
         raise MoveError(f"unknown arc {arc}")
     j = labels.index(arc)
@@ -183,11 +182,12 @@ def apply_r2_over(d: Diagram, mover: int, target: int) -> tuple[Diagram, MoveRec
 def find_r3_triangles(d: Diagram) -> list[int]:
     """Faces where a triangle slide applies: three distinct crossings and
     sides, with one side passing over (or under) at both of its corners."""
+    on_cap = set(_darts(d)[3][4 * len(d.crossings) :])
     out = []
-    for index, orbit in enumerate(_face_orbits(d)):
-        if len(orbit) != 3 or any(v == _CAP for v, _ in orbit):
+    for f in faces(d):
+        if len(f.corners) != 3 or f.index in on_cap:
             continue
-        (P, p), (Q, q), (R, r) = orbit
+        (P, p), (Q, q), (R, r) = f.corners
         if len({P, Q, R}) != 3:
             continue
         x = d.crossings[P].slots[p]
@@ -199,7 +199,7 @@ def find_r3_triangles(d: Diagram) -> list[int]:
         over_y = (q % 2 == 1) + (r % 2 == 0)
         over_z = (r % 2 == 1) + (p % 2 == 0)
         if 2 in (over_x, over_y, over_z):
-            out.append(index)
+            out.append(f.index)
     return out
 
 
@@ -212,7 +212,7 @@ def apply_r3(d: Diagram, face_index: int) -> tuple[Diagram, MoveRecord]:
     _require_unoriented(d)
     if face_index not in find_r3_triangles(d):
         raise MoveError(f"face {face_index} does not admit a triangle slide")
-    (P, p), (Q, q), (R, r) = _face_orbits(d)[face_index]
+    (P, p), (Q, q), (R, r) = faces(d)[face_index].corners
     sl = lambda ci, k: d.crossings[ci].slots[k % 4]
     x, y, z = sl(P, p), sl(Q, q), sl(R, r)
     a_in, c_out = sl(P, p + 2), sl(P, p + 1)
@@ -295,7 +295,7 @@ def recolor_after_move(coloring, rec: MoveRecord, after: Diagram):
     changed = rec.changed_labels()
     for label in changed:
         colors.pop(label, None)
-    labels, other, _ = _darts(after)
+    labels, other, _, _ = _darts(after)
 
     def ends(label):  # the vertices at both ends of an arc; the cap's is len(crossings)
         j = labels.index(label)
@@ -350,13 +350,13 @@ def _first_step_arc(d: Diagram, mover: int, dest: int) -> int | None:
 
     Breadth-first over the face-adjacency graph, faces in the order of faces(d).
     """
-    labels, _, face_next = _darts(d)
-    face_arcs = [{labels[j] for j in orbit} for orbit in _dart_orbits(face_next)]
-    arc_faces: dict[int, list[int]] = {}
-    for fi, arcs in enumerate(face_arcs):
-        for a in arcs:
-            arc_faces.setdefault(a, []).append(fi)
-    queue = list(arc_faces.get(mover, ()))
+    labels, _, _, face = _darts(d)
+    face_arcs: list[set[int]] = [set() for _ in range(max(face, default=-1) + 1)]
+    arc_faces: dict[int, set[int]] = {}
+    for a, f in zip(labels, face):
+        face_arcs[f].add(a)
+        arc_faces.setdefault(a, set()).add(f)
+    queue = sorted(arc_faces.get(mover, ()))
     prev: dict[int, tuple[int, int] | None] = dict.fromkeys(queue)
     for fi in queue:  # the queue grows while it is walked
         if dest in face_arcs[fi]:
@@ -365,7 +365,7 @@ def _first_step_arc(d: Diagram, mover: int, dest: int) -> int | None:
                 fi, step = prev[fi]
             return step
         for a in sorted(face_arcs[fi] - {mover}):
-            for nf in arc_faces[a]:
+            for nf in sorted(arc_faces[a]):
                 if nf not in prev:
                     prev[nf] = (fi, a)
                     queue.append(nf)

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .colorings import (
     FoxColoring,
     Quandle,
-    QuandleColoring,
     fox_solution_space,
     link_determinant,
     quandle_colorings,
@@ -197,7 +196,7 @@ def cut_arc_twice(d: Diagram, coloring, arc: int):
     colors = dict(coloring.colors)
     colors[mid] = colors[arc]
     colors[tail] = colors[arc]
-    new_coloring = _with_colors(coloring, colors)
+    new_coloring = replace(coloring, colors=colors)
     cert = PersistenceCertificate(
         _kind_of(coloring),
         new_coloring,
@@ -212,12 +211,6 @@ def _kind_of(coloring):
     if isinstance(coloring, FoxColoring):
         return ("fox", coloring.modulus)
     return ("quandle", coloring.quandle)
-
-
-def _with_colors(coloring, colors):
-    if isinstance(coloring, FoxColoring):
-        return FoxColoring(coloring.modulus, colors)
-    return QuandleColoring(coloring.quandle, colors)
 
 
 def _cut_pair(d: Diagram, arc1: int, arc2: int) -> tuple[Diagram, int, int]:
@@ -291,7 +284,7 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
     colors = dict(coloring.colors)
     colors[f1] = colors[mover]
     colors[f2] = colors[lbl]
-    cert_coloring = _with_colors(coloring, colors)
+    cert_coloring = replace(coloring, colors=colors)
     cert = PersistenceCertificate(
         _kind_of(coloring),
         cert_coloring,
@@ -551,7 +544,7 @@ def verify_certificate(
                 report.entries.append(entry)
                 continue
             colors = {a: cert.coloring.colors.get(a, cert.boundary_color) for a in dgm.arcs()}
-            ext = _with_colors(cert.coloring, colors)
+            ext = replace(cert.coloring, colors=colors)
             wa, wb = cert.witness
             ok = verify_coloring(dgm, ext) and colors[wa] != colors[wb]
             if not ok:

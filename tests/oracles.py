@@ -8,7 +8,9 @@ the unimodular elimination over Z that the sparse modular solver replaced.
 The quandle coloring reference is the recursive backtracking search that
 the one-loop search replaced.
 The diagram validator is the tuple-keyed occurrence scan that the
-integer-dart validator replaced; it shares only the exception types.  The
+integer-dart validator replaced; it shares only the exception types.
+reference_far_ends and reference_r3_triangles scan every face orbit, as
+the library did before it read the face ids that validate keeps.  The
 structure references at the end are the versions that the strand walk and
 the face-orbit reads replaced: components by a dict union-find, orient by
 its own strand walk, co-faciality and the transport's face path from the
@@ -460,6 +462,43 @@ def reference_face_orbits(d):
     return orbits
 
 
+def reference_far_ends(d, arcs):
+    """Per arc, the place at its far end from the first face orbit, in order
+    of smallest dart, with a crossing corner and every arc of `arcs`; None
+    if there is none.  Each arc's first place in the orbit's walk counts."""
+    rot = _vertex_rotations(d)
+    occ = _occurrences(d)
+    for orbit in reference_face_orbits(d):
+        at = [rot[v][s] for v, s in orbit]
+        if any(v != _CAP for v, _ in orbit) and set(arcs) <= set(at):
+            near = [orbit[at.index(a)] for a in arcs]
+            return [next(p for p in occ[a] if p != q) for a, q in zip(arcs, near)]
+    return None
+
+
+def reference_r3_triangles(d):
+    """find_r3_triangles as a filter over every face orbit of three darts,
+    none on the boundary cap."""
+    out = []
+    for index, orbit in enumerate(reference_face_orbits(d)):
+        if len(orbit) != 3 or any(v == _CAP for v, _ in orbit):
+            continue
+        (P, p), (Q, q), (R, r) = orbit
+        if len({P, Q, R}) != 3:
+            continue
+        x = d.crossings[P].slots[p]
+        y = d.crossings[Q].slots[q]
+        z = d.crossings[R].slots[r]
+        if len({x, y, z}) != 3:
+            continue
+        over_x = (p % 2 == 1) + (q % 2 == 0)
+        over_y = (q % 2 == 1) + (r % 2 == 0)
+        over_z = (r % 2 == 1) + (p % 2 == 0)
+        if 2 in (over_x, over_y, over_z):
+            out.append(index)
+    return out
+
+
 def _check_euler(d):
     if not d.crossings and not d.boundary:
         return
@@ -551,7 +590,7 @@ def reference_orient(d):
     from their first unvisited crossing dart."""
     if d.oriented:
         return d
-    _, other, _ = _darts(d)
+    _, other = _darts(d)[:2]
     c4 = 4 * len(d.crossings)
     flow_in = [None] * c4  # crossing dart -> arc flows in
 
@@ -672,7 +711,7 @@ def canonical_form(d):
             base += "B " + " ".join(map(str, names)) + "\n"
         return base
     best = None
-    _, other, _ = _darts(d)
+    _, other = _darts(d)[:2]
     c4 = 4 * len(d.crossings)
     for start_ci in range(len(d.crossings)):
         for offset in range(4):

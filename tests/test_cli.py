@@ -250,7 +250,7 @@ class TestLimits:
 
 
 class TestNegativeCounts:
-    """A negative count is a usage error: exit 2, with the option named."""
+    """A negative count or a malformed list is a usage error: exit 2, with the option named."""
 
     def usage_error(self, capsys, *argv):
         with pytest.raises(SystemExit) as exc:
@@ -276,6 +276,13 @@ class TestNegativeCounts:
             capsys, "certify", str(corpus_dir / "fig1-krebes.pd"), "--verify", "-5"
         )
         assert code == 2 and "--verify" in err
+
+    @pytest.mark.parametrize("mods", ["3,x", "3,,5"])
+    def test_certify_mods(self, capsys, corpus_dir, mods):
+        code, err = self.usage_error(
+            capsys, "certify", str(corpus_dir / "fig9-tangle.pd"), "--mods", mods
+        )
+        assert code == 2 and "--mods" in err and "Traceback" not in err
 
     def test_cut_passes(self, capsys, corpus_dir, tmp_path):
         code, err = self.usage_error(

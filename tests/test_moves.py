@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 
 from oracles import canonical_form, reference_recolor_after_move
-from tanglecert import diagram
+from tanglecert import diagram, persistence
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import (
     FoxColoring,
@@ -299,3 +299,25 @@ class TestDartIndex:
         assert len(res.records) >= 2
         # one build per new diagram: the validation of each R2 result
         assert len(builds) == len(res.records)
+
+    def test_faces_are_numbered_once_per_diagram(self, monkeypatch):
+        d = parse_diagram(serialize(braid_closure([1, -2] * 4, 3)))
+        c = fox_solution_space(d, 3, pins={1: 0, 7: 0}).first_nonconstant()
+        assert len(r2_transport(d, c, 1, 7).records) == 2
+        calls = {}
+        for module, name in [
+            (diagram, "_dart_structure"),
+            (diagram, "_face_ids"),
+            (diagram, "_orbit"),
+            (persistence, "_cut_pair"),
+        ]:
+            real, log = getattr(module, name), calls.setdefault(name, [])
+            monkeypatch.setattr(module, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
+        _, _, records = persistence.cut_two_arcs(d, c, 1, 7, extra_passes=2)
+        moves, cuts = len(records), len(calls["_cut_pair"])
+        assert moves == 4 and cuts >= 1
+        # new diagrams: each R2 result, and each candidate cut and its orientation
+        assert len(calls["_dart_structure"]) == moves + 2 * cuts
+        assert len(calls["_face_ids"]) == len(calls["_dart_structure"])
+        # one face walked per R2 move and per cut, never every face
+        assert len(calls["_orbit"]) == moves + cuts

@@ -1,9 +1,10 @@
 """The strand walk and the face-orbit reads against their references.
 
-components and orient share one walk over the dart pairing; co_facial and
-the transport's face path read the face orbits.  Each must agree with the
-version it replaced in tests/oracles.py: a dict union-find, a walk of its
-own, and the Face list of faces().  The co-facial filter of
+components and orient share one walk over the dart pairing; co_facial,
+_far_ends and the transport's face path read the face ids that validate
+keeps.  Each must agree with the version it replaced in tests/oracles.py:
+a dict union-find, a walk of its own, the Face list of faces(), and a
+scan over every face orbit.  The co-facial filter of
 find_same_colored_pairs, which collects the pairs face by face, must agree
 with co_facial asked pair by pair.
 """
@@ -18,13 +19,14 @@ import pytest
 from oracles import (
     reference_co_facial,
     reference_components,
+    reference_far_ends,
     reference_first_step_arc,
     reference_orient,
     reference_r2_transport,
 )
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import FoxColoring, fox_solution_space
-from tanglecert.diagram import co_facial, components, orient, parse_diagram, unoriented
+from tanglecert.diagram import _far_ends, co_facial, components, orient, parse_diagram, unoriented
 from tanglecert.moves import MoveError, _first_step_arc, r2_transport
 from tanglecert.persistence import cut_arc_once, find_same_colored_pairs
 from tanglecert.tangle import (
@@ -93,6 +95,13 @@ def test_orient_matches_the_reference_walk(d):
 def test_co_facial_matches_the_face_list_on_every_pair(d):
     for a1, a2 in combinations(sorted(d.arcs()), 2):
         assert co_facial(d, a1, a2) == reference_co_facial(d, a1, a2), (a1, a2)
+
+
+@pytest.mark.parametrize("d", DIAGRAMS, ids=IDS)
+def test_far_ends_match_the_orbit_scan_on_every_pair(d):
+    arcs = sorted(d.arcs())
+    for pair in [[a] for a in arcs] + [list(p) for p in combinations(arcs, 2)]:
+        assert _far_ends(d, pair) == reference_far_ends(d, pair), pair
 
 
 @pytest.mark.parametrize("d", DIAGRAMS, ids=IDS)

@@ -2,7 +2,10 @@
 
 validate() must accept and reject exactly what oracles.reference_validate
 does, with the same exception type and message, and its faces must be the
-reference's face orbits in the same order.  The one exception is a label
+reference's face orbits in the same order: face id f holds exactly the
+darts of reference orbit f, and faces() walks them in the reference's
+order.  find_r3_triangles must pick the triangles the old filter over
+every reference orbit picks.  The one exception is a label
 that is not an integer below 2**31, which the kept dart index cannot hold.
 Every public constructor must return a diagram that passes validation from
 scratch, since validation runs once per Diagram object and internal
@@ -15,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_face_orbits, reference_validate
+from oracles import reference_face_orbits, reference_r3_triangles, reference_validate
 from tanglecert import diagram
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import fox_solution_space
@@ -24,7 +27,11 @@ from tanglecert.diagram import (
     Crossing,
     Diagram,
     DiagramError,
-    _face_orbits,
+    _CAP,
+    _darts,
+    _place,
+    components,
+    faces,
     orient,
     parse_diagram,
     validate,
@@ -65,7 +72,12 @@ def assert_agrees_with_reference(d):
     expected = outcome(reference_validate, d)
     assert outcome(validate, fresh(d)) == expected, d
     if expected is None:
-        assert _face_orbits(d) == reference_face_orbits(d)
+        orbits = reference_face_orbits(d)
+        ids = {place: f for f, orbit in enumerate(orbits) for place in orbit}
+        face = _darts(d)[3]
+        assert [ids[_place(d, j)] for j in range(len(face))] == list(face)
+        walked = [tuple(p for p in orbit if p[0] != _CAP) for orbit in orbits]
+        assert [f.corners for f in faces(d)[: len(orbits)]] == walked
 
 
 def random_closure(rng, strands, crossings):
@@ -93,6 +105,20 @@ BASES = base_diagrams()
 def test_bases_agree_with_reference(index):
     assert reference_validate(BASES[index]) is None
     assert_agrees_with_reference(BASES[index])
+
+
+def test_r3_triangles_match_the_filter_over_reference_orbits():
+    rng = random.Random(33)
+    closures = [random_closure(rng, 3, rng.randint(3, 30)) for _ in range(60)]
+    # cut open, a knot has three-cornered faces on the boundary cap, which are no triangles
+    cut = [cut_arc_once(d, min(d.arcs())) for d in closures if len(components(d)) == 1]
+    assert len(cut) >= 10
+    found = 0
+    for d in BASES + closures + cut:
+        triangles = find_r3_triangles(d)
+        assert triangles == reference_r3_triangles(d), d
+        found += len(triangles)
+    assert found >= 20
 
 
 def places(d):
