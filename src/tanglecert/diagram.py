@@ -367,6 +367,11 @@ def _orbit(face_next, start: int) -> list[int]:
     return orbit
 
 
+def _has_arc(d: Diagram, a: int) -> bool:
+    """Whether a labels an arc of d: a dart in the kept index, or a circle."""
+    return a in _darts(d)[0] or a in d.circles
+
+
 def _sides(d: Diagram, a: int) -> set[int]:
     """The ids of the faces arc a borders; none for a crossing-free circle."""
     labels, other, _, face = _darts(d)
@@ -466,9 +471,8 @@ def co_facial(d: Diagram, a1: int, a2: int) -> bool:
     """True iff some face is incident to both arcs."""
     if a1 == a2:
         raise DiagramError("co_facial needs two distinct arcs")
-    arcs = d.arcs()
     for a in (a1, a2):
-        if a not in arcs:
+        if not _has_arc(d, a):
             raise DiagramError(f"unknown arc label {a}")
     return not _sides(d, a1).isdisjoint(_sides(d, a2))
 
@@ -532,5 +536,5 @@ def relabel(d: Diagram, mapping: dict[int, int]) -> Diagram:
 
 
 def max_label(d: Diagram) -> int:
-    labels = d.arcs()
-    return max(labels) if labels else 0
+    """The largest arc label, 0 for the empty diagram; read from the kept index."""
+    return max(max(_darts(d)[0], default=0), max(d.circles, default=0))

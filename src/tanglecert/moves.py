@@ -28,6 +28,7 @@ from .diagram import (
     OrientationError,
     _darts,
     _far_ends,
+    _has_arc,
     _place,
     co_facial,
     faces,
@@ -124,7 +125,8 @@ def apply_r1(d: Diagram, arc: int, positive: bool = True) -> tuple[Diagram, Move
         raise MoveError(f"unknown arc {arc}")
     j = labels.index(arc)
     tail = max(_place(d, j), _place(d, other[j]))  # split at the later occurrence; deterministic
-    loop, new = max_label(d) + 1, max_label(d) + 2
+    loop = max_label(d) + 1
+    new = loop + 1
     slots = (arc, loop, loop, new) if positive else (arc, new, loop, loop)
     replaced = ((tail[0], tail[1], arc, new),)
     base = _replace_at(d, replaced)
@@ -381,9 +383,8 @@ def r2_transport(d: Diagram, coloring, source: int, dest: int) -> TransportResul
     """
     if source == dest:
         raise MoveError("source and destination must differ")
-    arcs = d.arcs()
     for a in (source, dest):
-        if a not in arcs:
+        if not _has_arc(d, a):
             raise DiagramError(f"unknown arc label {a}")
     records: list[MoveRecord] = []
     mover = source

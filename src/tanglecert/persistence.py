@@ -4,9 +4,11 @@ A certificate for a tangle is a nontrivial coloring that gives every
 boundary endpoint the same color.  Whatever diagram the tangle appears in,
 the rest of that diagram can be colored by that one constant, producing a
 nontrivial coloring of the whole knot; the knot is therefore nontrivial.
-verify_certificate exercises exactly this argument over sampled host
-tangles, so the soundness of each emitted certificate is tested, not
-assumed.
+verify_certificate exercises exactly this argument: it checks the coloring
+on the tangle itself, then over sampled host tangles, so the soundness of
+each emitted certificate is tested, not assumed.  Hosts are drawn with
+replacement, and each distinct host closure is glued and checked once per
+call.
 
 The cut constructions manufacture certified tangles from nontrivially
 colored knot diagrams: cutting one arc twice, or two same-colored arcs once
@@ -23,6 +25,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .colorings import (
+    ColoringError,
     FoxColoring,
     Quandle,
     fox_solution_space,
@@ -34,6 +37,8 @@ from .diagram import (
     Diagram,
     DiagramError,
     _far_ends,
+    _has_arc,
+    _strands,
     co_facial,
     components,
     faces,
@@ -129,9 +134,14 @@ class PersistenceCertificate:
 def _check_certificate_shape(t: Diagram, cert: PersistenceCertificate) -> None:
     colors = cert.coloring.colors
     for e in t.boundary:
+        if e not in colors:
+            raise CertificateError(f"endpoint {e} has no color")
         if colors[e] != cert.boundary_color:
             raise CertificateError(f"endpoint {e} is not boundary-colored")
     a, b = cert.witness
+    for w in (a, b):
+        if w not in colors:
+            raise CertificateError(f"witness arc {w} has no color")
     if colors[a] == colors[b]:
         raise CertificateError("witness arcs carry equal colors")
 
@@ -161,7 +171,7 @@ def cut_arc_once(d: Diagram, arc: int) -> Diagram:
         out = Diagram(d.crossings, tuple(k for k in d.circles if k != arc), (arc, arc))
         validate(out)
         return out
-    if arc not in d.arcs():
+    if not _has_arc(d, arc):
         raise DiagramError(f"unknown arc {arc}")
     (far,) = _cut_places(d, [arc])
     fresh = max_label(d) + 1
@@ -186,10 +196,11 @@ def cut_arc_twice(d: Diagram, coloring, arc: int):
         raise CertificateError("coloring is not valid on the diagram")
     if arc in d.circles:
         raise DiagramError("cut the circle once to get the trivial 1-tangle")
-    if arc not in d.arcs():
+    if not _has_arc(d, arc):
         raise DiagramError(f"unknown arc {arc}")
     (far,) = _cut_places(d, [arc])
-    mid, tail = max_label(d) + 1, max_label(d) + 2
+    mid = max_label(d) + 1
+    tail = mid + 1
     out = _replace_at(d, [(*far, arc, tail)])
     out = Diagram(out.crossings, out.circles, (arc, mid, mid, tail))
     validate(out)
@@ -220,7 +231,8 @@ def _cut_pair(d: Diagram, arc1: int, arc2: int) -> tuple[Diagram, int, int]:
     tangle re-glues both cuts.
     """
     far1, far2 = _cut_places(d, [arc1, arc2])
-    fresh1, fresh2 = max_label(d) + 1, max_label(d) + 2
+    fresh1 = max_label(d) + 1
+    fresh2 = fresh1 + 1
     out = _replace_at(d, [(*far1, arc1, fresh1), (*far2, arc2, fresh2)])
     # endpoints read clockwise, which reverses the face-walk encounter order
     out = Diagram(out.crossings, out.circles, (fresh1, arc1, fresh2, arc2))
@@ -253,7 +265,7 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
     for _ in range(extra_passes):
         target = None
         for candidate in (dest_labels[-1], *reversed(dest_labels[:-1])):
-            if candidate in d.arcs() and candidate != mover and co_facial(d, mover, candidate):
+            if candidate != mover and _has_arc(d, candidate) and co_facial(d, mover, candidate):
                 target = candidate
                 break
         if target is None:
@@ -267,8 +279,8 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
     candidates = [
         lbl
         for lbl in dest_labels
-        if lbl in d.arcs()
-        and lbl != mover
+        if lbl != mover
+        and _has_arc(d, lbl)
         and coloring.colors[lbl] == boundary_color
         and co_facial(d, mover, lbl)
     ]
@@ -509,53 +521,83 @@ def verify_certificate(
 ) -> VerificationReport:
     """Insert the tangle into sampled hosts and check the extended coloring.
 
-    Every 1-component closure must admit the monochromatic extension as a
-    valid nontrivial coloring; a failing host raises with the counterexample
-    diagram serialized.  Multi-component closures are listed as skipped.
+    The coloring is first checked on the tangle itself, so a certificate
+    whose crossing relations fail raises even when every sampled closure is
+    a link.  Then every 1-component closure must admit the monochromatic
+    extension as a valid nontrivial coloring; a failing host raises with
+    the counterexample diagram serialized.  Multi-component closures are
+    listed as skipped.  Hosts are drawn with replacement, so each distinct
+    host is built, and each of its closures glued and checked, once per
+    call; a repeated draw lists a copy of the first entry.
     """
     _check_certificate_shape(t, cert)
+    try:
+        valid = verify_coloring(t, cert.coloring)
+    except ColoringError as exc:
+        raise CertificateError(f"cannot check the certificate on the tangle: {exc}") from None
+    if not valid:
+        raise CertificateError("certificate coloring breaks a crossing relation of the tangle")
     rng = random.Random(seed)
-    report = VerificationReport()
     one_tangle = len(t.boundary) == 2
-    hosts: list[tuple[str, Diagram]] = []
+    hosts: dict[str, Diagram | None]  # by name, built once each; None for a rejected cap
     if one_tangle:
-        hosts.append(("trivial", Diagram(boundary=(1, 1))))
-        while len(hosts) < trials + 1:
-            w = _random_twists(rng)
-            host = _east_cap(rational_tangle(w))
-            if host.circles or len(components(host)) != 1:
-                continue  # the cap closed a loop; keep hosts single-stranded
-            hosts.append((f"rational{w}-capped", host))
+        hosts = {"trivial": Diagram(boundary=(1, 1))}
+        suffix, closures = "-capped", ("N",)
     else:
-        hosts.append(("zero", zero_tangle()))
-        hosts.append(("infinity", infinity_tangle()))
-        while len(hosts) < trials + 2:
-            w = _random_twists(rng)
-            hosts.append((f"rational{w}", rational_tangle(w)))
-    closures = ("N",) if one_tangle else ("N", "D")
-    for name, host in hosts:
+        hosts = {"zero": zero_tangle(), "infinity": infinity_tangle()}
+        suffix, closures = "", ("N", "D")
+    drawn = list(hosts)
+    wanted = len(drawn) + trials
+    while len(drawn) < wanted:
+        w = _random_twists(rng)
+        name = f"rational{w}{suffix}"
+        if name not in hosts:
+            host = rational_tangle(w)
+            if one_tangle:
+                host = _east_cap(host)
+                # the cap may close a loop; keep hosts single-stranded
+                if host.circles or len(_strands(host)[1]) != 1:
+                    host = None
+            hosts[name] = host
+        if hosts[name] is not None:
+            drawn.append(name)
+    report = VerificationReport()
+    checked: dict[tuple[str, str], dict] = {}
+    for name in drawn:
         for closure in closures:
-            dgm = insert_into_host(t, host, closure)
-            n_comp = len(components(dgm))
-            entry = {"host": name, "closure": closure, "components": n_comp}
-            if n_comp != 1:
-                entry["result"] = "skipped"
+            entry = checked.get((name, closure))
+            if entry is None:
+                entry = _check_closure(t, cert, name, hosts[name], closure)
+                checked[name, closure] = entry
+            report.entries.append(dict(entry))
+            if entry["result"] == "pass":
+                report.passes += 1
+            else:
                 report.skipped += 1
-                report.entries.append(entry)
-                continue
-            colors = {a: cert.coloring.colors.get(a, cert.boundary_color) for a in dgm.arcs()}
-            ext = replace(cert.coloring, colors=colors)
-            wa, wb = cert.witness
-            ok = verify_coloring(dgm, ext) and colors[wa] != colors[wb]
-            if not ok:
-                raise CertificateError(
-                    f"certificate fails on host {name} ({closure} closure):\n"
-                    + serialize(dgm)
-                )
-            entry["result"] = "pass"
-            report.passes += 1
-            report.entries.append(entry)
     return report
+
+
+def _check_closure(
+    t: Diagram, cert: PersistenceCertificate, name: str, host: Diagram, closure: str
+) -> dict:
+    """Glue t into host, close it, and check the extended coloring; the report entry."""
+    dgm = insert_into_host(t, host, closure)
+    labels, strands = _strands(dgm)
+    n_comp = len(strands) + len(dgm.circles)
+    entry = {"host": name, "closure": closure, "components": n_comp}
+    if n_comp != 1:
+        entry["result"] = "skipped"
+        return entry
+    get, fill = cert.coloring.colors.get, cert.boundary_color
+    colors = {a: get(a, fill) for a in (*labels, *dgm.circles)}
+    ext = replace(cert.coloring, colors=colors)
+    wa, wb = cert.witness
+    if not (verify_coloring(dgm, ext) and colors[wa] != colors[wb]):
+        raise CertificateError(
+            f"certificate fails on host {name} ({closure} closure):\n" + serialize(dgm)
+        )
+    entry["result"] = "pass"
+    return entry
 
 
 # ---------------------------------------------------------------------------

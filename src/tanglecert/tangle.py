@@ -26,7 +26,6 @@ from .diagram import (
     DiagramError,
     components,
     max_label,
-    relabel,
     validate,
 )
 
@@ -131,7 +130,12 @@ def _closure(d: Diagram, joins) -> Diagram:
 
 
 def _shifted(t: Diagram, shift: int) -> Diagram:
-    return relabel(t, {a: a + shift for a in t.arcs()})
+    """t with every label raised by shift; not validated."""
+    return Diagram(
+        tuple(Crossing(tuple(s + shift for s in c.slots), c.sign) for c in t.crossings),
+        tuple(k + shift for k in t.circles),
+        tuple(e + shift for e in t.boundary),
+    )
 
 
 def numerator_closure(t: Diagram) -> Diagram:

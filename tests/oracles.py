@@ -19,10 +19,15 @@ R2 move, which the validator and move tests check against references of
 their own.  reference_recolor_after_move is the re-solve that local
 recoloring replaced: every untouched arc pinned, and exactly one solution
 required of the library's solvers, which the counting oracles above check.
+reference_verify_certificate is the host loop that checking each distinct
+host closure once replaced: it builds every sampled host and glues, counts
+and checks every closure, repeats included.
 canonical_form, a relabeling-invariant rendering that only tests compare,
 reads the library's dart pairing.
 """
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -34,6 +39,7 @@ from tanglecert.colorings import (
     fox_solution_space,
     quandle_colorings,
     validate_quandle,
+    verify_coloring,
 )
 from tanglecert.diagram import (
     ArcOccurrenceError,
@@ -43,9 +49,24 @@ from tanglecert.diagram import (
     OrientationError,
     PlanarityError,
     _darts,
+    components,
     faces,
+    serialize,
 )
 from tanglecert.moves import MoveError, apply_r2_over
+from tanglecert.persistence import (
+    CertificateError,
+    VerificationReport,
+    _check_certificate_shape,
+    _east_cap,
+    _random_twists,
+)
+from tanglecert.tangle import (
+    infinity_tangle,
+    insert_into_host,
+    rational_tangle,
+    zero_tangle,
+)
 
 INF = "inf"
 
@@ -697,6 +718,51 @@ def reference_recolor_after_move(coloring, rec, after):
             raise MoveError(f"recoloring is not unique ({len(search.colorings)} extensions)")
         return search.colorings[0]
     raise MoveError(f"cannot recolor a {type(coloring).__name__}")
+
+
+def reference_verify_certificate(t, cert, trials=100, seed=0):
+    """verify_certificate building every drawn host and every closure afresh."""
+    _check_certificate_shape(t, cert)
+    rng = random.Random(seed)
+    report = VerificationReport()
+    one_tangle = len(t.boundary) == 2
+    hosts = []
+    if one_tangle:
+        hosts.append(("trivial", Diagram(boundary=(1, 1))))
+        while len(hosts) < trials + 1:
+            w = _random_twists(rng)
+            host = _east_cap(rational_tangle(w))
+            if host.circles or len(components(host)) != 1:
+                continue
+            hosts.append((f"rational{w}-capped", host))
+    else:
+        hosts.append(("zero", zero_tangle()))
+        hosts.append(("infinity", infinity_tangle()))
+        while len(hosts) < trials + 2:
+            w = _random_twists(rng)
+            hosts.append((f"rational{w}", rational_tangle(w)))
+    closures = ("N",) if one_tangle else ("N", "D")
+    for name, host in hosts:
+        for closure in closures:
+            dgm = insert_into_host(t, host, closure)
+            n_comp = len(components(dgm))
+            entry = {"host": name, "closure": closure, "components": n_comp}
+            if n_comp != 1:
+                entry["result"] = "skipped"
+                report.skipped += 1
+                report.entries.append(entry)
+                continue
+            colors = {a: cert.coloring.colors.get(a, cert.boundary_color) for a in dgm.arcs()}
+            ext = replace(cert.coloring, colors=colors)
+            wa, wb = cert.witness
+            if not (verify_coloring(dgm, ext) and colors[wa] != colors[wb]):
+                raise CertificateError(
+                    f"certificate fails on host {name} ({closure} closure):\n" + serialize(dgm)
+                )
+            entry["result"] = "pass"
+            report.passes += 1
+            report.entries.append(entry)
+    return report
 
 
 def canonical_form(d):

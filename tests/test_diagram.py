@@ -1,15 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import canonical_form
+from tanglecert.braids import braid_closure
 from tanglecert.diagram import (
     ArcOccurrenceError,
+    Diagram,
     DiagramError,
     PDSyntaxError,
     PlanarityError,
     co_facial,
     components,
     faces,
+    max_label,
     orient,
     parse_diagram,
     relabel,
@@ -158,6 +163,14 @@ class TestCoFacial:
         with pytest.raises(DiagramError):
             co_facial(trefoil, 2, 99)
 
+    def test_circle_labels_are_arcs(self, trefoil):
+        # circles are not in the dart index, yet they are arcs: known, on no face
+        d = parse_diagram(TREFOIL + " ; O 7")
+        assert co_facial(d, 7, 2) is False
+        assert co_facial(parse_diagram("O 1 ; O 2"), 1, 2) is False
+        with pytest.raises(DiagramError):
+            co_facial(d, 7, 8)
+
     def test_hopf_face_incidence(self, corpus_diagrams):
         # every face of the standard Hopf diagram is bounded by one arc of
         # each component, so same-component arcs never share a face while
@@ -170,6 +183,19 @@ class TestCoFacial:
         assert not co_facial(hopf, a1, a2)
         assert not co_facial(hopf, b1, b2)
         assert all(co_facial(hopf, x, y) for x in (a1, a2) for y in (b1, b2))
+
+
+class TestMaxLabel:
+    def test_matches_the_largest_arc_label(self, corpus_diagrams):
+        rng = random.Random(11)
+        braids = [
+            braid_closure([rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(k)], n)
+            for n, k in [(2, 3), (3, 8), (3, 25), (4, 40)]
+        ]
+        extra = [parse_diagram("O 1 ; O 2"), parse_diagram("B 1 1"), Diagram()]
+        extra.append(parse_diagram(TREFOIL + " ; O 9"))  # a circle above every dart label
+        for d in [*corpus_diagrams.values(), *extra, *braids]:
+            assert max_label(d) == max(d.arcs(), default=0), serialize(d)
 
 
 class TestOrientation:

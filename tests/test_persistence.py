@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from oracles import canonical_form
+from oracles import canonical_form, reference_verify_certificate
+from tanglecert import persistence
 from tanglecert.colorings import (
     FoxColoring,
     determinant,
@@ -8,7 +11,7 @@ from tanglecert.colorings import (
     fox_solution_space,
     link_determinant,
 )
-from tanglecert.diagram import co_facial, orient, parse_diagram
+from tanglecert.diagram import DiagramError, co_facial, orient, parse_diagram
 from tanglecert.persistence import (
     CertificateError,
     CertificateNotFound,
@@ -28,6 +31,7 @@ from tanglecert.persistence import (
 from tanglecert.tangle import (
     close_one_tangle,
     denominator_closure,
+    insert_into_host,
     linking_sum,
     numerator_closure,
     rational_tangle,
@@ -257,6 +261,112 @@ class TestVerifyCertificate:
         )
         with pytest.raises(CertificateError):
             verify_certificate(t, bad, trials=2, seed=0)
+
+    def test_broken_tangle_coloring_fails_when_every_closure_is_a_link(self):
+        # every closure of this sum has two components, so no host would catch it
+        s, cert = build_T_plus_Tstar([3, 1, 2])
+        assert cert.kind == ("fox", 2)
+        assert verify_certificate(s, cert, trials=10, seed=0).passes == 0
+        colors = dict(cert.coloring.colors)
+        colors[3] += 1
+        bad = PersistenceCertificate(
+            cert.kind, FoxColoring(2, colors), cert.boundary_color, cert.witness
+        )
+        with pytest.raises(CertificateError, match="crossing relation"):
+            verify_certificate(s, bad, trials=100, seed=0)
+
+    def test_uncolored_interior_arc_rejected(self, corpus_diagrams):
+        t = corpus_diagrams["fig5-t-plus-tstar"]
+        cert = find_certificate(t)
+        interior = max(a for a in t.arcs() if a not in t.boundary and a not in cert.witness)
+        colors = {a: v for a, v in cert.coloring.colors.items() if a != interior}
+        bad = PersistenceCertificate(
+            cert.kind, FoxColoring(cert.kind[1], colors), cert.boundary_color, cert.witness
+        )
+        with pytest.raises(CertificateError, match=f"arc {interior}"):
+            verify_certificate(t, bad, trials=2, seed=0)
+
+    @pytest.mark.parametrize("drop_endpoint", [False, True])
+    def test_missing_witness_or_endpoint_color_is_named(self, corpus_diagrams, drop_endpoint):
+        t = corpus_diagrams["fig5-t-plus-tstar"]
+        cert = find_certificate(t)
+        colors = dict(cert.coloring.colors)
+        witness = cert.witness
+        if drop_endpoint:
+            assert 1 in t.boundary
+            del colors[1]
+            label = 1
+        else:
+            witness = (1, 999)
+            label = 999
+        bad = PersistenceCertificate(
+            cert.kind, FoxColoring(cert.kind[1], colors), cert.boundary_color, witness
+        )
+        with pytest.raises(CertificateError, match=f" {label} has no color"):
+            verify_certificate(t, bad, trials=2, seed=0)
+
+
+def _verified_certificates(corpus):
+    """(name, tangle, certificate): the corpus certificates, the dihedral one
+    of fig1-krebes, and T+T* for 20 seeded twist vectors."""
+    out = []
+    for name, t in corpus.items():
+        if t.boundary and (cert := find_certificate(t)) is not None:
+            out.append((name, t, cert))
+    krebes = corpus["fig1-krebes"]
+    out.append(("fig1-krebes dihedral(3)", krebes, find_certificate(krebes, [], (dihedral(3),))))
+    rng = random.Random(8)
+    while len(out) < 28:
+        w = [rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        try:
+            s, cert = build_T_plus_Tstar(w)
+        except (DiagramError, CertificateNotFound):
+            continue
+        out.append((f"T+T*{w}", s, cert))
+    return out
+
+
+class TestVerifyEachHostOnce:
+    @pytest.mark.parametrize("trials", [0, 1, 5, 100])
+    def test_report_equals_the_reference_loop(self, corpus_diagrams, trials):
+        certs = _verified_certificates(corpus_diagrams)
+        assert "fig3-1tangle" in [name for name, _, _ in certs]
+        for name, t, cert in certs:
+            for seed in (0, 3, 7919):
+                got = verify_certificate(t, cert, trials=trials, seed=seed).to_json()
+                want = reference_verify_certificate(t, cert, trials=trials, seed=seed).to_json()
+                assert got == want, (name, seed)
+
+    @pytest.mark.parametrize("name", ["fig5-t-plus-tstar", "fig3-1tangle"])
+    def test_each_distinct_host_and_closure_is_built_once(self, corpus_diagrams, monkeypatch, name):
+        t = corpus_diagrams[name]
+        cert = find_certificate(t)
+        glued, built = [], []
+
+        def counting_insert(t, host, closure="N"):
+            glued.append(closure)
+            return insert_into_host(t, host, closure)
+
+        def counting_rational(w):
+            built.append(tuple(w))
+            return rational_tangle(w)
+
+        monkeypatch.setattr(persistence, "insert_into_host", counting_insert)
+        monkeypatch.setattr(persistence, "rational_tangle", counting_rational)
+        report = verify_certificate(t, cert, trials=100, seed=1)
+        pairs = {(e["host"], e["closure"]) for e in report.entries}
+        assert len(pairs) < len(report.entries)  # the draws repeat
+        assert len(glued) == len(pairs)
+        assert len(built) == len(set(built))  # rejected 1-tangle caps included
+        suffix = "-capped" if len(t.boundary) == 2 else ""
+        hosts = {e["host"] for e in report.entries} - {"zero", "infinity", "trivial"}
+        assert hosts <= {f"rational{list(w)}{suffix}" for w in built}
+
+    def test_repeated_entries_are_copies(self, corpus_diagrams):
+        t = corpus_diagrams["fig5-t-plus-tstar"]
+        report = verify_certificate(t, find_certificate(t), trials=100, seed=1)
+        ids = {id(e) for e in report.entries}
+        assert len(ids) == len(report.entries)
 
 
 class TestTPlusTstar:
