@@ -5,6 +5,13 @@ two under-arc colors sum to twice the over-arc color.  The unknowns are
 strand classes (the two over-slot labels of a crossing always share a
 color), and the crossing relations form a sparse linear system solved
 exactly over Z/N for any modulus, composite or prime (see linalg).
+That system (the strand representatives, each label's column and each
+crossing's (under-in, over, under-out) columns) is built once per
+validated diagram, on the first solver call, and kept immutable in its
+instance dict beside the dart index; quandle_colorings, fox_matrix,
+fox_solution_space and link_determinant all read it.  Crossing rows enter
+the elimination right to left, in decreasing order of their rightmost
+column, so an incoming row mostly meets columns no pivot holds yet.
 
 Quandle colorings generalize this: a crossing forces under_out = under_in
 * over (or its right inverse at negative crossings).  Dihedral quandles,
@@ -15,8 +22,10 @@ a propagation worklist, an undo trail and an explicit backtracking stack.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
 
 from . import linalg
 from .diagram import Diagram, strand_classes
@@ -93,25 +102,36 @@ def fox_matrix(d: Diagram) -> tuple[list[dict[int, int]], list[int]]:
 
     Each row is a dict, column -> coefficient: +2 on the over strand and -1
     on each under strand, summed when strands coincide (zeros dropped).
-    Returns (rows, ordered strand representatives).
+    Returns (rows, ordered strand representatives), both fresh copies.
     """
     strands, _, triples = _strand_columns(d)
-    return _crossing_rows(triples), strands
+    return _crossing_rows(triples), list(strands)
 
 
-def _strand_columns(d: Diagram) -> tuple[list[int], dict[int, int], list[tuple[int, int, int]]]:
+def _strand_columns(
+    d: Diagram,
+) -> tuple[tuple[int, ...], Mapping[int, int], tuple[tuple[int, int, int], ...]]:
     """(strands, col, triples): the strand representatives in order, each
     label's column (the index of its strand), and each crossing's
-    (under-in, over, under-out) columns."""
-    rep = strand_classes(d)
-    strands = sorted(set(rep.values()))
-    index = {s: i for i, s in enumerate(strands)}
-    col = {label: index[r] for label, r in rep.items()}
-    triples = [(col[a], col[b], col[c]) for a, b, c, _ in [x.slots for x in d.crossings]]
-    return strands, col, triples
+    (under-in, over, under-out) columns.
+
+    A validated diagram keeps the system in its instance dict under "_fox"
+    from the first call on; an unvalidated one keeps nothing.
+    """
+    system = d.__dict__.get("_fox")
+    if system is None:
+        rep = strand_classes(d)
+        strands = tuple(sorted(set(rep.values())))
+        index = {s: i for i, s in enumerate(strands)}
+        col = {label: index[r] for label, r in rep.items()}
+        triples = tuple((col[a], col[b], col[c]) for a, b, c, _ in [x.slots for x in d.crossings])
+        system = (strands, MappingProxyType(col), triples)
+        if "_valid" in d.__dict__:
+            d.__dict__["_fox"] = system
+    return system
 
 
-def _crossing_rows(triples: list[tuple[int, int, int]]) -> list[dict[int, int]]:
+def _crossing_rows(triples: tuple[tuple[int, int, int], ...]) -> list[dict[int, int]]:
     rows = []
     for u_in, over, u_out in triples:
         row = {over: 2}
@@ -119,6 +139,18 @@ def _crossing_rows(triples: list[tuple[int, int, int]]) -> list[dict[int, int]]:
         row[u_out] = row.get(u_out, 0) - 1
         rows.append({c: v for c, v in row.items() if v})
     return rows
+
+
+def _right_to_left(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The rows by decreasing rightmost column, ties in their given order.
+
+    Each pivot sits at its row's leftmost column, so in this order an
+    incoming row's leftmost column is more often still free and the row
+    becomes a pivot without reduction steps.  The Howell form's pivot
+    columns and gcds and the back-substituted basis depend only on the row
+    space, so no answer depends on the order.
+    """
+    return sorted(rows, key=lambda row: max(row, default=-1), reverse=True)
 
 
 @dataclass
@@ -129,7 +161,7 @@ class FoxSolutionSpace:
     modulus: int
     strands: list[int]
     _space: linalg.ModularAffineSpace
-    _col: dict[int, int]
+    _col: Mapping[int, int]
 
     @property
     def count(self) -> int:
@@ -198,10 +230,10 @@ def fox_solution_space(d: Diagram, modulus: int, pins: dict[int, int] | None = N
         rows.append({col[label]: 1})
         rhs.append(value)
     # pins go first: each fixes one unknown, and eliminating it first adds no fill
-    rows += _crossing_rows(triples)
+    rows += _right_to_left(_crossing_rows(triples))
     rhs += [0] * len(triples)
     space = linalg.solve_mod(rows, rhs, len(strands), modulus)
-    return FoxSolutionSpace(d, modulus, strands, space, col)
+    return FoxSolutionSpace(d, modulus, list(strands), space, col)
 
 
 def has_nontrivial_fox(d: Diagram, modulus: int) -> bool:
@@ -254,7 +286,7 @@ def link_determinant(d: Diagram) -> int:
         return 0
     last = len(strands) - 1
     minor = [{c: v for c, v in row.items() if c != last} for row in rows[:-1]]
-    return linalg.abs_determinant(minor)
+    return linalg.abs_determinant(_right_to_left(minor))
 
 
 # ---------------------------------------------------------------------------

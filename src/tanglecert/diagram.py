@@ -33,7 +33,11 @@ passes keeps the dart index the check built (dart labels, arc pairing,
 face permutation and face ids numbered in order of smallest dart, as
 array('i')) in its instance dict; later calls on the same object return
 at once, and every structural read takes that index.  Only validate and
-faces() walk every face.  validate rejects a Diagram whose fields, or a
+faces() walk every face.  The first coloring solver call on a validated
+diagram keeps its Fox system (colorings._strand_columns: strand
+representatives, label columns and crossing triples, immutable) beside
+the index; validate does not build it, and an unvalidated diagram keeps
+nothing.  validate rejects a Diagram whose fields, or a
 Crossing whose slots, are not tuples, so a marked object cannot change
 after the check, and labels the index cannot hold (not integers below
 2**31).  parse_diagram and every public constructor return validated
@@ -91,6 +95,11 @@ class Diagram:
     @property
     def oriented(self) -> bool:
         return bool(self.crossings) and all(c.sign != 0 for c in self.crossings)
+
+    def __getstate__(self) -> dict:
+        # the kept Fox system holds a mappingproxy, which does not pickle;
+        # the first solver call on the copy builds it again
+        return {k: v for k, v in self.__dict__.items() if k != "_fox"}
 
     def arcs(self) -> frozenset[int]:
         labels = set()

@@ -18,9 +18,17 @@ per free column.  Back substitution solves the system without
 backtracking.  The basis of solutions (a particular solution plus
 generators with their orders) is built only when a caller asks for it.
 
-abs_determinant runs the same elimination modulo a Mersenne prime P above
-twice the Hadamard bound of the matrix and lifts the result to
-(-P/2, P/2), so its coefficients stay below P.
+Rows enter the elimination in the order given.  The coloring solvers feed
+crossing rows right to left (by decreasing rightmost column), which needs
+far fewer reduction steps than crossing order; no answer depends on it.
+
+abs_determinant runs the same elimination modulo a prime P above twice the
+Hadamard bound H of the matrix and lifts the result to (-P/2, P/2), so its
+coefficients stay below P.  P is the first with P^2 > 4H^2 in a literal
+table of Proth primes k*2^m + 1, one every 32 bits from 64 to 1,024 bits,
+each stored with the witness that proves it prime; Mersenne primes follow
+for larger bounds.  A 150-crossing closure thus runs with a 224-bit
+prime, where the next Mersenne prime above 2^127 - 1 has 521 bits.
 """
 
 from __future__ import annotations
@@ -236,31 +244,48 @@ def solve_mod(rows: list[dict[int, int]], rhs: list[int], n_vars: int, modulus: 
     return ModularAffineSpace(modulus, n_vars, count, form)
 
 
-# Exponents e of Mersenne primes 2^e - 1, enough for Hadamard bounds of
-# about 44,000 bits (tens of thousands of crossings).
+# Proth primes P = k * 2^m + 1, as (k, m, a): k is odd, 0 < k < 2^m, and
+# a^((P - 1) / 2) = -1 (mod P), which by Proth's theorem proves P prime.
+# Each P has m + 32 bits: one prime every 32 bits from 64 to 1,024.
+_PROTH = (
+    (2147483685, 32, 7), (2147483683, 64, 3), (2147483755, 96, 3),
+    (2147483853, 128, 7), (2147483751, 160, 5), (2147483833, 192, 3),
+    (2147484565, 224, 3), (2147483653, 256, 3), (2147483871, 288, 5),
+    (2147483793, 320, 19), (2147483707, 352, 3), (2147483763, 384, 7),
+    (2147483731, 416, 3), (2147483781, 448, 5), (2147484031, 480, 3),
+    (2147483991, 512, 5), (2147483665, 544, 3), (2147484265, 576, 3),
+    (2147483865, 608, 17), (2147483721, 640, 5), (2147484291, 672, 5),
+    (2147483905, 704, 3), (2147483857, 736, 3), (2147484207, 768, 5),
+    (2147483727, 800, 5), (2147485261, 832, 3), (2147483811, 864, 5),
+    (2147483991, 896, 5), (2147484501, 928, 5), (2147483745, 960, 13),
+    (2147483653, 992, 3),
+)
+# Exponents e of the Mersenne primes 2^e - 1 above the table, enough for
+# Hadamard bounds of about 44,000 bits (tens of thousands of crossings).
 _MERSENNE_EXPONENTS = (
-    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
-    9689, 9941, 11213, 19937, 21701, 23209, 44497,
+    1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497,
+)
+_PRIMES = tuple((k << m) + 1 for k, m, _ in _PROTH) + tuple(
+    (1 << e) - 1 for e in _MERSENNE_EXPONENTS
 )
 
 
 def abs_determinant(rows: list[dict[int, int]]) -> int:
     """|det| of the square integer matrix with these sparse rows (columns 0..len(rows)-1).
 
-    Eliminates modulo a prime P > 2 * H, where H is the Hadamard bound (the
-    product of the row norms), so the residue of det lifts uniquely to
-    (-P/2, P/2).  The row order and hence the sign are not tracked.
+    Eliminates modulo the first listed prime P > 2 * H, where H is the
+    Hadamard bound (the product of the row norms), so the residue of det
+    lifts uniquely to (-P/2, P/2).  The row order and hence the sign are
+    not tracked.
     """
     if not rows:
         return 1
     squared = prod(sum(v * v for v in row.values()) for row in rows)  # H^2
     if squared == 0:
         return 0
-    prime = next(
-        (p for p in (2 ** e - 1 for e in _MERSENNE_EXPONENTS) if p * p > 4 * squared), None
-    )
+    prime = next((p for p in _PRIMES if p * p > 4 * squared), None)
     if prime is None:
-        raise ValueError("determinant bound exceeds the largest listed Mersenne prime")
+        raise ValueError("determinant bound exceeds the largest listed prime")
     form = _Echelon(prime)
     for row in rows:
         before = len(form.rows)

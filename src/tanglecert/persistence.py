@@ -28,6 +28,7 @@ from .colorings import (
     ColoringError,
     FoxColoring,
     Quandle,
+    QuandleColoring,
     fox_solution_space,
     link_determinant,
     quandle_colorings,
@@ -45,6 +46,7 @@ from .diagram import (
     max_label,
     orient,
     serialize,
+    unoriented,
     validate,
 )
 from .moves import (
@@ -529,6 +531,12 @@ def verify_certificate(
     listed as skipped.  Hosts are drawn with replacement, so each distinct
     host is built, and each of its closures glued and checked, once per
     call; a repeated draw lists a copy of the first entry.
+
+    The rational hosts are unsigned.  Signs do not enter the crossing rule
+    of a Fox or involutory quandle coloring, so an oriented tangle with
+    such a certificate is glued in unoriented; a non-involutory quandle
+    certificate on an oriented tangle would need oriented hosts, and
+    raises.
     """
     _check_certificate_shape(t, cert)
     try:
@@ -537,6 +545,13 @@ def verify_certificate(
         raise CertificateError(f"cannot check the certificate on the tangle: {exc}") from None
     if not valid:
         raise CertificateError("certificate coloring breaks a crossing relation of the tangle")
+    if t.oriented:
+        if isinstance(cert.coloring, QuandleColoring) and not cert.coloring.quandle.involutory:
+            raise CertificateError(
+                "a non-involutory quandle certificate on an oriented tangle needs oriented"
+                " rational hosts, and only unsigned ones are built"
+            )
+        t = unoriented(t)
     rng = random.Random(seed)
     one_tangle = len(t.boundary) == 2
     hosts: dict[str, Diagram | None]  # by name, built once each; None for a rejected cap

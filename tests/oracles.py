@@ -2,9 +2,15 @@
 
 Nothing here calls into the solver paths under test: strand merging is a
 separate union-find, counting is exhaustive backtracking over strand
-assignments, determinants use recursive cofactor expansion, fractions use
-the stdlib Fraction type, and the dense integer diagonalization below is
-the unimodular elimination over Z that the sparse modular solver replaced.
+assignments, determinants use recursive cofactor expansion or Gaussian
+elimination over the stdlib Fraction type, fractions use Fraction too,
+and the dense integer diagonalization below is the unimodular elimination
+over Z that the sparse modular solver replaced.
+reference_fox_solution_space is the Fox solve as it was before each
+diagram kept its coloring system and crossing rows entered the
+elimination right to left: strand columns built afresh on every call,
+pins first, then the crossing rows in crossing order, into the library's
+solve_mod, whose counts the oracles above check.
 The quandle coloring reference is the recursive backtracking search that
 the one-loop search replaced.
 The diagram validator is the tuple-keyed occurrence scan that the
@@ -34,6 +40,7 @@ from math import gcd
 from tanglecert.colorings import (
     ColoringError,
     FoxColoring,
+    FoxSolutionSpace,
     QuandleColoring,
     QuandleSearch,
     fox_solution_space,
@@ -53,6 +60,7 @@ from tanglecert.diagram import (
     faces,
     serialize,
 )
+from tanglecert.linalg import solve_mod
 from tanglecert.moves import MoveError, apply_r2_over
 from tanglecert.persistence import (
     CertificateError,
@@ -251,12 +259,44 @@ def cofactor_det(m):
 
 
 def minor_determinant(d):
-    """|first minor| of the crossing matrix, dropping the last row and column."""
+    """|first minor| of a square crossing matrix, dropping the last row and
+    column, by Gaussian elimination over the rationals."""
     rows = crossing_matrix(d)
     if not rows:
         return 1
-    trimmed = [row[:-1] for row in rows[:-1]]
-    return abs(cofactor_det(trimmed))
+    m = [[Fraction(v) for v in row[:-1]] for row in rows[:-1]]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        m[k], m[pivot] = m[pivot], m[k]
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            if m[i][k]:
+                f = m[i][k] / m[k][k]
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return abs(int(det))
+
+
+def reference_fox_solution_space(d, modulus, pins=None):
+    """Fox colorings of d mod modulus with pinned arcs: fresh strand columns,
+    pin rows first, then one row per crossing in crossing order."""
+    rep = strand_partition(d)
+    strands = sorted(set(rep.values()))
+    index = {s: i for i, s in enumerate(strands)}
+    col = {label: index[r] for label, r in rep.items()}
+    rows = [{col[label]: 1} for label in (pins or {})]
+    rhs = list((pins or {}).values())
+    for c in d.crossings:
+        u_in, over, u_out, _ = (col[label] for label in c.slots)
+        row = {over: 2}
+        row[u_in] = row.get(u_in, 0) - 1
+        row[u_out] = row.get(u_out, 0) - 1
+        rows.append({k: v for k, v in row.items() if v})
+        rhs.append(0)
+    space = solve_mod(rows, rhs, len(strands), modulus)
+    return FoxSolutionSpace(d, modulus, strands, space, col)
 
 
 def cf_value(twists):

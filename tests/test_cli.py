@@ -110,6 +110,47 @@ class TestCertify:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_oriented_tangle_verifies_like_the_unoriented_file(self, capsys, corpus_dir, tmp_path):
+        from tanglecert.diagram import orient, parse_diagram, serialize
+
+        plain = corpus_dir / "fig1-krebes.pd"
+        oriented = tmp_path / "fig1-krebes-oriented.pd"
+        oriented.write_text(serialize(orient(parse_diagram(plain.read_text()))))
+        assert "Xp" in oriented.read_text() or "Xm" in oriented.read_text()
+        reports = []
+        for path in (plain, oriented):
+            code, out, err = run(capsys, "certify", str(path), "--json", "--verify", "20")
+            assert code == 0, err
+            reports.append(json.loads(out)["verification"])
+        assert (reports[0]["passes"], reports[0]["skipped"]) == (28, 16)
+        assert reports[1] == reports[0]
+
+
+# (golden file stem, argv after the subcommand's input): the algebra CLI's
+# output, written before the solvers kept their Fox system and reordered
+# their rows, and diffed by the CI step "Algebra CLI output unchanged"
+KNOTS = ("trefoil", "fig8-knot", "6_2", "8_16")
+TANGLES = ("fig1-krebes", "fig5-t-plus-tstar", "fig9-tangle")
+GOLDEN = (
+    [(f"{k}.det", ["det", k]) for k in KNOTS]
+    + [
+        (f"{k}.color-mod{n}", ["color", k, "--mod", str(n), "--enumerate", "50"])
+        for k in KNOTS + TANGLES
+        for n in (3, 5, 15)
+    ]
+    + [(f"{t}.certify", ["certify", t]) for t in TANGLES[:2]]
+    + [("fig9-tangle.certify", ["certify", "fig9-tangle", "--mods", "3,5,7"])]
+)
+
+
+@pytest.mark.parametrize("stem,argv", GOLDEN, ids=[stem for stem, _ in GOLDEN])
+def test_algebra_output_matches_golden(capsys, corpus_dir, monkeypatch, stem, argv):
+    monkeypatch.chdir(corpus_dir.parent)  # certificates name the tangle file as given
+    command, name, *rest = argv
+    code, out, err = run(capsys, command, f"corpus/{name}.pd", *rest, "--json")
+    assert code == (1 if stem == "fig9-tangle.certify" else 0), err
+    assert out == Path("tests", "expected", f"{stem}.json").read_text()
+
 
 class TestCut:
     def test_single_arc_cut(self, capsys, corpus_dir, tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from tanglecert.colorings import (
     SolutionCapExceeded,
     determinant,
     dihedral,
+    fox_matrix,
     fox_solution_space,
     has_nontrivial_fox,
     link_determinant,
@@ -19,7 +20,9 @@ from tanglecert.colorings import (
     verify_coloring,
     verify_fox,
 )
-from tanglecert.diagram import parse_diagram
+from tanglecert import colorings
+from tanglecert.braids import braid_closure
+from tanglecert.diagram import Crossing, Diagram, parse_diagram, serialize
 from tanglecert.tangle import numerator_closure
 
 TRICOLORING = {1: 0, 6: 0, 2: 1, 3: 1, 4: 2, 5: 2}
@@ -43,6 +46,74 @@ class TestVerifyFox:
     def test_missing_arc_raises(self, trefoil):
         with pytest.raises(ColoringError):
             verify_fox(trefoil, FoxColoring(3, {1: 0}))
+
+
+def closure_3x50():
+    import random
+
+    rng = random.Random(50)
+    word = [rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(50)]
+    return parse_diagram(serialize(braid_closure(word, 3)))
+
+
+@pytest.fixture
+def counted_strand_classes(monkeypatch):
+    calls, strand_classes = [], colorings.strand_classes
+
+    def counting(d):
+        calls.append(d)
+        return strand_classes(d)
+
+    monkeypatch.setattr(colorings, "strand_classes", counting)
+    return calls
+
+
+class TestKeptFoxSystem:
+    def test_one_strand_walk_serves_every_solver(self, counted_strand_classes):
+        d = closure_3x50()
+        search = quandle_colorings(d, dihedral(3))
+        det = link_determinant(d)
+        counts = {n: fox_solution_space(d, n).count for n in (3, 5, 15, 97)}
+        assert len(counted_strand_classes) == 1
+        assert counts[3] == len(search) and (counts[3] > 3) == (det % 3 == 0)
+
+    def test_an_unvalidated_diagram_keeps_nothing(self, counted_strand_classes):
+        d = Diagram((Crossing((1, 4, 2, 5)), Crossing((3, 6, 4, 1)), Crossing((5, 2, 6, 3))))
+        assert fox_solution_space(d, 3).count == 9
+        assert fox_solution_space(d, 3).count == 9
+        assert len(counted_strand_classes) == 2
+        assert "_valid" not in d.__dict__ and "_fox" not in d.__dict__
+
+    def test_the_kept_system_is_immutable(self):
+        d = closure_3x50()
+        fox_solution_space(d, 3)
+        strands, col, triples = d.__dict__["_fox"]
+        assert isinstance(strands, tuple) and isinstance(triples, tuple)
+        with pytest.raises(TypeError):
+            col[1] = 0
+
+    def test_a_solved_diagram_still_pickles_and_copies(self):
+        import copy
+        import pickle
+
+        d = closure_3x50()
+        count = fox_solution_space(d, 3).count
+        for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+            assert twin == d and "_fox" not in twin.__dict__
+            assert fox_solution_space(twin, 3).count == count
+
+    def test_mutating_the_returned_matrix_changes_no_later_count(self):
+        d = closure_3x50()
+        before = {n: fox_solution_space(d, n).count for n in (3, 5, 97)}
+        rows, strands = fox_matrix(d)
+        for row in rows:
+            row.clear()
+        strands.reverse()
+        space = fox_solution_space(d, 3)
+        space.strands.clear()
+        assert {n: fox_solution_space(d, n).count for n in (3, 5, 97)} == before
+        assert fox_matrix(d)[1] == sorted(fox_matrix(d)[1])
+        assert all(fox_matrix(d)[0])
 
 
 class TestSolutionSpace:

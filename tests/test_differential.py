@@ -2,7 +2,10 @@
 
 Counts are compared with the dense diagonalization of oracles.py run over
 Z/N, determinants with the same diagonalization over Z (kept to closures of
-at most 40 crossings, where its entries stay small).
+at most 40 crossings, where its entries stay small) and with a first minor
+eliminated over the rationals.  Every answer of fox_solution_space, which
+reads each diagram's kept system and feeds its rows right to left, is
+compared with the solve in crossing order on fresh strand columns.
 """
 
 import random
@@ -10,10 +13,17 @@ from itertools import islice
 
 import pytest
 
-from oracles import crossing_matrix, diagonal_count, link_invariant, strand_partition
+from oracles import (
+    crossing_matrix,
+    diagonal_count,
+    link_invariant,
+    minor_determinant,
+    reference_fox_solution_space,
+    strand_partition,
+)
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import determinant, fox_solution_space, link_determinant, verify_fox
-from tanglecert.diagram import components, parse_diagram
+from tanglecert.diagram import Diagram, components, parse_diagram, relabel, validate
 from tanglecert.tangle import denominator_closure, numerator_closure, rational_tangle
 
 MODULI = (2, 3, 4, 5, 9, 15, 97)
@@ -118,3 +128,59 @@ def test_link_determinant_matches_oracle_on_corpus(corpus_diagrams):
 def test_link_determinant_matches_oracle_on_small_and_split_diagrams(text):
     d = parse_diagram(text)
     assert link_determinant(d) == link_invariant(d)
+
+
+ORDER_MODULI = (2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 25, 27, 30, 49, 97)
+
+
+def shuffled(rng, d):
+    """d with its crossings in a random order and its labels permuted, validated."""
+    crossings = list(d.crossings)
+    rng.shuffle(crossings)
+    labels = sorted(d.arcs())
+    image = rng.sample(labels, len(labels))
+    out = relabel(Diagram(tuple(crossings), d.circles, d.boundary), dict(zip(labels, image)))
+    validate(out)
+    return out
+
+
+def assert_same_space(got, want, listed=40):
+    assert got.count == want.count
+    assert got.strands == want.strands
+    if want.count:
+        assert got._space.basis() == want._space.basis()
+    assert list(islice(got.colorings(cap=got.count), listed)) == list(
+        islice(want.colorings(cap=want.count), listed)
+    )
+    assert got.first_nonconstant() == want.first_nonconstant()
+    assert got.forced_equal_pair() == want.forced_equal_pair()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_row_order_changes_no_answer(corpus_diagrams, seed):
+    # 12 cases a seed, each over 15 moduli: 1,440 spaces compared in all
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(4):
+        d = random_closure(rng, rng.randint(2, 5), rng.randint(1, 40))
+        cases += [(d, {}), (shuffled(rng, d), {})]
+    tangles = sorted(name for name, t in corpus_diagrams.items() if len(t.boundary) == 4)
+    for name in rng.sample(tangles, 2):
+        t = corpus_diagrams[name]
+        cases.append((t, {e: 0 for e in t.boundary}))
+        cases.append((t, {e: rng.randrange(3) for e in t.boundary}))
+    for d, pins in cases:
+        for n in ORDER_MODULI:  # each diagram's kept system serves every modulus
+            assert_same_space(fox_solution_space(d, n, pins), reference_fox_solution_space(d, n, pins))
+
+
+def test_link_determinant_matches_the_rational_first_minor():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 24:
+        s = rng.randint(2, 5)
+        d = random_closure(rng, s, rng.randint(s, 60))
+        rows = crossing_matrix(d)
+        if rows and len(rows) == len(rows[0]):  # square: every component passes under
+            assert link_determinant(d) == minor_determinant(d)
+            checked += 1

@@ -1,10 +1,14 @@
 import random
 from itertools import islice
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cofactor_det, diagonal_count, diagonalize, invariant_product
+from tanglecert import linalg
+from tanglecert.braids import braid_closure
+from tanglecert.colorings import fox_matrix, link_determinant
 from tanglecert.linalg import (
     SolutionCapExceeded,
     abs_determinant,
@@ -37,10 +41,47 @@ def test_abs_determinant_matches_cofactor(m):
 
 
 def test_abs_determinant_lifts_past_a_small_prime():
-    # 3^40 needs more than the 61-bit Mersenne prime
+    # 3^40 needs more than the 64-bit prime at the head of the table
     m = [{i: 3} for i in range(40)]
     assert abs_determinant(m) == 3 ** 40
     assert abs_determinant([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 0
+
+
+def test_every_listed_proth_prime_is_proved_prime():
+    assert len(linalg._PROTH) == len(linalg._PRIMES) - len(linalg._MERSENNE_EXPONENTS)
+    for (k, m, a), p in zip(linalg._PROTH, linalg._PRIMES):
+        assert p == k * 2 ** m + 1
+        assert k % 2 == 1 and 0 < k < 2 ** m
+        assert pow(a, (p - 1) // 2, p) == p - 1  # Proth's theorem: p is prime
+
+
+def test_listed_primes_are_at_most_32_bits_apart_up_to_1024_bits():
+    bits = [p.bit_length() for p in linalg._PRIMES]
+    assert bits == sorted(bits)
+    assert bits[0] <= 64
+    top = next(i for i, b in enumerate(bits) if b >= 1024)
+    assert all(b - a <= 32 for a, b in zip(bits[: top + 1], bits[1 : top + 1]))
+    assert [(1 << e) - 1 for e in linalg._MERSENNE_EXPONENTS] == list(linalg._PRIMES[top + 1 :])
+
+
+def test_the_determinant_prime_is_the_first_above_its_bound(monkeypatch):
+    rng = random.Random(150)
+    word = [rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(150)]
+    d = braid_closure(word, 3)
+    moduli = []
+
+    class Recording(linalg._Echelon):
+        def __init__(self, n):
+            moduli.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(linalg, "_Echelon", Recording)
+    link_determinant(d)
+    rows, strands = fox_matrix(d)
+    last = len(strands) - 1
+    squared = prod(sum(v * v for c, v in row.items() if c != last) for row in rows[:-1])
+    assert moduli == [next(p for p in linalg._PRIMES if p * p > 4 * squared)]
+    assert moduli[0].bit_length() <= 232 < 521
 
 
 @given(small_matrices)

@@ -6,6 +6,7 @@ from oracles import canonical_form, reference_verify_certificate
 from tanglecert import persistence
 from tanglecert.colorings import (
     FoxColoring,
+    Quandle,
     determinant,
     dihedral,
     fox_solution_space,
@@ -304,6 +305,32 @@ class TestVerifyCertificate:
         )
         with pytest.raises(CertificateError, match=f" {label} has no color"):
             verify_certificate(t, bad, trials=2, seed=0)
+
+
+    @pytest.mark.parametrize("quandles", [(), (dihedral(3),)])
+    def test_oriented_tangle_verifies_like_its_unoriented_form(self, corpus_diagrams, quandles):
+        # the rational hosts are unsigned; signs do not enter these crossing rules
+        t = corpus_diagrams["fig1-krebes"]
+        oriented = orient(t)
+        moduli = [] if quandles else None
+        reports = [
+            verify_certificate(d, find_certificate(d, moduli, quandles), trials=20, seed=0).to_json()
+            for d in (t, oriented)
+        ]
+        assert reports[0]["passes"] > 0
+        assert reports[1] == reports[0]
+
+    def test_non_involutory_certificate_on_an_oriented_tangle_names_the_missing_hosts(
+        self, corpus_diagrams
+    ):
+        table = tuple(tuple((3 * a - 2 * b) % 7 for b in range(7)) for a in range(7))
+        alexander = Quandle(table, name="alexander-7-3")  # a * b = 3a - 2b over Z/7
+        assert not alexander.involutory
+        t = orient(corpus_diagrams["fig1-krebes"])
+        cert = find_certificate(t, [], (alexander,))
+        assert cert is not None
+        with pytest.raises(CertificateError, match="oriented rational hosts"):
+            verify_certificate(t, cert, trials=5, seed=0)
 
 
 def _verified_certificates(corpus):
