@@ -3,7 +3,7 @@
 Nothing here calls into the solver paths under test: strand merging is a
 separate union-find, counting is exhaustive backtracking over strand
 assignments, determinants use recursive cofactor expansion or Gaussian
-elimination over the stdlib Fraction type, fractions use Fraction too,
+elimination over the stdlib Fraction type, which fractions use as well,
 and the dense integer diagonalization below is the unimodular elimination
 over Z that the sparse modular solver replaced.
 reference_fox_solution_space is the Fox solve as it was before each
