@@ -5,13 +5,14 @@ two under-arc colors sum to twice the over-arc color.  The unknowns are
 strand classes (the two over-slot labels of a crossing always share a
 color), and the crossing relations form a sparse linear system solved
 exactly over Z/N for any modulus, composite or prime (see linalg).
-That system (the strand representatives, each label's column and each
-crossing's (under-in, over, under-out) columns) is built once per
-validated diagram, on the first solver call, and kept immutable in its
-instance dict beside the dart index; quandle_colorings, fox_matrix,
-fox_solution_space and link_determinant all read it.  Crossing rows enter
-the elimination right to left, in decreasing order of their rightmost
-column, so an incoming row mostly meets columns no pivot holds yet.
+That system (the strand representatives, each label's column, each
+crossing's (under-in, over, under-out) columns and the crossing rows in
+elimination order) is built once per validated diagram, on the first
+solver call, and kept immutable in its instance dict beside the dart
+index; quandle_colorings, fox_matrix, fox_solution_space and
+link_determinant all read it.  Crossing rows enter the elimination right
+to left, in decreasing order of their rightmost column, so an incoming
+row mostly meets columns no pivot holds yet.
 
 Quandle colorings generalize this: a crossing forces under_out = under_in
 * over (or its right inverse at negative crossings).  Dihedral quandles,
@@ -104,16 +105,22 @@ def fox_matrix(d: Diagram) -> tuple[list[dict[int, int]], list[int]]:
     on each under strand, summed when strands coincide (zeros dropped).
     Returns (rows, ordered strand representatives), both fresh copies.
     """
-    strands, _, triples = _strand_columns(d)
+    strands, _, triples, _ = _strand_columns(d)
     return _crossing_rows(triples), list(strands)
 
 
-def _strand_columns(
-    d: Diagram,
-) -> tuple[tuple[int, ...], Mapping[int, int], tuple[tuple[int, int, int], ...]]:
-    """(strands, col, triples): the strand representatives in order, each
-    label's column (the index of its strand), and each crossing's
-    (under-in, over, under-out) columns.
+_FoxSystem = tuple[
+    tuple[int, ...],
+    Mapping[int, int],
+    tuple[tuple[int, int, int], ...],
+    tuple[Mapping[int, int], ...],
+]
+
+
+def _strand_columns(d: Diagram) -> _FoxSystem:
+    """(strands, col, triples, rows): the strand representatives in order,
+    each label's column (the index of its strand), each crossing's
+    (under-in, over, under-out) columns, and the crossing rows right to left.
 
     A validated diagram keeps the system in its instance dict under "_fox"
     from the first call on; an unvalidated one keeps nothing.
@@ -125,7 +132,8 @@ def _strand_columns(
         index = {s: i for i, s in enumerate(strands)}
         col = {label: index[r] for label, r in rep.items()}
         triples = tuple((col[a], col[b], col[c]) for a, b, c, _ in [x.slots for x in d.crossings])
-        system = (strands, MappingProxyType(col), triples)
+        rows = tuple(MappingProxyType(row) for row in _right_to_left(_crossing_rows(triples)))
+        system = (strands, MappingProxyType(col), triples, rows)
         if "_valid" in d.__dict__:
             d.__dict__["_fox"] = system
     return system
@@ -222,7 +230,7 @@ def fox_solution_space(d: Diagram, modulus: int, pins: dict[int, int] | None = N
     """
     if modulus < 2:
         raise ColoringError("modulus must be at least 2")
-    strands, col, triples = _strand_columns(d)
+    strands, col, _, crossing_rows = _strand_columns(d)
     rows, rhs = [], []
     for label, value in (pins or {}).items():
         if label not in col:
@@ -230,8 +238,8 @@ def fox_solution_space(d: Diagram, modulus: int, pins: dict[int, int] | None = N
         rows.append({col[label]: 1})
         rhs.append(value)
     # pins go first: each fixes one unknown, and eliminating it first adds no fill
-    rows += _right_to_left(_crossing_rows(triples))
-    rhs += [0] * len(triples)
+    rows += crossing_rows
+    rhs += [0] * len(crossing_rows)
     space = linalg.solve_mod(rows, rhs, len(strands), modulus)
     return FoxSolutionSpace(d, modulus, list(strands), space, col)
 
@@ -279,13 +287,13 @@ def link_determinant(d: Diagram) -> int:
     """
     if d.boundary:
         raise ColoringError("link determinant is defined for closed diagrams")
-    rows, strands = fox_matrix(d)
+    strands, _, _, rows = _strand_columns(d)
     if len(strands) <= 1:
         return 1
     if len(rows) != len(strands):
         return 0
     last = len(strands) - 1
-    minor = [{c: v for c, v in row.items() if c != last} for row in rows[:-1]]
+    minor = [{c: v for c, v in row.items() if c != last} for row in rows[1:]]
     return linalg.abs_determinant(_right_to_left(minor))
 
 
@@ -445,7 +453,7 @@ def quandle_colorings(
     if not q.involutory and not d.oriented:
         raise ColoringError("orientation required for non-involutory quandle colorings")
     pins = pins or {}
-    strands, col, triples = _strand_columns(d)
+    strands, col, triples, _ = _strand_columns(d)
     for label, v in pins.items():
         if label not in col:
             raise ColoringError(f"pinned arc {label} is not in the diagram")

@@ -33,6 +33,7 @@ prime, where the next Mersenne prime above 2^127 - 1 has 521 bits.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -222,10 +223,11 @@ class ModularAffineSpace:
                 return
 
 
-def solve_mod(rows: list[dict[int, int]], rhs: list[int], n_vars: int, modulus: int) -> ModularAffineSpace:
+def solve_mod(rows: list[Mapping[int, int]], rhs: list[int], n_vars: int, modulus: int) -> ModularAffineSpace:
     """Solve rows * x = rhs (mod modulus) for x in (Z/modulus)^n_vars.
 
-    Each row is a sparse dict, column -> integer coefficient.  Rows enter
+    Each row is a sparse mapping (a dict, say), column -> integer
+    coefficient; the rows are not changed.  Rows enter
     the elimination in order, so rows that fix single unknowns (pins) are
     cheapest first.
     """
@@ -270,7 +272,7 @@ _PRIMES = tuple((k << m) + 1 for k, m, _ in _PROTH) + tuple(
 )
 
 
-def abs_determinant(rows: list[dict[int, int]]) -> int:
+def abs_determinant(rows: list[Mapping[int, int]]) -> int:
     """|det| of the square integer matrix with these sparse rows (columns 0..len(rows)-1).
 
     Eliminates modulo the first listed prime P > 2 * H, where H is the

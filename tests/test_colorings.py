@@ -87,10 +87,12 @@ class TestKeptFoxSystem:
     def test_the_kept_system_is_immutable(self):
         d = closure_3x50()
         fox_solution_space(d, 3)
-        strands, col, triples = d.__dict__["_fox"]
-        assert isinstance(strands, tuple) and isinstance(triples, tuple)
+        strands, col, triples, rows = d.__dict__["_fox"]
+        assert isinstance(strands, tuple) and isinstance(triples, tuple) and isinstance(rows, tuple)
         with pytest.raises(TypeError):
             col[1] = 0
+        with pytest.raises(TypeError):
+            rows[0][0] = 1
 
     def test_a_solved_diagram_still_pickles_and_copies(self):
         import copy

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import cofactor_det, diagonal_count, diagonalize, invariant_product
 from tanglecert import linalg
 from tanglecert.braids import braid_closure
-from tanglecert.colorings import fox_matrix, link_determinant
+from tanglecert.colorings import link_determinant
 from tanglecert.linalg import (
     SolutionCapExceeded,
     abs_determinant,
@@ -68,18 +68,24 @@ def test_the_determinant_prime_is_the_first_above_its_bound(monkeypatch):
     rng = random.Random(150)
     word = [rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(150)]
     d = braid_closure(word, 3)
-    moduli = []
+    minors, moduli = [], []
+    abs_determinant = linalg.abs_determinant
+
+    def recording_determinant(rows):
+        minors.append(rows)
+        return abs_determinant(rows)
 
     class Recording(linalg._Echelon):
         def __init__(self, n):
             moduli.append(n)
             super().__init__(n)
 
+    monkeypatch.setattr(linalg, "abs_determinant", recording_determinant)
     monkeypatch.setattr(linalg, "_Echelon", Recording)
     link_determinant(d)
-    rows, strands = fox_matrix(d)
-    last = len(strands) - 1
-    squared = prod(sum(v * v for c, v in row.items() if c != last) for row in rows[:-1])
+    (minor,) = minors
+    assert len(minor) == 149
+    squared = prod(sum(v * v for v in row.values()) for row in minor)  # H^2
     assert moduli == [next(p for p in linalg._PRIMES if p * p > 4 * squared)]
     assert moduli[0].bit_length() <= 232 < 521
 
