@@ -293,6 +293,7 @@ def link_determinant(d: Diagram) -> int:
     if len(rows) != len(strands):
         return 0
     last = len(strands) - 1
+    # any row may go with the last column: all first minors agree up to sign
     minor = [{c: v for c, v in row.items() if c != last} for row in rows[1:]]
     return linalg.abs_determinant(_right_to_left(minor))
 

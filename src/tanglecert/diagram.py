@@ -35,11 +35,12 @@ array('i')) in its instance dict; later calls on the same object return
 at once, and every structural read takes that index.  Only validate and
 faces() walk every face.  The first coloring solver call on a validated
 diagram keeps its Fox system (colorings._strand_columns: strand
-representatives, label columns and crossing triples, immutable) beside
-the index; validate does not build it, and an unvalidated diagram keeps
-nothing.  validate rejects a Diagram whose fields, or a Crossing whose
-slots, are not tuples, so a marked object cannot change after the
-check, and labels the index cannot hold (not integers below 2**31).
+representatives, label columns, crossing triples and crossing rows,
+immutable) beside the index; validate does not build it, and an
+unvalidated diagram keeps nothing.  validate rejects a Diagram whose
+fields, or a Crossing whose slots, are not tuples, so a marked object
+cannot change after the check, and labels the index cannot hold (not
+integers below 2**31).
 parse_diagram and every public constructor return validated diagrams.
 Intermediates that never leave a function (the tangle sum inside
 insert_into_host, for one) are not validated.

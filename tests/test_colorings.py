@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,8 +51,6 @@ class TestVerifyFox:
 
 
 def closure_3x50():
-    import random
-
     rng = random.Random(50)
     word = [rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(50)]
     return parse_diagram(serialize(braid_closure(word, 3)))
@@ -107,15 +107,14 @@ class TestKeptFoxSystem:
     def test_mutating_the_returned_matrix_changes_no_later_count(self):
         d = closure_3x50()
         before = {n: fox_solution_space(d, n).count for n in (3, 5, 97)}
+        matrix = fox_matrix(d)
         rows, strands = fox_matrix(d)
         for row in rows:
             row.clear()
         strands.reverse()
-        space = fox_solution_space(d, 3)
-        space.strands.clear()
+        fox_solution_space(d, 3).strands.clear()
         assert {n: fox_solution_space(d, n).count for n in (3, 5, 97)} == before
-        assert fox_matrix(d)[1] == sorted(fox_matrix(d)[1])
-        assert all(fox_matrix(d)[0])
+        assert fox_matrix(d) == matrix
 
 
 class TestSolutionSpace:
