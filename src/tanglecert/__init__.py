@@ -10,7 +10,8 @@ The layers, bottom up:
 
 - diagram:     planar diagram (PD) codes, faces, components, validation
 - colorings:   Fox coloring solver (any modulus, exact counts), finite
-               quandles, determinants
+               quandles, determinants, and the one crossing rule and
+               coloring check every other layer uses
 - moves:       Reidemeister rewriting with consistent recoloring, and the
                face-path transport that carries an arc next to another
 - tangle:      closures, addition, mirrors, rational tangles and their
@@ -39,7 +40,6 @@ from .colorings import (
     quandle_colorings,
     validate_quandle,
     verify_coloring,
-    verify_fox,
 )
 from .diagram import (
     ArcOccurrenceError,

@@ -19,6 +19,9 @@ Quandle colorings generalize this: a crossing forces under_out = under_in
 a*b = 2b - a, reproduce Fox colorings and are involutory, so they accept
 unoriented diagrams.  They are enumerated by one loop over strand indices:
 a propagation worklist, an undo trail and an explicit backtracking stack.
+
+The crossing rule (_crossing_rule) and the one loop that checks it
+(_broken_crossing) live here, for both kinds; moves and persistence call them.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ __all__ = [
     "quandle_colorings",
     "validate_quandle",
     "verify_coloring",
-    "verify_fox",
 ]
 
 DEFAULT_CAP = 10 ** 6
@@ -83,19 +85,6 @@ class FoxColoring:
             if self.colors[a] % self.modulus != self.colors[b] % self.modulus:
                 return (a, b)
         return None
-
-
-def verify_fox(d: Diagram, c: FoxColoring) -> bool:
-    """Check every crossing relation and over-strand color agreement mod N."""
-    n = c.modulus
-    for label in d.arcs():
-        if label not in c.colors:
-            raise ColoringError(f"no color assigned to arc {label}")
-    for x in d.crossings:
-        s0, s1, s2, s3 = (c.colors[s] % n for s in x.slots)
-        if s1 != s3 or (s0 + s2 - 2 * s1) % n != 0:
-            return False
-    return True
 
 
 def fox_matrix(d: Diagram) -> tuple[list[dict[int, int]], list[int]]:
@@ -299,15 +288,24 @@ def link_determinant(d: Diagram) -> int:
 
 
 # ---------------------------------------------------------------------------
-# quandles
+# quandles, and the crossing rule of both kinds of coloring
 
 
 @dataclass(frozen=True)
 class Quandle:
-    """Finite quandle given by its Cayley table: table[a][b] = a * b."""
+    """Finite quandle given by its Cayley table, table[a][b] = a * b; validated when built."""
 
     table: tuple[tuple[int, ...], ...]
     name: str = ""
+
+    def __post_init__(self):
+        """Validate the table once and keep its right inverse: _inverse[a * b][b] = a."""
+        validate_quandle(self)
+        inverse = [list(row) for row in self.table]
+        for a, row in enumerate(self.table):
+            for b, c in enumerate(row):
+                inverse[c][b] = a
+        object.__setattr__(self, "_inverse", tuple(map(tuple, inverse)))
 
     @property
     def size(self) -> int:
@@ -318,17 +316,7 @@ class Quandle:
 
     def inv(self, a: int, b: int) -> int:
         """The unique c with c * b = a."""
-        return self._inverse()[a][b]
-
-    def _inverse(self):
-        if not hasattr(self, "_inv_cache"):
-            n = self.size
-            inv = [[0] * n for _ in range(n)]
-            for b in range(n):
-                for a in range(n):
-                    inv[self.table[a][b]][b] = a
-            object.__setattr__(self, "_inv_cache", tuple(tuple(r) for r in inv))
-        return self._inv_cache
+        return self._inverse[a][b]
 
     @property
     def involutory(self) -> bool:
@@ -396,9 +384,7 @@ def parse_quandle(text: str, name: str = "") -> Quandle:
     except ValueError as exc:
         raise ColoringError(f"bad quandle entry: {exc}") from None
     table = tuple(tuple(values[i * n: (i + 1) * n]) for i in range(n))
-    q = Quandle(table, name=name)
-    validate_quandle(q)
-    return q
+    return Quandle(table, name=name)
 
 
 @dataclass(frozen=True)
@@ -450,7 +436,6 @@ def quandle_colorings(
     Non-involutory quandles need an oriented diagram; dihedral (and any
     involutory) quandles accept unoriented input.
     """
-    validate_quandle(q)
     if not q.involutory and not d.oriented:
         raise ColoringError("orientation required for non-involutory quandle colorings")
     pins = pins or {}
@@ -462,7 +447,7 @@ def quandle_colorings(
             raise ColoringError(f"pin value {v} outside the quandle")
     # a rule is (under-in, over, under-out, forward table, backward table): at a
     # positive crossing under-out = under-in * over, at a negative one the inverse
-    table, inverse = q.table, q._inverse()
+    table, inverse = q.table, q._inverse
     rules: list[list[tuple]] = [[] for _ in strands]
     for (u_in, over, u_out), x in zip(triples, d.crossings):
         forward, backward = (table, inverse) if x.sign >= 0 else (inverse, table)
@@ -516,23 +501,49 @@ def quandle_colorings(
     return QuandleSearch(found, True)
 
 
+def _crossing_rule(coloring, oriented: bool):
+    """(values, forward, backward): the colors as the rule reads them, reduced
+    mod N (Fox) or range-checked (quandle; the coloring's own dict when
+    unchanged), and the rule: under-out = forward(under-in, over) and
+    under-in = backward(under-out, over) at a positive or unsigned crossing,
+    swapped at a negative one.  Fox: 2*over - under both ways.  Quandle: the
+    table and its inverse, so a non-involutory one needs an oriented diagram.
+    """
+    colors = coloring.colors
+    low, high = min(colors.values(), default=0), max(colors.values(), default=0)
+    if isinstance(coloring, FoxColoring):
+        n = coloring.modulus
+        if low < 0 or high >= n:
+            colors = {label: v % n for label, v in colors.items()}
+        fox = lambda a, b: (2 * b - a) % n
+        return colors, fox, fox
+    q = coloring.quandle
+    if not oriented and not q.involutory:
+        raise ColoringError("orientation required for a non-involutory quandle coloring")
+    if low < 0 or high >= q.size:
+        label, v = next((label, v) for label, v in colors.items() if not 0 <= v < q.size)
+        raise ColoringError(f"arc {label} has color {v}, outside the quandle")
+    table, inverse = q.table, q._inverse
+    return colors, (lambda a, b: table[a][b]), (lambda a, b: inverse[a][b])
+
+
+def _broken_crossing(d: Diagram, coloring):
+    """The first crossing of d whose relation the coloring breaks, or None;
+    ColoringError when an arc has no color or the rule rejects a value."""
+    values, forward, backward = _crossing_rule(coloring, d.oriented)
+    get, broken = values.__getitem__, None
+    try:
+        for x in d.crossings:  # every one, so that a missing color anywhere raises
+            a, b, c, e = map(get, x.slots)
+            if broken is None and (b != e or c != (forward if x.sign >= 0 else backward)(a, b)):
+                broken = x
+        for label in (*d.circles, *d.boundary):  # circles and crossing-free strands
+            get(label)
+    except KeyError as exc:
+        raise ColoringError(f"no color assigned to arc {exc.args[0]}") from None
+    return broken
+
+
 def verify_coloring(d: Diagram, coloring) -> bool:
     """Check a Fox or quandle coloring against every crossing of d."""
-    if isinstance(coloring, FoxColoring):
-        return verify_fox(d, coloring)
-    q = coloring.quandle
-    involutory = q.involutory
-    if not involutory and not d.oriented:
-        raise ColoringError("orientation required to verify this quandle coloring")
-    colors = coloring.colors
-    for label in d.arcs():
-        if label not in colors:
-            raise ColoringError(f"no color assigned to arc {label}")
-    for x in d.crossings:
-        a, b, c, b2 = (colors[s] for s in x.slots)
-        if b != b2:
-            return False
-        expect = q.op(a, b) if x.sign >= 0 else q.inv(a, b)
-        if c != expect:
-            return False
-    return True
+    return _broken_crossing(d, coloring) is None

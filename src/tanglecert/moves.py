@@ -2,12 +2,11 @@
 
 Moves operate on unoriented diagrams and return a new diagram plus a
 replayable MoveRecord.  Recoloring is local: every untouched arc keeps its
-color, and the crossing rule (2*over - under mod N for Fox colorings, the
-quandle table for quandle ones, involutory since the diagrams are
-unoriented) fixes each changed label from the crossings around the move
-site; the result is then checked on every crossing.  Counts of colorings
-are preserved by all three move types, which the test suite exercises
-directly.
+color, and the crossing rule fixes each changed label from the crossings
+around the move site; the result is then checked on every crossing.  Both
+the rule and the check come from colorings (an involutory quandle's, since
+the diagrams are unoriented).  Counts of colorings are preserved by all
+three move types, which the test suite exercises directly.
 
 The transport routine repeatedly pushes a chosen arc across faces (always
 passing over the obstructions, so the mover keeps its color) along a
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .colorings import FoxColoring, QuandleColoring
+from .colorings import ColoringError, _broken_crossing, _crossing_rule
 from .diagram import (
     _CAP,
     Crossing,
@@ -279,21 +278,15 @@ def undo_move(d: Diagram, rec: MoveRecord) -> tuple[Diagram, MoveRecord]:
 def recolor_after_move(coloring, rec: MoveRecord, after: Diagram):
     """The unique coloring of `after` agreeing with the old one off the move site.
 
-    Raises MoveError when the old coloring does not extend: it breaks a
-    crossing of `after`, or leaves an arc of it without a color.
+    Raises MoveError when the old coloring does not extend: the crossing
+    rule rejects it, it breaks a crossing of `after`, or it leaves an arc of
+    it without a color.
     """
-    if isinstance(coloring, FoxColoring):
-        n = coloring.modulus
-        colors = {label: value % n for label, value in coloring.colors.items()}
-        op = lambda a, b: (2 * b - a) % n
-    elif isinstance(coloring, QuandleColoring) and coloring.quandle.involutory:
-        n, table = coloring.quandle.size, coloring.quandle.table
-        colors = dict(coloring.colors)
-        op = lambda a, b: table[a][b]
-    else:
-        raise MoveError("recoloring needs a Fox coloring or an involutory quandle")
-    if not all(0 <= value < n for value in colors.values()):
-        raise MoveError("a color lies outside the quandle")
+    try:
+        values, forward, backward = _crossing_rule(coloring, after.oriented)
+    except ColoringError as exc:
+        raise MoveError(f"cannot recolor: {exc}") from None
+    colors = dict(values)  # the rule's values may be the coloring's own dict
     changed = rec.changed_labels()
     for label in changed:
         colors.pop(label, None)
@@ -316,22 +309,21 @@ def recolor_after_move(coloring, rec: MoveRecord, after: Diagram):
             continue
         forced = {b: over, e: over}
         if a in colors:
-            forced[c] = op(colors[a], over)
+            forced[c] = forward(colors[a], over)  # the moves leave every crossing unsigned
         elif c in colors:
-            forced[a] = op(colors[c], over)
+            forced[a] = backward(colors[c], over)
         for label, value in forced.items():
             if label not in colors:
                 colors[label] = value
                 work += ends(label)
     try:
-        out = {label: colors[label] for label in after.arcs()}
+        out = replace(coloring, colors={label: colors[label] for label in after.arcs()})
     except KeyError as exc:
         raise MoveError(f"recoloring leaves arc {exc.args[0]} without a color") from None
-    for x in after.crossings:
-        a, b, c, e = (out[label] for label in x.slots)
-        if b != e or c != op(a, b):
-            raise MoveError(f"the coloring does not extend across crossing {x.slots}")
-    return replace(coloring, colors=out)
+    broken = _broken_crossing(after, out)
+    if broken is not None:
+        raise MoveError(f"the coloring does not extend across crossing {broken.slots}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ A certificate for a tangle is a nontrivial coloring that gives every
 boundary endpoint the same color.  Whatever diagram the tangle appears in,
 the rest of that diagram can be colored by that one constant, producing a
 nontrivial coloring of the whole knot; the knot is therefore nontrivial.
-verify_certificate exercises exactly this argument: it checks the coloring
-on the tangle itself, then over sampled host tangles, so the soundness of
-each emitted certificate is tested, not assumed.  Hosts are drawn with
-replacement, and each distinct host closure is glued and checked once per
-call.
+One exact check, _check_certificate, holds every certificate to this: the
+endpoints carry the boundary color, the witness arcs differ, and every
+crossing relation holds (colorings' one loop).  Every emitter (the cuts and
+the search) runs it, and verify_certificate runs it on the tangle and then
+on each distinct sampled host closure, glued once per call.
 
 The cut constructions manufacture certified tangles from nontrivially
 colored knot diagrams: cutting one arc twice, or two same-colored arcs once
@@ -29,6 +29,8 @@ from .colorings import (
     FoxColoring,
     Quandle,
     QuandleColoring,
+    _broken_crossing,
+    _crossing_rule,
     fox_solution_space,
     link_determinant,
     quandle_colorings,
@@ -133,19 +135,31 @@ class PersistenceCertificate:
         }
 
 
-def _check_certificate_shape(t: Diagram, cert: PersistenceCertificate) -> None:
-    colors = cert.coloring.colors
+def _check_certificate(t: Diagram, cert: PersistenceCertificate) -> None:
+    """Every endpoint has the boundary color, the witness arcs of t differ and
+    every crossing relation holds, comparing colors as the crossing rule
+    reads them (Fox ones mod N); else CertificateError naming the fault."""
+    for label in (*t.boundary, *cert.witness):
+        if label not in cert.coloring.colors or not _has_arc(t, label):
+            raise CertificateError(f"endpoint or witness arc {label} has no color on t")
+    try:
+        values, _, _ = _crossing_rule(cert.coloring, t.oriented)
+        broken = _broken_crossing(t, cert.coloring)
+    except ColoringError as exc:
+        raise CertificateError(f"cannot check the certificate on the tangle: {exc}") from None
+    fill = cert.boundary_color
+    if isinstance(cert.coloring, FoxColoring):
+        fill %= cert.coloring.modulus
     for e in t.boundary:
-        if e not in colors:
-            raise CertificateError(f"endpoint {e} has no color")
-        if colors[e] != cert.boundary_color:
+        if values[e] != fill:
             raise CertificateError(f"endpoint {e} is not boundary-colored")
     a, b = cert.witness
-    for w in (a, b):
-        if w not in colors:
-            raise CertificateError(f"witness arc {w} has no color")
-    if colors[a] == colors[b]:
+    if values[a] == values[b]:
         raise CertificateError("witness arcs carry equal colors")
+    if broken is not None:
+        raise CertificateError(
+            f"certificate coloring breaks a crossing relation of the tangle at {broken.slots}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +177,23 @@ def _cut_places(d: Diagram, arcs: list[int]) -> list[tuple[int, int]]:
     return places
 
 
-def cut_arc_once(d: Diagram, arc: int) -> Diagram:
-    """Disconnect one arc of a closed 1-component diagram: a 1-tangle."""
+def _require_cuttable(d: Diagram, coloring=None) -> None:
+    """What every cut needs: a closed 1-component diagram and, when a
+    coloring comes with it, one that is nontrivial and valid on d."""
     if d.boundary:
         raise DiagramError("cut operations need a closed diagram")
     if len(components(d)) != 1:
         raise DiagramError("cut operations need a 1-component diagram")
+    if coloring is not None:
+        if not coloring.nontrivial:
+            raise CertificateError("a trivial coloring certifies nothing")
+        if not verify_coloring(d, coloring):
+            raise CertificateError("coloring is not valid on the diagram")
+
+
+def cut_arc_once(d: Diagram, arc: int) -> Diagram:
+    """Disconnect one arc of a closed 1-component diagram: a 1-tangle."""
+    _require_cuttable(d)
     if arc in d.circles:
         out = Diagram(d.crossings, tuple(k for k in d.circles if k != arc), (arc, arc))
         validate(out)
@@ -190,14 +215,7 @@ def cut_arc_twice(d: Diagram, coloring, arc: int):
     boundary color is coloring[arc]; the coloring must be nontrivial or the
     certificate would be vacuous.
     """
-    if d.boundary:
-        raise DiagramError("cut operations need a closed diagram")
-    if not coloring.nontrivial:
-        raise CertificateError("a trivial coloring certifies nothing")
-    if not verify_coloring(d, coloring):
-        raise CertificateError("coloring is not valid on the diagram")
-    if arc in d.circles:
-        raise DiagramError("cut the circle once to get the trivial 1-tangle")
+    _require_cuttable(d, coloring)  # rules out a circle too: alone, it has no nontrivial coloring
     if not _has_arc(d, arc):
         raise DiagramError(f"unknown arc {arc}")
     (far,) = _cut_places(d, [arc])
@@ -216,7 +234,7 @@ def cut_arc_twice(d: Diagram, coloring, arc: int):
         boundary_color=colors[arc],
         witness=new_coloring.witness(),
     )
-    _check_certificate_shape(out, cert)
+    _check_certificate(out, cert)
     return out, cert
 
 
@@ -249,18 +267,11 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
     the mover around the destination strand before cutting, adding one
     same-signed crossing between the tangle's open strands per pass.
     """
-    if d.boundary:
-        raise DiagramError("cut operations need a closed diagram")
-    if len(components(d)) != 1:
-        raise DiagramError("cut operations need a 1-component diagram")
+    _require_cuttable(d, coloring)
     if a1 == a2:
         raise DiagramError("need two distinct arcs")
-    if not coloring.nontrivial:
-        raise CertificateError("a trivial coloring certifies nothing")
     if coloring.colors[a1] != coloring.colors[a2]:
         raise CertificateError(f"arcs {a1} and {a2} carry different colors")
-    if not verify_coloring(d, coloring):
-        raise CertificateError("coloring is not valid on the diagram")
     moved = r2_transport(d, coloring, a1, a2)
     d, coloring, mover, records = moved.diagram, moved.coloring, moved.segment, moved.records
     dest_labels = [a2]
@@ -306,7 +317,7 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
         witness=cert_coloring.witness(),
         moves=records,
     )
-    _check_certificate_shape(t, cert)
+    _check_certificate(t, cert)
     return t, cert, records
 
 
@@ -330,35 +341,28 @@ def ensure_same_colored_pair(d: Diagram, coloring):
     """A same-colored arc pair, creating one by an R2 move if necessary.
 
     Some colorings give every arc a different color; pushing one arc over
-    another mints a segment colored 2*over - under, which can be made to
-    collide with an existing color.  Returns (diagram, coloring, pair,
-    records).
+    another mints a segment colored by the crossing rule, under * over,
+    which can be made to collide with an existing color.  Returns (diagram,
+    coloring, pair, records).
     """
     pairs = find_same_colored_pairs(d, coloring)
     if pairs:
         return d, coloring, pairs[0], []
-    if not isinstance(coloring, FoxColoring):
-        raise CertificateError("pair creation is implemented for Fox colorings")
-    n = coloring.modulus
-    colors = coloring.colors
-    fs = faces(d)
-    for f in fs:
+    colors, forward, _ = _crossing_rule(coloring, d.oriented)
+    arcs = sorted(d.arcs())
+    for f in faces(d):
         for mover in sorted(f.arcs):
             for target in sorted(f.arcs):
                 if mover == target:
                     continue
-                minted = (2 * colors[mover] - colors[target]) % n
-                match = [
-                    a
-                    for a in sorted(d.arcs())
-                    if colors[a] % n == minted and a not in (mover, target)
-                ]
+                minted = forward(colors[target], colors[mover])  # target's middle, under mover
+                match = [a for a in arcs if colors[a] == minted and a not in (mover, target)]
                 if not match:
                     continue
                 d2, rec = apply_r2_over(d, mover, target)
                 c2 = recolor_after_move(coloring, rec, d2)
                 pair = (rec.fresh[2], match[0])  # the new middle segment of target
-                assert c2.colors[pair[0]] % n == c2.colors[pair[1]] % n
+                assert c2.colors[pair[0]] == c2.colors[pair[1]]
                 return d2, c2, pair, [rec]
     raise CertificateError("no same-colored pair can be created by one move")
 
@@ -445,10 +449,8 @@ def find_certificate_report(
         space = fox_solution_space(t, n, pins={e: 0 for e in t.boundary})
         cert_coloring = space.first_nonconstant()
         if cert_coloring is not None:
-            cert = PersistenceCertificate(
-                ("fox", n), cert_coloring, 0, cert_coloring.witness()
-            )
-            _check_certificate_shape(t, cert)
+            cert = PersistenceCertificate(("fox", n), cert_coloring, 0, cert_coloring.witness())
+            _check_certificate(t, cert)
             report.entries.append({"fox": n, "found": True})
             report.certificate = cert
             return report
@@ -463,7 +465,7 @@ def find_certificate_report(
             hit = next((qc for qc in search if qc.nontrivial), None)
             if hit is not None:
                 cert = PersistenceCertificate(("quandle", q), hit, v, hit.witness())
-                _check_certificate_shape(t, cert)
+                _check_certificate(t, cert)
                 report.entries.append({"quandle": q.name or "table", "pin": v, "found": True})
                 report.certificate = cert
                 return report
@@ -523,14 +525,12 @@ def verify_certificate(
 ) -> VerificationReport:
     """Insert the tangle into sampled hosts and check the extended coloring.
 
-    The coloring is first checked on the tangle itself, so a certificate
-    whose crossing relations fail raises even when every sampled closure is
-    a link.  Then every 1-component closure must admit the monochromatic
-    extension as a valid nontrivial coloring; a failing host raises with
-    the counterexample diagram serialized.  Multi-component closures are
-    listed as skipped.  Hosts are drawn with replacement, so each distinct
-    host is built, and each of its closures glued and checked, once per
-    call; a repeated draw lists a copy of the first entry.
+    _check_certificate runs first on the tangle, so a broken certificate
+    raises even when every sampled closure is a link, and then on the
+    monochromatic extension over each 1-component closure; a failing host
+    raises with the closure serialized, and a link closure is skipped.
+    Each distinct host and closure is built and checked once per call; a
+    repeated draw lists a copy of the first entry.
 
     The rational hosts are unsigned.  Signs do not enter the crossing rule
     of a Fox or involutory quandle coloring, so an oriented tangle with
@@ -538,13 +538,7 @@ def verify_certificate(
     certificate on an oriented tangle would need oriented hosts, and
     raises.
     """
-    _check_certificate_shape(t, cert)
-    try:
-        valid = verify_coloring(t, cert.coloring)
-    except ColoringError as exc:
-        raise CertificateError(f"cannot check the certificate on the tangle: {exc}") from None
-    if not valid:
-        raise CertificateError("certificate coloring breaks a crossing relation of the tangle")
+    _check_certificate(t, cert)
     if t.oriented:
         if isinstance(cert.coloring, QuandleColoring) and not cert.coloring.quandle.involutory:
             raise CertificateError(
@@ -605,12 +599,12 @@ def _check_closure(
         return entry
     get, fill = cert.coloring.colors.get, cert.boundary_color
     colors = {a: get(a, fill) for a in (*labels, *dgm.circles)}
-    ext = replace(cert.coloring, colors=colors)
-    wa, wb = cert.witness
-    if not (verify_coloring(dgm, ext) and colors[wa] != colors[wb]):
+    try:
+        _check_certificate(dgm, replace(cert, coloring=replace(cert.coloring, colors=colors)))
+    except CertificateError:
         raise CertificateError(
             f"certificate fails on host {name} ({closure} closure):\n" + serialize(dgm)
-        )
+        ) from None
     entry["result"] = "pass"
     return entry
 

@@ -30,6 +30,9 @@ host closure once replaced: it builds every sampled host and glues, counts
 and checks every closure, repeats included.
 canonical_form, a relabeling-invariant rendering that only tests compare,
 reads the library's dart pairing.
+reference_verify_coloring is the coloring check as it was before the
+crossing rule lived in one place: the Fox relation written out mod N, and
+a quandle coloring read off its table, with no inverse table.
 """
 
 import random
@@ -65,7 +68,7 @@ from tanglecert.moves import MoveError, apply_r2_over
 from tanglecert.persistence import (
     CertificateError,
     VerificationReport,
-    _check_certificate_shape,
+    _check_certificate,
     _east_cap,
     _random_twists,
 )
@@ -762,7 +765,7 @@ def reference_recolor_after_move(coloring, rec, after):
 
 def reference_verify_certificate(t, cert, trials=100, seed=0):
     """verify_certificate building every drawn host and every closure afresh."""
-    _check_certificate_shape(t, cert)
+    _check_certificate(t, cert)
     rng = random.Random(seed)
     report = VerificationReport()
     one_tangle = len(t.boundary) == 2
@@ -803,6 +806,31 @@ def reference_verify_certificate(t, cert, trials=100, seed=0):
             report.passes += 1
             report.entries.append(entry)
     return report
+
+
+def reference_verify_coloring(d, coloring):
+    """Every arc colored (else ColoringError), then every crossing: the over
+    colors agree, and under-out = under-in * over at a positive or unsigned
+    crossing, under-out * over = under-in at a negative one."""
+    colors = coloring.colors
+    for label in d.arcs():
+        if label not in colors:
+            raise ColoringError(f"no color assigned to arc {label}")
+    if isinstance(coloring, FoxColoring):
+        n = coloring.modulus
+        for x in d.crossings:
+            s0, s1, s2, s3 = (colors[s] % n for s in x.slots)
+            if s1 != s3 or (s0 + s2 - 2 * s1) % n != 0:
+                return False
+        return True
+    table = coloring.quandle.table
+    if any(not 0 <= v < len(table) for v in colors.values()):
+        raise ColoringError("a color lies outside the quandle")
+    for x in d.crossings:
+        a, b, c, e = (colors[s] for s in x.slots)
+        if b != e or (table[a][b] != c if x.sign >= 0 else table[c][b] != a):
+            return False
+    return True
 
 
 def canonical_form(d):

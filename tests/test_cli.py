@@ -223,6 +223,45 @@ class TestCut:
         assert err.strip() == "error: cut operations need a 1-component diagram"
 
 
+    def test_one_arc_cut_of_a_link_exits_2(self, capsys, corpus_dir, tmp_path):
+        code, _, err = run(
+            capsys, "cut", str(corpus_dir / "hopf.pd"), "--arc", "1", "--mod", "2",
+            "--out", str(tmp_path / "nope"),
+        )
+        assert code == 2 and err.strip() == "error: cut operations need a 1-component diagram"
+        assert not (tmp_path / "nope.pd").exists()
+
+
+# (golden file stem, cut arguments): the files `cut` writes, written before the
+# crossing rule and the certificate check moved into one place each, and diffed
+# by the CI step "cut and quandle output unchanged"
+CUT_GOLDEN = [
+    ("trefoil.cut-arc1", ["trefoil", "--arc", "1", "--mod", "3"]),
+    ("trefoil.cut-arc1-arc6-passes2", ["trefoil", "--arc", "1", "--arc2", "6", "--mod", "3", "--passes", "2"]),
+    ("8_16.cut-arc3-arc12-mod5", ["8_16", "--arc", "3", "--arc2", "12", "--mod", "5"]),  # 2 R2 moves
+]
+
+
+@pytest.mark.parametrize("stem,argv", CUT_GOLDEN, ids=[stem for stem, _ in CUT_GOLDEN])
+def test_cut_output_matches_golden(capsys, corpus_dir, monkeypatch, tmp_path, stem, argv):
+    monkeypatch.chdir(tmp_path)  # the certificate names the tangle file as given
+    name, *rest = argv
+    code, _, err = run(capsys, "cut", str(corpus_dir / f"{name}.pd"), *rest, "--out", stem)
+    assert code == 0, err
+    for suffix in (".pd", ".cert.json"):
+        golden = corpus_dir.parent / "tests" / "expected" / f"{stem}{suffix}"
+        assert (tmp_path / f"{stem}{suffix}").read_text() == golden.read_text(), suffix
+
+
+def test_quandle_color_output_matches_golden(capsys, corpus_dir, monkeypatch):
+    monkeypatch.chdir(corpus_dir.parent)
+    code, out, err = run(
+        capsys, "color", "corpus/trefoil.pd", "--quandle", "corpus/d3.q", "--enumerate", "20", "--json"
+    )
+    assert code == 0, err
+    assert out == Path("tests", "expected", "trefoil.color-d3.json").read_text()
+
+
 class TestBuild:
     def test_rational_closure(self, capsys, tmp_path):
         out_path = tmp_path / "tre"

@@ -20,7 +20,6 @@ from tanglecert.colorings import (
     quandle_colorings,
     validate_quandle,
     verify_coloring,
-    verify_fox,
 )
 from tanglecert import colorings
 from tanglecert.braids import braid_closure
@@ -32,22 +31,22 @@ TRICOLORING = {1: 0, 6: 0, 2: 1, 3: 1, 4: 2, 5: 2}
 
 class TestVerifyFox:
     def test_trefoil_tricoloring(self, trefoil):
-        assert verify_fox(trefoil, FoxColoring(3, TRICOLORING))
+        assert verify_coloring(trefoil, FoxColoring(3, TRICOLORING))
 
     def test_constant_coloring_always_valid(self, corpus_diagrams):
         for d in corpus_diagrams.values():
             c = FoxColoring(5, {a: 2 for a in d.arcs()})
-            assert verify_fox(d, c)
+            assert verify_coloring(d, c)
             assert not c.nontrivial
 
     def test_bad_assignment_rejected(self, trefoil):
         colors = dict(TRICOLORING)
         colors[4] = colors[5] = 1  # strand {4,5} recolored 1: relation breaks
-        assert not verify_fox(trefoil, FoxColoring(3, colors))
+        assert not verify_coloring(trefoil, FoxColoring(3, colors))
 
     def test_missing_arc_raises(self, trefoil):
         with pytest.raises(ColoringError):
-            verify_fox(trefoil, FoxColoring(3, {1: 0}))
+            verify_coloring(trefoil, FoxColoring(3, {1: 0}))
 
 
 def closure_3x50():
@@ -155,7 +154,7 @@ class TestSolutionSpace:
         space = fox_solution_space(trefoil, 3)
         sols = list(space.colorings())
         assert len(sols) == space.count
-        assert all(verify_fox(trefoil, c) for c in sols)
+        assert all(verify_coloring(trefoil, c) for c in sols)
 
     def test_forced_equal_pair_beyond_4096_solutions(self):
         # the trefoil has only constant colorings mod 97; each circle is free
@@ -171,7 +170,7 @@ class TestSolutionSpace:
         space = fox_solution_space(parse_diagram("O 1 ; O 2 ; O 3 ; O 4"), 97)
         assert space.count == 97 ** 4
         c = space.first_nonconstant()
-        assert c is not None and c.nontrivial and verify_fox(space.diagram, c)
+        assert c is not None and c.nontrivial and verify_coloring(space.diagram, c)
         assert fox_solution_space(parse_diagram("O 1"), 97).first_nonconstant() is None
 
     @given(st.integers(2, 9), st.integers(0, 50), st.integers(1, 50))
@@ -185,7 +184,7 @@ class TestSolutionSpace:
         if c is None:
             return
         mapped = FoxColoring(n, {a: (u * x + v) % n for a, x in c.colors.items()})
-        assert verify_fox(trefoil, mapped)
+        assert verify_coloring(trefoil, mapped)
         assert mapped.nontrivial
 
 
@@ -243,9 +242,8 @@ class TestQuandles:
             dihedral(1)
 
     def test_axiom_violation_reports_witness(self):
-        bad = Quandle(((0, 0), (1, 0)))  # 1*1 = 0 breaks idempotence
         with pytest.raises(QuandleAxiomError) as err:
-            validate_quandle(bad)
+            Quandle(((0, 0), (1, 0)))  # 1*1 = 0 breaks idempotence
         assert err.value.witness == (1,)
 
     def test_parse_quandle_roundtrip(self):

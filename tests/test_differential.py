@@ -22,7 +22,7 @@ from oracles import (
     strand_partition,
 )
 from tanglecert.braids import braid_closure
-from tanglecert.colorings import determinant, fox_solution_space, link_determinant, verify_fox
+from tanglecert.colorings import determinant, fox_solution_space, link_determinant, verify_coloring
 from tanglecert.diagram import Diagram, components, parse_diagram, relabel, validate
 from tanglecert.tangle import denominator_closure, numerator_closure, rational_tangle
 
@@ -71,10 +71,10 @@ def test_counts_and_solutions_match_oracle(seed):
             assert space.count == diagonal_count(rows, rhs, n_vars, n), (seed, pins, n)
             listed = list(islice(space.colorings(cap=space.count), LISTED))
             for c in listed:
-                assert verify_fox(d, c)
+                assert verify_coloring(d, c)
                 assert all(c.colors[a] == v % n for a, v in pins.items())
             first = space.first_nonconstant()
-            assert first is None or (verify_fox(d, first) and first.nontrivial)
+            assert first is None or (verify_coloring(d, first) and first.nontrivial)
             if not pins:
                 assert (first is not None) == (space.count > n)
             if space.count <= LISTED:

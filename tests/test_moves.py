@@ -14,7 +14,7 @@ from tanglecert.colorings import (
     dihedral,
     fox_solution_space,
     quandle_colorings,
-    verify_fox,
+    verify_coloring,
 )
 from tanglecert.diagram import (
     co_facial,
@@ -78,7 +78,7 @@ class TestR2:
         c = fox_solution_space(trefoil, 3).first_nonconstant()
         d2, rec = apply_r2_over(trefoil, 2, 4)
         c2 = recolor_after_move(c, rec, d2)
-        assert verify_fox(d2, c2) and c2.nontrivial
+        assert verify_coloring(d2, c2) and c2.nontrivial
         # the mover keeps its color on all three segments
         assert c2.colors[rec.fresh[0]] == c.colors[2]
         assert c2.colors[rec.fresh[1]] == c.colors[2]
