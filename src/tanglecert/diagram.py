@@ -41,9 +41,15 @@ unvalidated diagram keeps nothing.  validate rejects a Diagram whose
 fields, or a Crossing whose slots, are not tuples, so a marked object
 cannot change after the check, and labels the index cannot hold (not
 integers below 2**31).
-parse_diagram and every public constructor return validated diagrams.
-Intermediates that never leave a function (the tangle sum inside
-insert_into_host, for one) are not validated.
+parse_diagram and every public constructor return validated diagrams;
+intermediates that never leave a function are not validated.  The closure
+insert_into_host glues from two validated tangles is marked without
+validate: _splice builds its index from the two kept indices (the host's
+darts after the tangle's, each arc that ran to the boundary followed
+across the glue to its far dart, faces numbered afresh).  Two planar disks
+glued along their boundary circle make a sphere, and gluing arcs end to
+end leaves every label on two darts, so the occurrence count and the Euler
+walk would pass; the signs and an oriented closure's flow are checked.
 """
 
 from __future__ import annotations
@@ -233,6 +239,44 @@ def validate(d: Diagram) -> None:
         raise OrientationError("diagram mixes signed and unsigned crossings")
     face = _face_ids(face_next)
     _check_euler(d, other, face)
+    _keep(d, labels, other, face_next, face)
+
+
+def _splice(d: Diagram, t: Diagram, host: Diagram, glue) -> None:
+    """Mark d, the closed diagram glued from the tangles t and host, valid
+    with a dart index spliced from theirs.
+
+    d's crossings are t's and then the host's, relabeled by the glue, which
+    pairs the boundary positions that meet (t's positions first, then the
+    host's).  d passes the occurrence and Euler counts by construction (see
+    the module docstring), so only the signs and an oriented d's flow are
+    checked.
+    """
+    t_other, h_other = _darts(t)[1], _darts(host)[1]
+    nt, nh, bt = 4 * len(t.crossings), 4 * len(host.crossings), len(t.boundary)
+    other = t_other[:nt] + array("i", [k + nt for k in h_other[:nh]])
+    # each boundary position's partner in its own tangle: a dart of d, or ~q for position q
+    ends = [k if k < nt else ~(k - nt) for k in t_other[nt:]]
+    ends += [k + nt if k < nh else ~(k - nh + bt) for k in h_other[nh:]]
+    across = [0] * len(ends)
+    for p, q in glue:
+        across[p], across[q] = q, p
+    for p, j in enumerate(ends):
+        if j >= 0:  # j's arc ran to the boundary: follow it across to its far dart
+            k = ends[across[p]]
+            while k < 0:  # a crossing-free strand passes straight through
+                k = ends[across[~k]]
+            other[j] = k
+    signs = {c.sign for c in d.crossings}
+    if 0 in signs and len(signs) > 1:
+        raise OrientationError("diagram mixes signed and unsigned crossings")
+    labels = [label for c in d.crossings for label in c.slots]
+    face_next = _face_next(len(d.crossings), other)
+    _keep(d, labels, other, face_next, _face_ids(face_next))
+
+
+def _keep(d: Diagram, labels, other, face_next, face) -> None:
+    """Check an oriented d's flow, then keep the dart index on d as its mark."""
     if d.oriented:
         _check_flow(d, labels, other)
     try:
@@ -255,14 +299,22 @@ def _dart_structure(d: Diagram) -> tuple[list[int], list[int], list[int]]:
     for a, b in zip(pairs, pairs):
         other[a] = b
         other[b] = a
-    # the face walk leaves dart j along its arc to k = other[j], then turns
-    # to the next dart at k's vertex: (k & ~3) | ((k + 1) & 3) at a crossing
-    c4 = 4 * len(d.crossings)
-    corner = list(range(1, len(labels) + 1))
+    return labels, other, _face_next(len(d.crossings), other)
+
+
+def _face_next(n_crossings: int, other) -> list[int]:
+    """The next dart on each dart's face, given the arc pairing.
+
+    The face walk leaves dart j along its arc to k = other[j], then turns to
+    the next dart at k's vertex: (k & ~3) | ((k + 1) & 3) at a crossing, the
+    next boundary position at the cap.
+    """
+    c4 = 4 * n_crossings
+    corner = list(range(1, len(other) + 1))
     corner[3:c4:4] = range(0, c4, 4)
-    if d.boundary:
+    if len(other) > c4:
         corner[-1] = c4
-    return labels, other, list(map(corner.__getitem__, other))
+    return list(map(corner.__getitem__, other))
 
 
 def _face_ids(face_next: list[int]) -> list[int]:

@@ -270,6 +270,7 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
     _require_cuttable(d, coloring)
     if a1 == a2:
         raise DiagramError("need two distinct arcs")
+    coloring = replace(coloring, colors=_crossing_rule(coloring, d.oriented)[0])  # Fox ones mod N
     if coloring.colors[a1] != coloring.colors[a2]:
         raise CertificateError(f"arcs {a1} and {a2} carry different colors")
     moved = r2_transport(d, coloring, a1, a2)
@@ -322,7 +323,8 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
 
 
 def find_same_colored_pairs(d: Diagram, coloring, require_non_cofacial: bool = False):
-    """Distinct arc pairs with equal colors, smallest labels first."""
+    """Distinct arc pairs with equal colors (Fox ones mod N), smallest labels first."""
+    colors, _, _ = _crossing_rule(coloring, d.oriented)
     arcs = sorted(d.arcs())
     # the co-facial pairs, collected face by face: a crossing-free circle's
     # faces hold only its own label, so pairs with a circle are never dropped
@@ -332,7 +334,7 @@ def find_same_colored_pairs(d: Diagram, coloring, require_non_cofacial: bool = F
     out = []
     for i, a in enumerate(arcs):
         for b in arcs[i + 1:]:
-            if coloring.colors[a] == coloring.colors[b] and (a, b) not in cofacial:
+            if colors[a] == colors[b] and (a, b) not in cofacial:
                 out.append((a, b))
     return out
 

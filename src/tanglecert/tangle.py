@@ -24,6 +24,7 @@ from .diagram import (
     Crossing,
     Diagram,
     DiagramError,
+    _splice,
     components,
     max_label,
     validate,
@@ -88,14 +89,17 @@ def connectivity(d: Diagram) -> str:
 # joining machinery
 
 
-def _apply_joins(crossings, circles, joins, carry):
+def _apply_joins(crossings, circles, joins, carry, shifted=Diagram(), shift=0):
     """Glue pairs of loose ends by merging labels; self-joins become circles.
 
     `carry` is a list of labels (e.g. a boundary) that must be renamed along
-    with the merges.  Joins apply in order, each to the labels left by the
-    ones before it.  Smaller label wins each merge, which keeps the left
+    with the merges.  The crossings and circles of `shifted` follow the
+    given ones with every label raised by `shift`; joins and carry name them
+    raised.  Joins apply in order, each to the labels left by the ones
+    before it.  Smaller label wins each merge, which keeps the left
     operand's labels stable under addition.  The crossings are rewritten in
-    one pass at the end; those without a merged label are kept as they are.
+    one pass at the end, which also raises the shifted ones; an unshifted
+    crossing without a merged label is kept as it is.
     """
     merged: dict[int, int] = {}  # dropped label -> the label it merged into
 
@@ -104,20 +108,22 @@ def _apply_joins(crossings, circles, joins, carry):
             x = merged[x]
         return x
 
-    circles = list(circles)
+    parts = ((crossings, 0), (shifted.crossings, shift))
+    circles = [*circles, *(k + shift for k in shifted.circles)]
     for x, y in joins:
         x, y = current(x), current(y)
         if x == y:
-            if any(current(s) == x for c in crossings for s in c.slots):
+            if any(current(s + k) == x for part, k in parts for c in part for s in c.slots):
                 raise TangleError(f"self-join of arc {x} with crossing occurrences")
             circles.append(x)
         else:
             merged[max(x, y)] = min(x, y)
     rename = {x: current(x) for x in merged}
     crossings = [
-        c if rename.keys().isdisjoint(c.slots)
-        else Crossing(tuple(rename.get(s, s) for s in c.slots), c.sign)
-        for c in crossings
+        c if not k and rename.keys().isdisjoint(c.slots)
+        else Crossing(tuple(rename.get(s + k, s + k) for s in c.slots), c.sign)
+        for part, k in parts
+        for c in part
     ]
     return crossings, circles, [rename.get(v, v) for v in carry]
 
@@ -127,15 +133,6 @@ def _closure(d: Diagram, joins) -> Diagram:
     out = Diagram(tuple(crossings), tuple(circles), ())
     validate(out)
     return out
-
-
-def _shifted(t: Diagram, shift: int) -> Diagram:
-    """t with every label raised by shift; not validated."""
-    return Diagram(
-        tuple(Crossing(tuple(s + shift for s in c.slots), c.sign) for c in t.crossings),
-        tuple(k + shift for k in t.circles),
-        tuple(e + shift for e in t.boundary),
-    )
 
 
 def numerator_closure(t: Diagram) -> Diagram:
@@ -162,11 +159,11 @@ def tangle_add(t1: Diagram, t2: Diagram) -> Diagram:
     """Planar juxtaposition: fuse t1's NE/SE side to t2's NW/SW side."""
     _require_tangle(t1)
     _require_tangle(t2)
-    t2 = _shifted(t2, max_label(t1))
-    joins = [(t1.boundary[1], t2.boundary[0]), (t1.boundary[2], t2.boundary[3])]
-    carry = [t1.boundary[0], t2.boundary[1], t2.boundary[2], t1.boundary[3]]
+    shift = max_label(t1)
+    nw, ne, se, sw = t1.boundary
+    hnw, hne, hse, hsw = (e + shift for e in t2.boundary)
     crossings, circles, carry = _apply_joins(
-        t1.crossings + t2.crossings, t1.circles + t2.circles, joins, carry
+        t1.crossings, t1.circles, [(ne, hnw), (se, hsw)], [nw, hne, hse, sw], t2, shift
     )
     out = Diagram(tuple(crossings), tuple(circles), tuple(carry))
     validate(out)
@@ -202,25 +199,28 @@ def insert_into_host(t: Diagram, host: Diagram, closure: str = "N") -> Diagram:
     Up to isotopy of the complement, any knot diagram containing t is such
     a closure, so certificates are exercised by sampling hosts.  1-tangles
     connect-sum with 1-tangle hosts instead (closure type is irrelevant).
-    The sum and its closure are glued in one pass, and only the closed
-    diagram is validated.
+    The sum and its closure are glued in one pass, and the closed diagram
+    keeps a dart index spliced from the kept indices of t and host, which
+    are validated if they are not yet (see diagram._splice).
     """
     if len(t.boundary) == 2:
         _require_tangle(host, arity=2)
-        host = _shifted(host, max_label(t))
-        joins = list(zip(t.boundary, host.boundary))
+        glue = [(0, 2), (1, 3)]
     else:
         _require_tangle(t)
         _require_tangle(host)
         if closure not in ("N", "D"):
             raise TangleError(f"closure must be 'N' or 'D', got {closure!r}")
-        host = _shifted(host, max_label(t))
-        nw, ne, se, sw = t.boundary
-        hnw, hne, hse, hsw = host.boundary
-        # the sum's boundary is (nw, hne, hse, sw); then cap it N or D
-        caps = [(nw, hne), (sw, hse)] if closure == "N" else [(nw, sw), (hne, hse)]
-        joins = [(ne, hnw), (se, hsw)] + caps
-    return _closure(Diagram(t.crossings + host.crossings, t.circles + host.circles), joins)
+        # boundary positions: t's NW, NE, SE, SW are 0-3 and the host's 4-7;
+        # the sum's boundary is (nw, hne, hse, sw), then capped N or D
+        glue = [(1, 4), (2, 7)] + ([(0, 5), (3, 6)] if closure == "N" else [(0, 3), (5, 6)])
+    shift = max_label(t)
+    boundary = t.boundary + tuple(e + shift for e in host.boundary)
+    joins = [(boundary[p], boundary[q]) for p, q in glue]
+    crossings, circles, _ = _apply_joins(t.crossings, t.circles, joins, [], host, shift)
+    out = Diagram(tuple(crossings), tuple(circles))
+    _splice(out, t, host, glue)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,20 @@ class TestCutTwoArcs:
         }
         assert len({k for k, _ in results}) == 1
 
+    def test_unreduced_fox_colors_compare_as_residues(self, trefoil):
+        # 6 and 0 are one residue mod 3; the solver's own coloring is reduced
+        c = FoxColoring(3, {1: 0, 2: 2, 3: 2, 4: 1, 5: 1, 6: 3})
+        reduced = FoxColoring(3, {**c.colors, 6: 0})
+        assert find_same_colored_pairs(trefoil, c) == [(1, 6), (2, 3), (4, 5)]
+        assert find_same_colored_pairs(trefoil, c) == find_same_colored_pairs(trefoil, reduced)
+        assert find_same_colored_pairs(trefoil, c, require_non_cofacial=True) == (
+            find_same_colored_pairs(trefoil, reduced, require_non_cofacial=True)
+        )
+        t, cert, moves = cut_two_arcs(trefoil, c, 1, 6)
+        t2, cert2, moves2 = cut_two_arcs(trefoil, reduced, 1, 6)
+        assert (t, cert.to_json(), moves) == (t2, cert2.to_json(), moves2)
+        assert cert.coloring.colors[6] == 0
+
     def test_regluing_preserves_determinant(self, trefoil):
         c = tricoloring(trefoil)
         t, cert, _ = cut_two_arcs(trefoil, c, *find_same_colored_pairs(trefoil, c)[0])
