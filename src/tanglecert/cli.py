@@ -27,7 +27,7 @@ from .colorings import (
     quandle_colorings,
 )
 from .diagram import Diagram, DiagramError, components, parse_diagram, serialize
-from .moves import records_to_json
+from .linalg import DeterminantBoundExceeded
 from .persistence import (
     CertificateError,
     build_T_plus_Tstar,
@@ -83,6 +83,14 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
+
+
+def _write_certified(out: str, t: Diagram, cert) -> dict:
+    """Write OUT.pd and OUT.cert.json; the certificate's JSON payload."""
+    Path(out + ".pd").write_text(serialize(t))
+    payload = cert.to_json(out + ".pd")
+    Path(out + ".cert.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    return payload
 
 
 def cmd_color(args) -> int:
@@ -199,7 +207,6 @@ def cmd_cut(args) -> int:
             print(f"no nontrivial coloring mod {args.mod}", file=sys.stderr)
             return EXIT_NOT_FOUND
         t, cert = cut_arc_twice(d, nontrivial, args.arc)
-        moves = []
     else:
         # adding a constant keeps a coloring valid, so pinning both arcs to 0 loses nothing
         pins = {args.arc: 0, args.arc2: 0}
@@ -212,17 +219,12 @@ def cmd_cut(args) -> int:
             )
             print(msg, file=sys.stderr)
             return EXIT_NOT_FOUND
-        t, cert, moves = cut_two_arcs(d, chosen, args.arc, args.arc2, extra_passes=args.passes)
-    out_tangle = args.out + ".pd"
-    out_cert = args.out + ".cert.json"
-    Path(out_tangle).write_text(serialize(t))
-    payload = cert.to_json(out_tangle)
-    payload["moves"] = records_to_json(moves)
-    Path(out_cert).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        t, cert, _ = cut_two_arcs(d, chosen, args.arc, args.arc2, extra_passes=args.passes)
+    payload = _write_certified(args.out, t, cert)
     _emit(
         payload,
         args.json,
-        [f"tangle written to {out_tangle}", f"certificate written to {out_cert}"],
+        [f"tangle written to {args.out}.pd", f"certificate written to {args.out}.cert.json"],
     )
     return EXIT_OK
 
@@ -235,9 +237,7 @@ def cmd_build(args) -> int:
         except CertificateError as exc:
             print(f"none: {exc}", file=sys.stderr)
             return EXIT_NOT_FOUND
-        Path(args.out + ".pd").write_text(serialize(s))
-        payload = cert.to_json(args.out + ".pd")
-        Path(args.out + ".cert.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+        payload = _write_certified(args.out, s, cert)
         _emit(payload, args.json, [f"tangle written to {args.out}.pd", "certificate found"])
         return EXIT_OK
     twists = _twists(args.rational)
@@ -369,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DiagramError, ColoringError, CertificateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except SolutionCapExceeded as exc:
+    except (SolutionCapExceeded, DeterminantBoundExceeded) as exc:
         print(f"error: limit exceeded: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # the CLI boundary: a defect is reported, never a traceback

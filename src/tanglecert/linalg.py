@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 
 class SolutionCapExceeded(Exception):
@@ -45,6 +45,10 @@ class SolutionCapExceeded(Exception):
         super().__init__(f"solution set has {count} elements, cap is {cap}")
         self.count = count
         self.cap = cap
+
+
+class DeterminantBoundExceeded(ValueError):
+    """Raised when a determinant's Hadamard bound needs a prime past the largest listed one."""
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:
@@ -278,7 +282,8 @@ def abs_determinant(rows: list[Mapping[int, int]]) -> int:
     Eliminates modulo the first listed prime P > 2 * H, where H is the
     Hadamard bound (the product of the row norms), so the residue of det
     lifts uniquely to (-P/2, P/2).  The row order and hence the sign are
-    not tracked.
+    not tracked.  A bound past the largest listed prime (2^44497 - 1)
+    raises DeterminantBoundExceeded.
     """
     if not rows:
         return 1
@@ -287,7 +292,11 @@ def abs_determinant(rows: list[Mapping[int, int]]) -> int:
         return 0
     prime = next((p for p in _PRIMES if p * p > 4 * squared), None)
     if prime is None:
-        raise ValueError("determinant bound exceeds the largest listed prime")
+        bits = (isqrt(4 * squared) + 1).bit_length()  # of the least P with P^2 > 4H^2
+        raise DeterminantBoundExceeded(
+            f"the determinant's Hadamard bound needs a prime of {bits} bits,"
+            f" past the {_PRIMES[-1].bit_length()}-bit limit"
+        )
     form = _Echelon(prime)
     for row in rows:
         before = len(form.rows)

@@ -6,16 +6,25 @@ the rest of that diagram can be colored by that one constant, producing a
 nontrivial coloring of the whole knot; the knot is therefore nontrivial.
 One exact check, _check_certificate, holds every certificate to this: the
 endpoints carry the boundary color, the witness arcs differ, and every
-crossing relation holds (colorings' one loop).  Every emitter (the cuts and
-the search) runs it, and verify_certificate runs it on the tangle and then
-on each distinct sampled host closure, glued once per call.
+crossing relation holds (colorings' one loop).  Every certificate is made
+by one constructor, _issue, which takes the witness from the coloring and
+runs that check; the cuts and the search all call it, and a certificate's
+kind (Fox modulus or quandle) is read from its coloring, so the two cannot
+disagree.  verify_certificate runs the check on the tangle and then on each
+distinct sampled host closure, glued once per call.
 
 The cut constructions manufacture certified tangles from nontrivially
 colored knot diagrams: cutting one arc twice, or two same-colored arcs once
 each (transporting one next to the other by R2 moves when they do not
-share a face).  Extra transport passes spiral the mover around the
-destination strand, inflating the linking between the tangle's open strands
-while keeping the boundary monochromatic.
+share a face).  All of them cut through _cut.  Extra transport passes
+spiral the mover around the destination strand, inflating the linking
+between the tangle's open strands while keeping the boundary monochromatic.
+
+The default certificate search sweeps the primes up to 97 that divide the
+gcd obstruction g, then what remains of g as one modulus, so nothing is
+factored.  Reports read every closure fact from one determinant per
+closure: a nontrivial Fox coloring mod n exists exactly when n shares a
+factor with it.
 """
 
 from __future__ import annotations
@@ -112,11 +121,17 @@ class CertificateNotFound(CertificateError):
 class PersistenceCertificate:
     """A boundary-monochromatic nontrivial coloring of a tangle."""
 
-    kind: tuple  # ('fox', N) or ('quandle', Quandle)
     coloring: object  # FoxColoring or QuandleColoring over the tangle's arcs
     boundary_color: int
     witness: tuple[int, int]
     moves: list[MoveRecord] = field(default_factory=list)
+
+    @property
+    def kind(self) -> tuple:
+        """('fox', N) or ('quandle', Quandle), read from the coloring."""
+        if isinstance(self.coloring, FoxColoring):
+            return ("fox", self.coloring.modulus)
+        return ("quandle", self.coloring.quandle)
 
     def to_json(self, tangle_name: str = "") -> dict:
         kind = (
@@ -162,19 +177,16 @@ def _check_certificate(t: Diagram, cert: PersistenceCertificate) -> None:
         )
 
 
+def _issue(t: Diagram, coloring, boundary_color: int, moves=()) -> PersistenceCertificate:
+    """The certificate of a coloring of t, witnessed by coloring.witness();
+    every certificate is made here, and only after _check_certificate passes it."""
+    cert = PersistenceCertificate(coloring, boundary_color, coloring.witness(), list(moves))
+    _check_certificate(t, cert)
+    return cert
+
+
 # ---------------------------------------------------------------------------
 # cutting constructions
-
-
-def _cut_places(d: Diagram, arcs: list[int]) -> list[tuple[int, int]]:
-    """Per arc, the (vertex, slot) place to cut: its far end from a face all `arcs` border.
-
-    Cutting there keeps each arc's label on the face side of the cut.
-    """
-    places = _far_ends(d, arcs)
-    if places is None:
-        raise DiagramError(f"no face contains all of {sorted(arcs)}")
-    return places
 
 
 def _require_cuttable(d: Diagram, coloring=None) -> None:
@@ -191,6 +203,21 @@ def _require_cuttable(d: Diagram, coloring=None) -> None:
             raise CertificateError("coloring is not valid on the diagram")
 
 
+def _cut(d: Diagram, arcs: list[int], fresh: list[int], boundary: tuple[int, ...]) -> Diagram:
+    """Cut each of `arcs` at its far end from a face they all border, where
+    it takes its `fresh` label; the result, with this boundary, validated.
+
+    Cutting there keeps each arc's label on the face side of the cut.
+    """
+    places = _far_ends(d, arcs)
+    if places is None:
+        raise DiagramError(f"no face contains all of {sorted(arcs)}")
+    out = _replace_at(d, [(*place, a, f) for place, a, f in zip(places, arcs, fresh)])
+    out = Diagram(out.crossings, out.circles, boundary)
+    validate(out)
+    return out
+
+
 def cut_arc_once(d: Diagram, arc: int) -> Diagram:
     """Disconnect one arc of a closed 1-component diagram: a 1-tangle."""
     _require_cuttable(d)
@@ -200,12 +227,8 @@ def cut_arc_once(d: Diagram, arc: int) -> Diagram:
         return out
     if not _has_arc(d, arc):
         raise DiagramError(f"unknown arc {arc}")
-    (far,) = _cut_places(d, [arc])
     fresh = max_label(d) + 1
-    out = _replace_at(d, [(*far, arc, fresh)])
-    out = Diagram(out.crossings, out.circles, (arc, fresh))
-    validate(out)
-    return out
+    return _cut(d, [arc], [fresh], (arc, fresh))
 
 
 def cut_arc_twice(d: Diagram, coloring, arc: int):
@@ -218,46 +241,12 @@ def cut_arc_twice(d: Diagram, coloring, arc: int):
     _require_cuttable(d, coloring)  # rules out a circle too: alone, it has no nontrivial coloring
     if not _has_arc(d, arc):
         raise DiagramError(f"unknown arc {arc}")
-    (far,) = _cut_places(d, [arc])
     mid = max_label(d) + 1
     tail = mid + 1
-    out = _replace_at(d, [(*far, arc, tail)])
-    out = Diagram(out.crossings, out.circles, (arc, mid, mid, tail))
-    validate(out)
+    out = _cut(d, [arc], [tail], (arc, mid, mid, tail))
     colors = dict(coloring.colors)
-    colors[mid] = colors[arc]
-    colors[tail] = colors[arc]
-    new_coloring = replace(coloring, colors=colors)
-    cert = PersistenceCertificate(
-        _kind_of(coloring),
-        new_coloring,
-        boundary_color=colors[arc],
-        witness=new_coloring.witness(),
-    )
-    _check_certificate(out, cert)
-    return out, cert
-
-
-def _kind_of(coloring):
-    if isinstance(coloring, FoxColoring):
-        return ("fox", coloring.modulus)
-    return ("quandle", coloring.quandle)
-
-
-def _cut_pair(d: Diagram, arc1: int, arc2: int) -> tuple[Diagram, int, int]:
-    """Cut two co-facial arcs once each; boundary in face-walk order.
-
-    Returns (tangle, fresh1, fresh2) where the numerator closure of the
-    tangle re-glues both cuts.
-    """
-    far1, far2 = _cut_places(d, [arc1, arc2])
-    fresh1 = max_label(d) + 1
-    fresh2 = fresh1 + 1
-    out = _replace_at(d, [(*far1, arc1, fresh1), (*far2, arc2, fresh2)])
-    # endpoints read clockwise, which reverses the face-walk encounter order
-    out = Diagram(out.crossings, out.circles, (fresh1, arc1, fresh2, arc2))
-    validate(out)
-    return out, fresh1, fresh2
+    colors[mid] = colors[tail] = colors[arc]
+    return out, _issue(out, replace(coloring, colors=colors), colors[arc])
 
 
 def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
@@ -300,26 +289,20 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
     ]
     if not candidates:
         raise CertificateError("no same-colored co-facial segment left to cut")
+    f1 = max_label(d) + 1
+    f2 = f1 + 1
     best = None
     for lbl in sorted(candidates):
-        t, f1, f2 = _cut_pair(d, mover, lbl)
+        # the numerator closure re-glues both cuts; endpoints read clockwise,
+        # which reverses the face-walk encounter order
+        t = _cut(d, [mover, lbl], [f1, f2], (f1, mover, f2, lbl))
         score = abs(linking_sum(orient(t)))
         if best is None or score > best[0]:
-            best = (score, lbl, t, f1, f2)
-    _, lbl, t, f1, f2 = best
+            best = (score, t)
+    t = best[1]
     colors = dict(coloring.colors)
-    colors[f1] = colors[mover]
-    colors[f2] = colors[lbl]
-    cert_coloring = replace(coloring, colors=colors)
-    cert = PersistenceCertificate(
-        _kind_of(coloring),
-        cert_coloring,
-        boundary_color=boundary_color,
-        witness=cert_coloring.witness(),
-        moves=records,
-    )
-    _check_certificate(t, cert)
-    return t, cert, records
+    colors[f1] = colors[f2] = boundary_color
+    return t, _issue(t, replace(coloring, colors=colors), boundary_color, records), records
 
 
 def find_same_colored_pairs(d: Diagram, coloring, require_non_cofacial: bool = False):
@@ -388,28 +371,27 @@ def krebes_gcd(t: Diagram) -> int:
 
 
 def _default_moduli(t: Diagram) -> tuple[list[int], bool]:
-    """(moduli to sweep, cannot_exist) from the gcd obstruction."""
+    """(moduli to sweep, cannot_exist) from the gcd obstruction g.
+
+    The sweep is the primes up to 97 that divide g (all of them when g = 0),
+    then what is left of g, unfactored, as one modulus: a nonconstant
+    coloring mod any prime p dividing that rest, times rest/p, is a
+    nonconstant coloring mod rest.
+    """
     if len(t.boundary) == 4:
         g = krebes_gcd(t)
     else:
         g = link_determinant(close_one_tangle(t))
     if g == 1:
         return [], True
-    if g == 0:
-        return list(_PRIMES_TO_97), False
-    return sorted({p for p in _prime_factors(g)}), False
-
-
-def _prime_factors(n: int):
-    n = abs(n)
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            yield p
-            n //= p
-        p += 1
-    if n > 1:
-        yield n
+    moduli = [p for p in _PRIMES_TO_97 if g % p == 0]
+    rest = g
+    for p in moduli:
+        while rest and rest % p == 0:
+            rest //= p
+    if rest > 1:
+        moduli.append(rest)
+    return moduli, False
 
 
 @dataclass
@@ -451,10 +433,8 @@ def find_certificate_report(
         space = fox_solution_space(t, n, pins={e: 0 for e in t.boundary})
         cert_coloring = space.first_nonconstant()
         if cert_coloring is not None:
-            cert = PersistenceCertificate(("fox", n), cert_coloring, 0, cert_coloring.witness())
-            _check_certificate(t, cert)
+            report.certificate = _issue(t, cert_coloring, 0)
             report.entries.append({"fox": n, "found": True})
-            report.certificate = cert
             return report
         clash = space.forced_equal_pair()
         entry = {"fox": n, "found": False}
@@ -466,10 +446,8 @@ def find_certificate_report(
             search = quandle_colorings(t, q, pins={e: v for e in t.boundary})
             hit = next((qc for qc in search if qc.nontrivial), None)
             if hit is not None:
-                cert = PersistenceCertificate(("quandle", q), hit, v, hit.witness())
-                _check_certificate(t, cert)
+                report.certificate = _issue(t, hit, v)
                 report.entries.append({"quandle": q.name or "table", "pin": v, "found": True})
-                report.certificate = cert
                 return report
         report.entries.append({"quandle": q.name or "table", "found": False})
     return report
@@ -676,11 +654,11 @@ class IrreducibilityReport:
 
 
 def _closure_evidence(dgm: Diagram, moduli) -> ClosureEvidence:
-    from .colorings import has_nontrivial_fox
-
+    """Nontrivial Fox colorings mod n exist exactly when n shares a factor
+    with the link determinant (everything divides 0), so one determinant
+    answers every modulus."""
     det = link_determinant(dgm)
-    nontrivial = [n for n in moduli if has_nontrivial_fox(dgm, n)]
-    return ClosureEvidence(len(components(dgm)), det, nontrivial)
+    return ClosureEvidence(len(components(dgm)), det, [n for n in moduli if math.gcd(det, n) > 1])
 
 
 def irreducibility_report(
@@ -696,7 +674,7 @@ def irreducibility_report(
     fraction = tangle_fraction(twists) if twists else None
     cn = _closure_evidence(numerator_closure(t), moduli)
     cd = _closure_evidence(denominator_closure(t), moduli)
-    g = krebes_gcd(t)
+    g = math.gcd(cn.determinant, cd.determinant)
     if not t.crossings and not t.circles:
         from .tangle import connectivity
 
@@ -707,7 +685,7 @@ def irreducibility_report(
     else:
         problems = []
         for name, ev in (("N", cn), ("D", cd)):
-            if ev.components == 1 and ev.determinant == 1 and not ev.nontrivial_moduli:
+            if ev.components == 1 and ev.determinant == 1:
                 problems.append(name)
         if problems:
             verdict = "not consistent with irreducible: trivial closure " + ",".join(problems)

@@ -33,6 +33,9 @@ reads the library's dart pairing.
 reference_verify_coloring is the coloring check as it was before the
 crossing rule lived in one place: the Fox relation written out mod N, and
 a quandle coloring read off its table, with no inverse table.
+reference_closure_evidence is the report's closure evidence as it was
+before one determinant answered every modulus: a Fox solve per modulus,
+counted against the constant colorings.
 """
 
 import random
@@ -47,6 +50,7 @@ from tanglecert.colorings import (
     QuandleColoring,
     QuandleSearch,
     fox_solution_space,
+    link_determinant,
     quandle_colorings,
     validate_quandle,
     verify_coloring,
@@ -67,6 +71,7 @@ from tanglecert.linalg import solve_mod
 from tanglecert.moves import MoveError, apply_r2_over
 from tanglecert.persistence import (
     CertificateError,
+    ClosureEvidence,
     VerificationReport,
     _check_certificate,
     _east_cap,
@@ -831,6 +836,13 @@ def reference_verify_coloring(d, coloring):
         if b != e or (table[a][b] != c if x.sign >= 0 else table[c][b] != a):
             return False
     return True
+
+
+def reference_closure_evidence(dgm, moduli):
+    """The closure's component count, determinant and the moduli with a
+    nontrivial Fox coloring, each found by its own solve."""
+    nontrivial = [n for n in moduli if fox_solution_space(dgm, n).count > n]
+    return ClosureEvidence(len(components(dgm)), link_determinant(dgm), nontrivial)
 
 
 def canonical_form(d):

@@ -128,9 +128,12 @@ class TestCertify:
 
 # (golden file stem, argv after the subcommand's input): the algebra CLI's
 # output, written before the solvers kept their Fox system and reordered
-# their rows, and diffed by the CI step "Algebra CLI output unchanged"
+# their rows, and diffed by the CI step "Algebra CLI output unchanged"; the
+# reports, written before their closure evidence was read from one
+# determinant per closure, are diffed by "report and build output unchanged"
 KNOTS = ("trefoil", "fig8-knot", "6_2", "8_16")
 TANGLES = ("fig1-krebes", "fig5-t-plus-tstar", "fig9-tangle")
+REPORTED = ("fig1-krebes", "fig4-tangle", "fig5-t-plus-tstar", "fig8-tangle", "fig9-tangle")
 GOLDEN = (
     [(f"{k}.det", ["det", k]) for k in KNOTS]
     + [
@@ -140,6 +143,7 @@ GOLDEN = (
     ]
     + [(f"{t}.certify", ["certify", t]) for t in TANGLES[:2]]
     + [("fig9-tangle.certify", ["certify", "fig9-tangle", "--mods", "3,5,7"])]
+    + [(f"{t}.report", ["report", t]) for t in REPORTED]
 )
 
 
@@ -253,6 +257,16 @@ def test_cut_output_matches_golden(capsys, corpus_dir, monkeypatch, tmp_path, st
         assert (tmp_path / f"{stem}{suffix}").read_text() == golden.read_text(), suffix
 
 
+def test_build_output_matches_golden(capsys, corpus_dir, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # the certificate names the tangle file as given
+    stem = "t-plus-tstar-3-1-2-2.build"
+    code, _, err = run(capsys, "build", "--t-plus-tstar", "3,1,2,2", "--out", stem)
+    assert code == 0, err
+    for suffix in (".pd", ".cert.json"):
+        golden = corpus_dir.parent / "tests" / "expected" / f"{stem}{suffix}"
+        assert (tmp_path / f"{stem}{suffix}").read_text() == golden.read_text(), suffix
+
+
 def test_quandle_color_output_matches_golden(capsys, corpus_dir, monkeypatch):
     monkeypatch.chdir(corpus_dir.parent)
     code, out, err = run(
@@ -327,6 +341,21 @@ class TestLimits:
         code, _, err = run(capsys, "color", str(corpus_dir / "trefoil.pd"), "--mod", "97")
         assert code == 2
         assert "limit exceeded" in err and "88529281" in err and "1000000" in err
+
+
+    def test_determinant_bound_exits_2_and_names_the_limit(self, capsys, tmp_path):
+        from tanglecert.braids import braid_closure
+        from tanglecert.diagram import serialize
+
+        # a valid 35,000-crossing closure, past what the largest listed prime can bound
+        path = tmp_path / "long.pd"
+        path.write_text(serialize(braid_closure([1, -2] * 17500, 3)))
+        code, out, err = run(capsys, "det", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: limit exceeded: the determinant's Hadamard bound needs a prime"
+            " of 45236 bits, past the 44497-bit limit\n"
+        )
 
 
 class TestNegativeCounts:

@@ -158,7 +158,7 @@ def constant_with_one_shifted(t, n):
     interior = sorted(a for a in t.arcs() if a not in t.boundary)
     colors = {a: 0 for a in t.arcs()}
     colors[interior[0]] = n
-    return PersistenceCertificate(("fox", n), FoxColoring(n, colors), 0, tuple(interior[:2]))
+    return PersistenceCertificate(FoxColoring(n, colors), 0, tuple(interior[:2]))
 
 
 class TestCertificateCheck:
@@ -174,7 +174,6 @@ class TestCertificateCheck:
         cert = find_certificate_report(t).certificate
         n = cert.kind[1]
         shifted = PersistenceCertificate(
-            cert.kind,
             FoxColoring(n, {a: v + n for a, v in cert.coloring.colors.items()}),
             cert.boundary_color - n,
             cert.witness,
@@ -187,7 +186,7 @@ class TestCertificateCheck:
         t = corpus_diagrams["fig1-krebes"]
         cert = constant_with_one_shifted(t, 3)
         colors = {**cert.coloring.colors, 999: 1}
-        bad = PersistenceCertificate(cert.kind, FoxColoring(3, colors), 0, (cert.witness[0], 999))
+        bad = PersistenceCertificate(FoxColoring(3, colors), 0, (cert.witness[0], 999))
         with pytest.raises(CertificateError, match="999 has no color on t"):
             verify_certificate(t, bad, trials=5)
 
@@ -196,7 +195,7 @@ class TestCertificateCheck:
         cert = find_certificate_report(t).certificate
         label = next(a for a in sorted(t.arcs()) if a not in t.boundary and a not in cert.witness)
         colors = {**cert.coloring.colors, label: cert.coloring.colors[label] + 1}
-        bad = PersistenceCertificate(cert.kind, FoxColoring(cert.kind[1], colors), 0, cert.witness)
+        bad = PersistenceCertificate(FoxColoring(cert.kind[1], colors), 0, cert.witness)
         broken = next(x.slots for x in t.crossings if label in x.slots)
         with pytest.raises(CertificateError, match=rf"crossing relation .* at \({broken[0]}, "):
             persistence._check_certificate(t, bad)

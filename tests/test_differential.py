@@ -5,7 +5,9 @@ Z/N, determinants with the same diagonalization over Z (kept to closures of
 at most 40 crossings, where its entries stay small) and with a first minor
 eliminated over the rationals.  Every answer of fox_solution_space, which
 reads each diagram's kept system and feeds its rows right to left, is
-compared with the solve in crossing order on fresh strand columns.
+compared with the solve in crossing order on fresh strand columns.  The
+report's closure evidence, read from one determinant per closure, is
+compared with a Fox solve per modulus.
 """
 
 import random
@@ -18,13 +20,22 @@ from oracles import (
     diagonal_count,
     link_invariant,
     minor_determinant,
+    reference_closure_evidence,
     reference_fox_solution_space,
     strand_partition,
 )
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import determinant, fox_solution_space, link_determinant, verify_coloring
 from tanglecert.diagram import Diagram, components, parse_diagram, relabel, validate
-from tanglecert.tangle import denominator_closure, numerator_closure, rational_tangle
+from tanglecert.persistence import _closure_evidence
+from tanglecert.tangle import (
+    close_one_tangle,
+    denominator_closure,
+    mirror,
+    numerator_closure,
+    rational_tangle,
+    tangle_add,
+)
 
 MODULI = (2, 3, 4, 5, 9, 15, 97)
 LISTED = 200  # colorings checked one by one per space; smaller spaces are listed whole
@@ -184,3 +195,39 @@ def test_link_determinant_matches_the_rational_first_minor():
         if rows and len(rows) == len(rows[0]):  # square: every component passes under
             assert link_determinant(d) == minor_determinant(d)
             checked += 1
+
+
+def evidence_diagrams(corpus, seed):
+    """Closed corpus diagrams and the closures of the corpus tangles, then
+    seeded 2-4-strand braid closures (knots, links, and split links whose
+    words skip a generator) and the N and D closures of seeded T+T* sums."""
+    out = []
+    for d in corpus.values():
+        if not d.boundary:
+            out.append(d)
+        elif len(d.boundary) == 2:
+            out.append(close_one_tangle(d))
+        else:
+            out += [numerator_closure(d), denominator_closure(d)]
+    rng = random.Random(seed)
+    for _ in range(200):
+        strands = rng.randint(2, 4)
+        gens = list(range(1, strands))
+        if strands > 2 and rng.random() < 0.25:  # a skipped generator splits the link
+            gens.remove(rng.choice(gens))
+        word = [rng.choice((1, -1)) * rng.choice(gens) for _ in range(rng.randint(1, 20))]
+        out.append(braid_closure(word, strands))
+    for _ in range(40):
+        t = rational_tangle([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 4))])
+        s = tangle_add(t, mirror(t))
+        out += [numerator_closure(s), denominator_closure(s)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_closure_evidence_matches_a_solve_per_modulus(corpus_diagrams, seed):
+    moduli = range(2, 31)
+    diagrams = evidence_diagrams(corpus_diagrams, seed)
+    assert any(len(components(d)) > 1 and link_determinant(d) == 0 for d in diagrams)
+    for d in diagrams:
+        assert _closure_evidence(d, moduli) == reference_closure_evidence(d, moduli)

@@ -10,6 +10,7 @@ from tanglecert import linalg
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import link_determinant
 from tanglecert.linalg import (
+    DeterminantBoundExceeded,
     SolutionCapExceeded,
     abs_determinant,
     bareiss_determinant,
@@ -45,6 +46,14 @@ def test_abs_determinant_lifts_past_a_small_prime():
     m = [{i: 3} for i in range(40)]
     assert abs_determinant(m) == 3 ** 40
     assert abs_determinant([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 0
+
+
+def test_a_bound_past_the_largest_listed_prime_is_a_named_limit():
+    # one row: |det| is its entry, which is also its Hadamard bound H, and
+    # the largest listed prime, 2^44497 - 1, must exceed 2H
+    assert abs_determinant([{0: (1 << 44496) - 1}]) == (1 << 44496) - 1
+    with pytest.raises(DeterminantBoundExceeded, match="a prime of 44498 bits, past the 44497-bit limit"):
+        abs_determinant([{0: 1 << 44496}])
 
 
 def test_every_listed_proth_prime_is_proved_prime():

@@ -309,12 +309,12 @@ class TestDartIndex:
             (diagram, "_dart_structure"),
             (diagram, "_face_ids"),
             (diagram, "_orbit"),
-            (persistence, "_cut_pair"),
+            (persistence, "_cut"),
         ]:
             real, log = getattr(module, name), calls.setdefault(name, [])
             monkeypatch.setattr(module, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
         _, _, records = persistence.cut_two_arcs(d, c, 1, 7, extra_passes=2)
-        moves, cuts = len(records), len(calls["_cut_pair"])
+        moves, cuts = len(records), len(calls["_cut"])
         assert moves == 4 and cuts >= 1
         # new diagrams: each R2 result, and each candidate cut and its orientation
         assert len(calls["_dart_structure"]) == moves + 2 * cuts

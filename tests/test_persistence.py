@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import canonical_form, reference_verify_certificate
-from tanglecert import persistence
+from tanglecert import colorings, persistence
 from tanglecert.colorings import (
     FoxColoring,
     Quandle,
@@ -253,6 +253,43 @@ class TestFindCertificate:
             assert g % cert.kind[1] == 0, name
 
 
+class TestDefaultModuli:
+    @pytest.mark.parametrize(
+        "g,moduli",
+        [
+            (0, persistence._PRIMES_TO_97),
+            (1, []),
+            (2 ** 3 * 3 ** 2, [2, 3]),
+            (3 * 101, [3, 101]),
+            (3 * 101 * 103, [3, 101 * 103]),
+        ],
+    )
+    def test_small_primes_then_the_unfactored_rest(self, monkeypatch, g, moduli):
+        monkeypatch.setattr(persistence, "krebes_gcd", lambda t: g)
+        assert persistence._default_moduli(zero_tangle()) == (list(moduli), g == 1)
+
+    def test_a_large_prime_factor_is_swept_unfactored(self):
+        # the gcd is F47^2; trial division toward F47 = 2,971,215,073 never got there
+        s, cert = build_T_plus_Tstar([1] * 47)
+        assert krebes_gcd(s) == 2971215073 ** 2
+        assert cert.kind == ("fox", 2971215073 ** 2)
+        assert verify_certificate(s, cert, trials=20, seed=0).passes == 28
+
+
+class TestKindFollowsTheColoring:
+    def test_a_fox_coloring_gives_its_modulus(self, trefoil):
+        _, cert = cut_arc_twice(trefoil, tricoloring(trefoil), 1)
+        cert = PersistenceCertificate(cert.coloring, cert.boundary_color, cert.witness)
+        assert cert.kind == ("fox", 3)
+        assert cert.to_json()["kind"] == {"fox": 3}
+
+    def test_a_quandle_coloring_gives_its_quandle(self, corpus_diagrams):
+        q = dihedral(3)
+        cert = find_certificate(corpus_diagrams["fig1-krebes"], moduli=[], quandles=(q,))
+        assert cert.kind == ("quandle", q)
+        assert cert.to_json()["kind"] == {"quandle": "dihedral-3"}
+
+
 class TestVerifyCertificate:
     def test_corrupted_certificate_fails(self, trefoil):
         t, cert = cut_arc_twice(trefoil, tricoloring(trefoil), 1)
@@ -261,9 +298,7 @@ class TestVerifyCertificate:
             a for a in sorted(colors) if a not in t.boundary
         )
         colors[interior] = (colors[interior] + 1) % 3
-        bad = PersistenceCertificate(
-            cert.kind, FoxColoring(3, colors), cert.boundary_color, cert.witness
-        )
+        bad = PersistenceCertificate(FoxColoring(3, colors), cert.boundary_color, cert.witness)
         with pytest.raises(CertificateError):
             verify_certificate(t, bad, trials=2, seed=0)
 
@@ -271,9 +306,7 @@ class TestVerifyCertificate:
         t, cert = cut_arc_twice(trefoil, tricoloring(trefoil), 1)
         colors = dict(cert.coloring.colors)
         colors[t.boundary[0]] = (colors[t.boundary[0]] + 1) % 3
-        bad = PersistenceCertificate(
-            cert.kind, FoxColoring(3, colors), cert.boundary_color, cert.witness
-        )
+        bad = PersistenceCertificate(FoxColoring(3, colors), cert.boundary_color, cert.witness)
         with pytest.raises(CertificateError):
             verify_certificate(t, bad, trials=2, seed=0)
 
@@ -284,9 +317,7 @@ class TestVerifyCertificate:
         assert verify_certificate(s, cert, trials=10, seed=0).passes == 0
         colors = dict(cert.coloring.colors)
         colors[3] += 1
-        bad = PersistenceCertificate(
-            cert.kind, FoxColoring(2, colors), cert.boundary_color, cert.witness
-        )
+        bad = PersistenceCertificate(FoxColoring(2, colors), cert.boundary_color, cert.witness)
         with pytest.raises(CertificateError, match="crossing relation"):
             verify_certificate(s, bad, trials=100, seed=0)
 
@@ -296,7 +327,7 @@ class TestVerifyCertificate:
         interior = max(a for a in t.arcs() if a not in t.boundary and a not in cert.witness)
         colors = {a: v for a, v in cert.coloring.colors.items() if a != interior}
         bad = PersistenceCertificate(
-            cert.kind, FoxColoring(cert.kind[1], colors), cert.boundary_color, cert.witness
+            FoxColoring(cert.kind[1], colors), cert.boundary_color, cert.witness
         )
         with pytest.raises(CertificateError, match=f"arc {interior}"):
             verify_certificate(t, bad, trials=2, seed=0)
@@ -314,9 +345,7 @@ class TestVerifyCertificate:
         else:
             witness = (1, 999)
             label = 999
-        bad = PersistenceCertificate(
-            cert.kind, FoxColoring(cert.kind[1], colors), cert.boundary_color, witness
-        )
+        bad = PersistenceCertificate(FoxColoring(cert.kind[1], colors), cert.boundary_color, witness)
         with pytest.raises(CertificateError, match=f" {label} has no color"):
             verify_certificate(t, bad, trials=2, seed=0)
 
@@ -447,6 +476,23 @@ class TestIrreducibilityReport:
     def test_zero_tangle_excluded(self):
         rep = irreducibility_report(zero_tangle())
         assert rep.verdict.startswith("excluded")
+
+    def test_one_determinant_per_closure(self, corpus_diagrams, monkeypatch):
+        calls = {}
+        for module, name in [
+            (persistence, "numerator_closure"),
+            (persistence, "denominator_closure"),
+            (persistence, "link_determinant"),
+            (persistence, "fox_solution_space"),
+            (colorings, "fox_solution_space"),
+        ]:
+            real, log = getattr(module, name), calls.setdefault(name, [])
+            monkeypatch.setattr(module, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
+        rep = irreducibility_report(corpus_diagrams["fig1-krebes"])
+        assert len(calls["numerator_closure"]) + len(calls["denominator_closure"]) == 2
+        assert len(calls["link_determinant"]) == 2
+        assert calls["fox_solution_space"] == []
+        assert rep.krebes_gcd == krebes_gcd(corpus_diagrams["fig1-krebes"])
 
     def test_twist_built_flagged(self):
         rep = irreducibility_report(rational_tangle([2, 2]), twists=[2, 2])
