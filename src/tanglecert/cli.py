@@ -57,7 +57,7 @@ def _load(path: str) -> Diagram:
 
 def _count(text: str) -> int:
     """argparse type for counts; anything else is a usage error (exit 2) naming the option."""
-    if not text.isdigit():
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 

@@ -373,7 +373,7 @@ def parse_quandle(text: str, name: str = "") -> Quandle:
     tokens = []
     for raw in text.splitlines():
         tokens.extend(raw.split("#", 1)[0].split())
-    if len(tokens) < 2 or tokens[0] != "Q" or not tokens[1].isdigit():
+    if len(tokens) < 2 or tokens[0] != "Q" or not tokens[1].isdecimal():
         raise ColoringError("quandle file must start with 'Q n'")
     n = int(tokens[1])
     body = tokens[2:]

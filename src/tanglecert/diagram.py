@@ -42,14 +42,14 @@ fields, or a Crossing whose slots, are not tuples, so a marked object
 cannot change after the check, and labels the index cannot hold (not
 integers below 2**31).
 parse_diagram and every public constructor return validated diagrams;
-intermediates that never leave a function are not validated.  The closure
-insert_into_host glues from two validated tangles is marked without
-validate: _splice builds its index from the two kept indices (the host's
-darts after the tangle's, each arc that ran to the boundary followed
-across the glue to its far dart, faces numbered afresh).  Two planar disks
-glued along their boundary circle make a sphere, and gluing arcs end to
-end leaves every label on two darts, so the occurrence count and the Euler
-walk would pass; the signs and an oriented closure's flow are checked.
+intermediates that never leave a function are not validated.  Every
+diagram tangle._glue makes from two validated tangles (sums, closures,
+caps, host closures) is marked without validate: _splice builds its index
+from their two kept indices (the second's darts after the first's, each
+arc that ran to the boundary followed across the glue, faces numbered
+afresh).  Planar disks glued along boundary arcs make a disk or a sphere,
+and gluing arcs end to end leaves every label on two darts, so the
+occurrence count and Euler walk would pass; signs and flow are checked.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class Face:
 
 
 def _int_token(tok: str, lineno: int, col: int) -> int:
-    if not tok.isdigit() or int(tok) <= 0:
+    if not tok.isdecimal() or int(tok) <= 0:
         raise PDSyntaxError(f"expected a positive integer, got {tok!r}", lineno, col)
     return int(tok)
 
@@ -242,15 +242,15 @@ def validate(d: Diagram) -> None:
     _keep(d, labels, other, face_next, face)
 
 
-def _splice(d: Diagram, t: Diagram, host: Diagram, glue) -> None:
-    """Mark d, the closed diagram glued from the tangles t and host, valid
-    with a dart index spliced from theirs.
+def _splice(d: Diagram, t: Diagram, host: Diagram, glue, boundary=()) -> None:
+    """Mark d, glued from the tangles t and host, valid with a dart index
+    spliced from theirs.
 
     d's crossings are t's and then the host's, relabeled by the glue, which
     pairs the boundary positions that meet (t's positions first, then the
-    host's).  d passes the occurrence and Euler counts by construction (see
-    the module docstring), so only the signs and an oriented d's flow are
-    checked.
+    host's); `boundary` lists the rest in d.boundary's order.  d passes the
+    occurrence and Euler counts by construction (see the module docstring),
+    so only the signs and an oriented d's flow are checked.
     """
     t_other, h_other = _darts(t)[1], _darts(host)[1]
     nt, nh, bt = 4 * len(t.crossings), 4 * len(host.crossings), len(t.boundary)
@@ -261,6 +261,11 @@ def _splice(d: Diagram, t: Diagram, host: Diagram, glue) -> None:
     across = [0] * len(ends)
     for p, q in glue:
         across[p], across[q] = q, p
+    for i, p in enumerate(boundary):  # an open position meets a virtual one ending at d's cap
+        across[p] = len(across)
+        across.append(p)
+        ends.append(nt + nh + i)
+        other.append(0)  # set below
     for p, j in enumerate(ends):
         if j >= 0:  # j's arc ran to the boundary: follow it across to its far dart
             k = ends[across[p]]
@@ -271,6 +276,7 @@ def _splice(d: Diagram, t: Diagram, host: Diagram, glue) -> None:
     if 0 in signs and len(signs) > 1:
         raise OrientationError("diagram mixes signed and unsigned crossings")
     labels = [label for c in d.crossings for label in c.slots]
+    labels += d.boundary
     face_next = _face_next(len(d.crossings), other)
     _keep(d, labels, other, face_next, _face_ids(face_next))
 

@@ -69,7 +69,9 @@ from .moves import (
     records_to_json,
 )
 from .tangle import (
+    _ARC_HOST,
     TangleFraction,
+    _glue,
     close_one_tangle,
     denominator_closure,
     infinity_tangle,
@@ -154,6 +156,8 @@ def _check_certificate(t: Diagram, cert: PersistenceCertificate) -> None:
     """Every endpoint has the boundary color, the witness arcs of t differ and
     every crossing relation holds, comparing colors as the crossing rule
     reads them (Fox ones mod N); else CertificateError naming the fault."""
+    if not (isinstance(cert.witness, (tuple, list)) and len(cert.witness) == 2):
+        raise CertificateError(f"witness must be a pair of arcs, got {cert.witness!r}")
     for label in (*t.boundary, *cert.witness):
         if label not in cert.coloring.colors or not _has_arc(t, label):
             raise CertificateError(f"endpoint or witness arc {label} has no color on t")
@@ -491,13 +495,7 @@ def _random_twists(rng: random.Random) -> list[int]:
 
 def _east_cap(t: Diagram) -> Diagram:
     """Close a 2-tangle's east side, leaving a 1-tangle with NW/SW endpoints."""
-    from .tangle import _apply_joins
-
-    nw, ne, se, sw = t.boundary
-    crossings, circles, carry = _apply_joins(t.crossings, t.circles, [(ne, se)], [nw, sw])
-    out = Diagram(tuple(crossings), tuple(circles), tuple(carry))
-    validate(out)
-    return out
+    return _glue(t, _ARC_HOST, [(1, 4), (2, 5)], (0, 3))
 
 
 def verify_certificate(
@@ -530,7 +528,7 @@ def verify_certificate(
     one_tangle = len(t.boundary) == 2
     hosts: dict[str, Diagram | None]  # by name, built once each; None for a rejected cap
     if one_tangle:
-        hosts = {"trivial": Diagram(boundary=(1, 1))}
+        hosts = {"trivial": _ARC_HOST}
         suffix, closures = "-capped", ("N",)
     else:
         hosts = {"zero": zero_tangle(), "infinity": infinity_tangle()}

@@ -4,7 +4,7 @@ A 2-tangle is a Diagram whose boundary record lists its four endpoints in
 NW, NE, SE, SW order; a 1-tangle lists two.  The numerator closure caps
 NW-NE and SW-SE, the denominator closure caps NW-SW and NE-SE, and tangle
 addition fuses the east side of the left tangle to the west side of the
-right one.
+right one.  Each is one call of _glue, as are host insertion and caps.
 
 Rational tangles are built from a twist vector [a1, ..., an] evaluated as
 the continued fraction an + 1/(a_{n-1} + ... + 1/a1): the entry sharing the
@@ -128,46 +128,54 @@ def _apply_joins(crossings, circles, joins, carry, shifted=Diagram(), shift=0):
     return crossings, circles, [rename.get(v, v) for v in carry]
 
 
-def _closure(d: Diagram, joins) -> Diagram:
-    crossings, circles, _ = _apply_joins(d.crossings, d.circles, joins, [])
-    out = Diagram(tuple(crossings), tuple(circles), ())
-    validate(out)
+def _glue(t: Diagram, host: Diagram, glue, boundary=()) -> Diagram:
+    """Glue host to t at the paired boundary positions, leaving `boundary` open.
+
+    Positions number t's endpoints (NW, NE, SE, SW = 0-3), then the host's.
+    The host's labels are raised past t's, the glued ends merged, and the
+    open ends, in the order given, are the result's boundary; its dart index
+    is spliced from those of t and host, validated if they are not yet.
+    """
+    shift = max_label(t)
+    ends = t.boundary + tuple(e + shift for e in host.boundary)
+    joins = [(ends[p], ends[q]) for p, q in glue]
+    carry = [ends[p] for p in boundary]
+    crossings, circles, carry = _apply_joins(t.crossings, t.circles, joins, carry, host, shift)
+    out = Diagram(tuple(crossings), tuple(circles), tuple(carry))
+    _splice(out, t, host, glue, boundary)
     return out
+
+
+_ZERO_HOST, _ARC_HOST = zero_tangle(), Diagram(boundary=(1, 1))  # validated once
+_SUM_GLUE = [(1, 4), (2, 7)]  # t's NE/SE to the host's NW/SW; the sum keeps (0, 5, 6, 3)
+_N_GLUE = _SUM_GLUE + [(0, 5), (3, 6)]  # then cap NW-NE and SW-SE
+_D_GLUE = _SUM_GLUE + [(0, 3), (5, 6)]  # or NW-SW and NE-SE
+_ARC_GLUE = [(0, 2), (1, 3)]  # a 1-tangle meets its host end to end
 
 
 def numerator_closure(t: Diagram) -> Diagram:
     """Cap NW-NE and SW-SE with crossing-free arcs."""
     _require_tangle(t)
-    nw, ne, se, sw = t.boundary
-    return _closure(t, [(nw, ne), (sw, se)])
+    return _glue(t, _ZERO_HOST, _N_GLUE)
 
 
 def denominator_closure(t: Diagram) -> Diagram:
     """Cap NW-SW and NE-SE with crossing-free arcs."""
     _require_tangle(t)
-    nw, ne, se, sw = t.boundary
-    return _closure(t, [(nw, sw), (ne, se)])
+    return _glue(t, _ZERO_HOST, _D_GLUE)
 
 
 def close_one_tangle(t: Diagram) -> Diagram:
     """Join the two endpoints of a 1-tangle."""
     _require_tangle(t, arity=2)
-    return _closure(t, [tuple(t.boundary)])
+    return _glue(t, _ARC_HOST, _ARC_GLUE)
 
 
 def tangle_add(t1: Diagram, t2: Diagram) -> Diagram:
     """Planar juxtaposition: fuse t1's NE/SE side to t2's NW/SW side."""
     _require_tangle(t1)
     _require_tangle(t2)
-    shift = max_label(t1)
-    nw, ne, se, sw = t1.boundary
-    hnw, hne, hse, hsw = (e + shift for e in t2.boundary)
-    crossings, circles, carry = _apply_joins(
-        t1.crossings, t1.circles, [(ne, hnw), (se, hsw)], [nw, hne, hse, sw], t2, shift
-    )
-    out = Diagram(tuple(crossings), tuple(circles), tuple(carry))
-    validate(out)
-    return out
+    return _glue(t1, t2, _SUM_GLUE, (0, 5, 6, 3))
 
 
 def mirror(t: Diagram) -> Diagram:
@@ -199,28 +207,15 @@ def insert_into_host(t: Diagram, host: Diagram, closure: str = "N") -> Diagram:
     Up to isotopy of the complement, any knot diagram containing t is such
     a closure, so certificates are exercised by sampling hosts.  1-tangles
     connect-sum with 1-tangle hosts instead (closure type is irrelevant).
-    The sum and its closure are glued in one pass, and the closed diagram
-    keeps a dart index spliced from the kept indices of t and host, which
-    are validated if they are not yet (see diagram._splice).
     """
     if len(t.boundary) == 2:
         _require_tangle(host, arity=2)
-        glue = [(0, 2), (1, 3)]
-    else:
-        _require_tangle(t)
-        _require_tangle(host)
-        if closure not in ("N", "D"):
-            raise TangleError(f"closure must be 'N' or 'D', got {closure!r}")
-        # boundary positions: t's NW, NE, SE, SW are 0-3 and the host's 4-7;
-        # the sum's boundary is (nw, hne, hse, sw), then capped N or D
-        glue = [(1, 4), (2, 7)] + ([(0, 5), (3, 6)] if closure == "N" else [(0, 3), (5, 6)])
-    shift = max_label(t)
-    boundary = t.boundary + tuple(e + shift for e in host.boundary)
-    joins = [(boundary[p], boundary[q]) for p, q in glue]
-    crossings, circles, _ = _apply_joins(t.crossings, t.circles, joins, [], host, shift)
-    out = Diagram(tuple(crossings), tuple(circles))
-    _splice(out, t, host, glue)
-    return out
+        return _glue(t, host, _ARC_GLUE)
+    _require_tangle(t)
+    _require_tangle(host)
+    if closure not in ("N", "D"):
+        raise TangleError(f"closure must be 'N' or 'D', got {closure!r}")
+    return _glue(t, host, _N_GLUE if closure == "N" else _D_GLUE)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,10 @@ a quandle coloring read off its table, with no inverse table.
 reference_closure_evidence is the report's closure evidence as it was
 before one determinant answered every modulus: a Fox solve per modulus,
 counted against the constant colorings.
+The gluing references are tangle sums, closures and the east cap as they
+were before every glue spliced its result's dart index: the ends merged by
+tangle._apply_joins, then a full validate of the result.
+reference_insert_into_host composes them: the sum, then its closure.
 """
 
 import random
@@ -65,7 +69,9 @@ from tanglecert.diagram import (
     _darts,
     components,
     faces,
+    max_label,
     serialize,
+    validate,
 )
 from tanglecert.linalg import solve_mod
 from tanglecert.moves import MoveError, apply_r2_over
@@ -78,6 +84,7 @@ from tanglecert.persistence import (
     _random_twists,
 )
 from tanglecert.tangle import (
+    _apply_joins,
     infinity_tangle,
     insert_into_host,
     rational_tangle,
@@ -766,6 +773,55 @@ def reference_recolor_after_move(coloring, rec, after):
             raise MoveError(f"recoloring is not unique ({len(search.colorings)} extensions)")
         return search.colorings[0]
     raise MoveError(f"cannot recolor a {type(coloring).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# tangle gluing: merge the glued ends, then validate the result afresh
+
+
+def _reference_glue(t, joins, carry=(), shifted=Diagram(), shift=0):
+    crossings, circles, carry = _apply_joins(
+        t.crossings, t.circles, joins, list(carry), shifted, shift
+    )
+    out = Diagram(tuple(crossings), tuple(circles), tuple(carry))
+    validate(out)
+    return out
+
+
+def reference_numerator_closure(t):
+    nw, ne, se, sw = t.boundary
+    return _reference_glue(t, [(nw, ne), (sw, se)])
+
+
+def reference_denominator_closure(t):
+    nw, ne, se, sw = t.boundary
+    return _reference_glue(t, [(nw, sw), (ne, se)])
+
+
+def reference_close_one_tangle(t):
+    return _reference_glue(t, [tuple(t.boundary)])
+
+
+def reference_tangle_add(t1, t2):
+    shift = max_label(t1)
+    nw, ne, se, sw = t1.boundary
+    hnw, hne, hse, hsw = (e + shift for e in t2.boundary)
+    return _reference_glue(t1, [(ne, hnw), (se, hsw)], [nw, hne, hse, sw], t2, shift)
+
+
+def reference_east_cap(t):
+    nw, ne, se, sw = t.boundary
+    return _reference_glue(t, [(ne, se)], [nw, sw])
+
+
+def reference_insert_into_host(t, host, closure="N"):
+    """The sum of t and host, then its N or D closure; 1-tangles meet end to end."""
+    if len(t.boundary) == 2:
+        shift = max_label(t)
+        (a, b), (c, d) = t.boundary, (e + shift for e in host.boundary)
+        return _reference_glue(t, [(a, c), (b, d)], (), host, shift)
+    s = reference_tangle_add(t, host)
+    return reference_numerator_closure(s) if closure == "N" else reference_denominator_closure(s)
 
 
 def reference_verify_certificate(t, cert, trials=100, seed=0):

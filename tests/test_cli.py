@@ -156,6 +156,36 @@ def test_algebra_output_matches_golden(capsys, corpus_dir, monkeypatch, stem, ar
     assert out == Path("tests", "expected", f"{stem}.json").read_text()
 
 
+# `certify --verify 100 --seed 0` glues every sampled host closure; diffed by
+# the CI steps "certify --verify output unchanged" and, for the oriented
+# fig1-krebes against the unoriented golden, the step after it
+VERIFIED = ("fig1-krebes", "fig5-t-plus-tstar", "fig3-1tangle")
+VERIFY_ARGS = ("--verify", "100", "--seed", "0", "--json")
+
+
+@pytest.mark.parametrize("name", VERIFIED)
+def test_certify_verify_output_matches_golden(capsys, corpus_dir, monkeypatch, name):
+    monkeypatch.chdir(corpus_dir.parent)  # certificates name the tangle file as given
+    code, out, err = run(capsys, "certify", f"corpus/{name}.pd", *VERIFY_ARGS)
+    assert code == 0, err
+    assert out == Path("tests", "expected", f"{name}.certify-verify.json").read_text()
+
+
+def test_certify_verify_of_the_oriented_tangle_matches_the_unoriented_golden(
+    capsys, corpus_dir, monkeypatch, tmp_path
+):
+    from tanglecert.diagram import orient, parse_diagram, serialize
+
+    (tmp_path / "corpus").mkdir()
+    plain = (corpus_dir / "fig1-krebes.pd").read_text()
+    (tmp_path / "corpus" / "fig1-krebes.pd").write_text(serialize(orient(parse_diagram(plain))))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "certify", "corpus/fig1-krebes.pd", *VERIFY_ARGS)
+    assert code == 0, err
+    golden = corpus_dir.parent / "tests" / "expected" / "fig1-krebes.certify-verify.json"
+    assert out == golden.read_text()
+
+
 class TestCut:
     def test_single_arc_cut(self, capsys, corpus_dir, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -400,6 +430,30 @@ class TestNegativeCounts:
         )
         assert code == 2 and "--passes" in err
         assert not (tmp_path / "cut.pd").exists()
+
+
+class TestNonDecimalDigits:
+    """'²' passes str.isdigit but not int(): each place that reads a number exits 2 naming it."""
+
+    def test_pd_label(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pd"
+        bad.write_text("X ² 4 2 5\n")
+        code, _, err = run(capsys, "det", str(bad))
+        assert code == 2
+        assert "line 1, column 1: expected a positive integer, got '²'" in err
+
+    def test_quandle_size(self, capsys, corpus_dir, tmp_path):
+        qf = tmp_path / "bad.q"
+        qf.write_text("Q ²\n0 1\n1 0\n")
+        code, _, err = run(capsys, "color", str(corpus_dir / "trefoil.pd"), "--quandle", str(qf))
+        assert code == 2 and "must start with 'Q n'" in err
+
+    def test_enumerate_count(self, capsys, corpus_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["color", str(corpus_dir / "trefoil.pd"), "--mod", "3", "--enumerate", "²"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--enumerate: expected a non-negative integer, got '²'" in err
 
 
 class TestInternalError:

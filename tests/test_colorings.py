@@ -257,6 +257,10 @@ class TestQuandles:
         with pytest.raises(QuandleAxiomError):
             parse_quandle("Q 2\n1 0\n0 1\n")
 
+    def test_parse_quandle_rejects_a_non_decimal_size(self):
+        with pytest.raises(ColoringError, match="must start with 'Q n'"):
+            parse_quandle("Q ²\n0 1\n1 0\n")
+
     def test_trefoil_dihedral3_has_nine(self, trefoil):
         res = quandle_colorings(trefoil, dihedral(3))
         assert len(res) == 9 and res.complete

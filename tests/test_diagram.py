@@ -47,6 +47,14 @@ class TestParsing:
         with pytest.raises(PDSyntaxError):
             parse_diagram("Y 1 2 3 4")
 
+    def test_non_decimal_digits_are_a_syntax_error(self):
+        # '²' passes str.isdigit but not int(); the error names the record's place
+        with pytest.raises(PDSyntaxError, match="line 2, column 3: expected a positive integer, got '²'"):
+            parse_diagram("X 1 4 2 5\n; X ² 6 4 1 ; X 5 2 6 3")
+
+    def test_full_width_digits_still_parse(self, trefoil):
+        assert parse_diagram("X １ 4 2 5 ; X 3 6 4 1 ; X 5 2 6 3") == trefoil
+
     def test_occurrence_violation(self):
         with pytest.raises(ArcOccurrenceError):
             parse_diagram("X 1 2 3 4")  # every label once only

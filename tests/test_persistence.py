@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -347,6 +348,17 @@ class TestVerifyCertificate:
             label = 999
         bad = PersistenceCertificate(FoxColoring(cert.kind[1], colors), cert.boundary_color, witness)
         with pytest.raises(CertificateError, match=f" {label} has no color"):
+            verify_certificate(t, bad, trials=2, seed=0)
+
+    @pytest.mark.parametrize("witness", [None, (1,)], ids=["none", "one-arc"])
+    def test_a_witness_that_is_not_a_pair_is_named(self, corpus_diagrams, witness):
+        # a constant coloring's witness() is None; neither is a pair of arcs
+        t = corpus_diagrams["fig1-krebes"]
+        coloring = FoxColoring(3, {a: 0 for a in t.arcs()})
+        assert coloring.witness() is None
+        bad = PersistenceCertificate(coloring, 0, witness)
+        message = re.escape(f"witness must be a pair of arcs, got {witness!r}")
+        with pytest.raises(CertificateError, match=message):
             verify_certificate(t, bad, trials=2, seed=0)
 
 

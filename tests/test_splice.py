@@ -1,11 +1,13 @@
-"""insert_into_host's spliced dart index against a full validate.
+"""The spliced dart index of every glued diagram against a full validate.
 
-A closure glued from two validated tangles is marked valid without the
-occurrence count and the Euler walk: its dart index is spliced from the
-kept indices of the tangle and the host.  Every closure here must pass
-oracles.reference_validate and a full validate of a fresh copy, whose four
-index arrays must equal the spliced ones.  An oriented closure must fail
-exactly when a fresh copy fails validation, with the same error.
+A sum, closure, east cap or host closure glued from two validated tangles
+is marked valid without the occurrence count and the Euler walk: its dart
+index is spliced from the kept indices of the two parts.  Every glued
+diagram here must pass oracles.reference_validate and a full validate of a
+fresh copy, whose four index arrays must equal the spliced ones.  Each
+glue must return what its reference in oracles returns (the ends merged,
+then a full validate), or raise the same error; an oriented closure must
+fail exactly when a fresh copy fails validation.
 """
 
 import copy
@@ -14,7 +16,15 @@ import random
 
 import pytest
 
-from oracles import reference_validate
+from oracles import (
+    reference_close_one_tangle,
+    reference_denominator_closure,
+    reference_east_cap,
+    reference_insert_into_host,
+    reference_numerator_closure,
+    reference_tangle_add,
+    reference_validate,
+)
 from tanglecert import diagram, persistence
 from tanglecert.diagram import (
     ArcOccurrenceError,
@@ -26,14 +36,19 @@ from tanglecert.diagram import (
     orient,
     parse_diagram,
     relabel,
+    serialize,
     unoriented,
     validate,
 )
 from tanglecert.persistence import _east_cap, cut_arc_once, find_certificate, verify_certificate
 from tanglecert.tangle import (
+    TangleError,
+    close_one_tangle,
+    denominator_closure,
     infinity_tangle,
     insert_into_host,
     mirror,
+    numerator_closure,
     rational_tangle,
     rotate90,
     tangle_add,
@@ -149,6 +164,128 @@ class TestSplicedIndex:
                 assert got == outcome(lambda: validate(twin))
                 results.add(got[0])
         assert results == {"valid", OrientationError}
+
+
+def seeded_rational_tangles():
+    """300 seeded rational tangles and their orient images."""
+    rng = random.Random(13)
+    tangles = [
+        rational_tangle([rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(rng.randint(1, 4))])
+        for _ in range(300)
+    ]
+    return tangles + [orient(t) for t in tangles]
+
+
+RATIONALS = seeded_rational_tangles()
+# each glue and its reference, by the arity of what it glues
+CLOSURES = [
+    (numerator_closure, reference_numerator_closure),
+    (denominator_closure, reference_denominator_closure),
+    (_east_cap, reference_east_cap),
+]
+
+
+def assert_glues_like(glue, reference, *parts):
+    """glue(*parts) returns what reference returns, with the same dart index, or
+    raises the same error; returns the outcome."""
+    want = outcome(lambda: reference(*parts))
+    got = outcome(lambda: glue(*parts))
+    assert got == want, parts
+    if isinstance(want, Diagram):
+        assert serialize(got) == serialize(want) and _darts(got) == _darts(want)
+        assert_spliced_index_is_the_validated_one(got)
+    return got
+
+
+def kind(result):
+    """Diagram for a glued diagram, else the error's type."""
+    return Diagram if isinstance(result, Diagram) else result[0]
+
+
+class TestGlueAgainstReference:
+    def test_corpus_closures_and_caps(self, corpus_diagrams):
+        tangles = [t for t in corpus_diagrams.values() if len(t.boundary) == 4]
+        ones = [t for t in corpus_diagrams.values() if len(t.boundary) == 2]
+        assert len(tangles) >= 7 and ones
+        for t in tangles:
+            for glue, reference in CLOSURES:
+                assert_glues_like(glue, reference, t)
+            assert_glues_like(close_one_tangle, reference_close_one_tangle, _east_cap(t))
+        for t in ones:
+            assert_glues_like(close_one_tangle, reference_close_one_tangle, t)
+
+    def test_closures_and_caps_of_seeded_rational_tangles(self):
+        results = set()
+        for t in RATIONALS:
+            for glue, reference in CLOSURES:
+                results.add(kind(assert_glues_like(glue, reference, t)))
+            cap = outcome(lambda: _east_cap(t))
+            if isinstance(cap, Diagram):
+                closed = assert_glues_like(close_one_tangle, reference_close_one_tangle, cap)
+                results.add(kind(closed))
+        assert results == {Diagram, OrientationError}
+
+    def test_seeded_sums(self):
+        # zero and infinity, unsigned and oriented summands, mixed signs and mismatched flow
+        rng = random.Random(17)
+        pool = [zero_tangle(), infinity_tangle(), *RATIONALS]
+        pairs = [(zero_tangle(), infinity_tangle()), (infinity_tangle(), infinity_tangle())]
+        pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(2000)]
+        results = [
+            assert_glues_like(tangle_add, reference_tangle_add, t1, t2)
+            for t1, t2 in pairs
+        ]
+        assert set(map(kind, results)) == {Diagram, OrientationError}
+        messages = [r[1] for r in results if kind(r) is OrientationError]
+        assert any("mixes signed" in m for m in messages)
+        assert any("inconsistent flow" in m for m in messages)
+
+    def test_host_closures_equal_the_sum_then_its_closure(self):
+        rng = random.Random(19)
+        tangles = [*SUMS, *RATIONALS[:40]]
+        for _ in range(300):
+            t, host, closure = rng.choice(tangles), rng.choice(HOSTS), rng.choice("ND")
+            assert_glues_like(insert_into_host, reference_insert_into_host, t, host, closure)
+        hosts = one_tangle_hosts()
+        for t in [_east_cap(t) for t in RATIONALS[:40]] + hosts:
+            for host in hosts:
+                assert_glues_like(insert_into_host, reference_insert_into_host, t, host)
+
+    def test_wrong_arity_errors_are_unchanged(self):
+        one, two = Diagram(boundary=(1, 1)), zero_tangle()
+        for call in (
+            lambda: numerator_closure(one),
+            lambda: denominator_closure(one),
+            lambda: tangle_add(two, one),
+            lambda: tangle_add(one, two),
+        ):
+            assert outcome(call) == (TangleError, "operation needs a 4-endpoint tangle")
+        assert outcome(lambda: close_one_tangle(two)) == (
+            TangleError,
+            "operation needs a 2-endpoint tangle",
+        )
+
+    def test_gluing_validated_parts_builds_no_dart_structure(self, monkeypatch):
+        t, host, one = SUMS[0], HOSTS[4], _east_cap(RATIONALS[0])
+        glues = [
+            lambda: insert_into_host(t, host, "N"),
+            lambda: insert_into_host(t, host, "D"),
+            lambda: insert_into_host(one, one),
+            lambda: tangle_add(t, host),
+            lambda: numerator_closure(t),
+            lambda: denominator_closure(t),
+            lambda: close_one_tangle(one),
+            lambda: _east_cap(t),
+        ]
+        for glue in glues:  # validates the trivial hosts the closures and caps glue in
+            glue()
+        structures = []
+        real = diagram._dart_structure
+        monkeypatch.setattr(diagram, "_dart_structure", lambda d: structures.append(d) or real(d))
+        for glue in glues:
+            out = glue()
+            assert "_valid" in out.__dict__
+        assert structures == []
 
 
 class TestErrorsAndCopies:
