@@ -306,6 +306,35 @@ def test_quandle_color_output_matches_golden(capsys, corpus_dir, monkeypatch):
     assert out == Path("tests", "expected", "trefoil.color-d3.json").read_text()
 
 
+# (golden file stem, arguments, exit code): quandle output written before affine
+# quandles of prime order were solved by elimination, and diffed by the CI step
+# "cut and quandle output unchanged"; an ".oriented." stem colors the knot that
+# orient() writes, so the Alexander quandles' crossing signs are exercised
+QUANDLE_GOLDEN = [
+    ("trefoil.oriented.color-alexander-7-3",
+     ["color", "trefoil", "--quandle", "corpus/alexander-7-3.q", "--enumerate", "60"], 0),
+    ("fig8-knot.oriented.color-alexander-11-5",  # 50 of 121: the truncated order
+     ["color", "fig8-knot", "--quandle", "corpus/alexander-11-5.q", "--enumerate", "50"], 0),
+    ("fig1-krebes.color-d3", ["color", "fig1-krebes", "--quandle", "corpus/d3.q", "--enumerate", "30"], 0),
+    ("fig8-tangle.certify-d3", ["certify", "fig8-tangle", "--quandles", "corpus/d3.q"], 1),  # pinned
+]
+
+
+@pytest.mark.parametrize("stem,argv,want", QUANDLE_GOLDEN, ids=[stem for stem, _, _ in QUANDLE_GOLDEN])
+def test_quandle_output_matches_golden(capsys, corpus_dir, monkeypatch, tmp_path, stem, argv, want):
+    from tanglecert.diagram import orient, parse_diagram, serialize
+
+    monkeypatch.chdir(corpus_dir.parent)  # certificates name the tangle file as given
+    command, name, *rest = argv
+    path = f"corpus/{name}.pd"
+    if ".oriented." in stem:
+        path = tmp_path / f"{name}.pd"
+        path.write_text(serialize(orient(parse_diagram((corpus_dir / f"{name}.pd").read_text()))))
+    code, out, err = run(capsys, command, str(path), *rest, "--json")
+    assert code == want, err
+    assert out == Path("tests", "expected", f"{stem}.json").read_text()
+
+
 class TestBuild:
     def test_rational_closure(self, capsys, tmp_path):
         out_path = tmp_path / "tre"
