@@ -17,8 +17,14 @@ row mostly meets columns no pivot holds yet.
 Quandle colorings generalize this: a crossing forces under_out = under_in
 * over (or its right inverse at negative crossings).  Dihedral quandles,
 a*b = 2b - a, reproduce Fox colorings and are involutory, so they accept
-unoriented diagrams.  They are enumerated by one loop over strand indices:
-a propagation worklist, an undo trail and an explicit backtracking stack.
+unoriented diagrams.  An affine (Alexander) quandle of prime order p,
+a*b = t*a + (1-t)*b mod p, dihedral(p) among them, colors by the solutions
+of a linear system over Z/p (Inoue 2001): its rows are built from the kept
+crossing triples and solved by linalg.solve_mod, and the colorings are
+listed off the basis.  Every other quandle (non-affine tables, affine ones
+of composite order, the 1-element one) is enumerated by one loop over
+strand indices: a propagation worklist, an undo trail and an explicit
+backtracking stack.  Both list the same colorings in the same order.
 
 The crossing rule (_crossing_rule) and the one loop that checks it
 (_broken_crossing) live here, for both kinds; moves and persistence call them.
@@ -28,7 +34,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from math import isqrt
 from types import MappingProxyType
 
 from . import linalg
@@ -293,19 +300,32 @@ def link_determinant(d: Diagram) -> int:
 
 @dataclass(frozen=True)
 class Quandle:
-    """Finite quandle given by its Cayley table, table[a][b] = a * b; validated when built."""
+    """Finite quandle given by its Cayley table, table[a][b] = a * b; validated when built.
+
+    involutory ((a * b) * b = a throughout) is an attribute, set when built.
+    """
 
     table: tuple[tuple[int, ...], ...]
     name: str = ""
 
     def __post_init__(self):
-        """Validate the table once and keep its right inverse: _inverse[a * b][b] = a."""
+        """Validate the table once and keep what the solvers read of it: the
+        right inverse (_inverse[a * b][b] = a), whether it is involutory, and
+        _affine, which is t when the size p is prime and a * b = t*a + (1-t)*b
+        mod p throughout (t = 1 * 0), else None."""
         validate_quandle(self)
         inverse = [list(row) for row in self.table]
         for a, row in enumerate(self.table):
             for b, c in enumerate(row):
                 inverse[c][b] = a
         object.__setattr__(self, "_inverse", tuple(map(tuple, inverse)))
+        table, n = self.table, self.size
+        involutory = all(table[table[a][b]][b] == a for a in range(n) for b in range(n))
+        object.__setattr__(self, "involutory", involutory)
+        prime = n > 1 and all(n % k for k in range(2, isqrt(n) + 1))
+        t = table[1][0] if prime else None
+        affine = prime and all(table[a][b] == (t * a + (1 - t) * b) % n for a in range(n) for b in range(n))
+        object.__setattr__(self, "_affine", t if affine else None)
 
     @property
     def size(self) -> int:
@@ -317,11 +337,6 @@ class Quandle:
     def inv(self, a: int, b: int) -> int:
         """The unique c with c * b = a."""
         return self._inverse[a][b]
-
-    @property
-    def involutory(self) -> bool:
-        n = self.size
-        return all(self.table[self.table[a][b]][b] == a for a in range(n) for b in range(n))
 
     def orbit_representatives(self) -> list[int]:
         """One element per orbit of the right-translation action."""
@@ -425,6 +440,13 @@ def quandle_colorings(
 ) -> QuandleSearch:
     """Enumerate colorings of d by q, in lexicographic order of strand values.
 
+    An affine quandle of prime order p (a * b = t*a + (1-t)*b mod p, which
+    dihedral(p) is with t = -1) is solved by elimination over Z/p; see
+    _affine_colorings.  Every other quandle is searched: the 1-element one,
+    non-affine tables, and affine ones of composite order, whose solution
+    generators of order g > 1 would not step through the colorings in
+    lexicographic order.
+
     One loop, no recursion: assigning a value pushes the strand onto a
     worklist, a crossing whose over strand and one under strand are known
     forces the other, and every assignment goes on an undo trail.  The
@@ -433,18 +455,21 @@ def quandle_colorings(
     coloring exists.  Every pin is checked before any is assigned, and
     clashing pins give the empty, complete search.
 
-    Non-involutory quandles need an oriented diagram; dihedral (and any
-    involutory) quandles accept unoriented input.
+    Non-involutory quandles need an oriented diagram when d has crossings;
+    dihedral (and any involutory) quandles accept unoriented input.
     """
-    if not q.involutory and not d.oriented:
+    if not q.involutory and d.crossings and not d.oriented:
         raise ColoringError("orientation required for non-involutory quandle colorings")
     pins = pins or {}
-    strands, col, triples, _ = _strand_columns(d)
+    system = _strand_columns(d)
+    strands, col, triples, _ = system
     for label, v in pins.items():
         if label not in col:
             raise ColoringError(f"pinned arc {label} is not in the diagram")
         if not (0 <= v < q.size):
             raise ColoringError(f"pin value {v} outside the quandle")
+    if q._affine is not None:
+        return _affine_colorings(d, system, q, pins, cap)
     # a rule is (under-in, over, under-out, forward table, backward table): at a
     # positive crossing under-out = under-in * over, at a negative one the inverse
     table, inverse = q.table, q._inverse
@@ -501,6 +526,52 @@ def quandle_colorings(
     return QuandleSearch(found, True)
 
 
+def _affine_colorings(
+    d: Diagram, system: _FoxSystem, q: Quandle, pins: dict[int, int], cap: int
+) -> QuandleSearch:
+    """quandle_colorings for q affine of prime order p, by one solve over Z/p.
+
+    Each crossing gives the row under-out - t*under-in + (t-1)*over = 0,
+    the under columns swapped at a negative crossing; pins come first.
+    Strand s is column k-1-s of k, so each pivot (a row's leftmost column)
+    is a later strand than the row's other entries, and each generator of
+    the basis is 1 at its own free strand, 0 at every other free strand
+    and 0 at every earlier strand, where the particular solution is 0 at
+    every free strand.  The coefficients of the generators taken by
+    increasing free strand are then the values of the free strands, and
+    walking them in lexicographic order walks the colorings in it.
+    """
+    p, t = q.size, q._affine
+    strands, col, triples, _ = system
+    last = len(strands) - 1
+    rows, rhs = [{last - col[label]: 1} for label in pins], list(pins.values())
+    crossing_rows = []
+    for (u_in, over, u_out), x in zip(triples, d.crossings):
+        if x.sign < 0:
+            u_in, u_out = u_out, u_in
+        row = {last - u_out: 1}
+        row[last - u_in] = row.get(last - u_in, 0) - t
+        row[last - over] = row.get(last - over, 0) + t - 1
+        crossing_rows.append(row)  # solve_mod reduces it mod p
+    rows += _right_to_left(crossing_rows)
+    space = linalg.solve_mod(rows, rhs + [0] * len(crossing_rows), len(strands), p)
+    if space.count == 0:
+        return QuandleSearch([], True)
+    particular, generators = space.basis()
+    generators = [g for g, _ in reversed(generators)]
+    at = [(label, last - c) for label, c in col.items()]
+    found: list[QuandleColoring] = []
+    for coefficients in product(range(p), repeat=len(generators)):
+        if len(found) >= cap:
+            break
+        x = particular
+        for a, g in zip(coefficients, generators):
+            if a:
+                x = [(v + a * w) % p for v, w in zip(x, g)]
+        found.append(QuandleColoring(q, {label: x[c] for label, c in at}))
+    return QuandleSearch(found, space.count <= cap)
+
+
 def _crossing_rule(coloring, oriented: bool):
     """(values, forward, backward): the colors as the rule reads them, reduced
     mod N (Fox) or range-checked (quandle; the coloring's own dict when
@@ -530,7 +601,7 @@ def _crossing_rule(coloring, oriented: bool):
 def _broken_crossing(d: Diagram, coloring):
     """The first crossing of d whose relation the coloring breaks, or None;
     ColoringError when an arc has no color or the rule rejects a value."""
-    values, forward, backward = _crossing_rule(coloring, d.oriented)
+    values, forward, backward = _crossing_rule(coloring, d.oriented or not d.crossings)
     get, broken = values.__getitem__, None
     try:
         for x in d.crossings:  # every one, so that a missing color anywhere raises

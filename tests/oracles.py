@@ -163,7 +163,7 @@ def reference_quandle_colorings(d, q, pins=None, cap=10 ** 6):
     strands in sorted order, values 0..n-1, and complete False only when a
     (cap+1)-th coloring exists."""
     validate_quandle(q)
-    if not q.involutory and not d.oriented:
+    if not q.involutory and d.crossings and not d.oriented:
         raise ColoringError("orientation required for non-involutory quandle colorings")
     rep = strand_partition(d)
     strands = sorted(set(rep.values()))

@@ -39,6 +39,18 @@ class TestColor:
         code, out, _ = run(capsys, "color", str(corpus_dir / "trefoil.pd"), "--quandle", str(qf))
         assert code == 0 and "9 colorings" in out
 
+    def test_non_involutory_quandle_on_the_crossing_free_unknot(self, capsys, corpus_dir, tmp_path):
+        # the Alexander quandle on Z/5 with t = 2; a diagram without crossings needs no orientation
+        qf = tmp_path / "alexander-5-2.q"
+        rows = (" ".join(str((2 * a - b) % 5) for b in range(5)) for a in range(5))
+        qf.write_text("Q 5\n" + "\n".join(rows))
+        unknot = str(corpus_dir / "unknot.pd")
+        code, out, err = run(capsys, "color", unknot, "--quandle", str(qf), "--enumerate", "9")
+        assert code == 0, err
+        assert out.splitlines() == ["5 colorings by alexander-5-2, nontrivial: no"] + [
+            f"[(1, {v})]" for v in range(5)
+        ]
+
     def test_quandle_search_on_a_1500_crossing_closure(self, capsys, tmp_path):
         # the search's depth grows with the strand count; a recursive one overflows here
         import random
