@@ -29,7 +29,6 @@ from .colorings import (
     Quandle,
     QuandleAxiomError,
     QuandleColoring,
-    SolutionCapExceeded,
     determinant,
     dihedral,
     fox_matrix,

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .colorings import (
     ColoringError,
-    SolutionCapExceeded,
     fox_solution_space,
     link_determinant,
     parse_quandle,
@@ -133,8 +132,7 @@ def cmd_color(args) -> int:
     }
     lines = [f"{space.count} colorings, nontrivial: {'yes' if nontrivial else 'no'}"]
     if args.enumerate:
-        # list at most CAP colorings, never raising: the count above is exact anyway
-        colorings = list(islice(space.colorings(cap=space.count), args.enumerate))
+        colorings = list(islice(space.colorings(), args.enumerate))
         complete = len(colorings) == space.count
         payload["complete"] = complete
         payload["colorings"] = [
@@ -369,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DiagramError, ColoringError, CertificateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (SolutionCapExceeded, DeterminantBoundExceeded) as exc:
+    except DeterminantBoundExceeded as exc:
         print(f"error: limit exceeded: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # the CLI boundary: a defect is reported, never a traceback

@@ -19,12 +19,18 @@ Quandle colorings generalize this: a crossing forces under_out = under_in
 a*b = 2b - a, reproduce Fox colorings and are involutory, so they accept
 unoriented diagrams.  An affine (Alexander) quandle of prime order p,
 a*b = t*a + (1-t)*b mod p, dihedral(p) among them, colors by the solutions
-of a linear system over Z/p (Inoue 2001): its rows are built from the kept
-crossing triples and solved by linalg.solve_mod, and the colorings are
-listed off the basis.  Every other quandle (non-affine tables, affine ones
-of composite order, the 1-element one) is enumerated by one loop over
-strand indices: a propagation worklist, an undo trail and an explicit
-backtracking stack.  Both list the same colorings in the same order.
+of a linear system over Z/p (Inoue 2001), and Fox colorings are its case
+t = -1 with signs ignored.  So both share one row rule (_crossing_rows),
+one pinned solve (_pinned_solve: pin rows, then crossing rows, into
+linalg.solve_mod) and one walk over the basis (ModularAffineSpace.enumerate).
+The caller picks the walk order by the generator list it hands over: Fox
+walks the generators by increasing column, the last fastest; the affine
+solve numbers strands backwards and walks the generators reversed, which
+lists its colorings in lexicographic order of strand values.  Every other
+quandle (non-affine tables, affine ones of composite order, the 1-element
+one) is enumerated by one loop over strand indices: a propagation
+worklist, an undo trail and an explicit backtracking stack, in the same
+lexicographic order.
 
 The crossing rule (_crossing_rule) and the one loop that checks it
 (_broken_crossing) live here, for both kinds; moves and persistence call them.
@@ -34,13 +40,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice
 from math import isqrt
 from types import MappingProxyType
 
 from . import linalg
-from .diagram import Diagram, strand_classes
-from .linalg import SolutionCapExceeded  # re-exported for callers
+from .diagram import Diagram, _find, _union, strand_classes
 
 __all__ = [
     "ColoringError",
@@ -50,7 +55,6 @@ __all__ = [
     "QuandleAxiomError",
     "QuandleColoring",
     "QuandleSearch",
-    "SolutionCapExceeded",
     "determinant",
     "dihedral",
     "fox_matrix",
@@ -102,7 +106,7 @@ def fox_matrix(d: Diagram) -> tuple[list[dict[int, int]], list[int]]:
     Returns (rows, ordered strand representatives), both fresh copies.
     """
     strands, _, triples, _ = _strand_columns(d)
-    return _crossing_rows(triples), list(strands)
+    return _crossing_rows(triples, d.crossings), list(strands)
 
 
 _FoxSystem = tuple[
@@ -128,20 +132,28 @@ def _strand_columns(d: Diagram) -> _FoxSystem:
         index = {s: i for i, s in enumerate(strands)}
         col = {label: index[r] for label, r in rep.items()}
         triples = tuple((col[a], col[b], col[c]) for a, b, c, _ in [x.slots for x in d.crossings])
-        rows = tuple(MappingProxyType(row) for row in _right_to_left(_crossing_rows(triples)))
-        system = (strands, MappingProxyType(col), triples, rows)
+        rows = _right_to_left(_crossing_rows(triples, d.crossings))
+        system = (strands, MappingProxyType(col), triples, tuple(map(MappingProxyType, rows)))
         if "_valid" in d.__dict__:
             d.__dict__["_fox"] = system
     return system
 
 
-def _crossing_rows(triples: tuple[tuple[int, int, int], ...]) -> list[dict[int, int]]:
+def _crossing_rows(triples, crossings, t: int = -1) -> list[dict[int, int]]:
+    """One row per crossing of the affine rule under-out = t*under-in + (1-t)*over:
+    t*under-in + (1-t)*over - under-out, the under columns swapped at a
+    negative crossing, entries on a shared column summed and zeros dropped.
+    Fox is t = -1: +2 on the over strand and -1 on each under strand,
+    whatever the sign.
+    """
     rows = []
-    for u_in, over, u_out in triples:
-        row = {over: 2}
-        row[u_in] = row.get(u_in, 0) - 1
+    for (u_in, over, u_out), x in zip(triples, crossings):
+        if x.sign < 0:
+            u_in, u_out = u_out, u_in
+        row = {over: 1 - t}
+        row[u_in] = row.get(u_in, 0) + t
         row[u_out] = row.get(u_out, 0) - 1
-        rows.append({c: v for c, v in row.items() if v})
+        rows.append(row if all(row.values()) else {c: v for c, v in row.items() if v})
     return rows
 
 
@@ -171,9 +183,9 @@ class FoxSolutionSpace:
     def count(self) -> int:
         return self._space.count
 
-    def colorings(self, cap: int = DEFAULT_CAP):
-        """Yield every coloring (deterministic order); SolutionCapExceeded if count > cap."""
-        for x in self._space.enumerate(cap):
+    def colorings(self):
+        """Yield every coloring, the coefficient of the last basis generator fastest."""
+        for x in self._space.enumerate():
             yield self._expand(x)
 
     def first_nonconstant(self) -> FoxColoring | None:
@@ -227,17 +239,20 @@ def fox_solution_space(d: Diagram, modulus: int, pins: dict[int, int] | None = N
     if modulus < 2:
         raise ColoringError("modulus must be at least 2")
     strands, col, _, crossing_rows = _strand_columns(d)
-    rows, rhs = [], []
-    for label, value in (pins or {}).items():
+    pins = pins or {}
+    for label in pins:
         if label not in col:
             raise ColoringError(f"pinned arc {label} is not in the diagram")
-        rows.append({col[label]: 1})
-        rhs.append(value)
-    # pins go first: each fixes one unknown, and eliminating it first adds no fill
-    rows += crossing_rows
-    rhs += [0] * len(crossing_rows)
-    space = linalg.solve_mod(rows, rhs, len(strands), modulus)
+    space = _pinned_solve(col, pins, crossing_rows, len(strands), modulus)
     return FoxSolutionSpace(d, modulus, list(strands), space, col)
+
+
+def _pinned_solve(col: Mapping[int, int], pins: Mapping[int, int], rows, n_vars: int, modulus: int):
+    """solve_mod on one row per pin (1 at the label's column, its value on the
+    right) and then the crossing rows.  Pins go first: each fixes one
+    unknown, and eliminating it first adds no fill."""
+    rhs = [*pins.values()] + [0] * len(rows)
+    return linalg.solve_mod([{col[label]: 1} for label in pins] + list(rows), rhs, n_vars, modulus)
 
 
 def has_nontrivial_fox(d: Diagram, modulus: int) -> bool:
@@ -340,21 +355,11 @@ class Quandle:
 
     def orbit_representatives(self) -> list[int]:
         """One element per orbit of the right-translation action."""
-        n = self.size
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in range(n):
-            for b in range(n):
-                ra, rb = find(a), find(self.table[a][b])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        return sorted({find(a) for a in range(n)})
+        parent: dict[int, int] = {}
+        for a, row in enumerate(self.table):
+            for c in row:
+                _union(parent, a, c)
+        return sorted({_find(parent, a) for a in range(self.size)})
 
 
 def validate_quandle(q: Quandle) -> None:
@@ -531,44 +536,26 @@ def _affine_colorings(
 ) -> QuandleSearch:
     """quandle_colorings for q affine of prime order p, by one solve over Z/p.
 
-    Each crossing gives the row under-out - t*under-in + (t-1)*over = 0,
-    the under columns swapped at a negative crossing; pins come first.
-    Strand s is column k-1-s of k, so each pivot (a row's leftmost column)
+    The crossing rows are those of _crossing_rows at t, on reversed columns:
+    strand s is column k-1-s of k.  So each pivot (a row's leftmost column)
     is a later strand than the row's other entries, and each generator of
     the basis is 1 at its own free strand, 0 at every other free strand
     and 0 at every earlier strand, where the particular solution is 0 at
     every free strand.  The coefficients of the generators taken by
-    increasing free strand are then the values of the free strands, and
-    walking them in lexicographic order walks the colorings in it.
+    increasing free strand (by decreasing column) are then the values of
+    the free strands, and the walk over the reversed columns() lists the
+    colorings in lexicographic order.
     """
-    p, t = q.size, q._affine
     strands, col, triples, _ = system
     last = len(strands) - 1
-    rows, rhs = [{last - col[label]: 1} for label in pins], list(pins.values())
-    crossing_rows = []
-    for (u_in, over, u_out), x in zip(triples, d.crossings):
-        if x.sign < 0:
-            u_in, u_out = u_out, u_in
-        row = {last - u_out: 1}
-        row[last - u_in] = row.get(last - u_in, 0) - t
-        row[last - over] = row.get(last - over, 0) + t - 1
-        crossing_rows.append(row)  # solve_mod reduces it mod p
-    rows += _right_to_left(crossing_rows)
-    space = linalg.solve_mod(rows, rhs + [0] * len(crossing_rows), len(strands), p)
+    at = {label: last - c for label, c in col.items()}
+    reversed_triples = [(last - a, last - b, last - c) for a, b, c in triples]
+    rows = _right_to_left(_crossing_rows(reversed_triples, d.crossings, q._affine))
+    space = _pinned_solve(at, pins, rows, len(strands), q.size)
     if space.count == 0:
         return QuandleSearch([], True)
-    particular, generators = space.basis()
-    generators = [g for g, _ in reversed(generators)]
-    at = [(label, last - c) for label, c in col.items()]
-    found: list[QuandleColoring] = []
-    for coefficients in product(range(p), repeat=len(generators)):
-        if len(found) >= cap:
-            break
-        x = particular
-        for a, g in zip(coefficients, generators):
-            if a:
-                x = [(v + a * w) % p for v, w in zip(x, g)]
-        found.append(QuandleColoring(q, {label: x[c] for label, c in at}))
+    listed = islice(space.enumerate(space.columns()[::-1]), cap)
+    found = [QuandleColoring(q, {label: x[c] for label, c in at.items()}) for x in listed]
     return QuandleSearch(found, space.count <= cap)
 
 

@@ -512,27 +512,40 @@ def components(d: Diagram) -> list[frozenset[int]]:
     return sorted(parts, key=min)
 
 
+# The one union-find, of strand classes, quandle orbits and the glued ends of
+# tangle._apply_joins: parent maps a member to a smaller member of its class,
+# and a member it does not hold names its class, the smallest member.
+
+
+def _find(parent: dict[int, int], x: int) -> int:
+    root = x
+    while root in parent:
+        root = parent[root]
+    while x != root:  # path compression
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _union(parent: dict[int, int], a: int, b: int) -> bool:
+    """Join the classes of a and b, the smaller name kept; False when they were one already."""
+    a, b = _find(parent, a), _find(parent, b)
+    if a == b:
+        return False
+    if a < b:
+        a, b = b, a
+    parent[a] = b
+    return True
+
+
 def strand_classes(d: Diagram) -> dict[int, int]:
     """Merge the two labels of each over-strand; the classes are the coloring unknowns.
 
     Returns label -> representative, the smallest label of its class.
     """
-    parent = {a: a for a in d.arcs()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent: dict[int, int] = {}
     for c in d.crossings:
-        _, a, _, b = c.slots
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra < rb:
-                ra, rb = rb, ra
-            parent[ra] = rb
-    return {a: find(a) for a in parent}
+        _union(parent, c.slots[1], c.slots[3])
+    return {a: _find(parent, a) for a in d.arcs()}
 
 
 def co_facial(d: Diagram, a1: int, a2: int) -> bool:

@@ -1,7 +1,8 @@
 """Exact modular linear algebra behind the coloring solvers.
 
-A Fox crossing matrix is sparse: each row has at most three nonzeros (+2 on
-the over strand, -1 on each under strand).  Rows are therefore dicts
+A crossing matrix is sparse: each row has at most three nonzeros (t, 1 - t
+and -1 for an affine quandle; for Fox, t = -1, +2 on the over strand and -1
+on each under strand).  Rows are therefore dicts
 (column -> residue), and all elimination runs over Z/N, so no entry ever
 exceeds the modulus and nothing grows with the size of the diagram.
 
@@ -16,7 +17,11 @@ inconsistent iff some pivot sits in the right-hand-side column.  The
 solution count is the product of gcd(pivot, N) over pivot columns times N
 per free column.  Back substitution solves the system without
 backtracking.  The basis of solutions (a particular solution plus
-generators with their orders) is built only when a caller asks for it.
+generators with their orders) is built a vector at a time, when a caller
+first reads it: ModularAffineSpace.enumerate, the one listing loop, walks
+the generators as an odometer and back-substitutes each the first time it
+steps, so listing the first few of N^k solutions builds a few generators,
+not k.  Nothing caps a listing; callers take what they need of it.
 
 Rows enter the elimination in the order given.  The coloring solvers feed
 crossing rows right to left (by decreasing rightmost column), which needs
@@ -34,17 +39,8 @@ prime, where the next Mersenne prime above 2^127 - 1 has 521 bits.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt, prod
-
-
-class SolutionCapExceeded(Exception):
-    """Raised when a solution set is larger than the caller's cap."""
-
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"solution set has {count} elements, cap is {cap}")
-        self.count = count
-        self.cap = cap
 
 
 class DeterminantBoundExceeded(ValueError):
@@ -174,57 +170,62 @@ class _Echelon:
 
 @dataclass
 class ModularAffineSpace:
-    """The solution set of A*x = b (mod N), exactly counted and enumerable.
+    """The solution set of A*x = b (mod N), exactly counted and walkable.
 
-    The count comes straight from the Howell form.  basis() builds, on
-    first use, a particular solution x0 and generators g_i of orders o_i
-    such that every solution is x0 + sum(l_i * g_i) for exactly one choice
-    of 0 <= l_i < o_i.  Enumeration walks these choices in lexicographic
-    order, the last generator fastest.
+    The count comes straight from the Howell form.  Every solution is
+    x0 + sum(l_i * g_i) for exactly one choice of 0 <= l_i < o_i: x0 the
+    particular solution, g_i the generator of column c_i, of order o_i > 1.
+    columns() lists the (c_i, o_i) and builds nothing; each vector is
+    back-substituted on first use and kept for basis() and enumerate().
     """
 
     modulus: int
     n_vars: int
     count: int
     _form: _Echelon | None = None
-    _basis: tuple | None = None
+    _vectors: dict = field(default_factory=dict)  # column -> generator; None -> particular
+
+    def _vector(self, c: int | None) -> tuple[int, ...]:
+        """The particular solution (c None) or the generator of column c, kept once built."""
+        if c not in self._vectors:
+            values = {} if c is None else {c: 1}
+            self._vectors[c] = self._form.back_substitute(self.n_vars, values, rhs=c is None)
+        return self._vectors[c]
+
+    def columns(self) -> list[tuple[int, int]]:
+        """(column, order) of every generator, by increasing column."""
+        form = self._form
+        orders = [form.units[c][0] if c in form.rows else self.modulus for c in range(self.n_vars)]
+        return [(c, order) for c, order in enumerate(orders) if order > 1]
 
     def basis(self) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]:
         """(particular solution, [(generator, order), ...]); the space must not be empty."""
         if self.count == 0:
             raise ValueError("the solution set is empty")
-        if self._basis is None:
-            form, n_vars = self._form, self.n_vars
-            particular = form.back_substitute(n_vars, {}, rhs=True)
-            generators = []
-            for c in range(n_vars):
-                order = form.units[c][0] if c in form.rows else self.modulus
-                if order > 1:
-                    generators.append((form.back_substitute(n_vars, {c: 1}, rhs=False), order))
-            self._basis = (particular, generators)
-        return self._basis
+        return self._vector(None), [(self._vector(c), order) for c, order in self.columns()]
 
-    def enumerate(self, cap: int = 10 ** 6):
-        """Yield all solutions as tuples; raises SolutionCapExceeded first if count > cap."""
-        if self.count > cap:
-            raise SolutionCapExceeded(self.count, cap)
+    def enumerate(self, columns: list[tuple[int, int]] | None = None):
+        """Yield every solution as a tuple: the coefficients of the generators
+        of `columns` (columns() in any order, by default as it comes) in
+        lexicographic order, the last one fastest.  This odometer is the one
+        listing loop; a generator is built when it first steps."""
         if self.count == 0:
             return
-        particular, generators = self.basis()
+        if columns is None:
+            columns = self.columns()
         n = self.modulus
-        coeffs = [0] * len(generators)
-        x = particular
-        while True:
-            yield x
-            for pos in reversed(range(len(coeffs))):  # odometer step, last generator fastest
-                g, order = generators[pos]
+        coeffs = [0] * len(columns)
+        x = self._vector(None)
+        yield x
+        for _ in range(self.count - 1):  # count is the product of the orders
+            for pos in reversed(range(len(columns))):  # odometer step
+                c, order = columns[pos]
                 coeffs[pos] = (coeffs[pos] + 1) % order
                 step = 1 if coeffs[pos] else 1 - order
-                x = tuple((a + step * b) % n for a, b in zip(x, g))
+                x = tuple([(a + step * b) % n for a, b in zip(x, self._vector(c))])
                 if coeffs[pos]:
                     break
-            else:
-                return
+            yield x
 
 
 def solve_mod(rows: list[Mapping[int, int]], rhs: list[int], n_vars: int, modulus: int) -> ModularAffineSpace:

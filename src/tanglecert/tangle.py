@@ -24,7 +24,9 @@ from .diagram import (
     Crossing,
     Diagram,
     DiagramError,
+    _find,
     _splice,
+    _union,
     components,
     max_label,
     validate,
@@ -101,24 +103,16 @@ def _apply_joins(crossings, circles, joins, carry, shifted=Diagram(), shift=0):
     one pass at the end, which also raises the shifted ones; an unshifted
     crossing without a merged label is kept as it is.
     """
-    merged: dict[int, int] = {}  # dropped label -> the label it merged into
-
-    def current(x):
-        while x in merged:
-            x = merged[x]
-        return x
-
+    merged: dict[int, int] = {}  # union-find of the ends: dropped label -> a smaller one
     parts = ((crossings, 0), (shifted.crossings, shift))
     circles = [*circles, *(k + shift for k in shifted.circles)]
     for x, y in joins:
-        x, y = current(x), current(y)
-        if x == y:
-            if any(current(s + k) == x for part, k in parts for c in part for s in c.slots):
+        if not _union(merged, x, y):  # the two ends already meet: a circle closes
+            x = _find(merged, x)
+            if any(_find(merged, s + k) == x for part, k in parts for c in part for s in c.slots):
                 raise TangleError(f"self-join of arc {x} with crossing occurrences")
             circles.append(x)
-        else:
-            merged[max(x, y)] = min(x, y)
-    rename = {x: current(x) for x in merged}
+    rename = {x: _find(merged, x) for x in merged}
     crossings = [
         c if not k and rename.keys().isdisjoint(c.slots)
         else Crossing(tuple(rename.get(s + k, s + k) for s in c.slots), c.sign)

@@ -38,7 +38,9 @@ before one determinant answered every modulus: a Fox solve per modulus,
 counted against the constant colorings.
 The gluing references are tangle sums, closures and the east cap as they
 were before every glue spliced its result's dart index: the ends merged by
-tangle._apply_joins, then a full validate of the result.
+reference_apply_joins, the label chase that tangle._apply_joins ran before
+it shared the diagram module's union-find, then a full validate of the
+result.
 reference_insert_into_host composes them: the sum, then its closure.
 """
 
@@ -84,7 +86,7 @@ from tanglecert.persistence import (
     _random_twists,
 )
 from tanglecert.tangle import (
-    _apply_joins,
+    TangleError,
     infinity_tangle,
     insert_into_host,
     rational_tangle,
@@ -779,8 +781,35 @@ def reference_recolor_after_move(coloring, rec, after):
 # tangle gluing: merge the glued ends, then validate the result afresh
 
 
+def reference_apply_joins(crossings, circles, joins, carry, shifted=Diagram(), shift=0):
+    """tangle._apply_joins by a chase through a dict of dropped labels: joins
+    in order, the smaller label kept, a self-join appended as a circle (an
+    error when the arc has crossing occurrences), every crossing rewritten."""
+    merged = {}  # dropped label -> the label it merged into
+
+    def current(x):
+        while x in merged:
+            x = merged[x]
+        return x
+
+    parts = ((crossings, 0), (shifted.crossings, shift))
+    circles = [*circles, *(k + shift for k in shifted.circles)]
+    for x, y in joins:
+        x, y = current(x), current(y)
+        if x == y:
+            if any(current(s + k) == x for part, k in parts for c in part for s in c.slots):
+                raise TangleError(f"self-join of arc {x} with crossing occurrences")
+            circles.append(x)
+        else:
+            merged[max(x, y)] = min(x, y)
+    crossings = [
+        Crossing(tuple(current(s + k) for s in c.slots), c.sign) for part, k in parts for c in part
+    ]
+    return crossings, circles, [current(v) for v in carry]
+
+
 def _reference_glue(t, joins, carry=(), shifted=Diagram(), shift=0):
-    crossings, circles, carry = _apply_joins(
+    crossings, circles, carry = reference_apply_joins(
         t.crossings, t.circles, joins, list(carry), shifted, shift
     )
     out = Diagram(tuple(crossings), tuple(circles), tuple(carry))
@@ -870,9 +899,11 @@ def reference_verify_certificate(t, cert, trials=100, seed=0):
 
 
 def reference_verify_coloring(d, coloring):
-    """Every arc colored (else ColoringError), then every crossing: the over
-    colors agree, and under-out = under-in * over at a positive or unsigned
-    crossing, under-out * over = under-in at a negative one."""
+    """Every arc colored (else ColoringError), a non-involutory quandle only on
+    an oriented diagram or one without crossings (else ColoringError), then
+    every crossing: the over colors agree, and under-out = under-in * over at
+    a positive or unsigned crossing, under-out * over = under-in at a
+    negative one."""
     colors = coloring.colors
     for label in d.arcs():
         if label not in colors:
@@ -885,6 +916,8 @@ def reference_verify_coloring(d, coloring):
                 return False
         return True
     table = coloring.quandle.table
+    if d.crossings and not d.oriented and not coloring.quandle.involutory:
+        raise ColoringError("orientation required for a non-involutory quandle coloring")
     if any(not 0 <= v < len(table) for v in colors.values()):
         raise ColoringError("a color lies outside the quandle")
     for x in d.crossings:

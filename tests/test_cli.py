@@ -329,6 +329,9 @@ QUANDLE_GOLDEN = [
      ["color", "fig8-knot", "--quandle", "corpus/alexander-11-5.q", "--enumerate", "50"], 0),
     ("fig1-krebes.color-d3", ["color", "fig1-krebes", "--quandle", "corpus/d3.q", "--enumerate", "30"], 0),
     ("fig8-tangle.certify-d3", ["certify", "fig8-tangle", "--quandles", "corpus/d3.q"], 1),  # pinned
+    # dihedral of order 6 is composite, so these two run the search, not elimination
+    ("trefoil.color-d6", ["color", "trefoil", "--quandle", "corpus/d6.q", "--enumerate", "20"], 0),
+    ("fig1-krebes.certify-d6", ["certify", "fig1-krebes", "--mods", "7", "--quandles", "corpus/d6.q"], 0),
 ]
 
 
@@ -401,18 +404,6 @@ class TestOthers:
 
 
 class TestLimits:
-    def test_solution_cap_exits_2_and_names_the_limit(self, capsys, corpus_dir, monkeypatch):
-        import tanglecert.cli as cli
-        from tanglecert.colorings import SolutionCapExceeded
-
-        def too_many(*args, **kwargs):
-            raise SolutionCapExceeded(97 ** 4, 10 ** 6)
-
-        monkeypatch.setattr(cli, "fox_solution_space", too_many)
-        code, _, err = run(capsys, "color", str(corpus_dir / "trefoil.pd"), "--mod", "97")
-        assert code == 2
-        assert "limit exceeded" in err and "88529281" in err and "1000000" in err
-
 
     def test_determinant_bound_exits_2_and_names_the_limit(self, capsys, tmp_path):
         from tanglecert.braids import braid_closure

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,6 @@ from tanglecert.colorings import (
     FoxColoring,
     Quandle,
     QuandleAxiomError,
-    SolutionCapExceeded,
     determinant,
     dihedral,
     fox_matrix,
@@ -146,10 +146,6 @@ class TestSolutionSpace:
         with pytest.raises(ColoringError):
             fox_solution_space(trefoil, 3, pins={99: 0})
 
-    def test_cap_exceeded(self, trefoil):
-        with pytest.raises(SolutionCapExceeded):
-            list(fox_solution_space(trefoil, 3).colorings(cap=5))
-
     def test_enumeration_matches_count_and_validates(self, trefoil):
         space = fox_solution_space(trefoil, 3)
         sols = list(space.colorings())
@@ -172,6 +168,26 @@ class TestSolutionSpace:
         c = space.first_nonconstant()
         assert c is not None and c.nontrivial and verify_coloring(space.diagram, c)
         assert fox_solution_space(parse_diagram("O 1"), 97).first_nonconstant() is None
+
+    def test_a_short_listing_builds_only_the_generators_it_steps(self, monkeypatch):
+        # the first 5 of 3^1200 colorings step the last two generators only;
+        # basis() then builds the other 1,198 and reuses the three kept vectors
+        from tanglecert.linalg import _Echelon
+
+        calls, back_substitute = [], _Echelon.back_substitute
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return back_substitute(*args, **kwargs)
+
+        monkeypatch.setattr(_Echelon, "back_substitute", counting)
+        d = parse_diagram(" ; ".join(f"O {k}" for k in range(1, 1201)))
+        search = quandle_colorings(d, dihedral(3), cap=5)
+        assert len(search) == 5 and not search.complete and len(calls) <= 3
+        calls.clear()
+        space = fox_solution_space(d, 3)
+        assert len(list(islice(space.colorings(), 5))) == 5 and len(calls) <= 3
+        assert len(space._space.basis()[1]) == 1200 and len(calls) == 1 + 1200
 
     @given(st.integers(2, 9), st.integers(0, 50), st.integers(1, 50))
     @settings(max_examples=40, deadline=None)

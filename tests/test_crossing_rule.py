@@ -6,7 +6,8 @@ written out per coloring kind, on seeded braid closures: Fox colorings mod
 2 to 15 with reduced and unreduced values, dihedral quandle colorings of
 unoriented closures, and non-involutory Alexander quandle colorings of
 oriented closures with crossings of both signs.  Every single-entry
-mutation of a coloring must be rejected by both.  The certificate tests
+mutation of a coloring must be rejected by both, and both refuse a
+non-involutory coloring of an unoriented diagram with crossings.  The certificate tests
 show that persistence._check_certificate compares reduced colors, names
 the broken crossing relation, and runs on every emitted certificate.
 """
@@ -81,7 +82,7 @@ def test_fox_colorings_agree_with_the_reference(d):
     rng = random.Random(len(d.crossings))
     for n in range(2, 16):
         space = fox_solution_space(d, n)
-        for c in islice(space.colorings(cap=space.count), 3):
+        for c in islice(space.colorings(), 3):
             agree_and_reject(d, c, n)
             unreduced = FoxColoring(n, {a: v + n * rng.randint(-3, 3) for a, v in c.colors.items()})
             assert verify_coloring(d, unreduced) is reference_verify_coloring(d, unreduced) is True
@@ -107,6 +108,18 @@ def test_non_involutory_colorings_of_oriented_closures_agree(q):
         with pytest.raises(ColoringError, match="orientation required"):
             verify_coloring(unoriented(d), QuandleColoring(q, {a: 0 for a in d.arcs()}))
     assert signs == {-1, 1} and nonconstant >= 5
+
+
+@pytest.mark.parametrize("q", [alexander(5, 2), alexander(7, 3)], ids=["alexander-5-2", "alexander-7-3"])
+def test_both_checks_need_an_orientation_only_where_there_are_crossings(q):
+    for d in map(orient, CLOSURES):
+        for c in quandle_colorings(d, q, cap=2):
+            for check in (verify_coloring, reference_verify_coloring):
+                with pytest.raises(ColoringError, match="orientation required"):
+                    check(unoriented(d), c)
+    for text, colors in [("O 1 ; O 2", {1: 0, 2: 3}), ("B 1 1", {1: 4})]:
+        d, c = parse_diagram(text), QuandleColoring(q, colors)
+        assert verify_coloring(d, c) is reference_verify_coloring(d, c) is True
 
 
 class TestRange:

@@ -213,7 +213,7 @@ def some_colorings(d, rng):
     out = []
     for n in (3, 5, 15):
         space = fox_solution_space(d, n)
-        out.append(rng.choice(list(islice(space.colorings(cap=space.count), 40))))
+        out.append(rng.choice(list(islice(space.colorings(), 40))))
     for n in (3, 5):
         out.append(rng.choice(quandle_colorings(d, dihedral(n), cap=40).colorings))
     return out
