@@ -4,7 +4,8 @@ Subcommands: color, det, certify, cut, build, closure, krebes, report.
 Exit codes: 0 when the requested object was found or produced, 1 when a
 search legitimately comes up empty, 2 on bad input or an exceeded limit
 (the message names it), 3 on an internal error, reported on one line as
-"internal error: <type>: <message>" without a traceback.  --json
+"internal error: <type>: <message>" without a traceback, and 141
+(128 + SIGPIPE), silently, when the reader closes standard output.  --json
 switches to machine output; every JSON document carries "schema": 1,
 and a fixed seed makes reruns byte-identical.
 `python -m tanglecert` runs the same CLI.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_NOT_FOUND = 1
 EXIT_ERROR = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _load(path: str) -> Diagram:
@@ -199,8 +202,8 @@ def cmd_certify(args) -> int:
 
 def cmd_cut(args) -> int:
     d = _load(args.diagram)
-    nontrivial = fox_solution_space(d, args.mod).first_nonconstant()
     if args.arc2 is None:
+        nontrivial = fox_solution_space(d, args.mod).first_nonconstant()
         if nontrivial is None:
             print(f"no nontrivial coloring mod {args.mod}", file=sys.stderr)
             return EXIT_NOT_FOUND
@@ -210,9 +213,10 @@ def cmd_cut(args) -> int:
         pins = {args.arc: 0, args.arc2: 0}
         chosen = fox_solution_space(d, args.mod, pins).first_nonconstant()
         if chosen is None:
+            # the unpinned solve only tells which of the two reasons holds
             msg = (
                 f"no nontrivial coloring mod {args.mod}"
-                if nontrivial is None
+                if fox_solution_space(d, args.mod).first_nonconstant() is None
                 else f"arcs {args.arc} and {args.arc2} never share a color mod {args.mod}"
             )
             print(msg, file=sys.stderr)
@@ -363,7 +367,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`| head`): nothing is wrong with the input, and the
+        # output still buffered goes to devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (DiagramError, ColoringError, CertificateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

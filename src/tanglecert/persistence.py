@@ -19,6 +19,10 @@ each (transporting one next to the other by R2 moves when they do not
 share a face).  All of them cut through _cut.  Extra transport passes
 spiral the mover around the destination strand, inflating the linking
 between the tangle's open strands while keeping the boundary monochromatic.
+The spiral leaves several same-colored segments to cut; each is scored by
+the |linking| its cut would have, read off the uncut knot's one strand walk
+(_cut_linkings), ties go to the smallest label, and only the winning cut is
+built.
 
 The default certificate search sweeps the primes up to 97 that divide the
 gcd obstruction g, then what remains of g as one modulus, so nothing is
@@ -55,7 +59,6 @@ from .diagram import (
     components,
     faces,
     max_label,
-    orient,
     serialize,
     unoriented,
     validate,
@@ -76,7 +79,6 @@ from .tangle import (
     denominator_closure,
     infinity_tangle,
     insert_into_host,
-    linking_sum,
     mirror,
     numerator_closure,
     rational_tangle,
@@ -253,12 +255,48 @@ def cut_arc_twice(d: Diagram, coloring, arc: int):
     return out, _issue(out, replace(coloring, colors=colors), colors[arc])
 
 
+def _cut_linkings(d: Diagram, mover: int, candidates: list[int]) -> list[int]:
+    """Per candidate lbl, |linking_sum| of the oriented cut of arcs mover and
+    lbl of the knot d, read off d's one strand walk without cutting.
+
+    Pass i is the crossing the walk meets between its arcs i and i + 1.
+    Cutting two arcs splits the passes into two runs, one per open strand,
+    and a crossing links the strands when its two passes lie in different
+    runs.  Each crossing is signed as orient signs it: positive when the
+    walk enters it at slot 0 and at slot 3 alike, which is orient's reading
+    of the incoming over slot once slot 0 is the incoming under one.
+    Reversing one strand negates every linking sign, so the absolute sum
+    does not depend on how the tangle is oriented.
+    """
+    labels, (walk,) = _strands(d)
+    position = {labels[tail]: i for i, tail in enumerate(walk[::2])}
+    passes = [[0, 0] for _ in d.crossings]  # per crossing, its under and over pass
+    in_at_0 = bytearray(len(d.crossings))
+    over_in_at_3 = bytearray(len(d.crossings))
+    for i, head in enumerate(walk[1::2]):
+        ci, slot = divmod(head, 4)
+        passes[ci][slot & 1] = i
+        in_at_0[ci] |= slot == 0
+        over_in_at_3[ci] |= slot == 3
+    signs = [1 if a == b else -1 for a, b in zip(in_at_0, over_in_at_3)]
+    scores = []
+    for lbl in candidates:
+        lo, hi = sorted((position[mover], position[lbl]))
+        scores.append(
+            abs(sum(s for s, (u, o) in zip(signs, passes) if (lo <= u < hi) != (lo <= o < hi)))
+        )
+    return scores
+
+
 def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
     """Cut two same-colored arcs once each, transporting them together first.
 
     Returns (tangle, certificate, move records).  extra_passes > 0 spirals
     the mover around the destination strand before cutting, adding one
-    same-signed crossing between the tangle's open strands per pass.
+    same-signed crossing between the tangle's open strands per pass.  Of
+    the same-colored co-facial segments left to cut, the one whose cut has
+    the largest |linking| is cut, read off the uncut knot's strand walk;
+    ties go to the smallest label, and one tangle is built.
     """
     _require_cuttable(d, coloring)
     if a1 == a2:
@@ -293,17 +331,14 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
     ]
     if not candidates:
         raise CertificateError("no same-colored co-facial segment left to cut")
+    candidates.sort()
+    scores = _cut_linkings(d, mover, candidates)
+    lbl = candidates[scores.index(max(scores))]  # the smallest label of the most linked
     f1 = max_label(d) + 1
     f2 = f1 + 1
-    best = None
-    for lbl in sorted(candidates):
-        # the numerator closure re-glues both cuts; endpoints read clockwise,
-        # which reverses the face-walk encounter order
-        t = _cut(d, [mover, lbl], [f1, f2], (f1, mover, f2, lbl))
-        score = abs(linking_sum(orient(t)))
-        if best is None or score > best[0]:
-            best = (score, t)
-    t = best[1]
+    # the numerator closure re-glues both cuts; endpoints read clockwise,
+    # which reverses the face-walk encounter order
+    t = _cut(d, [mover, lbl], [f1, f2], (f1, mover, f2, lbl))
     colors = dict(coloring.colors)
     colors[f1] = colors[f2] = boundary_color
     return t, _issue(t, replace(coloring, colors=colors), boundary_color, records), records

@@ -42,6 +42,9 @@ reference_apply_joins, the label chase that tangle._apply_joins ran before
 it shared the diagram module's union-find, then a full validate of the
 result.
 reference_insert_into_host composes them: the sum, then its closure.
+reference_cut_choice is the transport cut's choice as it was before the
+candidates were scored on the uncut knot's strand walk: every candidate
+cut built, oriented and its linking summed, one tangle kept.
 """
 
 import random
@@ -72,6 +75,7 @@ from tanglecert.diagram import (
     components,
     faces,
     max_label,
+    orient,
     serialize,
     validate,
 )
@@ -82,6 +86,7 @@ from tanglecert.persistence import (
     ClosureEvidence,
     VerificationReport,
     _check_certificate,
+    _cut,
     _east_cap,
     _random_twists,
 )
@@ -89,6 +94,7 @@ from tanglecert.tangle import (
     TangleError,
     infinity_tangle,
     insert_into_host,
+    linking_sum,
     rational_tangle,
     zero_tangle,
 )
@@ -932,6 +938,22 @@ def reference_closure_evidence(dgm, moduli):
     nontrivial Fox coloring, each found by its own solve."""
     nontrivial = [n for n in moduli if fox_solution_space(dgm, n).count > n]
     return ClosureEvidence(len(components(dgm)), link_determinant(dgm), nontrivial)
+
+
+def reference_cut_choice(d, mover, candidates):
+    """({label: score}, tangle): each candidate's cut with mover built and
+    oriented in full, scored by |linking_sum|, and the cut of the smallest
+    label with the largest score, as cut_two_arcs chose before it scored the
+    candidates on the uncut knot."""
+    f1 = max_label(d) + 1
+    f2 = f1 + 1
+    scores, best = {}, None
+    for lbl in sorted(candidates):
+        t = _cut(d, [mover, lbl], [f1, f2], (f1, mover, f2, lbl))
+        scores[lbl] = abs(linking_sum(orient(t)))
+        if best is None or scores[lbl] > best[0]:
+            best = (scores[lbl], t)
+    return scores, best[1]
 
 
 def canonical_form(d):

@@ -219,6 +219,19 @@ class TestCut:
         cert = json.loads((tmp_path / "fig5.cert.json").read_text())
         assert len(cert["moves"]) >= 1
 
+    def test_a_two_arc_cut_that_succeeds_solves_once(self, capsys, corpus_dir, tmp_path, monkeypatch):
+        from tanglecert import linalg
+
+        calls = []
+        real = linalg.solve_mod
+        monkeypatch.setattr(linalg, "solve_mod", lambda *a: calls.append(a) or real(*a))
+        code, _, err = run(
+            capsys, "cut", str(corpus_dir / "8_16.pd"), "--arc", "3", "--arc2", "12",
+            "--mod", "5", "--out", str(tmp_path / "cut"),
+        )
+        assert code == 0, err
+        assert len(calls) == 1
+
     def test_no_coloring_exits_1(self, capsys, corpus_dir, tmp_path):
         code, _, err = run(
             capsys, "cut", str(corpus_dir / "trefoil.pd"), "--arc", "1", "--mod", "5",
@@ -501,13 +514,13 @@ class TestInternalError:
         assert out == "" and err == "internal error: RuntimeError: boom\n"
 
 
-def run_module(*argv):
+def run_module(*argv, stdout=subprocess.PIPE):
     """Run `python -m tanglecert` in a child process on this checkout's sources."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "tanglecert", *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+        [sys.executable, "-m", "tanglecert", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
 
 
@@ -516,6 +529,19 @@ class TestModuleEntryPoint:
         proc = run_module("color", str(corpus_dir / "trefoil.pd"), "--mod", "3")
         assert proc.returncode == 0, proc.stderr
         assert "9 colorings, nontrivial: yes" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["color", "trefoil.pd", "--mod", "3"],  # fits the buffer: written at the final flush
+        ["color", "8_16.pd", "--mod", "15", "--enumerate", "75", "--json"],  # 26 kB
+    ])
+    def test_a_closed_stdout_exits_141_in_silence(self, corpus_dir, argv):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        try:
+            proc = run_module(argv[0], str(corpus_dir / argv[1]), *argv[2:], stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
     def test_python_dash_m_reports_bad_input_with_exit_2(self, tmp_path):
         bad = tmp_path / "bad.pd"

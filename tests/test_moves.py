@@ -314,10 +314,10 @@ class TestDartIndex:
             real, log = getattr(module, name), calls.setdefault(name, [])
             monkeypatch.setattr(module, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
         _, _, records = persistence.cut_two_arcs(d, c, 1, 7, extra_passes=2)
-        moves, cuts = len(records), len(calls["_cut"])
-        assert moves == 4 and cuts >= 1
-        # new diagrams: each R2 result, and each candidate cut and its orientation
-        assert len(calls["_dart_structure"]) == moves + 2 * cuts
+        moves = len(records)
+        assert moves == 4 and len(calls["_cut"]) == 1
+        # new diagrams: each R2 result and the one cut; candidates are scored uncut
+        assert len(calls["_dart_structure"]) == moves + 1
         assert len(calls["_face_ids"]) == len(calls["_dart_structure"])
-        # one face walked per R2 move and per cut, never every face
-        assert len(calls["_orbit"]) == moves + cuts
+        # one face walked per R2 move and for the cut, never every face
+        assert len(calls["_orbit"]) == moves + 1

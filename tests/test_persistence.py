@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from oracles import canonical_form, reference_verify_certificate
+from oracles import canonical_form, reference_cut_choice, reference_verify_certificate
 from tanglecert import colorings, persistence
 from tanglecert.colorings import (
     FoxColoring,
@@ -13,7 +13,8 @@ from tanglecert.colorings import (
     fox_solution_space,
     link_determinant,
 )
-from tanglecert.diagram import DiagramError, co_facial, orient, parse_diagram
+from tanglecert.braids import braid_closure
+from tanglecert.diagram import DiagramError, co_facial, components, orient, parse_diagram
 from tanglecert.persistence import (
     CertificateError,
     CertificateNotFound,
@@ -194,6 +195,89 @@ class TestLinkingInflation:
             t, _, _ = cut_two_arcs(d2, c2, *pair, extra_passes=k)
             sizes.append(len(t.crossings))
         assert sizes[1] - sizes[0] == 2 and sizes[2] - sizes[1] == 2
+
+
+def _cut_choices(d, c, pair, extra_passes, monkeypatch):
+    """cut_two_arcs's tangle, and what it scored: (knot, mover, candidates, scores)."""
+    seen = []
+    real = persistence._cut_linkings
+
+    def spy(*args):
+        seen.append((*args, real(*args)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(persistence, "_cut_linkings", spy)
+    t, _, _ = cut_two_arcs(d, c, *pair, extra_passes=extra_passes)
+    monkeypatch.undo()
+    (choice,) = seen
+    return t, choice
+
+
+def _fox_colored(d):
+    """d's first nonconstant coloring mod the smallest odd prime below 100
+    dividing its determinant, or None."""
+    det = link_determinant(d)
+    p = next((p for p in range(3, 98, 2) if det % p == 0), None)
+    return None if p is None else fox_solution_space(d, p).first_nonconstant()
+
+
+def _seeded_braid_knots(count, seed=16):
+    rng = random.Random(seed)
+    knots = []
+    while len(knots) < count:
+        n = rng.randint(16, 30)
+        d = braid_closure([rng.choice((1, -1, 2, -2)) for _ in range(n)], 3)
+        if len(components(d)) == 1 and link_determinant(d) > 1:
+            knots.append(d)
+    return knots
+
+
+class TestCutChoice:
+    """The cut scored on the uncut knot's strand walk against every candidate
+    cut built, oriented and its linking summed."""
+
+    def test_walk_scores_match_built_cuts(self, corpus_diagrams, monkeypatch):
+        knots = [d for d in corpus_diagrams.values() if not d.boundary and len(components(d)) == 1]
+        cases = 0
+        for d in knots + _seeded_braid_knots(12):
+            c = _fox_colored(d)
+            if c is None:
+                continue
+            pairs = find_same_colored_pairs(d, c, require_non_cofacial=True)
+            for pair in pairs[:1] + pairs[-1:]:
+                for k in range(4):
+                    t, (d2, mover, candidates, scores) = _cut_choices(d, c, pair, k, monkeypatch)
+                    ref_scores, ref_t = reference_cut_choice(d2, mover, candidates)
+                    assert dict(zip(candidates, scores)) == ref_scores
+                    assert t == ref_t
+                    cases += 1
+        assert cases >= 100
+
+    def test_oriented_knots_score_by_their_signs(self, corpus_diagrams, monkeypatch):
+        # a co-facial pair needs no R2 move, so the cut keeps the knot's own signs
+        cases = 0
+        for d in corpus_diagrams.values():
+            if d.boundary or len(components(d)) != 1 or not d.crossings:
+                continue
+            d = orient(d)
+            c = _fox_colored(d)
+            if c is None:
+                continue
+            for pair in find_same_colored_pairs(d, c):
+                if co_facial(d, *pair):
+                    t, (d2, mover, candidates, scores) = _cut_choices(d, c, pair, 0, monkeypatch)
+                    ref_scores, ref_t = reference_cut_choice(d2, mover, candidates)
+                    assert t.oriented and t == ref_t
+                    assert dict(zip(candidates, scores)) == ref_scores
+                    cases += 1
+        assert cases >= 10
+
+    def test_a_tie_goes_to_the_smallest_label(self, trefoil, monkeypatch):
+        c = tricoloring(trefoil)
+        t, (d, mover, candidates, scores) = _cut_choices(trefoil, c, (1, 6), 1, monkeypatch)
+        assert (candidates, scores) == ([6, 13, 14], [1, 0, 1])
+        assert t.boundary[3] == 6
+        assert reference_cut_choice(d, mover, candidates) == ({6: 1, 13: 0, 14: 1}, t)
 
 
 class TestKrebesGcd:
