@@ -15,7 +15,7 @@ from tanglecert import (
     fox_solution_space,
     has_nontrivial_fox,
     parse_diagram,
-    quandle_colorings,
+    quandle_space,
 )
 
 trefoil = parse_diagram("X 1 4 2 5 ; X 3 6 4 1 ; X 5 2 6 3")
@@ -44,7 +44,7 @@ for p in (3, 5, 7):
 print("\nDihedral quandles reproduce the same counts",
       "(a*b = 2b - a is the coloring rule in disguise):")
 for n in (3, 5):
-    print(f"  dihedral-{n}: {len(quandle_colorings(trefoil, dihedral(n)))} colorings")
+    print(f"  dihedral-{n}: {quandle_space(trefoil, dihedral(n)).count} colorings")
 
 one_coloring = fox_solution_space(trefoil, 3).first_nonconstant()
 print("\nA nontrivial tricoloring:", dict(sorted(one_coloring.colors.items())))

@@ -29,6 +29,7 @@ from .colorings import (
     Quandle,
     QuandleAxiomError,
     QuandleColoring,
+    QuandleSpace,
     determinant,
     dihedral,
     fox_matrix,
@@ -37,6 +38,7 @@ from .colorings import (
     link_determinant,
     parse_quandle,
     quandle_colorings,
+    quandle_space,
     validate_quandle,
     verify_coloring,
 )

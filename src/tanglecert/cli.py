@@ -25,7 +25,7 @@ from .colorings import (
     fox_solution_space,
     link_determinant,
     parse_quandle,
-    quandle_colorings,
+    quandle_space,
 )
 from .diagram import Diagram, DiagramError, components, parse_diagram, serialize
 from .linalg import DeterminantBoundExceeded
@@ -99,48 +99,21 @@ def cmd_color(args) -> int:
     d = _load(args.diagram)
     if args.quandle:
         q = parse_quandle(Path(args.quandle).read_text(), name=Path(args.quandle).stem)
-        search = quandle_colorings(d, q, cap=args.enumerate or 10 ** 6)
-        nontrivial = any(c.nontrivial for c in search)
-        payload = {
-            "schema": 1,
-            "quandle": q.name,
-            "count": len(search),
-            "complete": search.complete,
-            "nontrivial": nontrivial,
-        }
-        lines = [
-            f"{len(search)} colorings by {q.name}"
-            + ("" if search.complete else " (truncated)")
-            + f", nontrivial: {'yes' if nontrivial else 'no'}"
-        ]
-        if args.enumerate:
-            payload["colorings"] = [
-                {
-                    "quandle": q.name,
-                    "colors": {str(a): v for a, v in sorted(c.colors.items())},
-                    "nontrivial": c.nontrivial,
-                }
-                for c in search
-            ]
-            lines += [str(sorted(c.colors.items())) for c in search]
-        _emit(payload, args.json, lines)
-        return EXIT_OK
-    space = fox_solution_space(d, args.mod)
-    nontrivial = space.count > args.mod
-    payload = {
-        "schema": 1,
-        "modulus": args.mod,
-        "count": space.count,
-        "nontrivial": nontrivial,
-    }
-    lines = [f"{space.count} colorings, nontrivial: {'yes' if nontrivial else 'no'}"]
+        key, kind, by = "quandle", q.name, f" by {q.name}"
+        space = quandle_space(d, q)
+    else:
+        key, kind, by = "modulus", args.mod, ""
+        space = fox_solution_space(d, args.mod)
+    nontrivial = space.first_nonconstant() is not None
+    payload = {"schema": 1, key: kind, "count": space.count, "nontrivial": nontrivial}
+    lines = [f"{space.count} colorings{by}, nontrivial: {'yes' if nontrivial else 'no'}"]
     if args.enumerate:
         colorings = list(islice(space.colorings(), args.enumerate))
         complete = len(colorings) == space.count
         payload["complete"] = complete
         payload["colorings"] = [
             {
-                "modulus": args.mod,
+                key: kind,
                 "colors": {str(a): v for a, v in sorted(c.colors.items())},
                 "nontrivial": c.nontrivial,
             }
@@ -311,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=int, default=3)
     p.add_argument("--quandle", help="quandle table file")
     p.add_argument("--count", action="store_true", help="report the count (default)")
-    p.add_argument("--enumerate", type=_count, metavar="CAP", help="list colorings up to CAP")
+    p.add_argument("--enumerate", type=_count, metavar="K", help="list the first K colorings")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("det", help="determinant of a closed diagram")

@@ -9,7 +9,7 @@ That system (the strand representatives, each label's column, each
 crossing's (under-in, over, under-out) columns and the crossing rows in
 elimination order) is built once per validated diagram, on the first
 solver call, and kept immutable in its instance dict beside the dart
-index; quandle_colorings, fox_matrix, fox_solution_space and
+index; quandle_space, fox_matrix, fox_solution_space and
 link_determinant all read it.  Crossing rows enter the elimination right
 to left, in decreasing order of their rightmost column, so an incoming
 row mostly meets columns no pivot holds yet.
@@ -17,20 +17,23 @@ row mostly meets columns no pivot holds yet.
 Quandle colorings generalize this: a crossing forces under_out = under_in
 * over (or its right inverse at negative crossings).  Dihedral quandles,
 a*b = 2b - a, reproduce Fox colorings and are involutory, so they accept
-unoriented diagrams.  An affine (Alexander) quandle of prime order p,
-a*b = t*a + (1-t)*b mod p, dihedral(p) among them, colors by the solutions
-of a linear system over Z/p (Inoue 2001), and Fox colorings are its case
+unoriented diagrams.  An affine (Alexander) quandle of order n,
+a*b = t*a + (1-t)*b mod n, dihedral(n) among them, colors by the solutions
+of a linear system over Z/n (Inoue 2001), and Fox colorings are its case
 t = -1 with signs ignored.  So both share one row rule (_crossing_rows),
 one pinned solve (_pinned_solve: pin rows, then crossing rows, into
 linalg.solve_mod) and one walk over the basis (ModularAffineSpace.enumerate).
 The caller picks the walk order by the generator list it hands over: Fox
 walks the generators by increasing column, the last fastest; the affine
-solve numbers strands backwards and walks the generators reversed, which
-lists its colorings in lexicographic order of strand values.  Every other
-quandle (non-affine tables, affine ones of composite order, the 1-element
-one) is enumerated by one loop over strand indices: a propagation
-worklist, an undo trail and an explicit backtracking stack, in the same
-lexicographic order.
+solve of prime order numbers strands backwards and walks the generators
+reversed, which lists its colorings in lexicographic order of strand
+values.  Every other quandle (non-affine tables, affine ones of composite
+order, the 1-element one) is listed by one generator loop over strand
+indices: a propagation worklist, an undo trail and an explicit
+backtracking stack, in the same lexicographic order.  Each kind has one
+lazy space, FoxSolutionSpace or QuandleSpace, with count, colorings() and
+first_nonconstant(); only a non-affine table's count runs the search to
+its end.
 
 The crossing rule (_crossing_rule) and the one loop that checks it
 (_broken_crossing) live here, for both kinds; moves and persistence call them.
@@ -38,9 +41,9 @@ The crossing rule (_crossing_rule) and the one loop that checks it
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import cached_property, partial
 from math import isqrt
 from types import MappingProxyType
 
@@ -55,6 +58,7 @@ __all__ = [
     "QuandleAxiomError",
     "QuandleColoring",
     "QuandleSearch",
+    "QuandleSpace",
     "determinant",
     "dihedral",
     "fox_matrix",
@@ -63,12 +67,10 @@ __all__ = [
     "link_determinant",
     "parse_quandle",
     "quandle_colorings",
+    "quandle_space",
     "validate_quandle",
     "verify_coloring",
 ]
-
-DEFAULT_CAP = 10 ** 6
-
 
 class ColoringError(ValueError):
     pass
@@ -91,11 +93,8 @@ class FoxColoring:
         return len({v % self.modulus for v in self.colors.values()}) >= 2
 
     def witness(self) -> tuple[int, int] | None:
-        """A pair of arcs with distinct colors, smallest labels first."""
-        for a, b in combinations(sorted(self.colors), 2):
-            if self.colors[a] % self.modulus != self.colors[b] % self.modulus:
-                return (a, b)
-        return None
+        """A pair of arcs with distinct colors mod N, smallest labels first."""
+        return _witness(self.colors, self.modulus)
 
 
 def fox_matrix(d: Diagram) -> tuple[list[dict[int, int]], list[int]]:
@@ -326,8 +325,8 @@ class Quandle:
     def __post_init__(self):
         """Validate the table once and keep what the solvers read of it: the
         right inverse (_inverse[a * b][b] = a), whether it is involutory, and
-        _affine, which is t when the size p is prime and a * b = t*a + (1-t)*b
-        mod p throughout (t = 1 * 0), else None."""
+        _affine, which is t when a * b = t*a + (1-t)*b mod n throughout for
+        the size n > 1 (t = 1 * 0), else None."""
         validate_quandle(self)
         inverse = [list(row) for row in self.table]
         for a, row in enumerate(self.table):
@@ -337,9 +336,8 @@ class Quandle:
         table, n = self.table, self.size
         involutory = all(table[table[a][b]][b] == a for a in range(n) for b in range(n))
         object.__setattr__(self, "involutory", involutory)
-        prime = n > 1 and all(n % k for k in range(2, isqrt(n) + 1))
-        t = table[1][0] if prime else None
-        affine = prime and all(table[a][b] == (t * a + (1 - t) * b) % n for a in range(n) for b in range(n))
+        t = table[1][0] if n > 1 else None
+        affine = n > 1 and all(table[a][b] == (t * a + (1 - t) * b) % n for a in range(n) for b in range(n))
         object.__setattr__(self, "_affine", t if affine else None)
 
     @property
@@ -417,74 +415,111 @@ class QuandleColoring:
         return len(set(self.colors.values())) >= 2
 
     def witness(self) -> tuple[int, int] | None:
-        for a, b in combinations(sorted(self.colors), 2):
-            if self.colors[a] != self.colors[b]:
-                return (a, b)
-        return None
+        """A pair of arcs with distinct colors, smallest labels first."""
+        return _witness(self.colors)
+
+
+def _witness(colors: Mapping[int, int], modulus: int | None = None) -> tuple[int, int] | None:
+    """The first pair of combinations(sorted(colors), 2) whose colors differ
+    (mod modulus, when given), or None.  That pair is always the smallest
+    label and the first label colored unlike it, so one pass finds it."""
+    labels = sorted(colors)
+    for b in labels:
+        diff = colors[b] - colors[labels[0]]
+        if diff and (modulus is None or diff % modulus):
+            return (labels[0], b)
+    return None
 
 
 @dataclass
-class QuandleSearch:
-    """Result of a quandle coloring enumeration: colorings plus a completeness flag."""
+class QuandleSpace:
+    """One diagram's colorings by one quandle, walked lazily as strand-value
+    tuples in lexicographic order; a dict is built only per coloring taken."""
 
-    colorings: list[QuandleColoring]
-    complete: bool
+    quandle: Quandle
+    _col: Mapping[int, int]  # label -> its strand's position in the walked tuples
+    _walk: Callable[[], Iterator[tuple[int, ...]]]
+    _count: Callable[[], int]
 
-    def __iter__(self):
-        return iter(self.colorings)
+    @cached_property
+    def count(self) -> int:
+        """By elimination for an affine quandle, else a walk to the end of the search that builds no dicts."""
+        return self._count()
 
-    def __len__(self):
-        return len(self.colorings)
+    def colorings(self) -> Iterator[QuandleColoring]:
+        """Yield every coloring, in lexicographic order of strand values."""
+        for x in self._walk():
+            yield self._expand(x)
+
+    def first_nonconstant(self) -> QuandleColoring | None:
+        """The lexicographically first nonconstant coloring, or None when every coloring is constant."""
+        return next((self._expand(x) for x in self._walk() if len(set(x)) >= 2), None)
+
+    def _expand(self, strand_values) -> QuandleColoring:
+        return QuandleColoring(self.quandle, {label: strand_values[c] for label, c in self._col.items()})
 
 
-def quandle_colorings(
-    d: Diagram,
-    q: Quandle,
-    pins: dict[int, int] | None = None,
-    cap: int = DEFAULT_CAP,
-) -> QuandleSearch:
-    """Enumerate colorings of d by q, in lexicographic order of strand values.
+def quandle_space(d: Diagram, q: Quandle, pins: dict[int, int] | None = None) -> QuandleSpace:
+    """All colorings of d by q with the pinned arcs fixed; clashing pins give the empty space.
 
-    An affine quandle of prime order p (a * b = t*a + (1-t)*b mod p, which
-    dihedral(p) is with t = -1) is solved by elimination over Z/p; see
-    _affine_colorings.  Every other quandle is searched: the 1-element one,
-    non-affine tables, and affine ones of composite order, whose solution
-    generators of order g > 1 would not step through the colorings in
-    lexicographic order.
+    An affine quandle (a * b = t*a + (1-t)*b mod n, dihedral(n) with t = -1)
+    is solved over Z/n (Howell form for composite n), which gives count.  For
+    prime n the solve also lists: the rows are those of _crossing_rows at t on
+    reversed columns (strand s is column k-1-s of k), so each pivot is a later
+    strand than its row's other entries and each generator is 1 at its own
+    free strand and 0 at every other and every earlier one, where the
+    particular solution is 0 at every free strand.  The generators' coefficients
+    by increasing free strand are then the free strands' values, and the walk
+    over the reversed columns() is lexicographic.  Over a composite n they do
+    not step in that order, so every other quandle is listed by _search.
 
-    One loop, no recursion: assigning a value pushes the strand onto a
-    worklist, a crossing whose over strand and one under strand are known
-    forces the other, and every assignment goes on an undo trail.  The
-    search is a stack of (strand, next value, trail length) that branches
-    on the first free strand.  complete is False only when a (cap+1)-th
-    coloring exists.  Every pin is checked before any is assigned, and
-    clashing pins give the empty, complete search.
-
-    Non-involutory quandles need an oriented diagram when d has crossings;
-    dihedral (and any involutory) quandles accept unoriented input.
+    Non-involutory quandles need an oriented diagram when d has crossings.
     """
     if not q.involutory and d.crossings and not d.oriented:
         raise ColoringError("orientation required for non-involutory quandle colorings")
     pins = pins or {}
-    system = _strand_columns(d)
-    strands, col, triples, _ = system
+    strands, col, triples, _ = _strand_columns(d)
     for label, v in pins.items():
         if label not in col:
             raise ColoringError(f"pinned arc {label} is not in the diagram")
         if not (0 <= v < q.size):
             raise ColoringError(f"pin value {v} outside the quandle")
-    if q._affine is not None:
-        return _affine_colorings(d, system, q, pins, cap)
+    pinned = [(col[label], v) for label, v in pins.items()]
+    walk = partial(_search, q, triples, d.crossings, len(strands), pinned)
+    if q._affine is None:
+        return QuandleSpace(q, col, walk, lambda: sum(1 for _ in walk()))
+    last = len(strands) - 1
+    at = {label: last - c for label, c in col.items()}
+    reversed_triples = [(last - a, last - b, last - c) for a, b, c in triples]
+    rows = _right_to_left(_crossing_rows(reversed_triples, d.crossings, q._affine))
+    solve = partial(_pinned_solve, at, pins, rows, len(strands), q.size)
+    if any(q.size % k == 0 for k in range(2, isqrt(q.size) + 1)):  # composite
+        return QuandleSpace(q, col, walk, lambda: solve().count)
+    solution = solve()
+    columns = solution.columns()[::-1] if solution.count else []
+    return QuandleSpace(q, at, partial(solution.enumerate, columns), lambda: solution.count)
+
+
+def _search(q: Quandle, triples, crossings, n_strands: int, pinned) -> Iterator[tuple[int, ...]]:
+    """Yield every tuple of strand values that colors the diagram by q, in
+    lexicographic order, the pinned (strand, value) pairs fixed.
+
+    One loop, no recursion: assigning a value pushes the strand onto a
+    worklist, a crossing whose over strand and one under strand are known
+    forces the other, and every assignment goes on an undo trail.  The
+    search is a stack of (strand, next value, trail length) that branches
+    on the first free strand.
+    """
     # a rule is (under-in, over, under-out, forward table, backward table): at a
     # positive crossing under-out = under-in * over, at a negative one the inverse
     table, inverse = q.table, q._inverse
-    rules: list[list[tuple]] = [[] for _ in strands]
-    for (u_in, over, u_out), x in zip(triples, d.crossings):
+    rules: list[list[tuple]] = [[] for _ in range(n_strands)]
+    for (u_in, over, u_out), x in zip(triples, crossings):
         forward, backward = (table, inverse) if x.sign >= 0 else (inverse, table)
         rule = (u_in, over, u_out, forward, backward)
         for s in {u_in, over, u_out}:
             rules[s].append(rule)
-    value: list[int | None] = [None] * len(strands)
+    value: list[int | None] = [None] * n_strands
     trail: list[int] = []
 
     def assign(s: int, v: int) -> bool:
@@ -509,54 +544,43 @@ def quandle_colorings(
         return True
 
     def first_free(start: int) -> int:
-        return next((s for s in range(start, len(value)) if value[s] is None), len(value))
+        return next((s for s in range(start, n_strands) if value[s] is None), n_strands)
 
-    if not all(assign(col[label], v) for label, v in pins.items()):
-        return QuandleSearch([], True)
-    found: list[QuandleColoring] = []
+    if not all(assign(s, v) for s, v in pinned):
+        return
     stack = [(first_free(0), 0, len(trail))]
     while stack:
         s, v, mark = stack.pop()
         for t in trail[mark:]:
             value[t] = None
         del trail[mark:]
-        if s == len(value):  # every strand has a value
-            if len(found) >= cap:
-                return QuandleSearch(found, False)
-            found.append(QuandleColoring(q, {label: value[c] for label, c in col.items()}))
+        if s == n_strands:  # every strand has a value
+            yield tuple(value)
         elif v < q.size:
             stack.append((s, v + 1, mark))
             if assign(s, v):
                 stack.append((first_free(s + 1), 0, len(trail)))
-    return QuandleSearch(found, True)
 
 
-def _affine_colorings(
-    d: Diagram, system: _FoxSystem, q: Quandle, pins: dict[int, int], cap: int
-) -> QuandleSearch:
-    """quandle_colorings for q affine of prime order p, by one solve over Z/p.
+@dataclass
+class QuandleSearch:
+    """Every coloring of a quandle_space, listed."""
 
-    The crossing rows are those of _crossing_rows at t, on reversed columns:
-    strand s is column k-1-s of k.  So each pivot (a row's leftmost column)
-    is a later strand than the row's other entries, and each generator of
-    the basis is 1 at its own free strand, 0 at every other free strand
-    and 0 at every earlier strand, where the particular solution is 0 at
-    every free strand.  The coefficients of the generators taken by
-    increasing free strand (by decreasing column) are then the values of
-    the free strands, and the walk over the reversed columns() lists the
-    colorings in lexicographic order.
-    """
-    strands, col, triples, _ = system
-    last = len(strands) - 1
-    at = {label: last - c for label, c in col.items()}
-    reversed_triples = [(last - a, last - b, last - c) for a, b, c in triples]
-    rows = _right_to_left(_crossing_rows(reversed_triples, d.crossings, q._affine))
-    space = _pinned_solve(at, pins, rows, len(strands), q.size)
-    if space.count == 0:
-        return QuandleSearch([], True)
-    listed = islice(space.enumerate(space.columns()[::-1]), cap)
-    found = [QuandleColoring(q, {label: x[c] for label, c in at.items()}) for x in listed]
-    return QuandleSearch(found, space.count <= cap)
+    colorings: list[QuandleColoring]
+    complete: bool = True
+
+    def __iter__(self):
+        return iter(self.colorings)
+
+    def __len__(self):
+        return len(self.colorings)
+
+
+def quandle_colorings(d: Diagram, q: Quandle, pins: dict[int, int] | None = None) -> QuandleSearch:
+    """Every coloring of quandle_space(d, q, pins), listed eagerly; the package
+    calls quandle_space.  Kept for the benchmark, which reads len(), iterates
+    and pops from .colorings; ROADMAP item 9's benchmark change can delete it."""
+    return QuandleSearch(list(quandle_space(d, q, pins).colorings()))
 
 
 def _crossing_rule(coloring, oriented: bool):

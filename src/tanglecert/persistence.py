@@ -46,7 +46,7 @@ from .colorings import (
     _crossing_rule,
     fox_solution_space,
     link_determinant,
-    quandle_colorings,
+    quandle_space,
     verify_coloring,
 )
 from .diagram import (
@@ -482,8 +482,7 @@ def find_certificate_report(
         report.entries.append(entry)
     for q in quandles:
         for v in q.orbit_representatives():
-            search = quandle_colorings(t, q, pins={e: v for e in t.boundary})
-            hit = next((qc for qc in search if qc.nontrivial), None)
+            hit = quandle_space(t, q, pins={e: v for e in t.boundary}).first_nonconstant()
             if hit is not None:
                 report.certificate = _issue(t, hit, v)
                 report.entries.append({"quandle": q.name or "table", "pin": v, "found": True})

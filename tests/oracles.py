@@ -50,6 +50,7 @@ cut built, oriented and its linking summed, one tangle kept.
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from tanglecert.colorings import (
@@ -57,10 +58,9 @@ from tanglecert.colorings import (
     FoxColoring,
     FoxSolutionSpace,
     QuandleColoring,
-    QuandleSearch,
     fox_solution_space,
     link_determinant,
-    quandle_colorings,
+    quandle_space,
     validate_quandle,
     verify_coloring,
 )
@@ -166,10 +166,9 @@ def brute_fox_count(d, modulus, pins=None):
     return walk(0)
 
 
-def reference_quandle_colorings(d, q, pins=None, cap=10 ** 6):
-    """Quandle colorings by recursive backtracking with strand propagation:
-    strands in sorted order, values 0..n-1, and complete False only when a
-    (cap+1)-th coloring exists."""
+def reference_quandle_colorings(d, q, pins=None):
+    """Every quandle coloring, listed by recursive backtracking with strand
+    propagation: strands in sorted order, values 0..n-1."""
     validate_quandle(q)
     if not q.involutory and d.crossings and not d.oriented:
         raise ColoringError("orientation required for non-involutory quandle colorings")
@@ -192,11 +191,10 @@ def reference_quandle_colorings(d, q, pins=None, cap=10 ** 6):
         if not (0 <= value < q.size):
             raise ColoringError(f"pin value {value} outside the quandle")
         if assignment.get(r, value) != value:
-            return QuandleSearch([], True)
+            return []
         assignment[r] = value
 
     found = []
-    truncated = False
 
     def consistent(i):
         """True/False when decidable; None while the over strand is unknown."""
@@ -225,12 +223,8 @@ def reference_quandle_colorings(d, q, pins=None, cap=10 ** 6):
         return True
 
     def solve():
-        nonlocal truncated
         pending = [s for s in strands if s not in assignment]
         if not pending:
-            if len(found) >= cap:
-                truncated = True
-                return
             value = dict(assignment)
             found.append(QuandleColoring(q, {label: value[r] for label, r in rep.items()}))
             return
@@ -242,12 +236,22 @@ def reference_quandle_colorings(d, q, pins=None, cap=10 ** 6):
                 solve()
             assignment.clear()
             assignment.update(saved)
-            if truncated:
-                return
 
     if all(propagate_from(s) for s in list(assignment)):
         solve()
-    return QuandleSearch(found, not truncated)
+    return found
+
+
+def reference_witness(coloring):
+    """witness() by the pairwise scan it replaced: the first pair of
+    combinations(sorted(labels), 2) whose colors differ, mod N for Fox."""
+    colors = coloring.colors
+    if isinstance(coloring, FoxColoring):
+        colors = {label: v % coloring.modulus for label, v in colors.items()}
+    for a, b in combinations(sorted(colors), 2):
+        if colors[a] != colors[b]:
+            return (a, b)
+    return None
 
 
 def crossing_matrix(d):
@@ -772,15 +776,13 @@ def reference_recolor_after_move(coloring, rec, after):
     }
     if isinstance(coloring, FoxColoring):
         space = fox_solution_space(after, coloring.modulus, pins)
-        if space.count != 1:
-            raise MoveError(f"recoloring is not unique ({space.count} extensions)")
-        return next(space.colorings())
-    if isinstance(coloring, QuandleColoring):
-        search = quandle_colorings(after, coloring.quandle, pins)
-        if len(search.colorings) != 1:
-            raise MoveError(f"recoloring is not unique ({len(search.colorings)} extensions)")
-        return search.colorings[0]
-    raise MoveError(f"cannot recolor a {type(coloring).__name__}")
+    elif isinstance(coloring, QuandleColoring):
+        space = quandle_space(after, coloring.quandle, pins)
+    else:
+        raise MoveError(f"cannot recolor a {type(coloring).__name__}")
+    if space.count != 1:
+        raise MoveError(f"recoloring is not unique ({space.count} extensions)")
+    return next(space.colorings())
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,18 @@ class TestColor:
         payload = json.loads(out)
         assert payload["complete"] is True and len(payload["colorings"]) == 9
 
+    def test_a_short_quandle_listing_reports_the_true_count(self, capsys, corpus_dir):
+        # as for Fox: the count and nontrivial cover every coloring, not the ones listed
+        trefoil, d3 = str(corpus_dir / "trefoil.pd"), str(corpus_dir / "d3.q")
+        code, out, _ = run(capsys, "color", trefoil, "--quandle", d3, "--enumerate", "1")
+        assert code == 0 and out.splitlines() == [
+            "9 colorings by d3, nontrivial: yes",
+            "[(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)]",
+            "first 1 of 9 colorings listed (truncated)",
+        ]
+        code, out, _ = run(capsys, "color", trefoil, "--quandle", d3, "--json")
+        assert code == 0 and json.loads(out) == {"schema": 1, "quandle": "d3", "count": 9, "nontrivial": True}
+
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.pd"
         bad.write_text("X 1 4 2\n")
@@ -338,7 +350,8 @@ def test_quandle_color_output_matches_golden(capsys, corpus_dir, monkeypatch):
 QUANDLE_GOLDEN = [
     ("trefoil.oriented.color-alexander-7-3",
      ["color", "trefoil", "--quandle", "corpus/alexander-7-3.q", "--enumerate", "60"], 0),
-    ("fig8-knot.oriented.color-alexander-11-5",  # 50 of 121: the truncated order
+    ("trefoil.color-d3-enumerate1", ["color", "trefoil", "--quandle", "corpus/d3.q", "--enumerate", "1"], 0),
+    ("fig8-knot.oriented.color-alexander-11-5",  # the first 50 of 121
      ["color", "fig8-knot", "--quandle", "corpus/alexander-11-5.q", "--enumerate", "50"], 0),
     ("fig1-krebes.color-d3", ["color", "fig1-krebes", "--quandle", "corpus/d3.q", "--enumerate", "30"], 0),
     ("fig8-tangle.certify-d3", ["certify", "fig8-tangle", "--quandles", "corpus/d3.q"], 1),  # pinned

@@ -4,12 +4,13 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_fox_count, minor_determinant
+from oracles import brute_fox_count, minor_determinant, reference_witness
 from tanglecert.colorings import (
     ColoringError,
     FoxColoring,
     Quandle,
     QuandleAxiomError,
+    QuandleColoring,
     determinant,
     dihedral,
     fox_matrix,
@@ -17,7 +18,7 @@ from tanglecert.colorings import (
     has_nontrivial_fox,
     link_determinant,
     parse_quandle,
-    quandle_colorings,
+    quandle_space,
     validate_quandle,
     verify_coloring,
 )
@@ -70,11 +71,11 @@ def counted_strand_classes(monkeypatch):
 class TestKeptFoxSystem:
     def test_one_strand_walk_serves_every_solver(self, counted_strand_classes):
         d = closure_3x50()
-        search = quandle_colorings(d, dihedral(3))
+        listed = list(quandle_space(d, dihedral(3)).colorings())
         det = link_determinant(d)
         counts = {n: fox_solution_space(d, n).count for n in (3, 5, 15, 97)}
         assert len(counted_strand_classes) == 1
-        assert counts[3] == len(search) and (counts[3] > 3) == (det % 3 == 0)
+        assert counts[3] == len(listed) and (counts[3] > 3) == (det % 3 == 0)
 
     def test_an_unvalidated_diagram_keeps_nothing(self, counted_strand_classes):
         d = Diagram((Crossing((1, 4, 2, 5)), Crossing((3, 6, 4, 1)), Crossing((5, 2, 6, 3))))
@@ -182,8 +183,7 @@ class TestSolutionSpace:
 
         monkeypatch.setattr(_Echelon, "back_substitute", counting)
         d = parse_diagram(" ; ".join(f"O {k}" for k in range(1, 1201)))
-        search = quandle_colorings(d, dihedral(3), cap=5)
-        assert len(search) == 5 and not search.complete and len(calls) <= 3
+        assert len(list(islice(quandle_space(d, dihedral(3)).colorings(), 5))) == 5 and len(calls) <= 3
         calls.clear()
         space = fox_solution_space(d, 3)
         assert len(list(islice(space.colorings(), 5))) == 5 and len(calls) <= 3
@@ -278,32 +278,69 @@ class TestQuandles:
             parse_quandle("Q ²\n0 1\n1 0\n")
 
     def test_trefoil_dihedral3_has_nine(self, trefoil):
-        res = quandle_colorings(trefoil, dihedral(3))
-        assert len(res) == 9 and res.complete
+        space = quandle_space(trefoil, dihedral(3))
+        res = list(space.colorings())
+        assert len(res) == space.count == 9
         assert all(verify_coloring(trefoil, c) for c in res)
 
     def test_one_element_quandle(self, trefoil):
         q1 = Quandle(((0,),))
-        res = quandle_colorings(trefoil, q1)
-        assert len(res) == 1 and not res.colorings[0].nontrivial
+        space = quandle_space(trefoil, q1)
+        res = list(space.colorings())
+        assert len(res) == space.count == 1 and not res[0].nontrivial
+        assert space.first_nonconstant() is None
 
     def test_dihedral_counts_equal_fox(self, corpus_diagrams):
+        # composite n: the count by elimination over Z/n and the listing by the search
         for name, d in corpus_diagrams.items():
             for n in range(2, 10):
-                assert (
-                    len(quandle_colorings(d, dihedral(n)).colorings)
-                    == fox_solution_space(d, n).count
-                ), (name, n)
+                space = quandle_space(d, dihedral(n))
+                assert space.count == len(list(space.colorings())) == fox_solution_space(d, n).count, (name, n)
 
     def test_truncation_flag(self, trefoil):
-        res = quandle_colorings(trefoil, dihedral(3), cap=4)
-        assert len(res) == 4 and not res.complete
+        # a short listing is a prefix; the count is still the total
+        space = quandle_space(trefoil, dihedral(3))
+        assert len(list(islice(space.colorings(), 4))) == 4 and space.count == 9
 
     def test_column_sum_closure_admits_dihedral5_coloring(self, corpus_diagrams):
         closure = numerator_closure(corpus_diagrams["fig2-p5"])
-        res = quandle_colorings(closure, dihedral(5), cap=10 ** 4)
-        assert any(c.nontrivial for c in res)
+        c = quandle_space(closure, dihedral(5)).first_nonconstant()
+        assert c is not None and c.nontrivial and verify_coloring(closure, c)
 
     def test_pins_restrict_quandle_search(self, trefoil):
-        res = quandle_colorings(trefoil, dihedral(3), pins={1: 0})
-        assert len(res) == 3
+        space = quandle_space(trefoil, dihedral(3), pins={1: 0})
+        assert len(list(space.colorings())) == space.count == 3
+
+
+class TestWitness:
+    """witness() in one pass against the pairwise scan it replaced."""
+
+    def test_matches_the_pairwise_scan_on_the_corpus(self, corpus_diagrams):
+        rng, nonconstant = random.Random(5), 0
+        for name, d in corpus_diagrams.items():
+            found = []
+            for n in (3, 5, 15):
+                for c in islice(fox_solution_space(d, n).colorings(), 30):
+                    found.append(c)
+                    found.append(FoxColoring(n, {a: v + n * rng.randint(-2, 2) for a, v in c.colors.items()}))
+            for n in (3, 5):
+                found += islice(quandle_space(d, dihedral(n)).colorings(), 30)
+            for c in found:
+                assert c.witness() == reference_witness(c), name
+                nonconstant += c.nontrivial
+        assert nonconstant >= 100
+
+    def test_constant_colorings_have_none(self, corpus_diagrams):
+        for d in corpus_diagrams.values():
+            labels = sorted(d.arcs())
+            for c in (FoxColoring(7, {a: 3 for a in labels}), QuandleColoring(dihedral(5), {a: 4 for a in labels})):
+                assert c.witness() is reference_witness(c) is None
+            shifted = FoxColoring(7, {a: 3 + 7 * (a % 3) for a in labels})  # constant mod 7
+            assert shifted.witness() is reference_witness(shifted) is None
+        assert FoxColoring(3, {}).witness() is QuandleColoring(dihedral(3), {}).witness() is None
+
+    def test_the_differing_arc_may_come_last(self):
+        colors = {a: 1 for a in range(1, 4001)}
+        colors[4000] = 2
+        assert QuandleColoring(dihedral(3), colors).witness() == (1, 4000)
+        assert FoxColoring(3, {**colors, 4000: 4}).witness() is None

@@ -31,7 +31,7 @@ from tanglecert.colorings import (
     dihedral,
     fox_solution_space,
     parse_quandle,
-    quandle_colorings,
+    quandle_space,
     verify_coloring,
 )
 from tanglecert.diagram import DiagramError, orient, parse_diagram, unoriented
@@ -91,7 +91,7 @@ def test_fox_colorings_agree_with_the_reference(d):
 @pytest.mark.parametrize("d", CLOSURES, ids=IDS)
 def test_dihedral_colorings_of_unoriented_closures_agree(d):
     for n in (3, 5, 7):
-        for c in quandle_colorings(d, dihedral(n), cap=4):
+        for c in islice(quandle_space(d, dihedral(n)).colorings(), 4):
             agree_and_reject(d, c, n)
 
 
@@ -100,7 +100,7 @@ def test_non_involutory_colorings_of_oriented_closures_agree(q):
     assert not q.involutory
     signs, nonconstant = set(), 0
     for d in map(orient, CLOSURES):
-        for c in quandle_colorings(d, q, cap=6):
+        for c in islice(quandle_space(d, q).colorings(), 6):
             agree_and_reject(d, c, q.size)
             if c.nontrivial:
                 signs |= {x.sign for x in d.crossings}
@@ -113,7 +113,7 @@ def test_non_involutory_colorings_of_oriented_closures_agree(q):
 @pytest.mark.parametrize("q", [alexander(5, 2), alexander(7, 3)], ids=["alexander-5-2", "alexander-7-3"])
 def test_both_checks_need_an_orientation_only_where_there_are_crossings(q):
     for d in map(orient, CLOSURES):
-        for c in quandle_colorings(d, q, cap=2):
+        for c in islice(quandle_space(d, q).colorings(), 2):
             for check in (verify_coloring, reference_verify_coloring):
                 with pytest.raises(ColoringError, match="orientation required"):
                     check(unoriented(d), c)
@@ -128,7 +128,7 @@ class TestRange:
         with pytest.raises(ColoringError, match="outside the quandle"):
             verify_coloring(unknot, QuandleColoring(dihedral(3), {1: -3}))
         t = corpus_diagrams["fig9-tangle"]
-        good = next(c for c in quandle_colorings(t, dihedral(3)) if 1 in c.colors.values())
+        good = next(c for c in quandle_space(t, dihedral(3)).colorings() if 1 in c.colors.values())
         assert verify_coloring(t, good)
         label = min(a for a, v in good.colors.items() if v == 1)
         with pytest.raises(ColoringError, match=f"arc {label} has color -2"):
@@ -152,8 +152,8 @@ class TestQuandleValidatedOnce:
         real = colorings.validate_quandle
         monkeypatch.setattr(colorings, "validate_quandle", lambda q: calls.append(q) or real(q))
         q = parse_quandle("Q 3\n0 2 1\n2 1 0\n1 0 2\n")
-        search = quandle_colorings(trefoil, q)
-        assert all(verify_coloring(trefoil, c) for c in search) and len(search) == 9
+        space = quandle_space(trefoil, q)
+        assert all(verify_coloring(trefoil, c) for c in space.colorings()) and space.count == 9
         assert len(calls) == 1
 
     def test_a_table_that_is_not_right_invertible_is_refused(self):

@@ -13,7 +13,7 @@ from tanglecert.colorings import (
     determinant,
     dihedral,
     fox_solution_space,
-    quandle_colorings,
+    quandle_space,
     verify_coloring,
 )
 from tanglecert.diagram import (
@@ -215,7 +215,7 @@ def some_colorings(d, rng):
         space = fox_solution_space(d, n)
         out.append(rng.choice(list(islice(space.colorings(), 40))))
     for n in (3, 5):
-        out.append(rng.choice(quandle_colorings(d, dihedral(n), cap=40).colorings))
+        out.append(rng.choice(list(islice(quandle_space(d, dihedral(n)).colorings(), 40))))
     return out
 
 

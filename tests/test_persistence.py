@@ -8,13 +8,14 @@ from tanglecert import colorings, persistence
 from tanglecert.colorings import (
     FoxColoring,
     Quandle,
+    QuandleColoring,
     determinant,
     dihedral,
     fox_solution_space,
     link_determinant,
 )
 from tanglecert.braids import braid_closure
-from tanglecert.diagram import DiagramError, co_facial, components, orient, parse_diagram
+from tanglecert.diagram import Diagram, DiagramError, co_facial, components, max_label, orient, parse_diagram
 from tanglecert.persistence import (
     CertificateError,
     CertificateNotFound,
@@ -329,6 +330,23 @@ class TestFindCertificate:
         cert = find_certificate(t, moduli=[], quandles=(dihedral(7),))
         assert cert is not None and cert.kind[0] == "quandle"
         assert cert.coloring.nontrivial
+
+    def test_the_quandle_route_builds_only_the_coloring_it_issues(self, corpus_diagrams, monkeypatch):
+        # 12 split circles give 3^12 boundary-pinned dihedral-3 colorings; the
+        # search reads the first nonconstant one and builds no other
+        t = corpus_diagrams["fig1-krebes"]
+        m = max_label(t)
+        d = Diagram(t.crossings, tuple(range(m + 1, m + 13)), t.boundary)
+        built, init = [], QuandleColoring.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuandleColoring, "__init__", counting)
+        cert = find_certificate(d, moduli=[], quandles=(dihedral(3),))
+        assert cert is not None and cert.coloring.nontrivial and cert.boundary_color == 0
+        assert len(built) <= 2
 
     def test_certificate_modulus_divides_gcd(self, corpus_diagrams):
         for name in ("fig1-krebes", "fig2-p5", "fig2-p7", "fig5-t-plus-tstar"):

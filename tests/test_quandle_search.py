@@ -1,19 +1,21 @@
 """The one-loop quandle coloring search against the recursive reference.
 
-quandle_colorings must return the colorings of
-oracles.reference_quandle_colorings in the same order, the same complete
-flag, and the same exception type and message, on seeded braid closures
-with dihedral quandles, the 1-element quandle and a non-involutory
-Alexander quandle, with pins and with caps that truncate.
+quandle_space must list the colorings of oracles.reference_quandle_colorings
+in the same order (every prefix a caller takes with islice is the
+reference's prefix), count all of them, find the reference's first
+nonconstant one, and raise the same exception type and message, on seeded
+braid closures with dihedral quandles, the 1-element quandle and a
+non-involutory Alexander quandle, with pins and with short prefixes.
 """
 
 import random
+from itertools import islice
 
 import pytest
 
 from oracles import reference_quandle_colorings
 from tanglecert.braids import braid_closure
-from tanglecert.colorings import ColoringError, Quandle, dihedral, quandle_colorings
+from tanglecert.colorings import ColoringError, Quandle, dihedral, quandle_colorings, quandle_space
 from tanglecert.diagram import orient, parse_diagram
 
 # a * b = 2a - b mod 5, the Alexander quandle on Z/5 with t = 2: not involutory
@@ -31,16 +33,28 @@ CLOSURES = [random_closure(RNG, RNG.randint(2, 5), RNG.randint(1, 14)) for _ in 
 IDS = [f"c{i}" for i in range(len(CLOSURES))]
 
 
-def outcome(search, d, q, pins=None, cap=10 ** 6):
+def outcome(d, q, pins=None, cap=10 ** 6):
+    """quandle_space's first `cap` colorings, its count and its first
+    nonconstant coloring, or the type and message of what it raised."""
     try:
-        res = search(d, q, pins, cap)
+        space = quandle_space(d, q, pins)
+        first = space.first_nonconstant()
+        return [c.colors for c in islice(space.colorings(), cap)], space.count, first and first.colors
     except Exception as exc:
         return type(exc), str(exc)
-    return [c.colors for c in res], res.complete
+
+
+def reference(d, q, pins=None, cap=10 ** 6):
+    """The same three read off the reference's full listing."""
+    try:
+        listed = [c.colors for c in reference_quandle_colorings(d, q, pins)]
+    except Exception as exc:
+        return type(exc), str(exc)
+    return listed[:cap], len(listed), next((c for c in listed if len(set(c.values())) >= 2), None)
 
 
 def cases(d):
-    """(diagram, quandle, pins, cap) for one closure."""
+    """(diagram, quandle, pins, prefix length) for one closure."""
     arcs = sorted(d.arcs())
     over = d.crossings[0].slots[1::2]  # two labels of one strand
     out = []
@@ -66,16 +80,14 @@ def cases(d):
 @pytest.mark.parametrize("d", CLOSURES, ids=IDS)
 def test_search_matches_the_recursive_reference(d):
     for dd, q, pins, cap in cases(d):
-        assert outcome(quandle_colorings, dd, q, pins, cap) == outcome(
-            reference_quandle_colorings, dd, q, pins, cap
-        ), (q.name, pins, cap)
+        assert outcome(dd, q, pins, cap) == reference(dd, q, pins, cap), (q.name, pins, cap)
 
 
 def test_the_inputs_hold_nonconstant_colorings_and_both_crossing_signs():
     oriented = [orient(d) for d in CLOSURES]
     assert {x.sign for d in oriented for x in d.crossings} == {-1, 1}
-    assert sum(len(quandle_colorings(d, ALEXANDER)) > 5 for d in oriented) >= 10
-    assert sum(len(quandle_colorings(d, dihedral(5))) > 5 for d in CLOSURES) >= 10
+    assert sum(quandle_space(d, ALEXANDER).count > 5 for d in oriented) >= 10
+    assert sum(quandle_space(d, dihedral(5)).count > 5 for d in CLOSURES) >= 10
 
 
 def test_every_pin_is_checked_before_any_is_assigned(trefoil):
@@ -84,12 +96,26 @@ def test_every_pin_is_checked_before_any_is_assigned(trefoil):
     pins = {4: 0, 5: 1, 99: 0}
     assert len(reference_quandle_colorings(trefoil, dihedral(3), pins)) == 0
     with pytest.raises(ColoringError, match="pinned arc 99 is not in the diagram"):
-        quandle_colorings(trefoil, dihedral(3), pins)
+        quandle_space(trefoil, dihedral(3), pins)
 
 
 def test_many_circles_do_not_deepen_the_call_stack():
     d = parse_diagram(" ; ".join(f"O {k}" for k in range(1, 1201)))
-    res = quandle_colorings(d, dihedral(3), cap=5)
-    assert len(res) == 5 and not res.complete
+    space = quandle_space(d, dihedral(3))
+    res = list(islice(space.colorings(), 5))
+    assert space.count == 3 ** 1200
     assert [c.colors[1199] for c in res] == [0, 0, 0, 1, 1]
     assert [c.colors[1200] for c in res] == [0, 1, 2, 0, 1]
+    assert space.first_nonconstant().colors == res[1].colors
+
+
+def test_the_benchmark_reads_a_full_listing():
+    # quandle_colorings stays for the benchmark: len(), iteration (twice), .complete
+    # and a .colorings list that it may pop from
+    res = quandle_colorings(orient(CLOSURES[0]), ALEXANDER)
+    want = [c.colors for c in reference_quandle_colorings(orient(CLOSURES[0]), ALEXANDER)]
+    assert len(res) == len(want) and res.complete
+    assert [c.colors for c in res] == [c.colors for c in res] == want
+    assert isinstance(res.colorings, list)
+    res.colorings.pop()
+    assert len(res) == len(want) - 1
