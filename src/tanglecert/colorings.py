@@ -191,14 +191,17 @@ class FoxSolutionSpace:
         """A nonconstant coloring read off the basis, or None when every coloring is constant.
 
         The particular solution if it is nonconstant, else the particular
-        solution plus the first nonconstant generator.  Nothing is enumerated.
+        solution plus the first nonconstant generator.  Nothing is
+        enumerated, and generators are built only up to that one.
         """
         if self.count == 0:
             return None
-        particular, generators = self._space.basis()
+        space = self._space
+        particular = space._vector(None)
         if len(set(particular)) >= 2:
             return self._expand(particular)
-        for g, _ in generators:
+        for c, _ in space.columns():
+            g = space._vector(c)
             if len(set(g)) >= 2:  # the particular solution is constant, so particular + g is not
                 return self._expand(tuple((a + b) % self.modulus for a, b in zip(particular, g)))
         return None

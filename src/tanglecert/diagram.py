@@ -42,14 +42,18 @@ fields, or a Crossing whose slots, are not tuples, so a marked object
 cannot change after the check, and labels the index cannot hold (not
 integers below 2**31).
 parse_diagram and every public constructor return validated diagrams;
-intermediates that never leave a function are not validated.  Every
-diagram tangle._glue makes from two validated tangles (sums, closures,
-caps, host closures) is marked without validate: _splice builds its index
-from their two kept indices (the second's darts after the first's, each
-arc that ran to the boundary followed across the glue, faces numbered
-afresh).  Planar disks glued along boundary arcs make a disk or a sphere,
-and gluing arcs end to end leaves every label on two darts, so the
-occurrence count and Euler walk would pass; signs and flow are checked.
+intermediates that never leave a function are not validated.  Two builders
+make a diagram from a validated one.  _edit rewrites one site (labels
+substituted at (vertex, slot) places, crossings appended, circles or
+boundary replaced) and validates the result; every move, undo and cut is
+one _edit call.  Every diagram tangle._glue makes from two validated
+tangles (sums, closures, caps, host closures) is marked without validate:
+_splice builds its index from their two kept indices (the second's darts
+after the first's, the darts paired inside either kept, the glued ends
+paired by label, faces numbered afresh).  Planar disks glued along
+boundary arcs make a disk or a sphere, and gluing arcs end to end leaves
+every label on two darts, so the occurrence count and Euler walk would
+pass; signs and flow are checked.
 """
 
 from __future__ import annotations
@@ -242,41 +246,58 @@ def validate(d: Diagram) -> None:
     _keep(d, labels, other, face_next, face)
 
 
-def _splice(d: Diagram, t: Diagram, host: Diagram, glue, boundary=()) -> None:
+def _edit(d: Diagram, spots=(), added=(), circles=None, boundary=None) -> Diagram:
+    """d rewritten at one site, validated: labels substituted at (vertex,
+    slot, old, new) places (the cap's vertex is _CAP), the `added` crossings
+    appended, and the circles or boundary, when given, put in place of d's
+    (cap places name the new boundary's positions)."""
+    crossings = list(d.crossings)
+    cap = list(d.boundary if boundary is None else boundary)
+    for v, s, old, new in spots:
+        if v == _CAP:
+            assert cap[s] == old
+            cap[s] = new
+        else:
+            slots = list(crossings[v].slots)
+            assert slots[s] == old
+            slots[s] = new
+            crossings[v] = Crossing(tuple(slots), crossings[v].sign)
+    circles = d.circles if circles is None else tuple(circles)
+    out = Diagram(tuple(crossings) + tuple(added), circles, tuple(cap))
+    validate(out)
+    return out
+
+
+def _splice(d: Diagram, t: Diagram, host: Diagram) -> None:
     """Mark d, glued from the tangles t and host, valid with a dart index
     spliced from theirs.
 
-    d's crossings are t's and then the host's, relabeled by the glue, which
-    pairs the boundary positions that meet (t's positions first, then the
-    host's); `boundary` lists the rest in d.boundary's order.  d passes the
-    occurrence and Euler counts by construction (see the module docstring),
-    so only the signs and an oriented d's flow are checked.
+    d's crossings are t's and then the host's.  Darts paired inside t or
+    the host stay paired; the rest, the crossing darts whose arcs ran to a
+    boundary and d's cap darts, pair by label, each of which the glue left
+    on exactly two of them.  d passes the occurrence and Euler counts by
+    construction (see the module docstring), so only the signs and an
+    oriented d's flow are checked.
     """
     t_other, h_other = _darts(t)[1], _darts(host)[1]
-    nt, nh, bt = 4 * len(t.crossings), 4 * len(host.crossings), len(t.boundary)
-    other = t_other[:nt] + array("i", [k + nt for k in h_other[:nh]])
-    # each boundary position's partner in its own tangle: a dart of d, or ~q for position q
-    ends = [k if k < nt else ~(k - nt) for k in t_other[nt:]]
-    ends += [k + nt if k < nh else ~(k - nh + bt) for k in h_other[nh:]]
-    across = [0] * len(ends)
-    for p, q in glue:
-        across[p], across[q] = q, p
-    for i, p in enumerate(boundary):  # an open position meets a virtual one ending at d's cap
-        across[p] = len(across)
-        across.append(p)
-        ends.append(nt + nh + i)
-        other.append(0)  # set below
-    for p, j in enumerate(ends):
-        if j >= 0:  # j's arc ran to the boundary: follow it across to its far dart
-            k = ends[across[p]]
-            while k < 0:  # a crossing-free strand passes straight through
-                k = ends[across[~k]]
-            other[j] = k
     signs = {c.sign for c in d.crossings}
     if 0 in signs and len(signs) > 1:
         raise OrientationError("diagram mixes signed and unsigned crossings")
+    nt, nh = 4 * len(t.crossings), 4 * len(host.crossings)
     labels = [label for c in d.crossings for label in c.slots]
     labels += d.boundary
+    other = t_other[:nt] + array("i", [k + nt for k in h_other[:nh]])
+    other.extend([0] * len(d.boundary))  # set below
+    loose = [k for k in t_other[nt:] if k < nt]
+    loose += [k + nt for k in h_other[nh:] if k < nh]
+    loose += range(nt + nh, len(labels))
+    unpaired = {}  # label -> the one loose dart seen with it so far
+    for j in loose:
+        k = unpaired.pop(labels[j], None)
+        if k is None:
+            unpaired[labels[j]] = j
+        else:
+            other[j], other[k] = k, j
     face_next = _face_next(len(d.crossings), other)
     _keep(d, labels, other, face_next, _face_ids(face_next))
 

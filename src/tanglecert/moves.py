@@ -1,12 +1,16 @@
 """Reidemeister rewriting with consistent recoloring.
 
 Moves operate on unoriented diagrams and return a new diagram plus a
-replayable MoveRecord.  Recoloring is local: every untouched arc keeps its
-color, and the crossing rule fixes each changed label from the crossings
-around the move site; the result is then checked on every crossing.  Both
-the rule and the check come from colorings (an involutory quandle's, since
-the diagrams are unoriented).  Counts of colorings are preserved by all
-three move types, which the test suite exercises directly.
+replayable MoveRecord: the move's (vertex, slot, old, new) label
+substitutions, the crossings it appended and the circle it removed.  Each
+move builds its diagram with one diagram._edit call, and undo_move inverts
+any record the same way (an R3 slide's substitutions run backwards, so its
+inverse is the slide back).  Recoloring is local: every untouched arc
+keeps its color, and the crossing rule fixes each changed label from the
+crossings around the move site; the result is then checked on every
+crossing.  Both the rule and the check come from colorings (an involutory
+quandle's, since the diagrams are unoriented).  Counts of colorings are
+preserved by all three move types, which the test suite exercises directly.
 
 The transport routine repeatedly pushes a chosen arc across faces (always
 passing over the obstructions, so the mover keeps its color) along a
@@ -20,19 +24,18 @@ from dataclasses import dataclass, field, replace
 
 from .colorings import ColoringError, _broken_crossing, _crossing_rule
 from .diagram import (
-    _CAP,
     Crossing,
     Diagram,
     DiagramError,
     OrientationError,
     _darts,
+    _edit,
     _far_ends,
     _has_arc,
     _place,
     co_facial,
     faces,
     max_label,
-    validate,
 )
 
 __all__ = [
@@ -63,7 +66,6 @@ class MoveRecord:
     added: tuple[int, ...] = ()  # indices of crossings appended to the diagram
     replaced: tuple[tuple[int, int, int, int], ...] = ()  # (vertex, slot, old, new)
     removed_circle: int | None = None
-    triangle: tuple = ()  # R3: (crossing indices, old records, new records)
 
     def changed_labels(self) -> frozenset[int]:
         if self.kind == "R3":
@@ -86,22 +88,6 @@ def _require_unoriented(d: Diagram) -> None:
         raise OrientationError("moves operate on unoriented diagrams")
 
 
-def _replace_at(d: Diagram, spots) -> Diagram:
-    """Substitute labels at specific (vertex, slot, old, new) positions."""
-    crossings = list(d.crossings)
-    boundary = list(d.boundary)
-    for v, s, old, new in spots:
-        if v == _CAP:
-            assert boundary[s] == old
-            boundary[s] = new
-        else:
-            slots = list(crossings[v].slots)
-            assert slots[s] == old
-            slots[s] = new
-            crossings[v] = Crossing(tuple(slots), crossings[v].sign)
-    return Diagram(tuple(crossings), d.circles, tuple(boundary))
-
-
 # ---------------------------------------------------------------------------
 # R1
 
@@ -112,9 +98,7 @@ def apply_r1(d: Diagram, arc: int, positive: bool = True) -> tuple[Diagram, Move
     if arc in d.circles:
         loop = max_label(d) + 1
         slots = (arc, loop, loop, arc) if positive else (arc, arc, loop, loop)
-        crossings = d.crossings + (Crossing(slots),)
-        out = Diagram(crossings, tuple(k for k in d.circles if k != arc), d.boundary)
-        validate(out)
+        out = _edit(d, added=(Crossing(slots),), circles=[k for k in d.circles if k != arc])
         rec = MoveRecord(
             "R1+", ("arc", arc), fresh=(loop,), added=(len(d.crossings),), removed_circle=arc
         )
@@ -128,9 +112,7 @@ def apply_r1(d: Diagram, arc: int, positive: bool = True) -> tuple[Diagram, Move
     new = loop + 1
     slots = (arc, loop, loop, new) if positive else (arc, new, loop, loop)
     replaced = ((tail[0], tail[1], arc, new),)
-    base = _replace_at(d, replaced)
-    out = Diagram(base.crossings + (Crossing(slots),), base.circles, base.boundary)
-    validate(out)
+    out = _edit(d, replaced, added=(Crossing(slots),))
     rec = MoveRecord(
         "R1+", ("arc", arc), fresh=(loop, new), added=(len(d.crossings),), replaced=replaced
     )
@@ -161,11 +143,9 @@ def apply_r2_over(d: Diagram, mover: int, target: int) -> tuple[Diagram, MoveRec
         (far_m[0], far_m[1], mover, m_far),
         (far_t[0], far_t[1], target, t_far),
     )
-    base = _replace_at(d, replaced)
     y1 = Crossing((target, m_far, t_mid, m_mid))
     y2 = Crossing((t_mid, mover, t_far, m_mid))
-    out = Diagram(base.crossings + (y1, y2), base.circles, base.boundary)
-    validate(out)
+    out = _edit(d, replaced, added=(y1, y2))
     rec = MoveRecord(
         "R2+",
         ("arcs", mover, target),
@@ -226,20 +206,19 @@ def apply_r3(d: Diagram, face_index: int) -> tuple[Diagram, MoveRecord]:
 
     # the slide reverses the order in which each strand meets its two
     # crossings, so the external edge on the far side attaches first
-    new_P = Crossing(orientate((a_out, z, x, c_in), p % 2 == 0))
-    new_Q = Crossing(orientate((x, y, a_in, b_out), q % 2 == 1))
-    new_R = Crossing(orientate((b_in, c_out, y, z), r % 2 == 1))
-    crossings = list(d.crossings)
-    old = (crossings[P], crossings[Q], crossings[R])
-    crossings[P], crossings[Q], crossings[R] = new_P, new_Q, new_R
-    out = Diagram(tuple(crossings), d.circles, d.boundary)
-    validate(out)
-    rec = MoveRecord(
-        "R3",
-        ("face", (x, y, z)),
-        triangle=((P, Q, R), old, (new_P, new_Q, new_R)),
+    slid = {
+        P: orientate((a_out, z, x, c_in), p % 2 == 0),
+        Q: orientate((x, y, a_in, b_out), q % 2 == 1),
+        R: orientate((b_in, c_out, y, z), r % 2 == 1),
+    }
+    replaced = tuple(
+        (v, s, old, new)
+        for v, slots in slid.items()
+        for s, (old, new) in enumerate(zip(d.crossings[v].slots, slots))
+        if old != new
     )
-    return out, rec
+    rec = MoveRecord("R3", ("face", (x, y, z)), replaced=replaced)
+    return _edit(d, replaced), rec
 
 
 # ---------------------------------------------------------------------------
@@ -247,28 +226,21 @@ def apply_r3(d: Diagram, face_index: int) -> tuple[Diagram, MoveRecord]:
 
 
 def undo_move(d: Diagram, rec: MoveRecord) -> tuple[Diagram, MoveRecord]:
-    """Invert a move applied to produce d; returns the restored diagram."""
+    """Invert a move applied to produce d; returns the restored diagram.
+
+    The added crossings, the last ones, go, the substitutions run backwards
+    and a removed circle comes back.  An R3 slide's inverse is the slide
+    back, which can be undone in turn.
+    """
+    if rec.kind not in ("R1+", "R2+", "R3"):
+        raise MoveError(f"cannot undo a {rec.kind} record")
+    spots = tuple((v, s, new, old) for v, s, old, new in reversed(rec.replaced))
+    kept = Diagram(d.crossings[: len(d.crossings) - len(rec.added)], d.circles, d.boundary)
+    circles = None if rec.removed_circle is None else d.circles + (rec.removed_circle,)
+    out = _edit(kept, spots, circles=circles)
     if rec.kind == "R3":
-        (P, Q, R), old, _ = rec.triangle
-        crossings = list(d.crossings)
-        crossings[P], crossings[Q], crossings[R] = old
-        out = Diagram(tuple(crossings), d.circles, d.boundary)
-        validate(out)
-        return out, MoveRecord("R3", rec.site, triangle=((P, Q, R), _, old))
-    if rec.kind in ("R1+", "R2+"):
-        keep = [c for i, c in enumerate(d.crossings) if i not in rec.added]
-        base = Diagram(tuple(keep), d.circles, d.boundary)
-        undone = _replace_at(base, tuple((v, s, new, old) for v, s, old, new in rec.replaced))
-        circles = undone.circles
-        if rec.removed_circle is not None:
-            circles = circles + (rec.removed_circle,)
-        out = Diagram(undone.crossings, circles, undone.boundary)
-        validate(out)
-        inverse = MoveRecord(
-            "R1-" if rec.kind == "R1+" else "R2-", rec.site, fresh=rec.fresh
-        )
-        return out, inverse
-    raise MoveError(f"cannot undo a {rec.kind} record")
+        return out, MoveRecord("R3", rec.site, replaced=spots)
+    return out, MoveRecord("R1-" if rec.kind == "R1+" else "R2-", rec.site, fresh=rec.fresh)
 
 
 # ---------------------------------------------------------------------------

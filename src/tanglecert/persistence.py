@@ -52,6 +52,7 @@ from .colorings import (
 from .diagram import (
     Diagram,
     DiagramError,
+    _edit,
     _far_ends,
     _has_arc,
     _strands,
@@ -61,11 +62,9 @@ from .diagram import (
     max_label,
     serialize,
     unoriented,
-    validate,
 )
 from .moves import (
     MoveRecord,
-    _replace_at,
     apply_r2_over,
     r2_transport,
     recolor_after_move,
@@ -218,19 +217,14 @@ def _cut(d: Diagram, arcs: list[int], fresh: list[int], boundary: tuple[int, ...
     places = _far_ends(d, arcs)
     if places is None:
         raise DiagramError(f"no face contains all of {sorted(arcs)}")
-    out = _replace_at(d, [(*place, a, f) for place, a, f in zip(places, arcs, fresh)])
-    out = Diagram(out.crossings, out.circles, boundary)
-    validate(out)
-    return out
+    return _edit(d, [(*place, a, f) for place, a, f in zip(places, arcs, fresh)], boundary=boundary)
 
 
 def cut_arc_once(d: Diagram, arc: int) -> Diagram:
     """Disconnect one arc of a closed 1-component diagram: a 1-tangle."""
     _require_cuttable(d)
     if arc in d.circles:
-        out = Diagram(d.crossings, tuple(k for k in d.circles if k != arc), (arc, arc))
-        validate(out)
-        return out
+        return _edit(d, circles=[k for k in d.circles if k != arc], boundary=(arc, arc))
     if not _has_arc(d, arc):
         raise DiagramError(f"unknown arc {arc}")
     fresh = max_label(d) + 1

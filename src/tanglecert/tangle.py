@@ -136,7 +136,7 @@ def _glue(t: Diagram, host: Diagram, glue, boundary=()) -> Diagram:
     carry = [ends[p] for p in boundary]
     crossings, circles, carry = _apply_joins(t.crossings, t.circles, joins, carry, host, shift)
     out = Diagram(tuple(crossings), tuple(circles), tuple(carry))
-    _splice(out, t, host, glue, boundary)
+    _splice(out, t, host)
     return out
 
 

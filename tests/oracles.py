@@ -11,6 +11,9 @@ diagram kept its coloring system and crossing rows entered the
 elimination right to left: strand columns built afresh on every call,
 pins first, then the crossing rows in crossing order, into the library's
 solve_mod, whose counts the oracles above check.
+reference_first_nonconstant is first_nonconstant as it was before it built
+generators only up to the first nonconstant one: read off basis(), which
+back-substitutes every generator.
 The quandle coloring reference is the recursive backtracking search that
 the one-loop search replaced.
 The diagram validator is the tuple-keyed occurrence scan that the
@@ -324,6 +327,21 @@ def reference_fox_solution_space(d, modulus, pins=None):
         rhs.append(0)
     space = solve_mod(rows, rhs, len(strands), modulus)
     return FoxSolutionSpace(d, modulus, strands, space, col)
+
+
+def reference_first_nonconstant(space):
+    """FoxSolutionSpace.first_nonconstant read off the whole basis: the
+    particular solution if it is nonconstant, else it plus the first
+    nonconstant generator, every generator back-substituted first."""
+    if space.count == 0:
+        return None
+    particular, generators = space._space.basis()
+    if len(set(particular)) >= 2:
+        return space._expand(particular)
+    for g, _ in generators:
+        if len(set(g)) >= 2:
+            return space._expand(tuple((a + b) % space.modulus for a, b in zip(particular, g)))
+    return None
 
 
 def cf_value(twists):

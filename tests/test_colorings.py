@@ -189,6 +189,23 @@ class TestSolutionSpace:
         assert len(list(islice(space.colorings(), 5))) == 5 and len(calls) <= 3
         assert len(space._space.basis()[1]) == 1200 and len(calls) == 1 + 1200
 
+    def test_first_nonconstant_builds_only_the_vectors_it_reads(self, monkeypatch):
+        # on 1,200 circles mod 3 the particular solution is constant and the
+        # first generator is not: two back-substitutions, not 1 + 1,200
+        from tanglecert.linalg import _Echelon
+
+        calls, back_substitute = [], _Echelon.back_substitute
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return back_substitute(*args, **kwargs)
+
+        monkeypatch.setattr(_Echelon, "back_substitute", counting)
+        d = parse_diagram(" ; ".join(f"O {k}" for k in range(1, 1201)))
+        c = fox_solution_space(d, 3).first_nonconstant()
+        assert c is not None and c.nontrivial and verify_coloring(d, c)
+        assert len(calls) <= 2
+
     @given(st.integers(2, 9), st.integers(0, 50), st.integers(1, 50))
     @settings(max_examples=40, deadline=None)
     def test_affine_symmetry(self, trefoil, n, v, u):

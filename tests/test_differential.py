@@ -21,6 +21,7 @@ from oracles import (
     link_invariant,
     minor_determinant,
     reference_closure_evidence,
+    reference_first_nonconstant,
     reference_fox_solution_space,
     strand_partition,
 )
@@ -183,6 +184,32 @@ def test_row_order_changes_no_answer(corpus_diagrams, seed):
     for d, pins in cases:
         for n in ORDER_MODULI:  # each diagram's kept system serves every modulus
             assert_same_space(fox_solution_space(d, n, pins), reference_fox_solution_space(d, n, pins))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_nonconstant_matches_the_basis_reading(corpus_diagrams, seed):
+    # the corpus, pinned and unpinned, then seeded closures pinned on two
+    # arcs and seeded T+T* sums pinned on their boundary
+    rng = random.Random(seed)
+    cases = []
+    for d in corpus_diagrams.values():
+        cases.append((d, {}))
+        if d.boundary:
+            cases.append((d, {e: 0 for e in d.boundary}))
+            cases.append((d, {e: rng.randrange(3) for e in d.boundary}))
+    for _ in range(8):
+        d = random_closure(rng, rng.randint(2, 5), rng.randint(1, 60))
+        cases.append((d, {}))
+        cases.append((d, dict.fromkeys(rng.sample(sorted(d.arcs()), 2), 0)))
+    for _ in range(4):
+        t = rational_tangle([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 4))])
+        s = tangle_add(t, mirror(t))
+        cases.append((s, {}))
+        cases.append((s, {e: 0 for e in s.boundary}))
+    for d, pins in cases:
+        for n in (3, 5, 15):
+            got = fox_solution_space(d, n, pins).first_nonconstant()
+            assert got == reference_first_nonconstant(fox_solution_space(d, n, pins)), (d, pins, n)
 
 
 def test_link_determinant_matches_the_rational_first_minor():

@@ -321,3 +321,44 @@ class TestDartIndex:
         assert len(calls["_face_ids"]) == len(calls["_dart_structure"])
         # one face walked per R2 move and for the cut, never every face
         assert len(calls["_orbit"]) == moves + 1
+
+
+class TestUndoRecords:
+    """One undo path: trailing crossings dropped, substitutions reversed, a circle restored."""
+
+    def test_undoing_the_inverse_of_an_r3_undo_slides_again(self):
+        lhs = braid_closure([1, 2, 1], 3)
+        slid, rec = apply_r3(lhs, find_r3_triangles(lhs)[0])
+        back, inverse = undo_move(slid, rec)
+        assert inverse.kind == "R3" and canonical_form(back) == canonical_form(lhs)
+        again, _ = undo_move(back, inverse)
+        assert canonical_form(again) == canonical_form(slid) == canonical_form(braid_closure([2, 1, 2], 3))
+
+    def test_seeded_undo_restores_the_input_and_recolors_like_the_re_solve(self):
+        rng = random.Random(41)
+        kinds = {}
+        inputs = random_diagrams(30, seed=43, max_len=10) + [rational_tangle([3, -2]), rational_tangle([2, 1, 2])]
+        for d in inputs:
+            circle = diagram.max_label(d) + 1
+            circled = parse_diagram(serialize(d) + f"O {circle}\n")
+            moves = [
+                (d, apply_r1(d, rng.choice(sorted(d.arcs())), positive=rng.random() < 0.5)),
+                (circled, apply_r1(circled, circle, positive=rng.random() < 0.5)),
+            ]
+            eligible = [f for f in faces(d) if len(f.arcs) >= 2 and f.corners]
+            if eligible:
+                moves.append((d, apply_r2_over(d, *rng.sample(sorted(rng.choice(eligible).arcs), 2))))
+            tris = find_r3_triangles(d)
+            if tris:
+                moves.append((d, apply_r3(d, rng.choice(tris))))
+            for before, (after, rec) in moves:
+                back, inverse = undo_move(after, rec)
+                assert canonical_form(back) == canonical_form(before)
+                for c in some_colorings(before, rng)[::2]:  # Fox mod 3 and 15, dihedral 5
+                    moved = recolor_after_move(c, rec, after)
+                    assert moved == reference_recolor_after_move(c, rec, after)
+                    restored = recolor_after_move(moved, inverse, back)
+                    assert restored == reference_recolor_after_move(moved, inverse, back) == c
+                kind = "R1 circle" if before is circled else rec.kind
+                kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds["R1+"] == kinds["R1 circle"] == 32 and kinds["R2+"] >= 25 and kinds["R3"] >= 8
