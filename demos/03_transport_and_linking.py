@@ -12,6 +12,7 @@ linking between them grows as far as we like.
 """
 
 from tanglecert import (
+    co_facial,
     cut_two_arcs,
     ensure_same_colored_pair,
     find_same_colored_pairs,
@@ -27,7 +28,7 @@ from tanglecert import (
 
 trefoil = parse_diagram("X 1 4 2 5 ; X 3 6 4 1 ; X 5 2 6 3")
 coloring = fox_solution_space(trefoil, 3).first_nonconstant()
-pairs = find_same_colored_pairs(trefoil, coloring, require_non_cofacial=True)
+pairs = [p for p in find_same_colored_pairs(trefoil, coloring) if not co_facial(trefoil, *p)]
 print("Same-colored, non-co-facial arc pairs of the tricolored trefoil:", pairs)
 
 a1, a2 = pairs[0]
@@ -43,8 +44,8 @@ print(f"move trace of {len(records)} record(s), replayable from the JSON output.
 # Linking inflation on a 6-crossing knot colored mod 11.
 six2 = numerator_closure(rational_tangle([3, 1, 2]))
 c11 = fox_solution_space(six2, 11).first_nonconstant()
-print("\nA 6-crossing knot with determinant 11; its colorings are injective")
-print("on arcs, so a same-colored pair must be minted by one R2 move first.")
+print("\nA 6-crossing knot with determinant 11; its colorings give its 6 strands")
+print("6 distinct colors, so each same-colored pair lies on one strand (ROADMAP item 3).")
 d2, c2, pair, setup = ensure_same_colored_pair(six2, c11)
 print(f"Created pair {pair} with {len(setup)} setup move(s).")
 

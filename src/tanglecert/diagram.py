@@ -22,11 +22,15 @@ and nowhere else.
 Faces come from the rotation system: darts (crossing, slot) walk the
 next-corner permutation, with tangle boundaries capped by a virtual vertex.
 Strands walk the same darts along the arc pairing, straight on through
-each crossing (slot s to slot s ^ 2); components and orient share that
-walk.  An arc borders the faces of its two darts, which is all co_facial
-asks.  Planarity is enforced by the per-component Euler count
-V - E + F = 2, not by an embedding search; a rotation system that fails
-Euler is rejected as an inconsistent code.
+each crossing (slot s to slot s ^ 2).  components, orient, the tangle
+module's connectivity and linking_sum, and the transport cut's linking
+scores all read that walk; _flow reads each dart's flow and each
+crossing's sign off it, for orient and the cut alike.  An arc borders the
+faces of its two darts, which is all co_facial asks, and a face's arcs
+are the labels of one orbit, so the transport search walks face orbits
+from the darts it enters them by.  Planarity is enforced by the
+per-component Euler count V - E + F = 2, not by an embedding search; a
+rotation system that fails Euler is rejected as an inconsistent code.
 
 Trust boundary: validate() runs once per Diagram object.  A diagram that
 passes keeps the dart index the check built (dart labels, arc pairing,
@@ -209,8 +213,8 @@ def serialize(d: Diagram) -> str:
 # (the cap is vertex len(crossings)).  One linear scan builds the dart
 # pairing and the face permutation, and one walk of the face orbits numbers
 # the faces for the Euler count; validation checks them and keeps all four
-# on the diagram as its index, which faces, co_facial, the strand walk of
-# components and orient, and the move and cut helpers read through _darts.
+# on the diagram as its index, which faces, co_facial, the strand walk and
+# the move and cut helpers read through _darts.
 
 _CAP = -1  # vertex index of the capped tangle boundary in (vertex, slot) places
 
@@ -525,6 +529,20 @@ def _strands(d: Diagram) -> tuple[array, list[list[int]]]:
     return labels, strands
 
 
+def _flow(d: Diagram, strands: list[list[int]]) -> tuple[bytearray, list[int]]:
+    """(flow_in, signs) along the strand walk: per dart, whether its arc
+    flows into the dart's vertex, and per crossing the sign orient gives
+    it, +1 when the walk enters at slot 0 and at slot 3 alike, or at
+    neither: the over strand then comes in at slot 3 once the record is
+    turned so that the incoming under strand sits at slot 0."""
+    flow_in = bytearray(len(_darts(d)[0]))
+    for strand in strands:
+        for head in strand[1::2]:
+            flow_in[head] = 1
+    signs = [1 if flow_in[j] == flow_in[j + 3] else -1 for j in range(0, 4 * len(d.crossings), 4)]
+    return flow_in, signs
+
+
 def components(d: Diagram) -> list[frozenset[int]]:
     """Partition arcs into link components / open strands by strand-following."""
     labels, strands = _strands(d)
@@ -594,22 +612,11 @@ def orient(d: Diagram) -> Diagram:
     """
     if d.oriented:
         return d
-    labels, strands = _strands(d)
-    flow_in = bytearray(len(labels))  # dart -> its arc flows into the dart's vertex
-    for strand in strands:
-        for head in strand[1::2]:
-            flow_in[head] = 1
+    flow_in, signs = _flow(d, _strands(d)[1])
     new_crossings = []
-    for ci, c in enumerate(d.crossings):
-        slots = c.slots
-        if not flow_in[4 * ci]:
-            slots = (slots[2], slots[3], slots[0], slots[1])
-            base = 2
-        else:
-            base = 0
-        over_in_at_3 = flow_in[4 * ci + (base + 3) % 4]
-        sign = 1 if over_in_at_3 else -1
-        new_crossings.append(Crossing(slots, sign))
+    for ci, (c, sign) in enumerate(zip(d.crossings, signs)):
+        s = c.slots
+        new_crossings.append(Crossing(s if flow_in[4 * ci] else (s[2], s[3], s[0], s[1]), sign))
     out = Diagram(tuple(new_crossings), d.circles, d.boundary)
     validate(out)
     return out

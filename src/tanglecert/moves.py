@@ -6,16 +6,18 @@ substitutions, the crossings it appended and the circle it removed.  Each
 move builds its diagram with one diagram._edit call, and undo_move inverts
 any record the same way (an R3 slide's substitutions run backwards, so its
 inverse is the slide back).  Recoloring is local: every untouched arc
-keeps its color, and the crossing rule fixes each changed label from the
-crossings around the move site; the result is then checked on every
+keeps its color, and the crossing rule fixes each changed label at the
+record's site, the crossings it appended or substituted labels at, where
+every occurrence of such a label sits; the result is then checked on every
 crossing.  Both the rule and the check come from colorings (an involutory
 quandle's, since the diagrams are unoriented).  Counts of colorings are
 preserved by all three move types, which the test suite exercises directly.
 
 The transport routine repeatedly pushes a chosen arc across faces (always
 passing over the obstructions, so the mover keeps its color) along a
-breadth-first shortest path in the face-adjacency graph until a descendant
-segment shares a face with the destination arc.
+shortest face path, found breadth-first over the face orbits of the kept
+dart index, until a descendant segment shares a face with the destination
+arc.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from .colorings import ColoringError, _broken_crossing, _crossing_rule
 from .diagram import (
+    _CAP,
     Crossing,
     Diagram,
     DiagramError,
@@ -32,6 +35,7 @@ from .diagram import (
     _edit,
     _far_ends,
     _has_arc,
+    _orbit,
     _place,
     co_facial,
     faces,
@@ -259,35 +263,30 @@ def recolor_after_move(coloring, rec: MoveRecord, after: Diagram):
     except ColoringError as exc:
         raise MoveError(f"cannot recolor: {exc}") from None
     colors = dict(values)  # the rule's values may be the coloring's own dict
-    changed = rec.changed_labels()
-    for label in changed:
+    for label in rec.changed_labels():
         colors.pop(label, None)
-    labels, other, _, _ = _darts(after)
-
-    def ends(label):  # the vertices at both ends of an arc; the cap's is len(crossings)
-        j = labels.index(label)
-        return j >> 2, other[j] >> 2
-
-    work = [v for label in changed if label in labels for v in ends(label)]
-    while work:  # the crossing rule at each crossing that holds a newly colored arc
-        v = work.pop()
-        if v == len(after.crossings):
-            continue
-        a, b, c, e = after.crossings[v].slots
-        over = colors.get(b, colors.get(e))
-        if over is None and {a, c} & {b, e}:  # a kink: one color on the whole crossing
-            over = colors.get(a, colors.get(c))
-        if over is None:
-            continue
-        forced = {b: over, e: over}
-        if a in colors:
-            forced[c] = forward(colors[a], over)  # the moves leave every crossing unsigned
-        elif c in colors:
-            forced[a] = backward(colors[c], over)
-        for label, value in forced.items():
-            if label not in colors:
-                colors[label] = value
-                work += ends(label)
+    # every occurrence of a changed label sits at the record's site or on
+    # the cap, so the rule runs at the site's crossings until nothing new is colored
+    site = sorted({*rec.added, *(v for v, _, _, _ in rec.replaced if v != _CAP)})
+    grew = True
+    while grew:
+        grew = False
+        for v in site:
+            a, b, c, e = after.crossings[v].slots
+            over = colors.get(b, colors.get(e))
+            if over is None and {a, c} & {b, e}:  # a kink: one color on the whole crossing
+                over = colors.get(a, colors.get(c))
+            if over is None:
+                continue
+            forced = {b: over, e: over}
+            if a in colors:
+                forced[c] = forward(colors[a], over)  # the moves leave every crossing unsigned
+            elif c in colors:
+                forced[a] = backward(colors[c], over)
+            for label, value in forced.items():
+                if label not in colors:
+                    colors[label] = value
+                    grew = True
     try:
         out = replace(coloring, colors={label: colors[label] for label in after.arcs()})
     except KeyError as exc:
@@ -314,27 +313,31 @@ def _first_step_arc(d: Diagram, mover: int, dest: int) -> int | None:
     """The arc to cross first on a shortest face path from `mover` to `dest`,
     or None when a face already holds both; raises when no path exists.
 
-    Breadth-first over the face-adjacency graph, faces in the order of faces(d).
+    Breadth-first over the kept face orbits from the two faces of the
+    mover's darts, in order of face id.  Each face reached keeps the dart
+    it was entered by; its orbit from there gives the face's arcs, and an
+    arc's dart there leads across the arc to the face on its far side.
     """
-    labels, _, _, face = _darts(d)
-    face_arcs: list[set[int]] = [set() for _ in range(max(face, default=-1) + 1)]
-    arc_faces: dict[int, set[int]] = {}
-    for a, f in zip(labels, face):
-        face_arcs[f].add(a)
-        arc_faces.setdefault(a, set()).add(f)
-    queue = sorted(arc_faces.get(mover, ()))
+    labels, other, face_next, face = _darts(d)
+    entry = {}  # face reached -> the dart it was entered by
+    if mover in labels:  # a crossing-free circle borders no face
+        j = labels.index(mover)
+        entry = {face[j]: j, face[other[j]]: other[j]}
+    queue = sorted(entry)
     prev: dict[int, tuple[int, int] | None] = dict.fromkeys(queue)
     for fi in queue:  # the queue grows while it is walked
-        if dest in face_arcs[fi]:
+        arcs = {labels[k]: k for k in _orbit(face_next, entry[fi])}
+        if dest in arcs:
             step = None
             while prev[fi] is not None:
                 fi, step = prev[fi]
             return step
-        for a in sorted(face_arcs[fi] - {mover}):
-            for nf in sorted(arc_faces[a]):
-                if nf not in prev:
-                    prev[nf] = (fi, a)
-                    queue.append(nf)
+        for a in sorted(arcs.keys() - {mover}):
+            k = other[arcs[a]]
+            if face[k] not in prev:
+                prev[face[k]] = (fi, a)
+                entry[face[k]] = k
+                queue.append(face[k])
     raise MoveError(f"no face path from arc {mover} to arc {dest}")
 
 

@@ -54,6 +54,7 @@ from .diagram import (
     DiagramError,
     _edit,
     _far_ends,
+    _flow,
     _has_arc,
     _strands,
     co_facial,
@@ -75,6 +76,7 @@ from .tangle import (
     TangleFraction,
     _glue,
     close_one_tangle,
+    connectivity,
     denominator_closure,
     infinity_tangle,
     insert_into_host,
@@ -256,23 +258,17 @@ def _cut_linkings(d: Diagram, mover: int, candidates: list[int]) -> list[int]:
     Pass i is the crossing the walk meets between its arcs i and i + 1.
     Cutting two arcs splits the passes into two runs, one per open strand,
     and a crossing links the strands when its two passes lie in different
-    runs.  Each crossing is signed as orient signs it: positive when the
-    walk enters it at slot 0 and at slot 3 alike, which is orient's reading
-    of the incoming over slot once slot 0 is the incoming under one.
-    Reversing one strand negates every linking sign, so the absolute sum
-    does not depend on how the tangle is oriented.
+    runs.  Each crossing is signed as orient signs it, by _flow.  Reversing
+    one strand negates every linking sign, so the absolute sum does not
+    depend on how the tangle is oriented.
     """
-    labels, (walk,) = _strands(d)
+    labels, strands = _strands(d)
+    (walk,) = strands
+    signs = _flow(d, strands)[1]
     position = {labels[tail]: i for i, tail in enumerate(walk[::2])}
     passes = [[0, 0] for _ in d.crossings]  # per crossing, its under and over pass
-    in_at_0 = bytearray(len(d.crossings))
-    over_in_at_3 = bytearray(len(d.crossings))
     for i, head in enumerate(walk[1::2]):
-        ci, slot = divmod(head, 4)
-        passes[ci][slot & 1] = i
-        in_at_0[ci] |= slot == 0
-        over_in_at_3[ci] |= slot == 3
-    signs = [1 if a == b else -1 for a, b in zip(in_at_0, over_in_at_3)]
+        passes[head >> 2][head & 1] = i
     scores = []
     for lbl in candidates:
         lo, hi = sorted((position[mover], position[lbl]))
@@ -338,21 +334,11 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
     return t, _issue(t, replace(coloring, colors=colors), boundary_color, records), records
 
 
-def find_same_colored_pairs(d: Diagram, coloring, require_non_cofacial: bool = False):
+def find_same_colored_pairs(d: Diagram, coloring):
     """Distinct arc pairs with equal colors (Fox ones mod N), smallest labels first."""
     colors, _, _ = _crossing_rule(coloring, d.oriented)
     arcs = sorted(d.arcs())
-    # the co-facial pairs, collected face by face: a crossing-free circle's
-    # faces hold only its own label, so pairs with a circle are never dropped
-    cofacial = set()
-    if require_non_cofacial:
-        cofacial = {(a, b) for f in faces(d) for a in f.arcs for b in f.arcs}
-    out = []
-    for i, a in enumerate(arcs):
-        for b in arcs[i + 1:]:
-            if colors[a] == colors[b] and (a, b) not in cofacial:
-                out.append((a, b))
-    return out
+    return [(a, b) for i, a in enumerate(arcs) for b in arcs[i + 1:] if colors[a] == colors[b]]
 
 
 def ensure_same_colored_pair(d: Diagram, coloring):
@@ -702,8 +688,6 @@ def irreducibility_report(
     cd = _closure_evidence(denominator_closure(t), moduli)
     g = math.gcd(cn.determinant, cd.determinant)
     if not t.crossings and not t.circles:
-        from .tangle import connectivity
-
         degenerate = "zero tangle" if connectivity(t) == "H" else "infinity tangle"
         verdict = f"excluded: {degenerate}"
     elif twists is not None:

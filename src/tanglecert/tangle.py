@@ -26,8 +26,8 @@ from .diagram import (
     DiagramError,
     _find,
     _splice,
+    _strands,
     _union,
-    components,
     max_label,
     validate,
 )
@@ -72,19 +72,9 @@ def infinity_tangle() -> Diagram:
 def connectivity(d: Diagram) -> str:
     """Endpoint pairing pattern: 'H' (NW-NE/SW-SE), 'V' (NW-SW/NE-SE), or 'X'."""
     _require_tangle(d)
-    comp = components(d)
-    cls = {}
-    for i, grp in enumerate(comp):
-        for label in grp:
-            cls[label] = i
-    nw, ne, se, sw = d.boundary
-    if cls[nw] == cls[ne]:
-        return "H"
-    if cls[nw] == cls[sw]:
-        return "V"
-    if cls[nw] == cls[se]:
-        return "X"
-    raise TangleError("endpoints do not pair into two strands")
+    _, strands = _strands(d)
+    end = strands[0][-1] - 4 * len(d.crossings)  # NW's strand ends at NE, SE or SW: 1, 2 or 3
+    return "HXV"[end - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +306,12 @@ def linking_sum(t: Diagram) -> int:
         if t.crossings:
             raise TangleError("linking_sum needs an oriented tangle")
         return 0
-    comp = components(t)
-    cls = {}
-    for i, grp in enumerate(comp):
-        for label in grp:
-            cls[label] = i
-    open_classes = {cls[e] for e in t.boundary}
-    if len(open_classes) != 2:
-        raise TangleError("tangle does not have two open strands")
-    total = 0
-    for c in t.crossings:
-        under, over = cls[c.slots[0]], cls[c.slots[1]]
-        if under != over and {under, over} == open_classes:
-            total += c.sign
-    return total
+    labels, strands = _strands(t)
+    side = bytearray(len(labels))  # dart -> 1 or 2 on the walk's open strands, which come first
+    for mark, strand in zip((1, 2), strands):
+        for j in strand:
+            side[j] = mark
+    # a crossing links them when its under and over darts lie on different ones
+    return sum(
+        c.sign for i, c in enumerate(t.crossings) if {side[4 * i], side[4 * i + 1]} == {1, 2}
+    )

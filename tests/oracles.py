@@ -48,6 +48,12 @@ reference_insert_into_host composes them: the sum, then its closure.
 reference_cut_choice is the transport cut's choice as it was before the
 candidates were scored on the uncut knot's strand walk: every candidate
 cut built, oriented and its linking summed, one tangle kept.
+reference_connectivity and reference_linking_sum are the tangle's endpoint
+pairing and linking sum as they were before they read the strand walk:
+from a label -> component dict built off components().
+reference_non_cofacial_pairs is the co-facial filter that
+find_same_colored_pairs ran before its callers asked co_facial instead:
+the co-facial pairs collected face by face from faces().
 """
 
 import random
@@ -97,7 +103,6 @@ from tanglecert.tangle import (
     TangleError,
     infinity_tangle,
     insert_into_host,
-    linking_sum,
     rational_tangle,
     zero_tangle,
 )
@@ -735,6 +740,54 @@ def reference_co_facial(d, a1, a2):
     return any(a1 in f.arcs and a2 in f.arcs for f in faces(d))
 
 
+def reference_non_cofacial_pairs(d, pairs):
+    """The arc pairs no face of faces(d) holds together, the co-facial pairs
+    collected face by face: a crossing-free circle's faces hold only its own
+    label, so pairs with a circle are never dropped."""
+    cofacial = {(a, b) for f in faces(d) for a in f.arcs for b in f.arcs}
+    return [p for p in pairs if p not in cofacial]
+
+
+def _component_classes(d):
+    return {label: i for i, grp in enumerate(components(d)) for label in grp}
+
+
+def reference_connectivity(d):
+    """'H', 'V' or 'X' from the component of each endpoint."""
+    if len(d.boundary) != 4:
+        raise TangleError("operation needs a 4-endpoint tangle")
+    cls = _component_classes(d)
+    nw, ne, se, sw = d.boundary
+    if cls[nw] == cls[ne]:
+        return "H"
+    if cls[nw] == cls[sw]:
+        return "V"
+    if cls[nw] == cls[se]:
+        return "X"
+    raise TangleError("endpoints do not pair into two strands")
+
+
+def reference_linking_sum(t):
+    """The signs of the crossings whose under and over arcs lie in the two
+    components that hold the endpoints, summed."""
+    if len(t.boundary) != 4:
+        raise TangleError("operation needs a 4-endpoint tangle")
+    if not t.oriented:
+        if t.crossings:
+            raise TangleError("linking_sum needs an oriented tangle")
+        return 0
+    cls = _component_classes(t)
+    open_classes = {cls[e] for e in t.boundary}
+    if len(open_classes) != 2:
+        raise TangleError("tangle does not have two open strands")
+    total = 0
+    for c in t.crossings:
+        under, over = cls[c.slots[0]], cls[c.slots[1]]
+        if under != over and {under, over} == open_classes:
+            total += c.sign
+    return total
+
+
 def reference_first_step_arc(d, mover, dest):
     """BFS over the Face list; the arc to cross first, or raise."""
     fs = faces(d)
@@ -962,7 +1015,7 @@ def reference_closure_evidence(dgm, moduli):
 
 def reference_cut_choice(d, mover, candidates):
     """({label: score}, tangle): each candidate's cut with mover built and
-    oriented in full, scored by |linking_sum|, and the cut of the smallest
+    oriented in full, scored by |reference_linking_sum|, and the cut of the smallest
     label with the largest score, as cut_two_arcs chose before it scored the
     candidates on the uncut knot."""
     f1 = max_label(d) + 1
@@ -970,7 +1023,7 @@ def reference_cut_choice(d, mover, candidates):
     scores, best = {}, None
     for lbl in sorted(candidates):
         t = _cut(d, [mover, lbl], [f1, f2], (f1, mover, f2, lbl))
-        scores[lbl] = abs(linking_sum(orient(t)))
+        scores[lbl] = abs(reference_linking_sum(orient(t)))
         if best is None or scores[lbl] > best[0]:
             best = (scores[lbl], t)
     return scores, best[1]

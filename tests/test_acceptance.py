@@ -14,7 +14,7 @@ from tanglecert.colorings import (
     fox_solution_space,
     link_determinant,
 )
-from tanglecert.diagram import components, faces, orient
+from tanglecert.diagram import co_facial, components, faces, orient
 from tanglecert.moves import apply_r1, apply_r2_over, apply_r3, find_r3_triangles, r2_transport
 from tanglecert.persistence import (
     build_T_plus_Tstar,
@@ -84,7 +84,7 @@ def _emitted_certificates(corpus_diagrams, trefoil):
     c = fox_solution_space(trefoil, 3).first_nonconstant()
     t, cert = cut_arc_twice(trefoil, c, 1)
     out.append(("trefoil-cut-twice", t, cert))
-    pair = find_same_colored_pairs(trefoil, c, require_non_cofacial=True)[0]
+    pair = [p for p in find_same_colored_pairs(trefoil, c) if not co_facial(trefoil, *p)][0]
     t2, cert2, _ = cut_two_arcs(trefoil, c, *pair)
     out.append(("trefoil-two-arcs", t2, cert2))
     return out
@@ -103,7 +103,7 @@ def test_criterion_04_certificate_soundness(corpus_diagrams, trefoil):
 
 def test_criterion_05_transport_pipeline(trefoil):
     c = fox_solution_space(trefoil, 3).first_nonconstant()
-    pairs = find_same_colored_pairs(trefoil, c, require_non_cofacial=True)
+    pairs = [p for p in find_same_colored_pairs(trefoil, c) if not co_facial(trefoil, *p)]
     assert pairs, "tricolored trefoil must have a same-colored non-co-facial pair"
     t, cert, moves = cut_two_arcs(trefoil, c, *pairs[0])
     assert len(moves) >= 1

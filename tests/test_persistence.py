@@ -96,7 +96,7 @@ class TestCutTwice:
 class TestCutTwoArcs:
     def test_non_cofacial_pair_needs_transport(self, trefoil):
         c = tricoloring(trefoil)
-        pairs = find_same_colored_pairs(trefoil, c, require_non_cofacial=True)
+        pairs = [p for p in find_same_colored_pairs(trefoil, c) if not co_facial(trefoil, *p)]
         assert pairs
         t, cert, moves = cut_two_arcs(trefoil, c, *pairs[0])
         assert len(moves) >= 1
@@ -144,7 +144,7 @@ class TestCutTwoArcs:
         # whatever transport route is taken, the certified modulus and the
         # boundary color depend only on the chosen arcs
         c = tricoloring(trefoil)
-        pairs = find_same_colored_pairs(trefoil, c, require_non_cofacial=True)
+        pairs = [p for p in find_same_colored_pairs(trefoil, c) if not co_facial(trefoil, *p)]
         results = {
             (cert.kind, cert.boundary_color)
             for pair in pairs
@@ -159,9 +159,6 @@ class TestCutTwoArcs:
         reduced = FoxColoring(3, {**c.colors, 6: 0})
         assert find_same_colored_pairs(trefoil, c) == [(1, 6), (2, 3), (4, 5)]
         assert find_same_colored_pairs(trefoil, c) == find_same_colored_pairs(trefoil, reduced)
-        assert find_same_colored_pairs(trefoil, c, require_non_cofacial=True) == (
-            find_same_colored_pairs(trefoil, reduced, require_non_cofacial=True)
-        )
         t, cert, moves = cut_two_arcs(trefoil, c, 1, 6)
         t2, cert2, moves2 = cut_two_arcs(trefoil, reduced, 1, 6)
         assert (t, cert.to_json(), moves) == (t2, cert2.to_json(), moves2)
@@ -244,7 +241,7 @@ class TestCutChoice:
             c = _fox_colored(d)
             if c is None:
                 continue
-            pairs = find_same_colored_pairs(d, c, require_non_cofacial=True)
+            pairs = [p for p in find_same_colored_pairs(d, c) if not co_facial(d, *p)]
             for pair in pairs[:1] + pairs[-1:]:
                 for k in range(4):
                     t, (d2, mover, candidates, scores) = _cut_choices(d, c, pair, k, monkeypatch)

@@ -1,12 +1,15 @@
 """The strand walk and the face-orbit reads against their references.
 
-components and orient share one walk over the dart pairing; co_facial,
-_far_ends and the transport's face path read the face ids that validate
+components, orient, _flow's crossing signs, a tangle's connectivity and
+linking sum read one walk over the dart pairing; co_facial, _far_ends and
+the transport's face path read the face ids and face orbits that validate
 keeps.  Each must agree with the version it replaced in tests/oracles.py:
-a dict union-find, a walk of its own, the Face list of faces(), and a
-scan over every face orbit.  The co-facial filter of
-find_same_colored_pairs, which collects the pairs face by face, must agree
-with co_facial asked pair by pair.
+a dict union-find, a walk of its own, a label -> component dict, the Face
+list of faces(), and a scan over every face orbit.  Asking co_facial pair
+by pair, as the callers of find_same_colored_pairs do, must drop the pairs
+that the face-by-face collection drops.  The tangles are the 2-tangles
+among the inputs and the cut_two_arcs tangles of the corpus knots, with 0
+to 3 spiral passes.
 """
 
 import random
@@ -19,18 +22,32 @@ import pytest
 from oracles import (
     reference_co_facial,
     reference_components,
+    reference_connectivity,
     reference_far_ends,
     reference_first_step_arc,
+    reference_linking_sum,
+    reference_non_cofacial_pairs,
     reference_orient,
     reference_r2_transport,
 )
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import FoxColoring, fox_solution_space
-from tanglecert.diagram import _far_ends, co_facial, components, orient, parse_diagram, unoriented
+from tanglecert.diagram import (
+    _far_ends,
+    _flow,
+    _strands,
+    co_facial,
+    components,
+    orient,
+    parse_diagram,
+    unoriented,
+)
 from tanglecert.moves import MoveError, _first_step_arc, r2_transport
-from tanglecert.persistence import cut_arc_once, find_same_colored_pairs
+from tanglecert.persistence import cut_arc_once, cut_two_arcs, find_same_colored_pairs
 from tanglecert.tangle import (
+    connectivity,
     infinity_tangle,
+    linking_sum,
     mirror,
     numerator_closure,
     rational_tangle,
@@ -74,10 +91,36 @@ DIAGRAMS = diagrams()
 IDS = [f"d{i}" for i in range(len(DIAGRAMS))]
 
 
+def cut_tangles():
+    """cut_two_arcs of the first and last same-colored pair of each colorable
+    corpus knot (the first nonconstant coloring mod 3, 5, 7, 11 or 13), with
+    0 to 3 spiral passes."""
+    out = []
+    for p in sorted(CORPUS.glob("*.pd")):
+        d = parse_diagram(p.read_text())
+        if d.boundary or len(components(d)) != 1:
+            continue
+        spaces = (fox_solution_space(d, n) for n in (3, 5, 7, 11, 13))
+        c = next((c for space in spaces if (c := space.first_nonconstant())), None)
+        if c is None:
+            continue
+        pairs = find_same_colored_pairs(d, c)
+        for pair in pairs[:1] + pairs[-1:]:
+            out += [cut_two_arcs(d, c, *pair, extra_passes=k)[0] for k in range(4)]
+    return out
+
+
+CUTS = cut_tangles()
+CUT_IDS = [f"c{i}" for i in range(len(CUTS))]
+TANGLES = [d for d in DIAGRAMS if len(d.boundary) == 4] + CUTS
+TANGLE_IDS = [f"t{i}" for i in range(len(TANGLES))]
+
+
 def test_the_inputs_hold_multi_component_links_and_circles():
     assert sum(len(components(d)) > 1 and len(d.crossings) > 0 for d in CLOSURES) >= 5
     assert sum(bool(d.circles) for d in DIAGRAMS) >= 5
     assert sum(len(d.boundary) == 4 for d in DIAGRAMS) >= 14
+    assert len(TANGLES) >= 40 and sum(abs(linking_sum(orient(t))) >= 2 for t in TANGLES) >= 5
 
 
 @pytest.mark.parametrize("d", DIAGRAMS, ids=IDS)
@@ -89,6 +132,20 @@ def test_components_match_the_union_find(d):
 def test_orient_matches_the_reference_walk(d):
     plain = unoriented(d) if d.crossings else d
     assert orient(plain) == reference_orient(plain)
+
+
+@pytest.mark.parametrize("d", DIAGRAMS + CUTS, ids=IDS + CUT_IDS)
+def test_flow_signs_are_the_signs_orient_gives(d):
+    plain = unoriented(d) if d.crossings else d
+    _, signs = _flow(plain, _strands(plain)[1])
+    assert signs == [c.sign for c in reference_orient(plain).crossings]
+
+
+@pytest.mark.parametrize("t", TANGLES, ids=TANGLE_IDS)
+def test_connectivity_and_linking_sum_match_the_component_reading(t):
+    assert connectivity(t) == reference_connectivity(t)
+    oriented = orient(t)
+    assert linking_sum(oriented) == reference_linking_sum(oriented)
 
 
 @pytest.mark.parametrize("d", DIAGRAMS, ids=IDS)
@@ -111,8 +168,8 @@ def test_non_cofacial_pairs_match_co_facial_on_every_pair(d):
     if nonconstant is not None:
         colorings.append(nonconstant)
     for c in colorings:
-        expected = [p for p in find_same_colored_pairs(d, c) if not co_facial(d, *p)]
-        assert find_same_colored_pairs(d, c, require_non_cofacial=True) == expected
+        pairs = find_same_colored_pairs(d, c)
+        assert [p for p in pairs if not co_facial(d, *p)] == reference_non_cofacial_pairs(d, pairs)
 
 
 def first_step(step_arc, d, mover, dest):
