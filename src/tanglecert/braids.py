@@ -9,7 +9,6 @@ crossing-free circles.
 from __future__ import annotations
 
 from .diagram import Crossing, Diagram, validate
-from .tangle import _apply_joins
 
 __all__ = ["braid_closure"]
 
@@ -33,8 +32,14 @@ def braid_closure(word: list[int], strands: int) -> Diagram:
         else:
             crossings.append(Crossing((e_j, e_i, f_i, f_j)))
         current[i], current[i + 1] = f_i, f_j
-    # plat closure: bottom edge at each position merges with the top edge
-    crossings, circles, _ = _apply_joins(crossings, (), list(zip(top, current)), [])
-    d = Diagram(tuple(crossings), tuple(circles), ())
+    # plat closure: the bottom edge at each position takes the top edge's
+    # label, and a position no crossing touched closes into a circle
+    rename = {b: a for a, b in zip(top, current) if a != b}
+    crossings = [
+        c if rename.keys().isdisjoint(c.slots) else Crossing(tuple(rename.get(s, s) for s in c.slots))
+        for c in crossings
+    ]
+    circles = tuple(a for a, b in zip(top, current) if a == b)
+    d = Diagram(tuple(crossings), circles, ())
     validate(d)
     return d

@@ -46,18 +46,16 @@ fields, or a Crossing whose slots, are not tuples, so a marked object
 cannot change after the check, and labels the index cannot hold (not
 integers below 2**31).
 parse_diagram and every public constructor return validated diagrams;
-intermediates that never leave a function are not validated.  Two builders
-make a diagram from a validated one.  _edit rewrites one site (labels
-substituted at (vertex, slot) places, crossings appended, circles or
-boundary replaced) and validates the result; every move, undo and cut is
-one _edit call.  Every diagram tangle._glue makes from two validated
-tangles (sums, closures, caps, host closures) is marked without validate:
-_splice builds its index from their two kept indices (the second's darts
-after the first's, the darts paired inside either kept, the glued ends
-paired by label, faces numbered afresh).  Planar disks glued along
-boundary arcs make a disk or a sphere, and gluing arcs end to end leaves
-every label on two darts, so the occurrence count and Euler walk would
-pass; signs and flow are checked.
+intermediates that never leave a function are not validated.  One builder,
+_edit, makes a diagram from a validated one, and every move, undo, cut and
+glue (sums, closures, caps, host closures, a quarter turn) is one _edit
+call.  It splices the result's index from the kept one (see _edit) and
+marks it without validate: each result is planar by construction, as a
+move or cut is surgery inside one face and planar disks glued along
+boundary arcs make a disk or a sphere, and each leaves every label on two
+darts, so the occurrence count and Euler walk would pass; signs and flow
+are checked.  undo_move is the exception: its record is caller input, so
+it also validates a fresh copy of its result.
 """
 
 from __future__ import annotations
@@ -243,58 +241,47 @@ def validate(d: Diagram) -> None:
     twice = 2 * len(set(labels)) == len(labels) and list(map(labels.__getitem__, other)) == labels
     if d.circles or not (twice and signs <= {-1, 0, 1} and min(labels, default=1) > 0):
         _check_records(d)
-    if 0 in signs and len(signs) > 1:
-        raise OrientationError("diagram mixes signed and unsigned crossings")
+    _check_signs(signs)
     face = _face_ids(face_next)
     _check_euler(d, other, face)
     _keep(d, labels, other, face_next, face)
 
 
-def _edit(d: Diagram, spots=(), added=(), circles=None, boundary=None) -> Diagram:
-    """d rewritten at one site, validated: labels substituted at (vertex,
-    slot, old, new) places (the cap's vertex is _CAP), the `added` crossings
+def _edit(d: Diagram, spots=(), added=(), circles=None, boundary=None, drop=0) -> Diagram:
+    """d rewritten at one site, marked valid with d's kept index spliced:
+    its last `drop` crossings dropped, labels substituted at (vertex, slot,
+    old, new) places (the cap's vertex is _CAP), the `added` crossings
     appended, and the circles or boundary, when given, put in place of d's
-    (cap places name the new boundary's positions)."""
-    crossings = list(d.crossings)
-    cap = list(d.boundary if boundary is None else boundary)
-    for v, s, old, new in spots:
-        if v == _CAP:
-            assert cap[s] == old
-            cap[s] = new
-        else:
-            slots = list(crossings[v].slots)
-            assert slots[s] == old
-            slots[s] = new
-            crossings[v] = Crossing(tuple(slots), crossings[v].sign)
-    circles = d.circles if circles is None else tuple(circles)
-    out = Diagram(tuple(crossings) + tuple(added), circles, tuple(cap))
-    validate(out)
-    return out
+    (cap places name the new boundary's positions).
 
-
-def _splice(d: Diagram, t: Diagram, host: Diagram) -> None:
-    """Mark d, glued from the tangles t and host, valid with a dart index
-    spliced from theirs.
-
-    d's crossings are t's and then the host's.  Darts paired inside t or
-    the host stay paired; the rest, the crossing darts whose arcs ran to a
-    boundary and d's cap darts, pair by label, each of which the glue left
-    on exactly two of them.  d passes the occurrence and Euler counts by
-    construction (see the module docstring), so only the signs and an
-    oriented d's flow are checked.
+    The kept crossings keep their darts and every pairing between them,
+    except at a substituted place.  The loose darts, the substituted ones,
+    their old partners, the partners of d's dropped and cap darts, and every
+    appended and cap dart, pair by label.  The result passes the occurrence
+    and Euler counts by construction (see the module docstring), so only
+    the signs and an oriented result's flow are checked.
     """
-    t_other, h_other = _darts(t)[1], _darts(host)[1]
-    signs = {c.sign for c in d.crossings}
-    if 0 in signs and len(signs) > 1:
-        raise OrientationError("diagram mixes signed and unsigned crossings")
-    nt, nh = 4 * len(t.crossings), 4 * len(host.crossings)
-    labels = [label for c in d.crossings for label in c.slots]
-    labels += d.boundary
-    other = t_other[:nt] + array("i", [k + nt for k in h_other[:nh]])
-    other.extend([0] * len(d.boundary))  # set below
-    loose = [k for k in t_other[nt:] if k < nt]
-    loose += [k + nt for k in h_other[nh:] if k < nh]
-    loose += range(nt + nh, len(labels))
+    d_labels, d_other = _darts(d)[:2]
+    kept = len(d.crossings) - drop
+    p4 = 4 * kept
+    crossings = [*d.crossings[:kept], *added]
+    c4 = 4 * len(crossings)
+    labels = d_labels[:p4].tolist()
+    labels += [label for c in added for label in c.slots]
+    labels += d.boundary if boundary is None else boundary
+    loose = {k for k in d_other[p4:] if k < p4}
+    loose.update(range(p4, len(labels)))
+    for v, s, old, new in spots:
+        j = c4 + s if v == _CAP else 4 * v + s
+        at = 0 <= s < len(labels) - c4 if v == _CAP else 0 <= v < kept and 0 <= s < 4
+        found = labels[j] if at else None
+        if found != old:
+            raise DiagramError(f"vertex {v}, slot {s} holds {found}, expected {old}")
+        labels[j] = new
+        if v != _CAP:
+            crossings[v] = Crossing(tuple(labels[4 * v : 4 * v + 4]), crossings[v].sign)
+            loose.update(k for k in (j, d_other[j]) if k < p4)
+    other = d_other[:p4].tolist() + [0] * (len(labels) - p4)
     unpaired = {}  # label -> the one loose dart seen with it so far
     for j in loose:
         k = unpaired.pop(labels[j], None)
@@ -302,8 +289,20 @@ def _splice(d: Diagram, t: Diagram, host: Diagram) -> None:
             unpaired[labels[j]] = j
         else:
             other[j], other[k] = k, j
-    face_next = _face_next(len(d.crossings), other)
-    _keep(d, labels, other, face_next, _face_ids(face_next))
+    if unpaired:
+        raise ArcOccurrenceError(f"arc {min(unpaired)} is left on one dart")
+    _check_signs({c.sign for c in crossings})
+    circles = d.circles if circles is None else tuple(circles)
+    out = Diagram(tuple(crossings), circles, tuple(labels[c4:]))
+    face_next = _face_next(len(crossings), other)
+    _keep(out, labels, other, face_next, _face_ids(face_next))
+    return out
+
+
+def _check_signs(signs: set[int]) -> None:
+    """The crossings are all signed or all unsigned."""
+    if 0 in signs and len(signs) > 1:
+        raise OrientationError("diagram mixes signed and unsigned crossings")
 
 
 def _keep(d: Diagram, labels, other, face_next, face) -> None:
@@ -552,7 +551,7 @@ def components(d: Diagram) -> list[frozenset[int]]:
 
 
 # The one union-find, of strand classes, quandle orbits and the glued ends of
-# tangle._apply_joins: parent maps a member to a smaller member of its class,
+# tangle._glue: parent maps a member to a smaller member of its class,
 # and a member it does not hold names its class, the smallest member.
 
 

@@ -3,9 +3,10 @@
 Moves operate on unoriented diagrams and return a new diagram plus a
 replayable MoveRecord: the move's (vertex, slot, old, new) label
 substitutions, the crossings it appended and the circle it removed.  Each
-move builds its diagram with one diagram._edit call, and undo_move inverts
-any record the same way (an R3 slide's substitutions run backwards, so its
-inverse is the slide back).  Recoloring is local: every untouched arc
+move builds its diagram with one diagram._edit call, which splices the
+kept dart index, and undo_move inverts any record the same way (an R3
+slide's substitutions run backwards, so its inverse is the slide back),
+then checks the result from scratch.  Recoloring is local: every untouched arc
 keeps its color, and the crossing rule fixes each changed label at the
 record's site, the crossings it appended or substituted labels at, where
 every occurrence of such a label sits; the result is then checked on every
@@ -40,6 +41,7 @@ from .diagram import (
     co_facial,
     faces,
     max_label,
+    validate,
 )
 
 __all__ = [
@@ -234,14 +236,17 @@ def undo_move(d: Diagram, rec: MoveRecord) -> tuple[Diagram, MoveRecord]:
 
     The added crossings, the last ones, go, the substitutions run backwards
     and a removed circle comes back.  An R3 slide's inverse is the slide
-    back, which can be undone in turn.
+    back, which can be undone in turn.  The record is caller input, so a
+    fresh copy of the result is validated.
     """
     if rec.kind not in ("R1+", "R2+", "R3"):
         raise MoveError(f"cannot undo a {rec.kind} record")
+    if len(rec.added) > len(d.crossings):
+        raise MoveError(f"the record adds {len(rec.added)} crossings to a diagram of {len(d.crossings)}")
     spots = tuple((v, s, new, old) for v, s, old, new in reversed(rec.replaced))
-    kept = Diagram(d.crossings[: len(d.crossings) - len(rec.added)], d.circles, d.boundary)
     circles = None if rec.removed_circle is None else d.circles + (rec.removed_circle,)
-    out = _edit(kept, spots, circles=circles)
+    out = _edit(d, spots, circles=circles, drop=len(rec.added))
+    validate(Diagram(out.crossings, out.circles, out.boundary))
     if rec.kind == "R3":
         return out, MoveRecord("R3", rec.site, replaced=spots)
     return out, MoveRecord("R1-" if rec.kind == "R1+" else "R2-", rec.site, fresh=rec.fresh)

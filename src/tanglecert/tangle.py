@@ -24,8 +24,9 @@ from .diagram import (
     Crossing,
     Diagram,
     DiagramError,
+    _darts,
+    _edit,
     _find,
-    _splice,
     _strands,
     _union,
     max_label,
@@ -81,53 +82,40 @@ def connectivity(d: Diagram) -> str:
 # joining machinery
 
 
-def _apply_joins(crossings, circles, joins, carry, shifted=Diagram(), shift=0):
-    """Glue pairs of loose ends by merging labels; self-joins become circles.
-
-    `carry` is a list of labels (e.g. a boundary) that must be renamed along
-    with the merges.  The crossings and circles of `shifted` follow the
-    given ones with every label raised by `shift`; joins and carry name them
-    raised.  Joins apply in order, each to the labels left by the ones
-    before it.  Smaller label wins each merge, which keeps the left
-    operand's labels stable under addition.  The crossings are rewritten in
-    one pass at the end, which also raises the shifted ones; an unshifted
-    crossing without a merged label is kept as it is.
-    """
-    merged: dict[int, int] = {}  # union-find of the ends: dropped label -> a smaller one
-    parts = ((crossings, 0), (shifted.crossings, shift))
-    circles = [*circles, *(k + shift for k in shifted.circles)]
-    for x, y in joins:
-        if not _union(merged, x, y):  # the two ends already meet: a circle closes
-            x = _find(merged, x)
-            if any(_find(merged, s + k) == x for part, k in parts for c in part for s in c.slots):
-                raise TangleError(f"self-join of arc {x} with crossing occurrences")
-            circles.append(x)
-    rename = {x: _find(merged, x) for x in merged}
-    crossings = [
-        c if not k and rename.keys().isdisjoint(c.slots)
-        else Crossing(tuple(rename.get(s + k, s + k) for s in c.slots), c.sign)
-        for part, k in parts
-        for c in part
-    ]
-    return crossings, circles, [rename.get(v, v) for v in carry]
-
-
 def _glue(t: Diagram, host: Diagram, glue, boundary=()) -> Diagram:
     """Glue host to t at the paired boundary positions, leaving `boundary` open.
 
     Positions number t's endpoints (NW, NE, SE, SW = 0-3), then the host's.
-    The host's labels are raised past t's, the glued ends merged, and the
-    open ends, in the order given, are the result's boundary; its dart index
-    is spliced from those of t and host, validated if they are not yet.
+    The host's labels are raised past t's and each glued pair of ends
+    merges, the smaller label kept, which keeps the left operand's labels
+    stable under addition; a pair whose ends already meet closes a circle.
+    The result is one _edit of t: the merged labels substituted at t's end
+    darts, the host's crossings appended raised and renamed, and the open
+    ends, in the order given, as its boundary.  t and host are validated if
+    they are not yet.
     """
     shift = max_label(t)
+    validate(host)
     ends = t.boundary + tuple(e + shift for e in host.boundary)
-    joins = [(ends[p], ends[q]) for p, q in glue]
-    carry = [ends[p] for p in boundary]
-    crossings, circles, carry = _apply_joins(t.crossings, t.circles, joins, carry, host, shift)
-    out = Diagram(tuple(crossings), tuple(circles), tuple(carry))
-    _splice(out, t, host)
-    return out
+    merged: dict[int, int] = {}  # union-find of the ends: dropped label -> a smaller one
+    circles = [*t.circles, *(k + shift for k in host.circles)]
+    for p, q in glue:
+        if not _union(merged, ends[p], ends[q]):  # the two ends already meet: a circle closes
+            circles.append(_find(merged, ends[p]))
+    rename = {x: _find(merged, x) for x in merged}
+    labels, other = _darts(t)[:2]
+    c4 = 4 * len(t.crossings)
+    spots = [
+        (k >> 2, k & 3, labels[k], rename[labels[k]])
+        for k in other[c4:]
+        if k < c4 and labels[k] in rename
+    ]
+    added = [
+        Crossing(tuple(rename.get(s + shift, s + shift) for s in c.slots), c.sign)
+        for c in host.crossings
+    ]
+    carry = [rename.get(ends[p], ends[p]) for p in boundary]
+    return _edit(t, spots, added, circles, carry)
 
 
 _ZERO_HOST, _ARC_HOST = zero_tangle(), Diagram(boundary=(1, 1))  # validated once
@@ -180,9 +168,7 @@ def rotate90(t: Diagram) -> Diagram:
     """Rotate the tangle disc a quarter turn (NE moves to NW)."""
     _require_tangle(t)
     nw, ne, se, sw = t.boundary
-    out = Diagram(t.crossings, t.circles, (ne, se, sw, nw))
-    validate(out)
-    return out
+    return _edit(t, boundary=(ne, se, sw, nw))
 
 
 def insert_into_host(t: Diagram, host: Diagram, closure: str = "N") -> Diagram:

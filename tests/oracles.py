@@ -41,9 +41,12 @@ before one determinant answered every modulus: a Fox solve per modulus,
 counted against the constant colorings.
 The gluing references are tangle sums, closures and the east cap as they
 were before every glue spliced its result's dart index: the ends merged by
-reference_apply_joins, the label chase that tangle._apply_joins ran before
-it shared the diagram module's union-find, then a full validate of the
-result.
+reference_apply_joins, a label chase that rewrites every crossing of both
+parts (tangle._glue now merges them in the diagram module's union-find and
+rewrites only the first part's end darts, in one diagram._edit), then a
+full validate of the result.  The chase keeps the raise for a self-join of
+an arc with crossing occurrences, which no validated pair of tangles
+reaches: a cycle of joins passes only through crossing-free labels.
 reference_insert_into_host composes them: the sum, then its closure.
 reference_cut_choice is the transport cut's choice as it was before the
 candidates were scored on the uncut knot's strand walk: every candidate
@@ -861,7 +864,7 @@ def reference_recolor_after_move(coloring, rec, after):
 
 
 def reference_apply_joins(crossings, circles, joins, carry, shifted=Diagram(), shift=0):
-    """tangle._apply_joins by a chase through a dict of dropped labels: joins
+    """The glue's label merge by a chase through a dict of dropped labels: joins
     in order, the smaller label kept, a self-join appended as a circle (an
     error when the arc has crossing occurrences), every crossing rewritten."""
     merged = {}  # dropped label -> the label it merged into

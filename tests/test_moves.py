@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -17,6 +18,9 @@ from tanglecert.colorings import (
     verify_coloring,
 )
 from tanglecert.diagram import (
+    ArcOccurrenceError,
+    DiagramError,
+    PlanarityError,
     co_facial,
     components,
     faces,
@@ -25,6 +29,7 @@ from tanglecert.diagram import (
 )
 from tanglecert.moves import (
     MoveError,
+    MoveRecord,
     apply_r1,
     apply_r2_over,
     apply_r3,
@@ -297,8 +302,8 @@ class TestDartIndex:
         c = fox_solution_space(d, 5).first_nonconstant()
         res = r2_transport(d, c, 1, 7)
         assert len(res.records) >= 2
-        # one build per new diagram: the validation of each R2 result
-        assert len(builds) == len(res.records)
+        # only the input's own validation builds one: each R2 result splices its index
+        assert builds == []
 
     def test_faces_are_numbered_once_per_diagram(self, monkeypatch):
         d = parse_diagram(serialize(braid_closure([1, -2] * 4, 3)))
@@ -316,9 +321,9 @@ class TestDartIndex:
         _, _, records = persistence.cut_two_arcs(d, c, 1, 7, extra_passes=2)
         moves = len(records)
         assert moves == 4 and len(calls["_cut"]) == 1
-        # new diagrams: each R2 result and the one cut; candidates are scored uncut
-        assert len(calls["_dart_structure"]) == moves + 1
-        assert len(calls["_face_ids"]) == len(calls["_dart_structure"])
+        # each R2 result and the one cut splice the input's index; candidates are scored uncut
+        assert calls["_dart_structure"] == []
+        assert len(calls["_face_ids"]) == moves + 1  # once per new diagram
         # one face walked per R2 move and for the cut, never every face
         assert len(calls["_orbit"]) == moves + 1
 
@@ -362,3 +367,32 @@ class TestUndoRecords:
                 kind = "R1 circle" if before is circled else rec.kind
                 kinds[kind] = kinds.get(kind, 0) + 1
         assert kinds["R1+"] == kinds["R1 circle"] == 32 and kinds["R2+"] >= 25 and kinds["R3"] >= 8
+
+    @pytest.mark.parametrize(
+        "place, message",
+        [((0, 2), "vertex 0, slot 2 holds 2, expected 99"), ((3, 0), "vertex 3, slot 0 holds None")],
+    )
+    def test_a_record_naming_a_label_not_at_its_place_raises(self, trefoil, place, message):
+        # vertex 3 is the first crossing the undo drops
+        after, rec = apply_r2_over(trefoil, 2, 4)
+        with pytest.raises(DiagramError, match=message):
+            undo_move(after, replace(rec, replaced=((*place, 2, 99),)))
+
+    @pytest.mark.parametrize("added", [4, 5])
+    def test_a_record_adding_more_crossings_than_the_diagram_has_raises(self, trefoil, added):
+        rec = MoveRecord("R2+", ("arcs", 1, 2), added=tuple(range(added)))
+        with pytest.raises(MoveError, match=f"adds {added} crossings to a diagram of 3"):
+            undo_move(trefoil, rec)
+
+    # the splice alone passes both records below; the undo's check from scratch rejects them
+
+    def test_a_record_that_swaps_two_slots_is_not_planar(self, trefoil):
+        a, b = trefoil.crossings[0].slots[:2]
+        rec = MoveRecord("R3", ("face", (1, 2, 3)), replaced=((0, 0, b, a), (0, 1, a, b)))
+        with pytest.raises(PlanarityError, match=r"V-E\+F = 3-6\+3"):
+            undo_move(trefoil, rec)
+
+    def test_a_record_that_leaves_a_label_on_four_darts_is_rejected(self, trefoil):
+        rec = MoveRecord("R3", ("face", (1, 2, 3)), replaced=((0, 2, 1, 2), (2, 1, 1, 2)))
+        with pytest.raises(ArcOccurrenceError, match="arc 1 occurs 4 times"):
+            undo_move(trefoil, rec)

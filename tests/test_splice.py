@@ -1,8 +1,9 @@
-"""The spliced dart index of every glued diagram against a full validate.
+"""The spliced dart index of every glued, moved or cut diagram against a full validate.
 
-A sum, closure, east cap or host closure glued from two validated tangles
-is marked valid without the occurrence count and the Euler walk: its dart
-index is spliced from the kept indices of the two parts.  Every glued
+A sum, closure, east cap or host closure glued from two validated tangles,
+and every move, undo and cut of a validated diagram, is marked valid
+without the occurrence count and the Euler walk: diagram._edit splices its
+dart index from the kept index of the diagram it rewrites.  Every such
 diagram here must pass oracles.reference_validate and a full validate of a
 fresh copy, whose four index arrays must equal the spliced ones.  Each
 glue must return what its reference in oracles returns (the ends merged,
@@ -25,7 +26,9 @@ from oracles import (
     reference_tangle_add,
     reference_validate,
 )
-from tanglecert import diagram, persistence
+from tanglecert import diagram, moves, persistence
+from tanglecert.braids import braid_closure
+from tanglecert.colorings import fox_solution_space
 from tanglecert.diagram import (
     ArcOccurrenceError,
     Crossing,
@@ -33,6 +36,9 @@ from tanglecert.diagram import (
     DiagramError,
     OrientationError,
     _darts,
+    components,
+    faces,
+    max_label,
     orient,
     parse_diagram,
     relabel,
@@ -40,7 +46,17 @@ from tanglecert.diagram import (
     unoriented,
     validate,
 )
-from tanglecert.persistence import _east_cap, cut_arc_once, find_certificate, verify_certificate
+from tanglecert.moves import apply_r1, apply_r2_over, apply_r3, find_r3_triangles, undo_move
+from tanglecert.persistence import (
+    CertificateError,
+    _east_cap,
+    cut_arc_once,
+    cut_arc_twice,
+    cut_two_arcs,
+    find_certificate,
+    find_same_colored_pairs,
+    verify_certificate,
+)
 from tanglecert.tangle import (
     TangleError,
     close_one_tangle,
@@ -267,7 +283,10 @@ class TestGlueAgainstReference:
 
     def test_gluing_validated_parts_builds_no_dart_structure(self, monkeypatch):
         t, host, one = SUMS[0], HOSTS[4], _east_cap(RATIONALS[0])
-        glues = [
+        knot = parse_diagram(TREFOIL)
+        glues = [  # and one move and one cut, which splice the same way
+            lambda: apply_r2_over(knot, 2, 4)[0],
+            lambda: cut_arc_once(knot, 4),
             lambda: insert_into_host(t, host, "N"),
             lambda: insert_into_host(t, host, "D"),
             lambda: insert_into_host(one, one),
@@ -286,6 +305,70 @@ class TestGlueAgainstReference:
             out = glue()
             assert "_valid" in out.__dict__
         assert structures == []
+
+
+def first_coloring(d):
+    """A nonconstant Fox coloring of d mod 3, 5, 7, 11 or 13, or None."""
+    for n in (3, 5, 7, 11, 13):
+        coloring = fox_solution_space(d, n).first_nonconstant()
+        if coloring is not None:
+            return coloring
+    return None
+
+
+class TestEditedIndex:
+    def test_seeded_moves_undos_and_cuts(self, monkeypatch):
+        # every diagram a move, undo or cut builds is spliced by diagram._edit
+        edited = []
+        for module in (moves, persistence):
+            real = module._edit
+            monkeypatch.setattr(
+                module, "_edit", lambda *a, real=real, **k: edited.append(real(*a, **k)) or edited[-1]
+            )
+        rng = random.Random(29)
+        kinds = dict.fromkeys(
+            ["R1+", "R1 circle", "R2+", "R3", "undo", "cut once", "cut twice"]
+            + [f"cut two, {n} passes" for n in range(3)]
+            + ["transport and spiral R2+"],
+            0,
+        )
+        for _ in range(300):
+            strands = rng.randint(2, 4)
+            word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 8))]
+            d = braid_closure(word, strands)
+            circle = max_label(d) + 1
+            circled = parse_diagram(serialize(d) + f"O {circle}\n")
+            done = [("R1+", apply_r1(d, rng.choice(sorted(d.arcs())), positive=rng.random() < 0.5))]
+            done.append(("R1 circle", apply_r1(circled, circle, positive=rng.random() < 0.5)))
+            eligible = [f for f in faces(d) if len(f.arcs) >= 2 and f.corners]
+            if eligible:
+                done.append(("R2+", apply_r2_over(d, *rng.sample(sorted(rng.choice(eligible).arcs), 2))))
+            if find_r3_triangles(d):
+                done.append(("R3", apply_r3(d, rng.choice(find_r3_triangles(d)))))
+            for name, (after, rec) in done:
+                undo_move(after, rec)
+                kinds[name] += 1
+                kinds["undo"] += 1
+            if len(components(d)) != 1:
+                continue
+            cut_arc_once(d, rng.choice(sorted(d.arcs())))
+            kinds["cut once"] += 1
+            coloring = first_coloring(d)
+            if coloring is None:
+                continue
+            cut_arc_twice(d, coloring, rng.choice(sorted(d.arcs())))
+            kinds["cut twice"] += 1
+            a1, a2 = rng.choice(find_same_colored_pairs(d, coloring))
+            for passes in range(3):
+                try:
+                    records = cut_two_arcs(d, coloring, a1, a2, extra_passes=passes)[2]
+                except CertificateError:  # the spiral found no segment to pass
+                    continue
+                kinds[f"cut two, {passes} passes"] += 1
+                kinds["transport and spiral R2+"] += len(records)
+        for out in edited:
+            assert_spliced_index_is_the_validated_one(out)
+        assert len(edited) > 2000 and min(kinds.values()) >= 25, kinds
 
 
 class TestErrorsAndCopies:
