@@ -10,8 +10,9 @@ The layers, bottom up:
 
 - diagram:     planar diagram (PD) codes, faces, components, validation
 - colorings:   Fox coloring solver (any modulus, exact counts), finite
-               quandles, determinants, and the one crossing rule and
-               coloring check every other layer uses
+               quandles, determinants, the coloring classes (each
+               carries its own crossing rule) and the one coloring
+               check every other layer uses
 - moves:       Reidemeister rewriting with consistent recoloring, and the
                face-path transport that carries an arc next to another
 - tangle:      closures, addition, mirrors, rational tangles and their

@@ -35,8 +35,14 @@ lazy space, FoxSolutionSpace or QuandleSpace, with count, colorings() and
 first_nonconstant(); only a non-affine table's count runs the search to
 its end.
 
-The crossing rule (_crossing_rule) and the one loop that checks it
-(_broken_crossing) live here, for both kinds; moves and persistence call them.
+Each coloring class carries one protocol: rule(oriented), its colors and
+the crossing rule's two directions; kind and key, a certificate's kind and
+its JSON key; involutory, whether crossing signs may be ignored; and
+reduce(v), a color as the colors are kept (a Fox coloring keeps residues
+mod N).  The one loop that checks the rule (_broken_crossing) lives here,
+and moves and persistence name no coloring class.  A new kind of coloring
+is one coloring class, one space constructor and one entry in the
+certificate search's list.
 """
 
 from __future__ import annotations
@@ -83,18 +89,50 @@ class QuandleAxiomError(ColoringError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class FoxColoring:
-    modulus: int
-    colors: dict[int, int]
+class _Coloring:
+    """What both kinds read off their colors, which compare as they are kept."""
 
     @property
     def nontrivial(self) -> bool:
-        return len({v % self.modulus for v in self.colors.values()}) >= 2
+        return len(set(self.colors.values())) >= 2
 
     def witness(self) -> tuple[int, int] | None:
-        """A pair of arcs with distinct colors mod N, smallest labels first."""
-        return _witness(self.colors, self.modulus)
+        """The first pair of combinations(sorted(colors), 2) whose colors differ, or
+        None: always the smallest label and the first one colored unlike it."""
+        colors = self.colors
+        labels = sorted(colors)
+        return next(((labels[0], b) for b in labels if colors[b] != colors[labels[0]]), None)
+
+
+@dataclass(frozen=True)
+class FoxColoring(_Coloring):
+    """Colors mod N, kept as residues: any color out of range is reduced when built."""
+
+    modulus: int
+    colors: dict[int, int]
+    involutory = True  # signs do not enter the rule
+
+    def __post_init__(self):
+        n, colors = self.modulus, self.colors
+        if min(colors.values(), default=0) < 0 or max(colors.values(), default=0) >= n:
+            object.__setattr__(self, "colors", {label: v % n for label, v in colors.items()})
+
+    @property
+    def kind(self) -> tuple:
+        return ("fox", self.modulus)
+
+    @property
+    def key(self) -> dict:
+        return {"fox": self.modulus}
+
+    def reduce(self, v: int) -> int:
+        return v % self.modulus
+
+    def rule(self, oriented: bool):
+        """(colors, forward, backward): 2*over - under both ways, at any crossing."""
+        n = self.modulus
+        fox = lambda a, b: (2 * b - a) % n
+        return self.colors, fox, fox
 
 
 def fox_matrix(d: Diagram) -> tuple[list[dict[int, int]], list[int]]:
@@ -409,29 +447,35 @@ def parse_quandle(text: str, name: str = "") -> Quandle:
 
 
 @dataclass(frozen=True)
-class QuandleColoring:
+class QuandleColoring(_Coloring):
     quandle: Quandle
     colors: dict[int, int]
 
     @property
-    def nontrivial(self) -> bool:
-        return len(set(self.colors.values())) >= 2
+    def kind(self) -> tuple:
+        return ("quandle", self.quandle)
 
-    def witness(self) -> tuple[int, int] | None:
-        """A pair of arcs with distinct colors, smallest labels first."""
-        return _witness(self.colors)
+    @property
+    def key(self) -> dict:
+        return {"quandle": self.quandle.name or "table"}
 
+    @property
+    def involutory(self) -> bool:
+        return self.quandle.involutory
 
-def _witness(colors: Mapping[int, int], modulus: int | None = None) -> tuple[int, int] | None:
-    """The first pair of combinations(sorted(colors), 2) whose colors differ
-    (mod modulus, when given), or None.  That pair is always the smallest
-    label and the first label colored unlike it, so one pass finds it."""
-    labels = sorted(colors)
-    for b in labels:
-        diff = colors[b] - colors[labels[0]]
-        if diff and (modulus is None or diff % modulus):
-            return (labels[0], b)
-    return None
+    def reduce(self, v: int) -> int:
+        return v
+
+    def rule(self, oriented: bool):
+        """(colors, forward, backward): the table and its inverse; colors range-checked."""
+        q, colors = self.quandle, self.colors
+        if not oriented and not q.involutory:
+            raise ColoringError("orientation required for a non-involutory quandle coloring")
+        if min(colors.values(), default=0) < 0 or max(colors.values(), default=0) >= q.size:
+            label, v = next((label, v) for label, v in colors.items() if not 0 <= v < q.size)
+            raise ColoringError(f"arc {label} has color {v}, outside the quandle")
+        table, inverse = q.table, q._inverse
+        return colors, (lambda a, b: table[a][b]), (lambda a, b: inverse[a][b])
 
 
 @dataclass
@@ -443,6 +487,7 @@ class QuandleSpace:
     _col: Mapping[int, int]  # label -> its strand's position in the walked tuples
     _walk: Callable[[], Iterator[tuple[int, ...]]]
     _count: Callable[[], int]
+    _constants: int | None = None  # the constant colorings the pins allow, where count is cheap
 
     @cached_property
     def count(self) -> int:
@@ -455,8 +500,15 @@ class QuandleSpace:
             yield self._expand(x)
 
     def first_nonconstant(self) -> QuandleColoring | None:
-        """The lexicographically first nonconstant coloring, or None when every coloring is constant."""
+        """The lexicographically first nonconstant coloring, or None when every
+        coloring is constant; an affine quandle's count answers the latter unwalked."""
+        if self._constants is not None and self.count == self._constants:
+            return None
         return next((self._expand(x) for x in self._walk() if len(set(x)) >= 2), None)
+
+    def forced_equal_pair(self) -> None:
+        """None: a quandle search records no clash."""
+        return None
 
     def _expand(self, strand_values) -> QuandleColoring:
         return QuandleColoring(self.quandle, {label: strand_values[c] for label, c in self._col.items()})
@@ -496,8 +548,9 @@ def quandle_space(d: Diagram, q: Quandle, pins: dict[int, int] | None = None) ->
     reversed_triples = [(last - a, last - b, last - c) for a, b, c in triples]
     rows = _right_to_left(_crossing_rows(reversed_triples, d.crossings, q._affine))
     solve = partial(_pinned_solve, at, pins, rows, len(strands), q.size)
+    constants = int(len(set(pins.values())) == 1) if pins else q.size
     if any(q.size % k == 0 for k in range(2, isqrt(q.size) + 1)):  # composite
-        return QuandleSpace(q, col, walk, lambda: solve().count)
+        return QuandleSpace(q, col, walk, lambda: solve().count, constants)
     solution = solve()
     columns = solution.columns()[::-1] if solution.count else []
     return QuandleSpace(q, at, partial(solution.enumerate, columns), lambda: solution.count)
@@ -586,36 +639,12 @@ def quandle_colorings(d: Diagram, q: Quandle, pins: dict[int, int] | None = None
     return QuandleSearch(list(quandle_space(d, q, pins).colorings()))
 
 
-def _crossing_rule(coloring, oriented: bool):
-    """(values, forward, backward): the colors as the rule reads them, reduced
-    mod N (Fox) or range-checked (quandle; the coloring's own dict when
-    unchanged), and the rule: under-out = forward(under-in, over) and
-    under-in = backward(under-out, over) at a positive or unsigned crossing,
-    swapped at a negative one.  Fox: 2*over - under both ways.  Quandle: the
-    table and its inverse, so a non-involutory one needs an oriented diagram.
-    """
-    colors = coloring.colors
-    low, high = min(colors.values(), default=0), max(colors.values(), default=0)
-    if isinstance(coloring, FoxColoring):
-        n = coloring.modulus
-        if low < 0 or high >= n:
-            colors = {label: v % n for label, v in colors.items()}
-        fox = lambda a, b: (2 * b - a) % n
-        return colors, fox, fox
-    q = coloring.quandle
-    if not oriented and not q.involutory:
-        raise ColoringError("orientation required for a non-involutory quandle coloring")
-    if low < 0 or high >= q.size:
-        label, v = next((label, v) for label, v in colors.items() if not 0 <= v < q.size)
-        raise ColoringError(f"arc {label} has color {v}, outside the quandle")
-    table, inverse = q.table, q._inverse
-    return colors, (lambda a, b: table[a][b]), (lambda a, b: inverse[a][b])
-
-
 def _broken_crossing(d: Diagram, coloring):
     """The first crossing of d whose relation the coloring breaks, or None;
-    ColoringError when an arc has no color or the rule rejects a value."""
-    values, forward, backward = _crossing_rule(coloring, d.oriented or not d.crossings)
+    ColoringError when an arc has no color or coloring.rule rejects a value.
+    under-out = forward(under-in, over) at a positive or unsigned crossing,
+    and under-in = backward(under-out, over); swapped at a negative one."""
+    values, forward, backward = coloring.rule(d.oriented or not d.crossings)
     get, broken = values.__getitem__, None
     try:
         for x in d.crossings:  # every one, so that a missing color anywhere raises

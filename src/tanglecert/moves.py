@@ -10,8 +10,8 @@ then checks the result from scratch.  Recoloring is local: every untouched arc
 keeps its color, and the crossing rule fixes each changed label at the
 record's site, the crossings it appended or substituted labels at, where
 every occurrence of such a label sits; the result is then checked on every
-crossing.  Both the rule and the check come from colorings (an involutory
-quandle's, since the diagrams are unoriented).  Counts of colorings are
+crossing.  The rule is coloring.rule (read as involutory: the diagrams are
+unoriented) and the check comes from colorings.  Counts of colorings are
 preserved by all three move types, which the test suite exercises directly.
 
 The transport routine repeatedly pushes a chosen arc across faces (always
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .colorings import ColoringError, _broken_crossing, _crossing_rule
+from .colorings import ColoringError, _broken_crossing
 from .diagram import (
     _CAP,
     Crossing,
@@ -264,10 +264,10 @@ def recolor_after_move(coloring, rec: MoveRecord, after: Diagram):
     it without a color.
     """
     try:
-        values, forward, backward = _crossing_rule(coloring, after.oriented)
+        values, forward, backward = coloring.rule(after.oriented)
     except ColoringError as exc:
         raise MoveError(f"cannot recolor: {exc}") from None
-    colors = dict(values)  # the rule's values may be the coloring's own dict
+    colors = dict(values)  # the rule's values are the coloring's own dict
     for label in rec.changed_labels():
         colors.pop(label, None)
     # every occurrence of a changed label sits at the record's site or on

@@ -8,10 +8,10 @@ One exact check, _check_certificate, holds every certificate to this: the
 endpoints carry the boundary color, the witness arcs differ, and every
 crossing relation holds (colorings' one loop).  Every certificate is made
 by one constructor, _issue, which takes the witness from the coloring and
-runs that check; the cuts and the search all call it, and a certificate's
-kind (Fox modulus or quandle) is read from its coloring, so the two cannot
-disagree.  verify_certificate runs the check on the tangle and then on each
-distinct sampled host closure, glued once per call.
+runs that check; the cuts and the search all call it.  A certificate's
+kind, JSON key and crossing rule are its coloring's own, so nothing here
+names a coloring class.  verify_certificate runs the check on the tangle
+and then on each distinct sampled host closure, glued once per call.
 
 The cut constructions manufacture certified tangles from nontrivially
 colored knot diagrams: cutting one arc twice, or two same-colored arcs once
@@ -24,11 +24,11 @@ the |linking| its cut would have, read off the uncut knot's one strand walk
 (_cut_linkings), ties go to the smallest label, and only the winning cut is
 built.
 
-The default certificate search sweeps the primes up to 97 that divide the
-gcd obstruction g, then what remains of g as one modulus, so nothing is
-factored.  Reports read every closure fact from one determinant per
-closure: a nontrivial Fox coloring mod n exists exactly when n shares a
-factor with it.
+The certificate search is one loop over Fox moduli, then quandles.  By
+default it sweeps the primes up to 97 that divide the gcd obstruction g,
+then what remains of g as one modulus, so nothing is factored.  Reports
+read every closure fact from one determinant per closure: a nontrivial Fox
+coloring mod n exists exactly when n shares a factor with it.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .colorings import (
     ColoringError,
-    FoxColoring,
     Quandle,
-    QuandleColoring,
     _broken_crossing,
-    _crossing_rule,
     fox_solution_space,
     link_determinant,
     quandle_space,
@@ -126,28 +124,21 @@ class CertificateNotFound(CertificateError):
 class PersistenceCertificate:
     """A boundary-monochromatic nontrivial coloring of a tangle."""
 
-    coloring: object  # FoxColoring or QuandleColoring over the tangle's arcs
+    coloring: object  # over the tangle's arcs, any kind: its kind, key and rule are its own
     boundary_color: int
     witness: tuple[int, int]
     moves: list[MoveRecord] = field(default_factory=list)
 
     @property
     def kind(self) -> tuple:
-        """('fox', N) or ('quandle', Quandle), read from the coloring."""
-        if isinstance(self.coloring, FoxColoring):
-            return ("fox", self.coloring.modulus)
-        return ("quandle", self.coloring.quandle)
+        """('fox', N) or ('quandle', Quandle), the coloring's."""
+        return self.coloring.kind
 
     def to_json(self, tangle_name: str = "") -> dict:
-        kind = (
-            {"fox": self.kind[1]}
-            if self.kind[0] == "fox"
-            else {"quandle": self.kind[1].name or "table"}
-        )
         return {
             "schema": 1,
             "tangle": tangle_name,
-            "kind": kind,
+            "kind": self.coloring.key,
             "boundary_color": self.boundary_color,
             "colors": {str(k): v for k, v in sorted(self.coloring.colors.items())},
             "witness": list(self.witness),
@@ -157,21 +148,18 @@ class PersistenceCertificate:
 
 def _check_certificate(t: Diagram, cert: PersistenceCertificate) -> None:
     """Every endpoint has the boundary color, the witness arcs of t differ and
-    every crossing relation holds, comparing colors as the crossing rule
-    reads them (Fox ones mod N); else CertificateError naming the fault."""
+    every crossing relation holds, comparing colors as the coloring keeps
+    them (Fox ones mod N); else CertificateError naming the fault."""
     if not (isinstance(cert.witness, (tuple, list)) and len(cert.witness) == 2):
         raise CertificateError(f"witness must be a pair of arcs, got {cert.witness!r}")
     for label in (*t.boundary, *cert.witness):
         if label not in cert.coloring.colors or not _has_arc(t, label):
             raise CertificateError(f"endpoint or witness arc {label} has no color on t")
     try:
-        values, _, _ = _crossing_rule(cert.coloring, t.oriented)
         broken = _broken_crossing(t, cert.coloring)
     except ColoringError as exc:
         raise CertificateError(f"cannot check the certificate on the tangle: {exc}") from None
-    fill = cert.boundary_color
-    if isinstance(cert.coloring, FoxColoring):
-        fill %= cert.coloring.modulus
+    values, fill = cert.coloring.colors, cert.coloring.reduce(cert.boundary_color)
     for e in t.boundary:
         if values[e] != fill:
             raise CertificateError(f"endpoint {e} is not boundary-colored")
@@ -291,7 +279,6 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
     _require_cuttable(d, coloring)
     if a1 == a2:
         raise DiagramError("need two distinct arcs")
-    coloring = replace(coloring, colors=_crossing_rule(coloring, d.oriented)[0])  # Fox ones mod N
     if coloring.colors[a1] != coloring.colors[a2]:
         raise CertificateError(f"arcs {a1} and {a2} carry different colors")
     moved = r2_transport(d, coloring, a1, a2)
@@ -335,8 +322,8 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
 
 
 def find_same_colored_pairs(d: Diagram, coloring):
-    """Distinct arc pairs with equal colors (Fox ones mod N), smallest labels first."""
-    colors, _, _ = _crossing_rule(coloring, d.oriented)
+    """Distinct arc pairs with equal colors, smallest labels first."""
+    colors = coloring.colors
     arcs = sorted(d.arcs())
     return [(a, b) for i, a in enumerate(arcs) for b in arcs[i + 1:] if colors[a] == colors[b]]
 
@@ -352,7 +339,7 @@ def ensure_same_colored_pair(d: Diagram, coloring):
     pairs = find_same_colored_pairs(d, coloring)
     if pairs:
         return d, coloring, pairs[0], []
-    colors, forward, _ = _crossing_rule(coloring, d.oriented)
+    colors, forward, _ = coloring.rule(d.oriented)
     arcs = sorted(d.arcs())
     for f in faces(d):
         for mover in sorted(f.arcs):
@@ -437,6 +424,7 @@ def find_certificate_report(
 ) -> CertificateSearchReport:
     """Search Fox moduli then quandles for a boundary-monochromatic coloring.
 
+    One list of (key, space constructor, pin values) is walked once.
     Endpoints are pinned to 0 for Fox moduli (the affine symmetry u*c + v
     makes this lossless) and to each orbit representative for quandles.
     When no certificate exists at some modulus, the report records a
@@ -446,28 +434,26 @@ def find_certificate_report(
         raise DiagramError("certificates are for 1- and 2-tangles")
     report = CertificateSearchReport()
     if moduli is None:
-        moduli, cannot = _default_moduli(t)
-        report.cannot_exist = cannot
-    for n in sorted(moduli):
-        space = fox_solution_space(t, n, pins={e: 0 for e in t.boundary})
-        cert_coloring = space.first_nonconstant()
-        if cert_coloring is not None:
-            report.certificate = _issue(t, cert_coloring, 0)
-            report.entries.append({"fox": n, "found": True})
-            return report
-        clash = space.forced_equal_pair()
-        entry = {"fox": n, "found": False}
+        moduli, report.cannot_exist = _default_moduli(t)
+    searches = [({"fox": n}, partial(fox_solution_space, t, n), (0,)) for n in sorted(moduli)]
+    searches += [
+        ({"quandle": q.name or "table"}, partial(quandle_space, t, q), q.orbit_representatives())
+        for q in quandles
+    ]
+    for key, space_at, pin_values in searches:
+        clash = None
+        for v in pin_values:
+            space = space_at(pins={e: v for e in t.boundary})
+            hit = space.first_nonconstant()
+            if hit is not None:
+                report.certificate = _issue(t, hit, v)
+                report.entries.append({**key, "pin": v, "found": True})
+                return report
+            clash = space.forced_equal_pair()
+        entry = {**key, "found": False}
         if clash:
             entry["clash"] = list(clash)
         report.entries.append(entry)
-    for q in quandles:
-        for v in q.orbit_representatives():
-            hit = quandle_space(t, q, pins={e: v for e in t.boundary}).first_nonconstant()
-            if hit is not None:
-                report.certificate = _issue(t, hit, v)
-                report.entries.append({"quandle": q.name or "table", "pin": v, "found": True})
-                return report
-        report.entries.append({"quandle": q.name or "table", "found": False})
     return report
 
 
@@ -532,7 +518,7 @@ def verify_certificate(
     """
     _check_certificate(t, cert)
     if t.oriented:
-        if isinstance(cert.coloring, QuandleColoring) and not cert.coloring.quandle.involutory:
+        if not cert.coloring.involutory:
             raise CertificateError(
                 "a non-involutory quandle certificate on an oriented tangle needs oriented"
                 " rational hosts, and only unsigned ones are built"

@@ -57,6 +57,10 @@ from a label -> component dict built off components().
 reference_non_cofacial_pairs is the co-facial filter that
 find_same_colored_pairs ran before its callers asked co_facial instead:
 the co-facial pairs collected face by face from faces().
+reference_find_certificate_report is the certificate search as it was
+before each coloring kind carried its own rule and key: one loop over the
+Fox moduli, then one over the quandles and their orbit representatives.
+It calls the library's solvers and issuer, which the tests above check.
 """
 
 import random
@@ -95,11 +99,14 @@ from tanglecert.linalg import solve_mod
 from tanglecert.moves import MoveError, apply_r2_over
 from tanglecert.persistence import (
     CertificateError,
+    CertificateSearchReport,
     ClosureEvidence,
     VerificationReport,
     _check_certificate,
     _cut,
+    _default_moduli,
     _east_cap,
+    _issue,
     _random_twists,
 )
 from tanglecert.tangle import (
@@ -1030,6 +1037,38 @@ def reference_cut_choice(d, mover, candidates):
         if best is None or scores[lbl] > best[0]:
             best = (scores[lbl], t)
     return scores, best[1]
+
+
+def reference_find_certificate_report(t, moduli=None, quandles=()):
+    """The search with one loop for Fox moduli (endpoints pinned to 0, a
+    propagation clash recorded on a miss) and another for quandles (each
+    orbit representative pinned in turn); a Fox hit's entry has no pin."""
+    if len(t.boundary) not in (2, 4):
+        raise DiagramError("certificates are for 1- and 2-tangles")
+    report = CertificateSearchReport()
+    if moduli is None:
+        moduli, report.cannot_exist = _default_moduli(t)
+    for n in sorted(moduli):
+        space = fox_solution_space(t, n, pins={e: 0 for e in t.boundary})
+        hit = space.first_nonconstant()
+        if hit is not None:
+            report.certificate = _issue(t, hit, 0)
+            report.entries.append({"fox": n, "found": True})
+            return report
+        clash = space.forced_equal_pair()
+        entry = {"fox": n, "found": False}
+        if clash:
+            entry["clash"] = list(clash)
+        report.entries.append(entry)
+    for q in quandles:
+        for v in q.orbit_representatives():
+            hit = quandle_space(t, q, pins={e: v for e in t.boundary}).first_nonconstant()
+            if hit is not None:
+                report.certificate = _issue(t, hit, v)
+                report.entries.append({"quandle": q.name or "table", "pin": v, "found": True})
+                return report
+        report.entries.append({"quandle": q.name or "table", "found": False})
+    return report
 
 
 def canonical_form(d):

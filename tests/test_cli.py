@@ -345,8 +345,9 @@ def test_quandle_color_output_matches_golden(capsys, corpus_dir, monkeypatch):
 
 # (golden file stem, arguments, exit code): quandle output written before affine
 # quandles of prime order were solved by elimination, and diffed by the CI step
-# "cut and quandle output unchanged"; an ".oriented." stem colors the knot that
-# orient() writes, so the Alexander quandles' crossing signs are exercised
+# "cut and quandle output unchanged"; an ".oriented." stem colors or certifies
+# the diagram that orient() writes, so the Alexander quandles' crossing signs
+# are exercised
 QUANDLE_GOLDEN = [
     ("trefoil.oriented.color-alexander-7-3",
      ["color", "trefoil", "--quandle", "corpus/alexander-7-3.q", "--enumerate", "60"], 0),
@@ -358,6 +359,9 @@ QUANDLE_GOLDEN = [
     # dihedral of order 6 is composite, so these two run the search, not elimination
     ("trefoil.color-d6", ["color", "trefoil", "--quandle", "corpus/d6.q", "--enumerate", "20"], 0),
     ("fig1-krebes.certify-d6", ["certify", "fig1-krebes", "--mods", "7", "--quandles", "corpus/d6.q"], 0),
+    # a non-involutory quandle certificate: its kind is {"quandle": "alexander-7-3"}
+    ("fig1-krebes.oriented.certify-alexander-7-3",
+     ["certify", "fig1-krebes", "--mods", "2", "--quandles", "corpus/alexander-7-3.q"], 0),
 ]
 
 
@@ -368,12 +372,28 @@ def test_quandle_output_matches_golden(capsys, corpus_dir, monkeypatch, tmp_path
     monkeypatch.chdir(corpus_dir.parent)  # certificates name the tangle file as given
     command, name, *rest = argv
     path = f"corpus/{name}.pd"
-    if ".oriented." in stem:
-        path = tmp_path / f"{name}.pd"
-        path.write_text(serialize(orient(parse_diagram((corpus_dir / f"{name}.pd").read_text()))))
-    code, out, err = run(capsys, command, str(path), *rest, "--json")
+    golden = Path("tests", "expected", f"{stem}.json").resolve()
+    if ".oriented." in stem:  # the oriented file is named corpus/NAME.pd too, as certificates show
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / path).write_text(serialize(orient(parse_diagram((corpus_dir / f"{name}.pd").read_text()))))
+        rest = [str(corpus_dir.parent / a) if a.startswith("corpus/") else a for a in rest]
+        monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, path, *rest, "--json")
     assert code == want, err
-    assert out == Path("tests", "expected", f"{stem}.json").read_text()
+    assert out == golden.read_text()
+
+
+def test_a_non_involutory_quandle_certificate_on_an_oriented_tangle_refuses_verify(
+    capsys, corpus_dir, tmp_path
+):
+    from tanglecert.diagram import orient, parse_diagram, serialize
+
+    path = tmp_path / "fig1-krebes.pd"
+    path.write_text(serialize(orient(parse_diagram((corpus_dir / "fig1-krebes.pd").read_text()))))
+    quandle = str(corpus_dir / "alexander-7-3.q")
+    code, _, err = run(capsys, "certify", str(path), "--mods", "2", "--quandles", quandle, "--verify", "5")
+    assert code == 2
+    assert "oriented rational hosts" in err
 
 
 class TestBuild:

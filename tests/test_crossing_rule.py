@@ -1,6 +1,6 @@
 """The one crossing rule and the one certificate check.
 
-verify_coloring (colorings._broken_crossing over colorings._crossing_rule)
+verify_coloring (colorings._broken_crossing over each coloring's own rule)
 is compared with oracles.reference_verify_coloring, the check as it was
 written out per coloring kind, on seeded braid closures: Fox colorings mod
 2 to 15 with reduced and unreduced values, dihedral quandle colorings of
