@@ -37,12 +37,14 @@ its end.
 
 Each coloring class carries one protocol: rule(oriented), its colors and
 the crossing rule's two directions; kind and key, a certificate's kind and
-its JSON key; involutory, whether crossing signs may be ignored; and
-reduce(v), a color as the colors are kept (a Fox coloring keeps residues
-mod N).  The one loop that checks the rule (_broken_crossing) lives here,
-and moves and persistence name no coloring class.  A new kind of coloring
-is one coloring class, one space constructor and one entry in the
-certificate search's list.
+its JSON key, which one function per kind (_fox_key, _quandle_key) writes
+for the coloring and the certificate search alike; involutory, whether
+crossing signs may be ignored; and reduce(v), a color as the colors are
+kept (a Fox coloring keeps residues mod N).  The one loop that checks the
+rule (_broken_crossing) lives here, and moves and persistence name no
+coloring class.  A new kind of coloring is one coloring class, one key
+function, one space constructor and one entry in the certificate
+search's list.
 """
 
 from __future__ import annotations
@@ -104,6 +106,16 @@ class _Coloring:
         return next(((labels[0], b) for b in labels if colors[b] != colors[labels[0]]), None)
 
 
+def _fox_key(n: int) -> dict:
+    """The JSON kind of a Fox coloring mod n, for its certificate and its search entry."""
+    return {"fox": n}
+
+
+def _quandle_key(q: Quandle) -> dict:
+    """The JSON kind of a coloring by q, for its certificate and its search entry."""
+    return {"quandle": q.name or "table"}
+
+
 @dataclass(frozen=True)
 class FoxColoring(_Coloring):
     """Colors mod N, kept as residues: any color out of range is reduced when built."""
@@ -123,7 +135,7 @@ class FoxColoring(_Coloring):
 
     @property
     def key(self) -> dict:
-        return {"fox": self.modulus}
+        return _fox_key(self.modulus)
 
     def reduce(self, v: int) -> int:
         return v % self.modulus
@@ -457,7 +469,7 @@ class QuandleColoring(_Coloring):
 
     @property
     def key(self) -> dict:
-        return {"quandle": self.quandle.name or "table"}
+        return _quandle_key(self.quandle)
 
     @property
     def involutory(self) -> bool:
@@ -487,7 +499,6 @@ class QuandleSpace:
     _col: Mapping[int, int]  # label -> its strand's position in the walked tuples
     _walk: Callable[[], Iterator[tuple[int, ...]]]
     _count: Callable[[], int]
-    _constants: int | None = None  # the constant colorings the pins allow, where count is cheap
 
     @cached_property
     def count(self) -> int:
@@ -500,10 +511,7 @@ class QuandleSpace:
             yield self._expand(x)
 
     def first_nonconstant(self) -> QuandleColoring | None:
-        """The lexicographically first nonconstant coloring, or None when every
-        coloring is constant; an affine quandle's count answers the latter unwalked."""
-        if self._constants is not None and self.count == self._constants:
-            return None
+        """The lexicographically first nonconstant coloring, or None when every coloring is constant."""
         return next((self._expand(x) for x in self._walk() if len(set(x)) >= 2), None)
 
     def forced_equal_pair(self) -> None:
@@ -548,9 +556,8 @@ def quandle_space(d: Diagram, q: Quandle, pins: dict[int, int] | None = None) ->
     reversed_triples = [(last - a, last - b, last - c) for a, b, c in triples]
     rows = _right_to_left(_crossing_rows(reversed_triples, d.crossings, q._affine))
     solve = partial(_pinned_solve, at, pins, rows, len(strands), q.size)
-    constants = int(len(set(pins.values())) == 1) if pins else q.size
     if any(q.size % k == 0 for k in range(2, isqrt(q.size) + 1)):  # composite
-        return QuandleSpace(q, col, walk, lambda: solve().count, constants)
+        return QuandleSpace(q, col, walk, lambda: solve().count)
     solution = solve()
     columns = solution.columns()[::-1] if solution.count else []
     return QuandleSpace(q, at, partial(solution.enumerate, columns), lambda: solution.count)

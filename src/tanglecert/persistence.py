@@ -36,12 +36,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from .colorings import (
     ColoringError,
     Quandle,
     _broken_crossing,
+    _fox_key,
+    _quandle_key,
     fox_solution_space,
     link_determinant,
     quandle_space,
@@ -424,7 +425,9 @@ def find_certificate_report(
 ) -> CertificateSearchReport:
     """Search Fox moduli then quandles for a boundary-monochromatic coloring.
 
-    One list of (key, space constructor, pin values) is walked once.
+    One list of (key, space constructor, modulus or quandle, pin values) is
+    walked once; an entry's pin values are computed only when the walk
+    reaches it.
     Endpoints are pinned to 0 for Fox moduli (the affine symmetry u*c + v
     makes this lossless) and to each orbit representative for quandles.
     When no certificate exists at some modulus, the report records a
@@ -435,15 +438,12 @@ def find_certificate_report(
     report = CertificateSearchReport()
     if moduli is None:
         moduli, report.cannot_exist = _default_moduli(t)
-    searches = [({"fox": n}, partial(fox_solution_space, t, n), (0,)) for n in sorted(moduli)]
-    searches += [
-        ({"quandle": q.name or "table"}, partial(quandle_space, t, q), q.orbit_representatives())
-        for q in quandles
-    ]
-    for key, space_at, pin_values in searches:
+    searches = [(_fox_key(n), fox_solution_space, n, lambda: (0,)) for n in sorted(moduli)]
+    searches += [(_quandle_key(q), quandle_space, q, q.orbit_representatives) for q in quandles]
+    for key, space_of, over, pin_values in searches:
         clash = None
-        for v in pin_values:
-            space = space_at(pins={e: v for e in t.boundary})
+        for v in pin_values():
+            space = space_of(t, over, {e: v for e in t.boundary})
             hit = space.first_nonconstant()
             if hit is not None:
                 report.certificate = _issue(t, hit, v)

@@ -5,24 +5,21 @@ and must agree with oracles.reference_find_certificate_report, the two-loop
 search it replaced, on the corpus 1- and 2-tangles as given and oriented,
 across Fox moduli and quandles.  The one documented difference: a Fox hit's
 report entry now records its pin, 0, as a quandle hit records its own.
+An entry's pin values are computed only when the search reaches it.
 A Fox coloring keeps its colors as residues, so two colorings that agree
-mod N are equal.  An affine quandle of composite order answers
-first_nonconstant from its count when every coloring the pins allow is
-constant, without walking the search.
+mod N are equal.
 """
 
-import pytest
-
-from oracles import reference_find_certificate_report, reference_quandle_colorings
-from tanglecert import colorings
+from oracles import reference_find_certificate_report
 from tanglecert.colorings import (
     ColoringError,
     FoxColoring,
     Quandle,
     QuandleColoring,
+    _fox_key,
+    _quandle_key,
     dihedral,
     parse_quandle,
-    quandle_space,
 )
 from tanglecert.diagram import DiagramError, orient
 from tanglecert.persistence import find_certificate_report
@@ -84,6 +81,15 @@ def test_a_fox_hit_records_its_pin(corpus_diagrams):
     assert report.entries == [{"fox": 3, "pin": 0, "found": True}]
 
 
+def test_a_fox_hit_computes_no_quandle_orbits(corpus_diagrams, monkeypatch):
+    def no_orbits(self):
+        raise AssertionError("orbit representatives computed")
+
+    monkeypatch.setattr(Quandle, "orbit_representatives", no_orbits)
+    report = find_certificate_report(corpus_diagrams["fig1-krebes"], [3], (dihedral(3),))
+    assert report.entries == [{"fox": 3, "pin": 0, "found": True}]
+
+
 def test_a_non_involutory_quandle_on_an_unoriented_tangle_raises_like_the_reference(
     corpus_diagrams, corpus_dir
 ):
@@ -117,39 +123,5 @@ class TestResidues:
         assert fox.witness() == quandle.witness() == (1, 2)
         assert fox.nontrivial and quandle.nontrivial
         assert QuandleColoring(Quandle(q.table), {}).key == {"quandle": "table"}
+        assert (fox.key, quandle.key) == (_fox_key(3), _quandle_key(q))
 
-
-class TestCompositeAffineFirstNonconstant:
-    """dihedral(6) is affine of composite order: counted by elimination, listed by _search."""
-
-    @pytest.mark.parametrize("name", ["fig8-knot", "8_16"])  # determinants 5 and 35, prime to 6
-    def test_only_constant_colorings_are_answered_without_the_search(self, corpus_diagrams, monkeypatch, name):
-        d = corpus_diagrams[name]
-        a, b = sorted(d.arcs())[:2]
-
-        def no_search(*args):
-            raise AssertionError("the search ran")
-            yield
-
-        monkeypatch.setattr(colorings, "_search", no_search)
-        for pins, count in ((None, 6), ({a: 2, b: 2}, 1), ({a: 0, b: 1}, 0)):
-            space = quandle_space(d, dihedral(6), pins)
-            assert space.count == count
-            assert space.first_nonconstant() is None
-
-    def test_agrees_with_the_reference_on_the_corpus(self, corpus_diagrams):
-        d6 = dihedral(6)
-        checked = 0
-        for name, d in corpus_diagrams.items():
-            arcs = sorted(d.arcs())
-            pin_sets = [None, {e: 3 for e in d.boundary} or None]
-            if len(arcs) >= 2:
-                pin_sets += [{arcs[0]: 1, arcs[-1]: 1}, {arcs[0]: 0, arcs[-1]: 4}]
-            for pins in pin_sets:
-                want = reference_quandle_colorings(d, d6, pins)
-                space = quandle_space(d, d6, pins)
-                first = next((c for c in want if c.nontrivial), None)
-                assert space.count == len(want), (name, pins)
-                assert space.first_nonconstant() == first, (name, pins)
-                checked += first is None
-        assert checked >= 10
