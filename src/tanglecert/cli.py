@@ -2,8 +2,8 @@
 
 Subcommands: color, det, certify, cut, build, closure, krebes, report.
 Exit codes: 0 when the requested object was found or produced, 1 when a
-search legitimately comes up empty, 2 on bad input or an exceeded limit
-(the message names it), 3 on an internal error, reported on one line as
+search legitimately comes up empty, 2 on bad input (the message names
+it), 3 on an internal error, reported on one line as
 "internal error: <type>: <message>" without a traceback, and 141
 (128 + SIGPIPE), silently, when the reader closes standard output.  --json
 switches to machine output; every JSON document carries "schema": 1,
@@ -28,7 +28,6 @@ from .colorings import (
     quandle_space,
 )
 from .diagram import Diagram, DiagramError, components, parse_diagram, serialize
-from .linalg import DeterminantBoundExceeded
 from .persistence import (
     CertificateError,
     build_T_plus_Tstar,
@@ -336,9 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_digits(limit: int) -> int:
+    """Set the limit on the digits of an integer made text (0: none), which
+    Python has from 3.10.7 on, and return the previous one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return 0
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    return previous
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digits = _int_digits(0)  # a determinant is printed with all its digits
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
@@ -351,12 +361,11 @@ def main(argv: list[str] | None = None) -> int:
     except (DiagramError, ColoringError, CertificateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except DeterminantBoundExceeded as exc:
-        print(f"error: limit exceeded: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except Exception as exc:  # the CLI boundary: a defect is reported, never a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        _int_digits(digits)
 
 
 if __name__ == "__main__":

@@ -346,7 +346,8 @@ def link_determinant(d: Diagram) -> int:
     invariant factors when the corank is 1, and 0 when it is larger.  A
     has more strands than crossings exactly when some component never
     passes under another; with another component present the diagram is
-    split, and the corank is at least 2.
+    split, and the corank is at least 2.  The minor is eliminated over Z
+    without fractions, so the cost follows the size of the answer.
     """
     if d.boundary:
         raise ColoringError("link determinant is defined for closed diagrams")
@@ -358,7 +359,7 @@ def link_determinant(d: Diagram) -> int:
     last = len(strands) - 1
     # any row may go with the last column: all first minors agree up to sign
     minor = [{c: v for c, v in row.items() if c != last} for row in rows[1:]]
-    return linalg.abs_determinant(_right_to_left(minor))
+    return linalg.abs_determinant(minor)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +416,8 @@ class Quandle:
 
 def validate_quandle(q: Quandle) -> None:
     n = q.size
+    if n == 0:
+        raise ColoringError("quandle table is empty")
     for a, row in enumerate(q.table):
         if len(row) != n or any(not (0 <= v < n) for v in row):
             raise QuandleAxiomError("table shape", (a,))

@@ -1,10 +1,10 @@
-"""Exact modular linear algebra behind the coloring solvers.
+"""Exact linear algebra behind the coloring solvers and determinants.
 
 A crossing matrix is sparse: each row has at most three nonzeros (t, 1 - t
 and -1 for an affine quandle; for Fox, t = -1, +2 on the over strand and -1
-on each under strand).  Rows are therefore dicts
-(column -> residue), and all elimination runs over Z/N, so no entry ever
-exceeds the modulus and nothing grows with the size of the diagram.
+on each under strand).  Rows are therefore dicts (column -> integer).
+solve_mod eliminates over Z/N, so no entry ever exceeds the modulus and
+nothing grows with the size of the diagram.
 
 solve_mod brings the augmented system [A | b] to Howell form over Z/N
 (Howell 1986; Storjohann and Mulders 1998): an echelon form, pivot at the
@@ -27,28 +27,25 @@ Rows enter the elimination in the order given.  The coloring solvers feed
 crossing rows right to left (by decreasing rightmost column), which needs
 far fewer reduction steps than crossing order; no answer depends on it.
 
-abs_determinant runs the same elimination modulo a prime P above twice the
-Hadamard bound H of the matrix and lifts the result to (-P/2, P/2), so its
-coefficients stay below P.  P is the first with P^2 > 4H^2 in a literal
-table of Proth primes k*2^m + 1, one every 32 bits from 64 to 1,024 bits,
-each stored with the witness that proves it prime; Mersenne primes follow
-for larger bounds.  A 150-crossing closure thus runs with a 224-bit
-prime, where the next Mersenne prime above 2^127 - 1 has 521 bits.
+abs_determinant eliminates over Z without fractions (Bareiss 1968), sparse
+and column by column, so it needs no modulus: every entry it keeps is a
+minor of the matrix, and the entries grow with the determinant, not with
+a bound on it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from math import gcd, isqrt, prod
-
-
-class DeterminantBoundExceeded(ValueError):
-    """Raised when a determinant's Hadamard bound needs a prime past the largest listed one."""
+from math import gcd, prod
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free elimination)."""
+    """Exact determinant of a square integer matrix (fraction-free elimination).
+
+    The dense reference: tests and bench/workloads.py::_minor_det compare
+    abs_determinant and the benchmark's answers against it.
+    """
     a = [list(row) for row in matrix]
     n = len(a)
     if n == 0:
@@ -251,62 +248,43 @@ def solve_mod(rows: list[Mapping[int, int]], rhs: list[int], n_vars: int, modulu
     return ModularAffineSpace(modulus, n_vars, count, form)
 
 
-# Proth primes P = k * 2^m + 1, as (k, m, a): k is odd, 0 < k < 2^m, and
-# a^((P - 1) / 2) = -1 (mod P), which by Proth's theorem proves P prime.
-# Each P has m + 32 bits: one prime every 32 bits from 64 to 1,024.
-_PROTH = (
-    (2147483685, 32, 7), (2147483683, 64, 3), (2147483755, 96, 3),
-    (2147483853, 128, 7), (2147483751, 160, 5), (2147483833, 192, 3),
-    (2147484565, 224, 3), (2147483653, 256, 3), (2147483871, 288, 5),
-    (2147483793, 320, 19), (2147483707, 352, 3), (2147483763, 384, 7),
-    (2147483731, 416, 3), (2147483781, 448, 5), (2147484031, 480, 3),
-    (2147483991, 512, 5), (2147483665, 544, 3), (2147484265, 576, 3),
-    (2147483865, 608, 17), (2147483721, 640, 5), (2147484291, 672, 5),
-    (2147483905, 704, 3), (2147483857, 736, 3), (2147484207, 768, 5),
-    (2147483727, 800, 5), (2147485261, 832, 3), (2147483811, 864, 5),
-    (2147483991, 896, 5), (2147484501, 928, 5), (2147483745, 960, 13),
-    (2147483653, 992, 3),
-)
-# Exponents e of the Mersenne primes 2^e - 1 above the table, enough for
-# Hadamard bounds of about 44,000 bits (tens of thousands of crossings).
-_MERSENNE_EXPONENTS = (
-    1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497,
-)
-_PRIMES = tuple((k << m) + 1 for k, m, _ in _PROTH) + tuple(
-    (1 << e) - 1 for e in _MERSENNE_EXPONENTS
-)
-
-
 def abs_determinant(rows: list[Mapping[int, int]]) -> int:
     """|det| of the square integer matrix with these sparse rows (columns 0..len(rows)-1).
 
-    Eliminates modulo the first listed prime P > 2 * H, where H is the
-    Hadamard bound (the product of the row norms), so the residue of det
-    lifts uniquely to (-P/2, P/2).  The row order and hence the sign are
-    not tracked.  A bound past the largest listed prime (2^44497 - 1)
-    raises DeterminantBoundExceeded.
+    Sparse fraction-free elimination over Z (Bareiss 1968); the rows are not
+    changed.  Rows wait in buckets by their leftmost column.  Step k takes
+    the shortest row of bucket k as pivot, with p_k at column k, and puts
+    every other row of the bucket, as (p_k * row - row[k] * pivot) / p_{k-1},
+    in the bucket of its new leftmost column.  Every entry is then a minor
+    of the matrix, so the divisions are exact.  A row that step j last
+    changed is stale at step k by the exact factor p_{k-1} / p_j: the pivot
+    is brought current, and the other rows divide by p_j instead.  An empty
+    bucket or a row that cancels to nothing means det = 0; otherwise
+    |det| = |p_{n-1}|.
     """
-    if not rows:
-        return 1
-    squared = prod(sum(v * v for v in row.values()) for row in rows)  # H^2
-    if squared == 0:
-        return 0
-    prime = next((p for p in _PRIMES if p * p > 4 * squared), None)
-    if prime is None:
-        bits = (isqrt(4 * squared) + 1).bit_length()  # of the least P with P^2 > 4H^2
-        raise DeterminantBoundExceeded(
-            f"the determinant's Hadamard bound needs a prime of {bits} bits,"
-            f" past the {_PRIMES[-1].bit_length()}-bit limit"
-        )
-    form = _Echelon(prime)
+    buckets: dict[int, list] = {}  # leftmost column -> [(row, i)], the row current with pivots[i]
     for row in rows:
-        before = len(form.rows)
-        reduced = {c: v % prime for c, v in row.items() if v % prime}
-        if reduced:
-            form.insert(reduced)
-        if len(form.rows) == before:  # the row reduced to zero: singular
+        row = {c: v for c, v in row.items() if v}
+        if not row:
             return 0
-    det = 1
-    for c, row in form.rows.items():
-        det = det * row[c] % prime
-    return min(det, prime - det)
+        buckets.setdefault(min(row), []).append((row, 0))
+    pivots = [1]  # pivots[k + 1] = p_k; pivots[0] = p_{-1} = 1
+    for k in range(len(rows)):
+        bucket = buckets.pop(k, None)
+        if bucket is None:
+            return 0
+        (pivot, i), *others = sorted(bucket, key=lambda entry: len(entry[0]))
+        if i < k:  # bring the pivot current with p_{k-1}
+            pivot = {c: v * pivots[k] // pivots[i] for c, v in pivot.items()}
+        p = pivot[k]
+        for row, i in others:
+            a = row[k]
+            new = {c: p * v for c, v in row.items()}
+            for c, v in pivot.items():
+                new[c] = new.get(c, 0) - a * v
+            new = {c: v // pivots[i] for c, v in new.items() if v}
+            if not new:
+                return 0
+            buckets.setdefault(min(new), []).append((new, k + 1))
+        pivots.append(p)
+    return abs(pivots[-1])

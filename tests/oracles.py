@@ -303,6 +303,16 @@ def cofactor_det(m):
     return total
 
 
+def lucas(m):
+    """The Lucas number L_m (L_0 = 2, L_1 = 1): the closure of (s1 s2^-1)^n on
+    3 strands, a Turk's head knot or, when 3 divides n, a 3-component link,
+    has link determinant L_2n - 2."""
+    a, b = 2, 1
+    for _ in range(m):
+        a, b = b, a + b
+    return a
+
+
 def minor_determinant(d):
     """|first minor| of a square crossing matrix, dropping the last row and
     column, by Gaussian elimination over the rationals."""

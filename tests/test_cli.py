@@ -39,6 +39,12 @@ class TestColor:
         code, out, _ = run(capsys, "color", str(corpus_dir / "trefoil.pd"), "--quandle", str(qf))
         assert code == 0 and "9 colorings" in out
 
+    def test_an_empty_quandle_table_exits_2(self, capsys, corpus_dir, tmp_path):
+        qf = tmp_path / "empty.q"
+        qf.write_text("Q 0\n")
+        code, out, err = run(capsys, "color", str(corpus_dir / "trefoil.pd"), "--quandle", str(qf))
+        assert (code, out, err) == (2, "", "error: quandle table is empty\n")
+
     def test_non_involutory_quandle_on_the_crossing_free_unknot(self, capsys, corpus_dir, tmp_path):
         # the Alexander quandle on Z/5 with t = 2; a diagram without crossings needs no orientation
         qf = tmp_path / "alexander-5-2.q"
@@ -116,6 +122,12 @@ class TestCertify:
         assert payload["kind"] == {"fox": 3}
         assert payload["verification"]["passes"] > 0
 
+    def test_an_empty_quandle_table_exits_2(self, capsys, corpus_dir, tmp_path):
+        qf = tmp_path / "empty.q"
+        qf.write_text("Q 0\n")
+        code, out, err = run(capsys, "certify", str(corpus_dir / "fig1-krebes.pd"), "--quandles", str(qf))
+        assert (code, out, err) == (2, "", "error: quandle table is empty\n")
+
     def test_fig9_not_found_with_reason(self, capsys, corpus_dir):
         code, out, _ = run(
             capsys, "certify", str(corpus_dir / "fig9-tangle.pd"), "--mods", "3,5,7"
@@ -159,7 +171,7 @@ KNOTS = ("trefoil", "fig8-knot", "6_2", "8_16")
 TANGLES = ("fig1-krebes", "fig5-t-plus-tstar", "fig9-tangle")
 REPORTED = ("fig1-krebes", "fig4-tangle", "fig5-t-plus-tstar", "fig8-tangle", "fig9-tangle")
 GOLDEN = (
-    [(f"{k}.det", ["det", k]) for k in KNOTS]
+    [(f"{k}.det", ["det", k]) for k in KNOTS + ("hopf", "unknot", "fig10-overlaid")]
     + [
         (f"{k}.color-mod{n}", ["color", k, "--mod", str(n), "--enumerate", "50"])
         for k in KNOTS + TANGLES
@@ -451,19 +463,24 @@ class TestOthers:
 
 class TestLimits:
 
-    def test_determinant_bound_exits_2_and_names_the_limit(self, capsys, tmp_path):
+    def test_a_35000_crossing_closure_has_an_exact_determinant(self, capsys, tmp_path):
+        from oracles import lucas
         from tanglecert.braids import braid_closure
+        from tanglecert.cli import _int_digits
         from tanglecert.diagram import serialize
 
-        # a valid 35,000-crossing closure, past what the largest listed prime can bound
+        # a valid 35,000-crossing closure: a Turk's head knot with a 24,299-bit determinant
         path = tmp_path / "long.pd"
         path.write_text(serialize(braid_closure([1, -2] * 17500, 3)))
         code, out, err = run(capsys, "det", str(path))
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: limit exceeded: the determinant's Hadamard bound needs a prime"
-            " of 45236 bits, past the 44497-bit limit\n"
-        )
+        assert code == 0, err
+        expected = lucas(35000) - 2
+        assert expected.bit_length() == 24299
+        digits = _int_digits(0)  # the expected value has more digits than Python prints by default
+        try:
+            assert out == f"determinant: {expected} (1 component)\n"
+        finally:
+            _int_digits(digits)
 
 
 class TestNegativeCounts:

@@ -279,6 +279,14 @@ class TestQuandles:
             Quandle(((0, 0), (1, 0)))  # 1*1 = 0 breaks idempotence
         assert err.value.witness == (1,)
 
+    def test_an_empty_table_is_refused(self):
+        with pytest.raises(ColoringError, match="quandle table is empty"):
+            Quandle(())
+
+    def test_parse_quandle_refuses_an_empty_table(self):
+        with pytest.raises(ColoringError, match="quandle table is empty"):
+            parse_quandle("Q 0\n")
+
     def test_parse_quandle_roundtrip(self):
         text = "Q 3\n0 2 1\n2 1 0\n1 0 2\n"
         q = parse_quandle(text)
