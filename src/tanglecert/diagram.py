@@ -33,29 +33,36 @@ per-component Euler count V - E + F = 2, not by an embedding search; a
 rotation system that fails Euler is rejected as an inconsistent code.
 
 Trust boundary: validate() runs once per Diagram object.  A diagram that
-passes keeps the dart index the check built (dart labels, arc pairing,
-face permutation and face ids numbered in order of smallest dart, as
-array('i')) in its instance dict; later calls on the same object return
-at once, and every structural read takes that index.  Only validate and
-faces() walk every face.  The first coloring solver call on a validated
-diagram keeps its Fox system (colorings._strand_columns: strand
-representatives, label columns, crossing triples and crossing rows,
-immutable) beside the index; validate does not build it, and an
-unvalidated diagram keeps nothing.  validate rejects a Diagram whose
-fields, or a Crossing whose slots, are not tuples, so a marked object
-cannot change after the check, and labels the index cannot hold (not
-integers below 2**31).
+passes keeps the dart index the check built (dart labels and arc pairing,
+as array('i')) in its instance dict, and beside it the face permutation
+and face ids (numbered in order of smallest dart) that the Euler count
+walked; later calls on the same object return at once, and every
+structural read takes that index.  A diagram marked valid without the
+check numbers its faces when something first reads them (faces, _sides,
+_far_ends, the transport search, find_r3_triangles) and keeps them from
+then on; the strand walk, _has_arc, _flow, max_label and _edit read only
+the pairing.  Only validate and faces() walk every face.  The first
+coloring solver call on a validated diagram keeps its Fox system
+(colorings._strand_columns: strand representatives, label columns,
+crossing triples and crossing rows, immutable) beside the index; validate
+does not build it, and an unvalidated diagram keeps nothing.  validate
+rejects a Diagram whose fields, or a Crossing whose slots, are not
+tuples, so a marked object cannot change after the check, and labels the
+index cannot hold (not integers below 2**31).
 parse_diagram and every public constructor return validated diagrams;
 intermediates that never leave a function are not validated.  One builder,
 _edit, makes a diagram from a validated one, and every move, undo, cut and
 glue (sums, closures, caps, host closures, a quarter turn) is one _edit
-call.  It splices the result's index from the kept one (see _edit) and
-marks it without validate: each result is planar by construction, as a
-move or cut is surgery inside one face and planar disks glued along
-boundary arcs make a disk or a sphere, and each leaves every label on two
-darts, so the occurrence count and Euler walk would pass; signs and flow
-are checked.  undo_move is the exception: its record is caller input, so
-it also validates a fresh copy of its result.
+call, and so is a rational tangle: the zero or infinity tangle with its
+twists appended.  It splices the result's pairing from the kept one (see
+_edit), a glue copying the host's kept pairing as well, so only the glued
+ends pair by label, and marks it without validate: each result is planar
+by construction, as a move or cut is surgery inside one face, a twist adds
+a crossing at the boundary, and planar disks glued along boundary arcs
+make a disk or a sphere, and each leaves every label on two darts, so the
+occurrence count and Euler walk would pass; signs and flow are checked.
+undo_move is the exception: its record is caller input, so it also
+validates a fresh copy of its result.
 """
 
 from __future__ import annotations
@@ -136,10 +143,27 @@ class Face:
 # parsing / serialization
 
 
+_MAX_DIGITS = 10  # 2**31 - 1, the largest label the dart index holds, has 10
+
+
+def _quoted(tok: str) -> str:
+    """tok in quotes, cut to its first 20 characters when longer."""
+    return repr(tok) if len(tok) <= 20 else f"{tok[:20]!r}... ({len(tok)} characters)"
+
+
 def _int_token(tok: str, lineno: int, col: int) -> int:
-    if not tok.isdecimal() or int(tok) <= 0:
-        raise PDSyntaxError(f"expected a positive integer, got {tok!r}", lineno, col)
-    return int(tok)
+    """A positive decimal label, converted once; a token of more digits than
+    any label can have, leading ASCII zeros aside, is refused before int()
+    reads it."""
+    if tok.isdecimal():
+        if len(tok.lstrip("0")) > _MAX_DIGITS:
+            raise PDSyntaxError(
+                f"label {_quoted(tok)} has more than {_MAX_DIGITS} digits", lineno, col
+            )
+        value = int(tok)
+        if value > 0:
+            return value
+    raise PDSyntaxError(f"expected a positive integer, got {_quoted(tok)}", lineno, col)
 
 
 def _parse_text(text: str):
@@ -177,7 +201,7 @@ def _parse_text(text: str):
                         raise PDSyntaxError("circle record needs 1 label", lineno, start_col)
                     circles.append(_int_token(args[0], lineno, start_col))
                 else:
-                    raise PDSyntaxError(f"unknown record {kind!r}", lineno, start_col)
+                    raise PDSyntaxError(f"unknown record {_quoted(kind)}", lineno, start_col)
             col += len(segment) + 1
     return crossings, circles, boundary
 
@@ -210,9 +234,11 @@ def serialize(d: Diagram) -> str:
 # boundary cap follow all crossing darts, so dart j sits at vertex j >> 2
 # (the cap is vertex len(crossings)).  One linear scan builds the dart
 # pairing and the face permutation, and one walk of the face orbits numbers
-# the faces for the Euler count; validation checks them and keeps all four
-# on the diagram as its index, which faces, co_facial, the strand walk and
-# the move and cut helpers read through _darts.
+# the faces for the Euler count.  The kept index is the labels and the
+# pairing, which the strand walk, _has_arc, max_label and _edit read through
+# _pairing; the face permutation and face ids sit beside it from their
+# first read through _darts (faces, co_facial, the transport search and the
+# move and cut helpers), or from validate, which numbered them anyway.
 
 _CAP = -1  # vertex index of the capped tangle boundary in (vertex, slot) places
 
@@ -220,9 +246,10 @@ _CAP = -1  # vertex index of the capped tangle boundary in (vertex, slot) places
 def validate(d: Diagram) -> None:
     """Check occurrence counts, orientation consistency, and planarity.
 
-    A diagram that passes keeps its dart index (labels, other, face_next,
-    face) in its instance dict under "_valid" (ignored by == and hash);
-    later calls on the same object return at once.
+    A diagram that passes keeps its dart index (labels, other) in its
+    instance dict under "_valid" (ignored by == and hash), and the faces
+    (face_next, face) it numbered for the Euler count beside it under
+    "_faces"; later calls on the same object return at once.
     """
     if "_valid" in d.__dict__:
         return
@@ -244,24 +271,31 @@ def validate(d: Diagram) -> None:
     _check_signs(signs)
     face = _face_ids(face_next)
     _check_euler(d, other, face)
-    _keep(d, labels, other, face_next, face)
+    _keep(d, labels, other)
+    _keep_faces(d, face_next, face)
 
 
-def _edit(d: Diagram, spots=(), added=(), circles=None, boundary=None, drop=0) -> Diagram:
+def _edit(
+    d: Diagram, spots=(), added=(), circles=None, boundary=None, drop=0, pairing=None
+) -> Diagram:
     """d rewritten at one site, marked valid with d's kept index spliced:
-    its last `drop` crossings dropped, labels substituted at (vertex, slot,
-    old, new) places (the cap's vertex is _CAP), the `added` crossings
-    appended, and the circles or boundary, when given, put in place of d's
+    its last `drop` crossings dropped, the `added` crossings appended,
+    labels substituted at (vertex, slot, old, new) places (the cap's vertex
+    is _CAP), and the circles or boundary, when given, put in place of d's
     (cap places name the new boundary's positions).
 
     The kept crossings keep their darts and every pairing between them,
-    except at a substituted place.  The loose darts, the substituted ones,
-    their old partners, the partners of d's dropped and cap darts, and every
-    appended and cap dart, pair by label.  The result passes the occurrence
-    and Euler counts by construction (see the module docstring), so only
-    the signs and an oriented result's flow are checked.
+    except at a substituted place.  So do the appended ones when `pairing`
+    is given: the kept `other` of a validated diagram whose crossings are
+    `added` with each label raised past d's, except at its ends (the darts
+    it pairs with its cap).  The loose darts pair by label: the substituted
+    ones and their old partners, the partners of d's dropped and cap darts,
+    the appended darts (with `pairing`, only the ends) and every cap dart.
+    The result passes the occurrence and Euler counts by construction (see
+    the module docstring), so only the signs and an oriented result's flow
+    are checked; its faces are numbered when first read.
     """
-    d_labels, d_other = _darts(d)[:2]
+    d_labels, d_other = _pairing(d)
     kept = len(d.crossings) - drop
     p4 = 4 * kept
     crossings = [*d.crossings[:kept], *added]
@@ -269,8 +303,16 @@ def _edit(d: Diagram, spots=(), added=(), circles=None, boundary=None, drop=0) -
     labels = d_labels[:p4].tolist()
     labels += [label for c in added for label in c.slots]
     labels += d.boundary if boundary is None else boundary
+    other = d_other[:p4].tolist()
     loose = {k for k in d_other[p4:] if k < p4}
-    loose.update(range(p4, len(labels)))
+    if pairing is None:
+        loose.update(range(p4, len(labels)))
+    else:
+        n4 = c4 - p4
+        other += map(p4.__add__, pairing[:n4])
+        loose.update(p4 + k for k in pairing[n4:] if k < n4)
+        loose.update(range(c4, len(labels)))
+    other += [0] * (len(labels) - len(other))
     for v, s, old, new in spots:
         j = c4 + s if v == _CAP else 4 * v + s
         at = 0 <= s < len(labels) - c4 if v == _CAP else 0 <= v < kept and 0 <= s < 4
@@ -281,7 +323,6 @@ def _edit(d: Diagram, spots=(), added=(), circles=None, boundary=None, drop=0) -
         if v != _CAP:
             crossings[v] = Crossing(tuple(labels[4 * v : 4 * v + 4]), crossings[v].sign)
             loose.update(k for k in (j, d_other[j]) if k < p4)
-    other = d_other[:p4].tolist() + [0] * (len(labels) - p4)
     unpaired = {}  # label -> the one loose dart seen with it so far
     for j in loose:
         k = unpaired.pop(labels[j], None)
@@ -294,8 +335,7 @@ def _edit(d: Diagram, spots=(), added=(), circles=None, boundary=None, drop=0) -
     _check_signs({c.sign for c in crossings})
     circles = d.circles if circles is None else tuple(circles)
     out = Diagram(tuple(crossings), circles, tuple(labels[c4:]))
-    face_next = _face_next(len(crossings), other)
-    _keep(out, labels, other, face_next, _face_ids(face_next))
+    _keep(out, labels, other)
     return out
 
 
@@ -305,15 +345,22 @@ def _check_signs(signs: set[int]) -> None:
         raise OrientationError("diagram mixes signed and unsigned crossings")
 
 
-def _keep(d: Diagram, labels, other, face_next, face) -> None:
-    """Check an oriented d's flow, then keep the dart index on d as its mark."""
+def _keep(d: Diagram, labels, other) -> None:
+    """Check an oriented d's flow, then keep the dart index (labels, other)
+    on d as its mark; the faces are numbered when first read."""
     if d.oriented:
         _check_flow(d, labels, other)
     try:
-        index = (array("i", labels), array("i", other), array("i", face_next), array("i", face))
+        index = (array("i", labels), array("i", other))
     except (OverflowError, TypeError):
         raise ArcOccurrenceError("arc labels must be integers below 2**31") from None
     d.__dict__["_valid"] = index
+
+
+def _keep_faces(d: Diagram, face_next, face) -> tuple[array, array, array, array]:
+    """Keep a marked d's faces beside its index; the whole index, as _darts gives it."""
+    index = d.__dict__["_faces"] = (*d.__dict__["_valid"], array("i", face_next), array("i", face))
+    return index
 
 
 def _dart_structure(d: Diagram) -> tuple[list[int], list[int], list[int]]:
@@ -361,10 +408,21 @@ def _face_ids(face_next: list[int]) -> list[int]:
     return face
 
 
-def _darts(d: Diagram) -> tuple[array, array, array, array]:
-    """(labels, other, face_next, face) as validate keeps them, validating d first."""
+def _pairing(d: Diagram) -> tuple[array, array]:
+    """(labels, other) as validate keeps them, validating d first."""
     validate(d)
     return d.__dict__["_valid"]
+
+
+def _darts(d: Diagram) -> tuple[array, array, array, array]:
+    """(labels, other, face_next, face): the kept pairing, validating d first,
+    and its faces, numbered on the first read and kept from then on."""
+    index = d.__dict__.get("_faces")
+    if index is None:
+        other = _pairing(d)[1]
+        face_next = _face_next(len(d.crossings), other)
+        index = _keep_faces(d, face_next, _face_ids(face_next))
+    return index
 
 
 def _check_records(d: Diagram) -> None:
@@ -461,7 +519,7 @@ def _orbit(face_next, start: int) -> list[int]:
 
 def _has_arc(d: Diagram, a: int) -> bool:
     """Whether a labels an arc of d: a dart in the kept index, or a circle."""
-    return a in _darts(d)[0] or a in d.circles
+    return a in _pairing(d)[0] or a in d.circles
 
 
 def _sides(d: Diagram, a: int) -> set[int]:
@@ -508,7 +566,7 @@ def _strands(d: Diagram) -> tuple[array, list[list[int]]]:
     """(labels, strands): each strand's darts in walk order, tail then head of
     each arc.  Open strands run from their first boundary dart, in boundary
     order; closed strands follow, each from its first crossing dart."""
-    labels, other, _, _ = _darts(d)
+    labels, other = _pairing(d)
     c4 = 4 * len(d.crossings)
     seen = bytearray(len(other))
     strands = []
@@ -534,7 +592,7 @@ def _flow(d: Diagram, strands: list[list[int]]) -> tuple[bytearray, list[int]]:
     it, +1 when the walk enters at slot 0 and at slot 3 alike, or at
     neither: the over strand then comes in at slot 3 once the record is
     turned so that the incoming under strand sits at slot 0."""
-    flow_in = bytearray(len(_darts(d)[0]))
+    flow_in = bytearray(len(_pairing(d)[0]))
     for strand in strands:
         for head in strand[1::2]:
             flow_in[head] = 1
@@ -645,4 +703,4 @@ def relabel(d: Diagram, mapping: dict[int, int]) -> Diagram:
 
 def max_label(d: Diagram) -> int:
     """The largest arc label, 0 for the empty diagram; read from the kept index."""
-    return max(max(_darts(d)[0], default=0), max(d.circles, default=0))
+    return max(max(_pairing(d)[0], default=0), max(d.circles, default=0))

@@ -37,6 +37,7 @@ from .diagram import (
     _far_ends,
     _has_arc,
     _orbit,
+    _pairing,
     _place,
     co_facial,
     faces,
@@ -109,7 +110,7 @@ def apply_r1(d: Diagram, arc: int, positive: bool = True) -> tuple[Diagram, Move
             "R1+", ("arc", arc), fresh=(loop,), added=(len(d.crossings),), removed_circle=arc
         )
         return out, rec
-    labels, other, _, _ = _darts(d)
+    labels, other = _pairing(d)
     if arc not in labels:
         raise MoveError(f"unknown arc {arc}")
     j = labels.index(arc)

@@ -72,19 +72,19 @@ from .moves import (
 )
 from .tangle import (
     _ARC_HOST,
+    _INFINITY_HOST,
+    _ZERO_HOST,
     TangleFraction,
     _glue,
     close_one_tangle,
     connectivity,
     denominator_closure,
-    infinity_tangle,
     insert_into_host,
     mirror,
     numerator_closure,
     rational_tangle,
     tangle_add,
     tangle_fraction,
-    zero_tangle,
 )
 
 __all__ = [
@@ -531,7 +531,7 @@ def verify_certificate(
         hosts = {"trivial": _ARC_HOST}
         suffix, closures = "-capped", ("N",)
     else:
-        hosts = {"zero": zero_tangle(), "infinity": infinity_tangle()}
+        hosts = {"zero": _ZERO_HOST, "infinity": _INFINITY_HOST}
         suffix, closures = "", ("N", "D")
     drawn = list(hosts)
     wanted = len(drawn) + trials
@@ -575,8 +575,8 @@ def _check_closure(
     if n_comp != 1:
         entry["result"] = "skipped"
         return entry
-    get, fill = cert.coloring.colors.get, cert.boundary_color
-    colors = {a: get(a, fill) for a in (*labels, *dgm.circles)}
+    colors = dict.fromkeys([*labels, *dgm.circles], cert.boundary_color)
+    colors.update(cert.coloring.colors)  # the tangle's colors, every other arc the boundary's
     try:
         _check_certificate(dgm, replace(cert, coloring=replace(cert.coloring, colors=colors)))
     except CertificateError:

@@ -24,9 +24,9 @@ from .diagram import (
     Crossing,
     Diagram,
     DiagramError,
-    _darts,
     _edit,
     _find,
+    _pairing,
     _strands,
     _union,
     max_label,
@@ -90,12 +90,13 @@ def _glue(t: Diagram, host: Diagram, glue, boundary=()) -> Diagram:
     merges, the smaller label kept, which keeps the left operand's labels
     stable under addition; a pair whose ends already meet closes a circle.
     The result is one _edit of t: the merged labels substituted at t's end
-    darts, the host's crossings appended raised and renamed, and the open
-    ends, in the order given, as its boundary.  t and host are validated if
-    they are not yet.
+    darts, the host's crossings appended raised, with the merged labels at
+    their end darts and the host's kept pairing, and the open ends, in the
+    order given, as its boundary.  t and host are validated if they are not
+    yet.
     """
     shift = max_label(t)
-    validate(host)
+    h_labels, h_other = _pairing(host)
     ends = t.boundary + tuple(e + shift for e in host.boundary)
     merged: dict[int, int] = {}  # union-find of the ends: dropped label -> a smaller one
     circles = [*t.circles, *(k + shift for k in host.circles)]
@@ -103,22 +104,26 @@ def _glue(t: Diagram, host: Diagram, glue, boundary=()) -> Diagram:
         if not _union(merged, ends[p], ends[q]):  # the two ends already meet: a circle closes
             circles.append(_find(merged, ends[p]))
     rename = {x: _find(merged, x) for x in merged}
-    labels, other = _darts(t)[:2]
-    c4 = 4 * len(t.crossings)
+    labels, other = _pairing(t)
+    c4, h4 = 4 * len(t.crossings), 4 * len(host.crossings)
     spots = [
         (k >> 2, k & 3, labels[k], rename[labels[k]])
         for k in other[c4:]
         if k < c4 and labels[k] in rename
     ]
+    raised = [label + shift for label in h_labels[:h4]]
+    for k in h_other[h4:]:  # the host's end darts take their merged labels
+        if k < h4:
+            raised[k] = rename.get(raised[k], raised[k])
     added = [
-        Crossing(tuple(rename.get(s + shift, s + shift) for s in c.slots), c.sign)
-        for c in host.crossings
+        Crossing(tuple(raised[j : j + 4]), c.sign) for j, c in zip(range(0, h4, 4), host.crossings)
     ]
     carry = [rename.get(ends[p], ends[p]) for p in boundary]
-    return _edit(t, spots, added, circles, carry)
+    return _edit(t, spots, added, circles, carry, pairing=h_other)
 
 
-_ZERO_HOST, _ARC_HOST = zero_tangle(), Diagram(boundary=(1, 1))  # validated once
+# validated once: the trivial hosts, and the tangles rational twists grow from
+_ZERO_HOST, _INFINITY_HOST, _ARC_HOST = zero_tangle(), infinity_tangle(), Diagram(boundary=(1, 1))
 _SUM_GLUE = [(1, 4), (2, 7)]  # t's NE/SE to the host's NW/SW; the sum keeps (0, 5, 6, 3)
 _N_GLUE = _SUM_GLUE + [(0, 5), (3, 6)]  # then cap NW-NE and SW-SE
 _D_GLUE = _SUM_GLUE + [(0, 3), (5, 6)]  # or NW-SW and NE-SE
@@ -256,11 +261,12 @@ def _south_twist(boundary, fresh, positive):
 
 
 def rational_tangle(twists: list[int]) -> Diagram:
-    """Build the rational tangle of a twist vector with deterministic labels."""
+    """Build the rational tangle of a twist vector with deterministic labels:
+    one _edit of the validated zero or infinity tangle, its twists appended."""
     if not twists:
         raise TangleError("twist vector must be nonempty")
     n = len(twists)
-    start = zero_tangle() if n % 2 == 1 else infinity_tangle()
+    start = _ZERO_HOST if n % 2 == 1 else _INFINITY_HOST
     crossings: list[Crossing] = []
     boundary = start.boundary
     fresh = 3
@@ -272,9 +278,7 @@ def rational_tangle(twists: list[int]) -> Diagram:
             else:
                 x, boundary, fresh = _south_twist(boundary, fresh, a > 0)
             crossings.append(x)
-    out = Diagram(tuple(crossings), (), boundary)
-    validate(out)
-    return out
+    return _edit(start, added=crossings, boundary=boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,15 @@ class TestDet:
             code, out, _ = run(capsys, "det", str(corpus_dir / f"{name}.pd"))
             assert code == 0 and f"determinant: {value}" in out
 
+    def test_a_million_digit_label_exits_2_at_once(self, capsys, tmp_path):
+        big = tmp_path / "big.pd"
+        big.write_text(f"X 1 {'7' * 10 ** 6} 2 1\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "det", str(big))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and len(err) < 200
+        assert err.startswith("error: line 1, column 1: label '77777777777777777777'...")
+
 
 class TestCertify:
     def test_krebes_found(self, capsys, corpus_dir):
@@ -205,6 +215,16 @@ def test_certify_verify_output_matches_golden(capsys, corpus_dir, monkeypatch, n
     code, out, err = run(capsys, "certify", f"corpus/{name}.pd", *VERIFY_ARGS)
     assert code == 0, err
     assert out == Path("tests", "expected", f"{name}.certify-verify.json").read_text()
+
+
+def test_a_thousand_draws_match_golden(capsys, corpus_dir, monkeypatch):
+    # length-4 hosts and both closures of each; diffed by the same CI step
+    monkeypatch.chdir(corpus_dir.parent)
+    argv = ("--verify", "1000", "--seed", "7", "--json")
+    code, out, err = run(capsys, "certify", "corpus/fig5-t-plus-tstar.pd", *argv)
+    assert code == 0, err
+    golden = Path("tests", "expected", "fig5-t-plus-tstar.certify-verify-1000-seed7.json")
+    assert out == golden.read_text()
 
 
 def test_certify_verify_of_the_oriented_tangle_matches_the_unoriented_golden(

@@ -55,6 +55,15 @@ class TestParsing:
     def test_full_width_digits_still_parse(self, trefoil):
         assert parse_diagram("X １ 4 2 5 ; X 3 6 4 1 ; X 5 2 6 3") == trefoil
 
+    def test_a_label_longer_than_any_label_can_be_is_refused_unread(self):
+        # 2**31 - 1, the largest label the index holds, has 10 digits; leading zeros do not count
+        assert parse_diagram("X 1 00000000000004 2 5 ; X 3 6 4 1 ; X 5 2 6 3").crossings[0].slots[1] == 4
+        with pytest.raises(PDSyntaxError, match=r"line 2, column 3: label '10000000000' has more than 10"):
+            parse_diagram("X 1 4 2 5\n; X 10000000000 6 4 1 ; X 5 2 6 3")
+        with pytest.raises(PDSyntaxError) as err:
+            parse_diagram("X 1 4 2 " + "9" * 100_000)
+        assert len(str(err.value)) < 200 and "(100000 characters)" in str(err.value)
+
     def test_occurrence_violation(self):
         with pytest.raises(ArcOccurrenceError):
             parse_diagram("X 1 2 3 4")  # every label once only

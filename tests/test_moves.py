@@ -323,7 +323,8 @@ class TestDartIndex:
         assert moves == 4 and len(calls["_cut"]) == 1
         # each R2 result and the one cut splice the input's index; candidates are scored uncut
         assert calls["_dart_structure"] == []
-        assert len(calls["_face_ids"]) == moves + 1  # once per new diagram
+        # once per moved diagram, whose faces the next step reads; nothing reads the cut's
+        assert len(calls["_face_ids"]) == moves
         # one face walked per R2 move and for the cut, never every face
         assert len(calls["_orbit"]) == moves + 1
 

@@ -5,13 +5,15 @@ and every move, undo and cut of a validated diagram, is marked valid
 without the occurrence count and the Euler walk: diagram._edit splices its
 dart index from the kept index of the diagram it rewrites.  Every such
 diagram here must pass oracles.reference_validate and a full validate of a
-fresh copy, whose four index arrays must equal the spliced ones.  Each
+fresh copy, whose four index arrays must equal the spliced ones, the
+face arrays numbered when first read.  Each
 glue must return what its reference in oracles returns (the ends merged,
 then a full validate), or raise the same error; an oriented closure must
 fail exactly when a fresh copy fails validation.
 """
 
 import copy
+import itertools
 import pickle
 import random
 
@@ -369,6 +371,55 @@ class TestEditedIndex:
         for out in edited:
             assert_spliced_index_is_the_validated_one(out)
         assert len(edited) > 2000 and min(kinds.values()) >= 25, kinds
+
+
+def every_drawable_twist_vector():
+    """Every twist vector verify_certificate can draw: lengths 1-4 over +-1..+-3."""
+    entries = (-3, -2, -1, 1, 2, 3)
+    return [list(w) for n in range(1, 5) for w in itertools.product(entries, repeat=n)]
+
+
+def assert_built_unnumbered_and_validated_alike(out):
+    """out's faces are not numbered yet; its labels and pairing, and its faces
+    once read, are those a full validate of a fresh copy keeps."""
+    assert "_valid" in out.__dict__ and "_faces" not in out.__dict__
+    twin = Diagram(out.crossings, out.circles, out.boundary)
+    validate(twin)
+    assert out.__dict__["_valid"] == twin.__dict__["_valid"], out
+    assert _darts(out) == _darts(twin), out
+
+
+class TestRationalHosts:
+    def test_every_drawable_host_and_its_east_cap(self):
+        vectors = every_drawable_twist_vector()
+        assert len(vectors) == 1554
+        for w in vectors:
+            host = rational_tangle(w)
+            cap = _east_cap(host)
+            assert_built_unnumbered_and_validated_alike(host)
+            assert_built_unnumbered_and_validated_alike(cap)
+
+
+class TestLazyFaces:
+    def test_verify_numbers_the_faces_of_no_host_closure(self, corpus_diagrams, monkeypatch):
+        t = corpus_diagrams["fig5-t-plus-tstar"]
+        cert = find_certificate(t)
+        glued, numbered = [], []
+
+        def recording_insert(t, host, closure="N"):
+            out = insert_into_host(t, host, closure)
+            glued.append(out)
+            return out
+
+        real = diagram._face_ids
+        monkeypatch.setattr(persistence, "insert_into_host", recording_insert)
+        monkeypatch.setattr(diagram, "_face_ids", lambda face_next: numbered.append(face_next) or real(face_next))
+        report = verify_certificate(t, cert, trials=100)
+        assert report.passes > 0 and len(glued) > 20
+        assert numbered == []
+        monkeypatch.setattr(diagram, "_face_ids", real)
+        for out in glued:
+            assert_built_unnumbered_and_validated_alike(out)
 
 
 class TestErrorsAndCopies:
