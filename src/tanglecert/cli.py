@@ -161,7 +161,7 @@ def cmd_certify(args) -> int:
     cert = report.certificate
     payload = cert.to_json(args.tangle)
     lines = [
-        f"certificate: {'fox mod ' + str(cert.kind[1]) if cert.kind[0] == 'fox' else cert.kind[1].name}",
+        f"certificate: {cert.coloring.description}",
         f"boundary color: {cert.boundary_color}, witness: {cert.witness}",
     ]
     if args.verify:

@@ -14,6 +14,18 @@ link_determinant all read it.  Crossing rows enter the elimination right
 to left, in decreasing order of their rightmost column, so an incoming
 row mostly meets columns no pivot holds yet.
 
+Beside it the diagram keeps, from the first unpinned count or
+determinant on, its unit residual (_unit_residual): the crossing rows
+reduced once over Z by unit pivots (linalg.eliminate_units), a few rows
+over the columns no pivot fixed, immutable.  An unpinned
+fox_solution_space count is solve_mod of that residual, exact for every
+modulus since each eliminated column is fixed by its unit pivot, and
+link_determinant is abs_determinant of its first minor.  Listing
+colorings, first_nonconstant and forced_equal_pair read the Howell form
+of the full rows, built on first read, which then gives the count too;
+pinned spaces (the certificate search, the transport cut) solve the full
+rows with their pins and never build the residual.
+
 Quandle colorings generalize this: a crossing forces under_out = under_in
 * over (or its right inverse at negative crossings).  Dihedral quandles,
 a*b = 2b - a, reproduce Fox colorings and are involutory, so they accept
@@ -38,13 +50,14 @@ its end.
 Each coloring class carries one protocol: rule(oriented), its colors and
 the crossing rule's two directions; kind and key, a certificate's kind and
 its JSON key, which one function per kind (_fox_key, _quandle_key) writes
-for the coloring and the certificate search alike; involutory, whether
+for the coloring and the certificate search alike; description, how text
+output names the kind (_fox_description, _quandle_description); involutory, whether
 crossing signs may be ignored; and reduce(v), a color as the colors are
 kept (a Fox coloring keeps residues mod N).  The one loop that checks the
 rule (_broken_crossing) lives here, and moves and persistence name no
 coloring class.  A new kind of coloring is one coloring class, one key
-function, one space constructor and one entry in the certificate
-search's list.
+and one description function, one space constructor and one entry in the
+certificate search's list.
 """
 
 from __future__ import annotations
@@ -116,6 +129,16 @@ def _quandle_key(q: Quandle) -> dict:
     return {"quandle": q.name or "table"}
 
 
+def _fox_description(n: int) -> str:
+    """How a Fox coloring mod n names its kind in text output."""
+    return f"fox mod {n}"
+
+
+def _quandle_description(q: Quandle) -> str:
+    """How a coloring by q names its kind in text output."""
+    return q.name
+
+
 @dataclass(frozen=True)
 class FoxColoring(_Coloring):
     """Colors mod N, kept as residues: any color out of range is reduced when built."""
@@ -136,6 +159,10 @@ class FoxColoring(_Coloring):
     @property
     def key(self) -> dict:
         return _fox_key(self.modulus)
+
+    @property
+    def description(self) -> str:
+        return _fox_description(self.modulus)
 
     def reduce(self, v: int) -> int:
         return v % self.modulus
@@ -220,17 +247,32 @@ def _right_to_left(rows: list[dict[int, int]]) -> list[dict[int, int]]:
 
 @dataclass
 class FoxSolutionSpace:
-    """Affine set of Fox colorings of one diagram for one modulus."""
+    """Affine set of Fox colorings of one diagram for one modulus.
+
+    _solve builds the Howell form of every row (pins, then crossings) when
+    a read first needs it, and the form then gives the count too.  Without
+    pins, a count read before that is _count's: a solve of the diagram's
+    unit residual (_unit_residual), so the space never solves its full
+    rows for a count alone.  With pins, _count is None and the count is
+    the form's.
+    """
 
     diagram: Diagram
     modulus: int
     strands: list[int]
-    _space: linalg.ModularAffineSpace
     _col: Mapping[int, int]
+    _solve: Callable[[], linalg.ModularAffineSpace]
+    _count: Callable[[], int] | None = None
 
-    @property
+    @cached_property
+    def _space(self) -> linalg.ModularAffineSpace:
+        return self._solve()
+
+    @cached_property
     def count(self) -> int:
-        return self._space.count
+        if self._count is None or "_space" in self.__dict__:
+            return self._space.count
+        return self._count()
 
     def colorings(self):
         """Yield every coloring, the coefficient of the last basis generator fastest."""
@@ -244,9 +286,9 @@ class FoxSolutionSpace:
         solution plus the first nonconstant generator.  Nothing is
         enumerated, and generators are built only up to that one.
         """
-        if self.count == 0:
-            return None
         space = self._space
+        if space.count == 0:
+            return None
         particular = space._vector(None)
         if len(set(particular)) >= 2:
             return self._expand(particular)
@@ -266,7 +308,7 @@ class FoxSolutionSpace:
         Returns the lexicographically first such pair, or None when the
         space is empty or has no such pair.
         """
-        if self.count == 0:
+        if self._space.count == 0:
             return None
         particular, generators = self._space.basis()
         groups: dict[tuple, list[int]] = {}
@@ -295,8 +337,9 @@ def fox_solution_space(d: Diagram, modulus: int, pins: dict[int, int] | None = N
     for label in pins:
         if label not in col:
             raise ColoringError(f"pinned arc {label} is not in the diagram")
-    space = _pinned_solve(col, pins, crossing_rows, len(strands), modulus)
-    return FoxSolutionSpace(d, modulus, list(strands), space, col)
+    solve = partial(_pinned_solve, col, pins, crossing_rows, len(strands), modulus)
+    count = None if pins else partial(_residual_count, d, crossing_rows, len(strands), modulus)
+    return FoxSolutionSpace(d, modulus, list(strands), col, solve, count)
 
 
 def _pinned_solve(col: Mapping[int, int], pins: Mapping[int, int], rows, n_vars: int, modulus: int):
@@ -305,6 +348,30 @@ def _pinned_solve(col: Mapping[int, int], pins: Mapping[int, int], rows, n_vars:
     unknown, and eliminating it first adds no fill."""
     rhs = [*pins.values()] + [0] * len(rows)
     return linalg.solve_mod([{col[label]: 1} for label in pins] + list(rows), rhs, n_vars, modulus)
+
+
+def _unit_residual(d: Diagram, rows, n_vars: int) -> tuple[tuple[Mapping[int, int], ...], int]:
+    """linalg.eliminate_units of the crossing rows: (residual rows, columns left).
+
+    A validated diagram keeps it, immutable, in its instance dict under
+    "_units" from the first call on, beside "_fox"; an unvalidated one
+    keeps nothing.  Only unpinned counts and link_determinant read it.
+    """
+    residual = d.__dict__.get("_units")
+    if residual is None:
+        left, n_left = linalg.eliminate_units(rows, n_vars)
+        residual = (tuple(map(MappingProxyType, left)), n_left)
+        if "_valid" in d.__dict__:
+            d.__dict__["_units"] = residual
+    return residual
+
+
+def _residual_count(d: Diagram, rows, n_vars: int, modulus: int) -> int:
+    """The number of Fox colorings mod `modulus`, counted on the unit residual:
+    each eliminated column is fixed by its unit pivot, so this is exact for
+    every modulus."""
+    residual, n_left = _unit_residual(d, rows, n_vars)
+    return linalg.solve_mod(residual, [0] * len(residual), n_left, modulus).count
 
 
 def has_nontrivial_fox(d: Diagram, modulus: int) -> bool:
@@ -346,8 +413,18 @@ def link_determinant(d: Diagram) -> int:
     invariant factors when the corank is 1, and 0 when it is larger.  A
     has more strands than crossings exactly when some component never
     passes under another; with another component present the diagram is
-    split, and the corank is at least 2.  The minor is eliminated over Z
-    without fractions, so the cost follows the size of the answer.
+    split, and the corank is at least 2.
+
+    The minor is taken of the unit residual R of A (_unit_residual), not of
+    A.  Row operations keep R*1 = 0, since the column dropped with each
+    pivot is zero in every remaining row.  If y is the +-1 left null vector
+    of A, clearing a pivot's column from the other rows leaves the pivot
+    row's coefficient in y*A at 0 (its column is 0 everywhere else), so y
+    restricted to R's rows is a +-1 left null vector of R, and all of R's
+    first minors agree up to sign.  Unit pivots keep the invariant factors
+    (A is equivalent to I (+) R over Z), so |det| is unchanged.  The minor
+    is eliminated over Z without fractions, so the cost follows the size of
+    the answer.
     """
     if d.boundary:
         raise ColoringError("link determinant is defined for closed diagrams")
@@ -356,9 +433,10 @@ def link_determinant(d: Diagram) -> int:
         return 1
     if len(rows) != len(strands):
         return 0
-    last = len(strands) - 1
+    residual, n_left = _unit_residual(d, rows, len(strands))
+    last = n_left - 1
     # any row may go with the last column: all first minors agree up to sign
-    minor = [{c: v for c, v in row.items() if c != last} for row in rows[1:]]
+    minor = [{c: v for c, v in row.items() if c != last} for row in residual[1:]]
     return linalg.abs_determinant(minor)
 
 
@@ -473,6 +551,10 @@ class QuandleColoring(_Coloring):
     @property
     def key(self) -> dict:
         return _quandle_key(self.quandle)
+
+    @property
+    def description(self) -> str:
+        return _quandle_description(self.quandle)
 
     @property
     def involutory(self) -> bool:
@@ -649,12 +731,16 @@ def quandle_colorings(d: Diagram, q: Quandle, pins: dict[int, int] | None = None
     return QuandleSearch(list(quandle_space(d, q, pins).colorings()))
 
 
-def _broken_crossing(d: Diagram, coloring):
+def _broken_crossing(d: Diagram, coloring, colors=None):
     """The first crossing of d whose relation the coloring breaks, or None;
     ColoringError when an arc has no color or coloring.rule rejects a value.
     under-out = forward(under-in, over) at a positive or unsigned crossing,
-    and under-in = backward(under-out, over); swapped at a negative one."""
+    and under-in = backward(under-out, over); swapped at a negative one.
+    colors, when given, is checked by the coloring's rule in place of its
+    own colors, which the caller vouches it would accept."""
     values, forward, backward = coloring.rule(d.oriented or not d.crossings)
+    if colors is not None:
+        values = colors
     get, broken = values.__getitem__, None
     try:
         for x in d.crossings:  # every one, so that a missing color anywhere raises

@@ -44,8 +44,11 @@ then on; the strand walk, _has_arc, _flow, max_label and _edit read only
 the pairing.  Only validate and faces() walk every face.  The first
 coloring solver call on a validated diagram keeps its Fox system
 (colorings._strand_columns: strand representatives, label columns,
-crossing triples and crossing rows, immutable) beside the index; validate
-does not build it, and an unvalidated diagram keeps nothing.  validate
+crossing triples and crossing rows, immutable) beside the index, and the
+first unpinned Fox count or link determinant keeps the unit residual of
+its crossing rows (colorings._unit_residual, immutable) beside that;
+validate builds neither, an unvalidated diagram keeps nothing, and a
+pickled or copied diagram drops both.  validate
 rejects a Diagram whose fields, or a Crossing whose slots, are not
 tuples, so a marked object cannot change after the check, and labels the
 index cannot hold (not integers below 2**31).
@@ -117,9 +120,9 @@ class Diagram:
         return bool(self.crossings) and all(c.sign != 0 for c in self.crossings)
 
     def __getstate__(self) -> dict:
-        # the kept Fox system holds a mappingproxy, which does not pickle;
-        # the first solver call on the copy builds it again
-        return {k: v for k, v in self.__dict__.items() if k != "_fox"}
+        # the kept Fox system and unit residual hold mappingproxies, which do
+        # not pickle; the first solver call on the copy builds them again
+        return {k: v for k, v in self.__dict__.items() if k not in ("_fox", "_units")}
 
     def arcs(self) -> frozenset[int]:
         labels = set()

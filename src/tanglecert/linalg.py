@@ -27,6 +27,14 @@ Rows enter the elimination in the order given.  The coloring solvers feed
 crossing rows right to left (by decreasing rightmost column), which needs
 far fewer reduction steps than crossing order; no answer depends on it.
 
+eliminate_units reduces a matrix once over Z by unit pivots: each row
+that holds a +-1 entry, in the given order, clears the column of that
+entry the fewest rows hold from every other row, and goes with it.  What
+is left (a few rows for a crossing matrix) has the same invariant factors
+other than 1, and the same solution count mod every N up to the columns
+the pivots fix; the coloring solvers keep it beside the Fox system and
+read every unpinned count and the link determinant off it.
+
 abs_determinant eliminates over Z without fractions (Bareiss 1968), sparse
 and column by column, so it needs no modulus: every entry it keeps is a
 minor of the matrix, and the entries grow with the determinant, not with
@@ -246,6 +254,63 @@ def solve_mod(rows: list[Mapping[int, int]], rhs: list[int], n_vars: int, modulu
         return ModularAffineSpace(modulus, n_vars, 0)
     count = modulus ** (n_vars - len(form.rows)) * prod(g for g, _ in form.units.values())
     return ModularAffineSpace(modulus, n_vars, count, form)
+
+
+def eliminate_units(rows: list[Mapping[int, int]], n_vars: int) -> tuple[list[dict[int, int]], int]:
+    """(residual, n_columns): the rows left after unit pivots over Z, renumbered
+    over the columns left, in order; the rows are not changed.
+
+    The rows are walked once, in their given order.  A row that then holds
+    a +-1 entry becomes a pivot: of its unit columns, the one the fewest
+    rows hold (ties to the lower column) is cleared from every other row,
+    and the pivot row and its column are dropped.  Each dropped column is
+    fixed by its pivot row over Z/N for every N, so A*x = 0 and the
+    residual have equally many solutions mod N up to those columns; and A
+    is equivalent over Z to I (+) residual, so the invariant factors other
+    than 1 are the residual's.  Empty rows stay, so a square input gives a
+    square residual.  The pivots' product is +-1, so every entry left is a
+    minor of the input: the entries grow with the answer, not the matrix.
+    """
+    rows = [{c: v for c, v in row.items() if v} for row in rows]
+    holders: dict[int, set[int]] = {}  # column -> the rows that hold it
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    pivots: dict[int, int] = {}  # pivot row -> its column
+    for i, pivot in enumerate(rows):
+        c, fewest = None, 0
+        for k, v in pivot.items():
+            if v == 1 or v == -1:
+                h = len(holders[k])
+                if c is None or h < fewest or h == fewest and k < c:
+                    c, fewest = k, h
+        if c is None:
+            continue
+        sign = pivot[c]
+        others = holders.pop(c)
+        others.discard(i)
+        for k in pivot:
+            if k != c:
+                holders[k].discard(i)
+        for j in others:
+            row = rows[j]
+            f = row.pop(c) * sign  # row - f * pivot is 0 at c
+            for k, v in pivot.items():
+                if k == c:
+                    continue
+                w = row.get(k, 0) - f * v
+                if w:
+                    if k not in row:
+                        holders[k].add(j)
+                    row[k] = w
+                else:
+                    del row[k]
+                    holders[k].discard(j)
+        pivots[i] = c
+    dropped = set(pivots.values())
+    index = {c: k for k, c in enumerate(c for c in range(n_vars) if c not in dropped)}
+    residual = [{index[c]: v for c, v in row.items()} for i, row in enumerate(rows) if i not in pivots]
+    return residual, len(index)
 
 
 def abs_determinant(rows: list[Mapping[int, int]]) -> int:

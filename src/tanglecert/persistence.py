@@ -147,20 +147,23 @@ class PersistenceCertificate:
         }
 
 
-def _check_certificate(t: Diagram, cert: PersistenceCertificate) -> None:
+def _check_certificate(t: Diagram, cert: PersistenceCertificate, colors=None) -> None:
     """Every endpoint has the boundary color, the witness arcs of t differ and
     every crossing relation holds, comparing colors as the coloring keeps
-    them (Fox ones mod N); else CertificateError naming the fault."""
+    them (Fox ones mod N); else CertificateError naming the fault.  colors,
+    when given, stands in for cert.coloring.colors: kept as the coloring
+    keeps them, and colors the coloring accepts."""
+    values = cert.coloring.colors if colors is None else colors
     if not (isinstance(cert.witness, (tuple, list)) and len(cert.witness) == 2):
         raise CertificateError(f"witness must be a pair of arcs, got {cert.witness!r}")
     for label in (*t.boundary, *cert.witness):
-        if label not in cert.coloring.colors or not _has_arc(t, label):
+        if label not in values or not _has_arc(t, label):
             raise CertificateError(f"endpoint or witness arc {label} has no color on t")
     try:
-        broken = _broken_crossing(t, cert.coloring)
+        broken = _broken_crossing(t, cert.coloring, values)
     except ColoringError as exc:
         raise CertificateError(f"cannot check the certificate on the tangle: {exc}") from None
-    values, fill = cert.coloring.colors, cert.coloring.reduce(cert.boundary_color)
+    fill = cert.coloring.reduce(cert.boundary_color)
     for e in t.boundary:
         if values[e] != fill:
             raise CertificateError(f"endpoint {e} is not boundary-colored")
@@ -575,10 +578,12 @@ def _check_closure(
     if n_comp != 1:
         entry["result"] = "skipped"
         return entry
-    colors = dict.fromkeys([*labels, *dgm.circles], cert.boundary_color)
-    colors.update(cert.coloring.colors)  # the tangle's colors, every other arc the boundary's
+    # the tangle's colors, every other arc the boundary's, as the coloring keeps it;
+    # _check_certificate(t, cert) passed, so these are colors the coloring accepts
+    colors = dict.fromkeys([*labels, *dgm.circles], cert.coloring.reduce(cert.boundary_color))
+    colors.update(cert.coloring.colors)
     try:
-        _check_certificate(dgm, replace(cert, coloring=replace(cert.coloring, colors=colors)))
+        _check_certificate(dgm, cert, colors)
     except CertificateError:
         raise CertificateError(
             f"certificate fails on host {name} ({closure} closure):\n" + serialize(dgm)

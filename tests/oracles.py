@@ -351,7 +351,7 @@ def reference_fox_solution_space(d, modulus, pins=None):
         rows.append({k: v for k, v in row.items() if v})
         rhs.append(0)
     space = solve_mod(rows, rhs, len(strands), modulus)
-    return FoxSolutionSpace(d, modulus, strands, space, col)
+    return FoxSolutionSpace(d, modulus, strands, col, lambda: space)
 
 
 def reference_first_nonconstant(space):

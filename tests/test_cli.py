@@ -132,6 +132,14 @@ class TestCertify:
         assert payload["kind"] == {"fox": 3}
         assert payload["verification"]["passes"] > 0
 
+    @pytest.mark.parametrize(
+        "extra,line", [((), "certificate: fox mod 3"), (("--mods", "7", "--quandles", "d6.q"), "certificate: d6")]
+    )
+    def test_the_text_line_names_the_kind(self, capsys, corpus_dir, extra, line):
+        extra = [str(corpus_dir / a) if a.endswith(".q") else a for a in extra]
+        code, out, _ = run(capsys, "certify", str(corpus_dir / "fig1-krebes.pd"), *extra)
+        assert code == 0 and out == f"{line}\nboundary color: 0, witness: (1, 2)\n"
+
     def test_an_empty_quandle_table_exits_2(self, capsys, corpus_dir, tmp_path):
         qf = tmp_path / "empty.q"
         qf.write_text("Q 0\n")
