@@ -14,17 +14,19 @@ link_determinant all read it.  Crossing rows enter the elimination right
 to left, in decreasing order of their rightmost column, so an incoming
 row mostly meets columns no pivot holds yet.
 
-Beside it the diagram keeps, from the first unpinned count or
-determinant on, its unit residual (_unit_residual): the crossing rows
-reduced once over Z by unit pivots (linalg.eliminate_units), a few rows
-over the columns no pivot fixed, immutable.  An unpinned
-fox_solution_space count is solve_mod of that residual, exact for every
-modulus since each eliminated column is fixed by its unit pivot, and
-link_determinant is abs_determinant of its first minor.  Listing
-colorings, first_nonconstant and forced_equal_pair read the Howell form
-of the full rows, built on first read, which then gives the count too;
-pinned spaces (the certificate search, the transport cut) solve the full
-rows with their pins and never build the residual.
+Beside it the diagram keeps unit residuals (_unit_residual), one per
+integer t of the affine row rule, each built on first use: the crossing
+rows at t reduced once over Z by unit pivots (linalg.eliminate_units), a
+few rows over the columns no pivot fixed, with the pivot record that
+lifts a solution on those columns to every strand (linalg.lift_units),
+immutable.  An unpinned fox_solution_space count is solve_mod of the
+t = -1 residual, exact for every modulus since each eliminated column is
+fixed by its unit pivot, and link_determinant is abs_determinant of its
+first minor.  Listing Fox colorings, first_nonconstant and
+forced_equal_pair read the Howell form of the full rows, built on first
+read, which then gives the count too; pinned Fox spaces (the certificate
+search, the transport cut) solve the full rows with their pins and never
+build a residual.
 
 Quandle colorings generalize this: a crossing forces under_out = under_in
 * over (or its right inverse at negative crossings).  Dihedral quandles,
@@ -32,20 +34,21 @@ a*b = 2b - a, reproduce Fox colorings and are involutory, so they accept
 unoriented diagrams.  An affine (Alexander) quandle of order n,
 a*b = t*a + (1-t)*b mod n, dihedral(n) among them, colors by the solutions
 of a linear system over Z/n (Inoue 2001), and Fox colorings are its case
-t = -1 with signs ignored.  So both share one row rule (_crossing_rows),
-one pinned solve (_pinned_solve: pin rows, then crossing rows, into
-linalg.solve_mod) and one walk over the basis (ModularAffineSpace.enumerate).
-The caller picks the walk order by the generator list it hands over: Fox
-walks the generators by increasing column, the last fastest; the affine
-solve of prime order numbers strands backwards and walks the generators
-reversed, which lists its colorings in lexicographic order of strand
-values.  Every other quandle (non-affine tables, affine ones of composite
-order, the 1-element one) is listed by one generator loop over strand
-indices: a propagation worklist, an undo trail and an explicit
-backtracking stack, in the same lexicographic order.  Each kind has one
-lazy space, FoxSolutionSpace or QuandleSpace, with count, colorings() and
+t = -1 with signs ignored.  So both share one row rule (_crossing_rows)
+and one listing loop (linalg.odometer).  An affine quandle space, pinned
+or not, solves the residual at its t, taken in (-n/2, n/2] so that
+dihedral(n) reads the Fox one, with each pin as its strand's lift
+expression (_residual_solve); that gives its count for every n.  For
+prime n the lifted basis, in reduced row echelon form by strand, walks
+its colorings in lexicographic order of strand values (_lexicographic).
+Every other quandle (non-affine tables, affine ones of composite order,
+the 1-element one) is listed by one generator loop over strand indices:
+a propagation worklist, an undo trail and an explicit backtracking stack,
+in the same lexicographic order.  Each kind has one lazy space,
+FoxSolutionSpace or QuandleSpace, with count, colorings() and
 first_nonconstant(); only a non-affine table's count runs the search to
-its end.
+its end, and an affine space whose count leaves only constant colorings
+answers first_nonconstant without a walk.
 
 Each coloring class carries one protocol: rule(oriented), its colors and
 the crossing rule's two directions; kind and key, a certificate's kind and
@@ -64,7 +67,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import isqrt
 from types import MappingProxyType
 
@@ -332,13 +335,13 @@ def fox_solution_space(d: Diagram, modulus: int, pins: dict[int, int] | None = N
     """
     if modulus < 2:
         raise ColoringError("modulus must be at least 2")
-    strands, col, _, crossing_rows = _strand_columns(d)
+    fox = strands, col, _, crossing_rows = _strand_columns(d)
     pins = pins or {}
     for label in pins:
         if label not in col:
             raise ColoringError(f"pinned arc {label} is not in the diagram")
     solve = partial(_pinned_solve, col, pins, crossing_rows, len(strands), modulus)
-    count = None if pins else partial(_residual_count, d, crossing_rows, len(strands), modulus)
+    count = None if pins else partial(_residual_count, d, fox, modulus)
     return FoxSolutionSpace(d, modulus, list(strands), col, solve, count)
 
 
@@ -350,27 +353,38 @@ def _pinned_solve(col: Mapping[int, int], pins: Mapping[int, int], rows, n_vars:
     return linalg.solve_mod([{col[label]: 1} for label in pins] + list(rows), rhs, n_vars, modulus)
 
 
-def _unit_residual(d: Diagram, rows, n_vars: int) -> tuple[tuple[Mapping[int, int], ...], int]:
-    """linalg.eliminate_units of the crossing rows: (residual rows, columns left).
+_Units = tuple[tuple[Mapping[int, int], ...], int, tuple[tuple[int, Mapping[int, int]], ...]]
 
-    A validated diagram keeps it, immutable, in its instance dict under
-    "_units" from the first call on, beside "_fox"; an unvalidated one
-    keeps nothing.  Only unpinned counts and link_determinant read it.
+
+def _unit_residual(d: Diagram, fox: _FoxSystem, t: int = -1) -> _Units:
+    """linalg.eliminate_units of d's crossing rows (fox, _strand_columns(d))
+    for the affine rule at the integer t (_crossing_rows; Fox is t = -1):
+    (residual rows, columns left, pivot record).
+
+    A validated diagram keeps each t's record, immutable, in its instance
+    dict under "_units" (t -> record) from the first call on, beside
+    "_fox"; an unvalidated one keeps nothing.  At t = -1 the rows are the
+    Fox system's, so link_determinant, every unpinned Fox count and every
+    dihedral(n) quandle space read one record.
     """
-    residual = d.__dict__.get("_units")
-    if residual is None:
-        left, n_left = linalg.eliminate_units(rows, n_vars)
-        residual = (tuple(map(MappingProxyType, left)), n_left)
+    units = d.__dict__.get("_units", {})
+    record = units.get(t)
+    if record is None:
+        strands, _, triples, rows = fox
+        if t != -1:
+            rows = _right_to_left(_crossing_rows(triples, d.crossings, t))
+        left, n_left, pivots = linalg.eliminate_units(rows, len(strands))
+        record = (tuple(map(MappingProxyType, left)), n_left, tuple((c, MappingProxyType(row)) for c, row in pivots))
         if "_valid" in d.__dict__:
-            d.__dict__["_units"] = residual
-    return residual
+            d.__dict__["_units"] = MappingProxyType({**units, t: record})
+    return record
 
 
-def _residual_count(d: Diagram, rows, n_vars: int, modulus: int) -> int:
+def _residual_count(d: Diagram, fox: _FoxSystem, modulus: int) -> int:
     """The number of Fox colorings mod `modulus`, counted on the unit residual:
     each eliminated column is fixed by its unit pivot, so this is exact for
     every modulus."""
-    residual, n_left = _unit_residual(d, rows, n_vars)
+    residual, n_left, _ = _unit_residual(d, fox)
     return linalg.solve_mod(residual, [0] * len(residual), n_left, modulus).count
 
 
@@ -428,12 +442,12 @@ def link_determinant(d: Diagram) -> int:
     """
     if d.boundary:
         raise ColoringError("link determinant is defined for closed diagrams")
-    strands, _, _, rows = _strand_columns(d)
+    fox = strands, _, _, rows = _strand_columns(d)
     if len(strands) <= 1:
         return 1
     if len(rows) != len(strands):
         return 0
-    residual, n_left = _unit_residual(d, rows, len(strands))
+    residual, n_left, _ = _unit_residual(d, fox)
     last = n_left - 1
     # any row may go with the last column: all first minors agree up to sign
     minor = [{c: v for c, v in row.items() if c != last} for row in residual[1:]]
@@ -584,6 +598,7 @@ class QuandleSpace:
     _col: Mapping[int, int]  # label -> its strand's position in the walked tuples
     _walk: Callable[[], Iterator[tuple[int, ...]]]
     _count: Callable[[], int]
+    _constants: int | None = None  # affine only: how many constant colorings the pins allow
 
     @cached_property
     def count(self) -> int:
@@ -596,7 +611,11 @@ class QuandleSpace:
             yield self._expand(x)
 
     def first_nonconstant(self) -> QuandleColoring | None:
-        """The lexicographically first nonconstant coloring, or None when every coloring is constant."""
+        """The lexicographically first nonconstant coloring, or None when every
+        coloring is constant: for an affine quandle, when the count says so,
+        without a walk."""
+        if self._constants is not None and self.count == self._constants:
+            return None
         return next((self._expand(x) for x in self._walk() if len(set(x)) >= 2), None)
 
     def forced_equal_pair(self) -> None:
@@ -611,22 +630,20 @@ def quandle_space(d: Diagram, q: Quandle, pins: dict[int, int] | None = None) ->
     """All colorings of d by q with the pinned arcs fixed; clashing pins give the empty space.
 
     An affine quandle (a * b = t*a + (1-t)*b mod n, dihedral(n) with t = -1)
-    is solved over Z/n (Howell form for composite n), which gives count.  For
-    prime n the solve also lists: the rows are those of _crossing_rows at t on
-    reversed columns (strand s is column k-1-s of k), so each pivot is a later
-    strand than its row's other entries and each generator is 1 at its own
-    free strand and 0 at every other and every earlier one, where the
-    particular solution is 0 at every free strand.  The generators' coefficients
-    by increasing free strand are then the free strands' values, and the walk
-    over the reversed columns() is lexicographic.  Over a composite n they do
-    not step in that order, so every other quandle is listed by _search.
+    is solved over Z/n on the diagram's unit residual at t (_residual_solve),
+    which gives count for every n.  For prime n the solve also lists
+    (_lexicographic).  Over a composite n a Howell basis does not step in
+    lexicographic order, so such a quandle, like every non-affine one, is
+    listed by _search.  An affine space's first_nonconstant answers None
+    from the count alone when it equals the number of constant colorings
+    the pins allow (n unpinned, 1 when every pin is equal, else 0).
 
     Non-involutory quandles need an oriented diagram when d has crossings.
     """
     if not q.involutory and d.crossings and not d.oriented:
         raise ColoringError("orientation required for non-involutory quandle colorings")
     pins = pins or {}
-    strands, col, triples, _ = _strand_columns(d)
+    fox = strands, col, triples, _ = _strand_columns(d)
     for label, v in pins.items():
         if label not in col:
             raise ColoringError(f"pinned arc {label} is not in the diagram")
@@ -636,16 +653,101 @@ def quandle_space(d: Diagram, q: Quandle, pins: dict[int, int] | None = None) ->
     walk = partial(_search, q, triples, d.crossings, len(strands), pinned)
     if q._affine is None:
         return QuandleSpace(q, col, walk, lambda: sum(1 for _ in walk()))
-    last = len(strands) - 1
-    at = {label: last - c for label, c in col.items()}
-    reversed_triples = [(last - a, last - b, last - c) for a, b, c in triples]
-    rows = _right_to_left(_crossing_rows(reversed_triples, d.crossings, q._affine))
-    solve = partial(_pinned_solve, at, pins, rows, len(strands), q.size)
+    values = set(pins.values())
+    constants = q.size if not values else int(len(values) == 1)
+    solve = partial(_residual_solve, d, fox, q, pinned)
     if any(q.size % k == 0 for k in range(2, isqrt(q.size) + 1)):  # composite
-        return QuandleSpace(q, col, walk, lambda: solve().count)
-    solution = solve()
-    columns = solution.columns()[::-1] if solution.count else []
-    return QuandleSpace(q, at, partial(solution.enumerate, columns), lambda: solution.count)
+        return QuandleSpace(q, col, walk, lambda: solve()[0].count, constants)
+    solution, lift, loose = solve()
+    return QuandleSpace(q, col, partial(_lexicographic, solution, lift, loose, q.size), lambda: solution.count, constants)
+
+
+def _residual_solve(d: Diagram, fox: _FoxSystem, q: Quandle, pinned):
+    """(solution, lift, loose): the colorings by the affine quandle q as
+    solve_mod of the unit residual of the rows at q's t, taken in
+    (-n/2, n/2] so that dihedral(n) reads the Fox record, with one row per
+    pin first.  lift maps a solution on the residual's columns to every
+    strand.  loose maps each residual column that no solved row and no pivot
+    row holds to its strand: a free column whose generator is 1 at that
+    strand and 0 elsewhere.
+
+    A pin row is its strand's lift expression over the residual's columns:
+    the strand's entries in the lifts of the residual's unit vectors.  Each
+    eliminated column is fixed by its unit pivot mod every n, so the count
+    is exact for composite n too.
+    """
+    n, n_vars = q.size, len(fox[0])
+    t = q._affine if 2 * q._affine <= n else q._affine - n
+    residual, n_left, pivots = _unit_residual(d, fox, t)
+    lift = partial(linalg.lift_units, pivots, n_vars=n_vars, modulus=n)
+    rows = []
+    if pinned:
+        images = [lift([int(j == k) for k in range(n_left)]) for j in range(n_left)]
+        rows = [{j: image[c] for j, image in enumerate(images) if image[c]} for c, _ in pinned]
+    rows += residual
+    solution = linalg.solve_mod(rows, [v for _, v in pinned] + [0] * len(residual), n_left, n)
+    held = {k for row in rows for k in row}
+    loose = {}
+    if len(held) < n_left:
+        dropped = {c for c, _ in pivots}
+        pivot_held = {k for _, row in pivots for k in row}
+        kept = (c for c in range(n_vars) if c not in dropped)
+        loose = {j: c for j, c in enumerate(kept) if j not in held and c not in pivot_held}
+    return solution, lift, loose
+
+
+def _lexicographic(solution: linalg.ModularAffineSpace, lift, loose, p: int) -> Iterator[tuple[int, ...]]:
+    """Yield the strand values of every solution mod the prime p, lifted to
+    every strand, in lexicographic order.
+
+    The lifted generators are brought to reduced row echelon form in strand
+    order (each is 1 at its pivot strand, 0 at every other pivot strand and
+    at every earlier strand), and the particular solution is cleared at the
+    pivot strands.  A solution's value at each pivot strand is then its
+    coefficient there, and two solutions first differ at the pivot strand
+    of their first differing coefficient; so the odometer, first generator
+    slowest, lists in lexicographic order.  A loose column's generator is 1
+    at its strand, where every other generator and the particular solution
+    are 0, and 0 elsewhere: it is in that form as it stands, and is built
+    only when the odometer steps it.
+    """
+    if solution.count == 0:
+        return
+    pending, steps = [], []
+    for c, _ in solution.columns():
+        if c in loose:
+            steps.append((loose[c], None))
+        else:
+            pending.append(list(lift(solution._vector(c))))
+    echelon: list[tuple[int, list[int]]] = []  # (pivot strand, generator)
+    for s in range(len(pending[0]) if pending else 0):
+        i = next((i for i, g in enumerate(pending) if g[s]), None)
+        if i is None:
+            continue
+        g = pending.pop(i)
+        inverse = pow(g[s], -1, p)
+        g = [v * inverse % p for v in g]
+        pending = [_clear(h, s, g, p) for h in pending]
+        echelon = [(r, _clear(h, s, g, p)) for r, h in echelon] + [(s, g)]
+        if not pending:
+            break
+    x = list(lift(solution._vector(None)))
+    for s, g in echelon:
+        x = _clear(x, s, g, p)
+    steps = sorted(steps + echelon, key=lambda step: step[0])
+
+    @cache
+    def vector(i: int) -> list[int]:
+        s, g = steps[i]
+        return g if g is not None else [int(k == s) for k in range(len(x))]
+
+    yield from linalg.odometer(tuple(x), [p] * len(steps), vector, p)
+
+
+def _clear(h: list[int], s: int, g: list[int], p: int) -> list[int]:
+    """h minus h[s] times g, mod p: 0 at s when g is 1 there."""
+    f = h[s]
+    return [(a - f * b) % p for a, b in zip(h, g)] if f else h
 
 
 def _search(q: Quandle, triples, crossings, n_strands: int, pinned) -> Iterator[tuple[int, ...]]:

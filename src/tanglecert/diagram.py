@@ -45,8 +45,9 @@ the pairing.  Only validate and faces() walk every face.  The first
 coloring solver call on a validated diagram keeps its Fox system
 (colorings._strand_columns: strand representatives, label columns,
 crossing triples and crossing rows, immutable) beside the index, and the
-first unpinned Fox count or link determinant keeps the unit residual of
-its crossing rows (colorings._unit_residual, immutable) beside that;
+first unpinned Fox count, link determinant or affine quandle space keeps
+the unit residual of its crossing rows, one per affine rule
+(colorings._unit_residual, immutable), beside that;
 validate builds neither, an unvalidated diagram keeps nothing, and a
 pickled or copied diagram drops both.  validate
 rejects a Diagram whose fields, or a Crossing whose slots, are not

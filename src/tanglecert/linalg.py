@@ -18,10 +18,11 @@ solution count is the product of gcd(pivot, N) over pivot columns times N
 per free column.  Back substitution solves the system without
 backtracking.  The basis of solutions (a particular solution plus
 generators with their orders) is built a vector at a time, when a caller
-first reads it: ModularAffineSpace.enumerate, the one listing loop, walks
-the generators as an odometer and back-substitutes each the first time it
-steps, so listing the first few of N^k solutions builds a few generators,
-not k.  Nothing caps a listing; callers take what they need of it.
+first reads it: ModularAffineSpace.enumerate walks the generators with
+odometer, the one listing loop, which reads each generator the first time
+it steps, so listing the first few of N^k solutions builds a few
+generators, not k.  Nothing caps a listing; callers take what they need
+of it.
 
 Rows enter the elimination in the order given.  The coloring solvers feed
 crossing rows right to left (by decreasing rightmost column), which needs
@@ -32,8 +33,13 @@ that holds a +-1 entry, in the given order, clears the column of that
 entry the fewest rows hold from every other row, and goes with it.  What
 is left (a few rows for a crossing matrix) has the same invariant factors
 other than 1, and the same solution count mod every N up to the columns
-the pivots fix; the coloring solvers keep it beside the Fox system and
-read every unpinned count and the link determinant off it.
+the pivots fix.  It also returns the pivot record, each pivot's column and
+row as they stood when it was chosen; no later pivot touches that row, so
+lift_units, back-substituting in reverse pivot order, lifts any solution
+mod N on the residual's columns to every column.  The coloring solvers
+keep the residual and the record beside the Fox system, read every
+unpinned Fox count and the link determinant off the residual, and solve
+every affine quandle space on it and lift its basis.
 
 abs_determinant eliminates over Z without fractions (Bareiss 1968), sparse
 and column by column, so it needs no modulus: every entry it keeps is a
@@ -43,7 +49,7 @@ a bound on it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from math import gcd, prod
 
@@ -209,28 +215,33 @@ class ModularAffineSpace:
             raise ValueError("the solution set is empty")
         return self._vector(None), [(self._vector(c), order) for c, order in self.columns()]
 
-    def enumerate(self, columns: list[tuple[int, int]] | None = None):
+    def enumerate(self):
         """Yield every solution as a tuple: the coefficients of the generators
-        of `columns` (columns() in any order, by default as it comes) in
-        lexicographic order, the last one fastest.  This odometer is the one
-        listing loop; a generator is built when it first steps."""
+        of columns() in lexicographic order, the last one fastest; a
+        generator is built when it first steps."""
         if self.count == 0:
             return
-        if columns is None:
-            columns = self.columns()
-        n = self.modulus
-        coeffs = [0] * len(columns)
-        x = self._vector(None)
+        columns = self.columns()
+        orders = [order for _, order in columns]
+        yield from odometer(self._vector(None), orders, lambda i: self._vector(columns[i][0]), self.modulus)
+
+
+def odometer(x: tuple[int, ...], orders: list[int], vector: Callable[[int], Sequence[int]], modulus: int):
+    """Yield x + sum(l_i * vector(i)) mod modulus, as tuples, for every
+    0 <= l_i < orders[i], in lexicographic order of (l_0, l_1, ...), the
+    last fastest.  vector(i) is read each time l_i steps, so a caller can
+    build it on first use.  This is the one listing loop."""
+    coeffs = [0] * len(orders)
+    yield x
+    for _ in range(prod(orders) - 1):
+        for i in reversed(range(len(orders))):
+            order = orders[i]
+            coeffs[i] = (coeffs[i] + 1) % order
+            step = 1 if coeffs[i] else 1 - order
+            x = tuple([(a + step * b) % modulus for a, b in zip(x, vector(i))])
+            if coeffs[i]:
+                break
         yield x
-        for _ in range(self.count - 1):  # count is the product of the orders
-            for pos in reversed(range(len(columns))):  # odometer step
-                c, order = columns[pos]
-                coeffs[pos] = (coeffs[pos] + 1) % order
-                step = 1 if coeffs[pos] else 1 - order
-                x = tuple([(a + step * b) % n for a, b in zip(x, self._vector(c))])
-                if coeffs[pos]:
-                    break
-            yield x
 
 
 def solve_mod(rows: list[Mapping[int, int]], rhs: list[int], n_vars: int, modulus: int) -> ModularAffineSpace:
@@ -256,9 +267,12 @@ def solve_mod(rows: list[Mapping[int, int]], rhs: list[int], n_vars: int, modulu
     return ModularAffineSpace(modulus, n_vars, count, form)
 
 
-def eliminate_units(rows: list[Mapping[int, int]], n_vars: int) -> tuple[list[dict[int, int]], int]:
-    """(residual, n_columns): the rows left after unit pivots over Z, renumbered
-    over the columns left, in order; the rows are not changed.
+def eliminate_units(
+    rows: list[Mapping[int, int]], n_vars: int
+) -> tuple[list[dict[int, int]], int, list[tuple[int, dict[int, int]]]]:
+    """(residual, n_columns, pivots): the rows left after unit pivots over Z,
+    renumbered over the columns left, in order, and the pivot record; the
+    rows are not changed.
 
     The rows are walked once, in their given order.  A row that then holds
     a +-1 entry becomes a pivot: of its unit columns, the one the fewest
@@ -270,13 +284,18 @@ def eliminate_units(rows: list[Mapping[int, int]], n_vars: int) -> tuple[list[di
     than 1 are the residual's.  Empty rows stay, so a square input gives a
     square residual.  The pivots' product is +-1, so every entry left is a
     minor of the input: the entries grow with the answer, not the matrix.
+
+    pivots lists (column, row) in pivot order, each row as it stood when it
+    was chosen (original columns).  No later pivot touches it, and every
+    earlier pivot's column was cleared from it, so lift_units reads each
+    dropped column off its row in reverse pivot order.
     """
     rows = [{c: v for c, v in row.items() if v} for row in rows]
     holders: dict[int, set[int]] = {}  # column -> the rows that hold it
     for i, row in enumerate(rows):
         for c in row:
             holders.setdefault(c, set()).add(i)
-    pivots: dict[int, int] = {}  # pivot row -> its column
+    pivots: dict[int, int] = {}  # pivot row -> its column, in pivot order
     for i, pivot in enumerate(rows):
         c, fewest = None, 0
         for k, v in pivot.items():
@@ -310,7 +329,33 @@ def eliminate_units(rows: list[Mapping[int, int]], n_vars: int) -> tuple[list[di
     dropped = set(pivots.values())
     index = {c: k for k, c in enumerate(c for c in range(n_vars) if c not in dropped)}
     residual = [{index[c]: v for c, v in row.items()} for i, row in enumerate(rows) if i not in pivots]
-    return residual, len(index)
+    return residual, len(index), [(c, rows[i]) for i, c in pivots.items()]
+
+
+def lift_units(
+    pivots: Sequence[tuple[int, Mapping[int, int]]], values: Sequence[int], n_vars: int, modulus: int
+) -> tuple[int, ...]:
+    """The solution mod `modulus` of the rows eliminate_units reduced, over
+    all n_vars columns, that takes `values` on the residual's columns (a
+    solution of the residual, mod `modulus`).
+
+    Each dropped column c is set, in reverse pivot order, so that its
+    pivot row vanishes: x[c] is minus the row's +-1 at c times the sum of
+    the rest of the row.  The row holds only c, later pivots' columns and
+    the residual's columns, all set by then.
+    """
+    if not any(v % modulus for v in values):
+        return (0,) * n_vars  # the rows are homogeneous
+    dropped = {c for c, _ in pivots}
+    x = [0] * n_vars
+    for c, v in zip((c for c in range(n_vars) if c not in dropped), values):
+        x[c] = v % modulus
+    for c, row in reversed(pivots):
+        r = 0
+        for k, v in row.items():  # x[c] is still 0
+            r += v * x[k]
+        x[c] = -row[c] * r % modulus
+    return tuple(x)
 
 
 def abs_determinant(rows: list[Mapping[int, int]]) -> int:

@@ -1,8 +1,9 @@
 """Affine quandle colorings by elimination against the search they replaced.
 
 quandle_space solves an affine quandle (a * b = t*a + (1-t)*b mod n) by
-one linalg.solve_mod call, which gives its count; for prime n the same
-solve lists the colorings.  Its listing must be that of
+one linalg.solve_mod call on the diagram's unit residual at t, which gives
+its count; for prime n the same solve, lifted to every strand, lists the
+colorings.  Its listing must be that of
 oracles.reference_quandle_colorings in the same order (every prefix taken
 with islice the reference's prefix), with the same count, the same first
 nonconstant coloring and the same exceptions: on seeded braid closures,
@@ -30,6 +31,7 @@ from tanglecert.colorings import (
     verify_coloring,
 )
 from tanglecert.diagram import orient, parse_diagram, relabel
+from tanglecert.moves import apply_r1
 
 
 def alexander(p, t):
@@ -210,3 +212,138 @@ class TestCrossingFreeDiagrams:
             quandle_space(trefoil, alexander(5, 2))
         with pytest.raises(ColoringError, match="orientation required"):
             verify_coloring(trefoil, QuandleColoring(alexander(5, 2), {a: 0 for a in trefoil.arcs()}))
+
+
+# ---------------------------------------------------------------------------
+# spaces solved on the unit residual
+
+
+def corpus_quandle(corpus_dir, name):
+    return colorings.parse_quandle((corpus_dir / f"{name}.q").read_text(), name=name)
+
+
+def dropped_labels(d, t):
+    """Labels whose strand a unit pivot of the rows at t drops, one per strand."""
+    fox = colorings._strand_columns(d)
+    _, _, pivots = colorings._unit_residual(d, fox, t)
+    dropped = {c for c, _ in pivots}
+    return sorted({c: label for label, c in fox[1].items() if c in dropped}.values())
+
+
+def test_corpus_tangles_pinned_at_their_boundary_match_the_reference(corpus_diagrams, corpus_dir):
+    tangles = {name: d for name, d in corpus_diagrams.items() if d.boundary}
+    assert len(tangles) >= 5
+    quandles = [dihedral(3), dihedral(5), dihedral(7)]
+    oriented_quandles = [corpus_quandle(corpus_dir, "alexander-7-3"), corpus_quandle(corpus_dir, "alexander-11-5")]
+    for name, t in tangles.items():
+        for dd, qs in ((t, quandles), (orient(t), oriented_quandles)):
+            for q in qs:
+                for pins in [{e: v for e in dd.boundary} for v in (0, q.size - 1)] + [dict(zip(dd.boundary, range(4)))]:
+                    assert outcome(dd, q, pins) == reference(dd, q, pins), (name, q.name, pins)
+
+
+def test_pins_on_dropped_columns_match_the_reference():
+    seen = 0
+    for d in CLOSURES[:60]:
+        oriented = orient(d)
+        for dd, q in ((d, dihedral(5)), (oriented, alexander(7, 3)), (oriented, alexander(11, 5))):
+            t = q._affine if 2 * q._affine <= q.size else q._affine - q.size
+            labels = dropped_labels(dd, t)
+            if not labels:
+                continue
+            seen += 1
+            for pins in ({labels[0]: 1}, {labels[0]: 2, labels[-1]: 2}, {a: i % q.size for i, a in enumerate(labels)}):
+                assert outcome(dd, q, pins) == reference(dd, q, pins), (q.name, pins)
+    assert seen >= 100
+
+
+def test_a_kink_row_without_a_unit_matches_the_reference():
+    # an oriented kink at t = 3 has the row 3*u - 3*o or its negative: no +-1 entry
+    q = alexander(7, 3)
+    found = False
+    for d in CLOSURES[:20]:
+        for arc in sorted(d.arcs())[:2]:
+            for positive in (True, False):
+                kinked = orient(apply_r1(d, arc, positive)[0])
+                _, _, triples, _ = colorings._strand_columns(kinked)
+                rows = colorings._crossing_rows(triples, kinked.crossings, 3)
+                found |= any(row and all(abs(v) != 1 for v in row.values()) for row in rows)
+                for pins in (None, {arc: 4}):
+                    assert outcome(kinked, q, pins) == reference(kinked, q, pins), (arc, positive, pins)
+    assert found
+
+
+def test_corpus_knots_by_the_corpus_alexander_quandles(corpus_diagrams, corpus_dir):
+    for name in ("alexander-7-3", "alexander-11-5"):
+        q = corpus_quandle(corpus_dir, name)
+        for stem, d in corpus_diagrams.items():
+            dd = orient(d)
+            for pins in (None, {min(dd.arcs()): 1}):
+                assert outcome(dd, q, pins) == reference(dd, q, pins), (name, stem, pins)
+
+
+@pytest.mark.parametrize("n", [6, 15])
+def test_composite_dihedral_counts_match_the_reference(n, corpus_diagrams):
+    q = dihedral(n)
+    for d in [*CLOSURES[:25], *corpus_diagrams.values()]:
+        for pins in pin_sets(d, q) + ({a: 0 for a in d.boundary} or None,):
+            want = reference(d, q, pins, caps=())
+            assert outcome(d, q, pins, caps=()) == want, (q.name, pins)
+
+
+def test_a_composite_space_of_constants_answers_without_the_search(monkeypatch, corpus_dir, corpus_diagrams):
+    walks = []
+    real = colorings._search
+    monkeypatch.setattr(colorings, "_search", lambda *args: walks.append(args) or real(*args))
+    d6 = corpus_quandle(corpus_dir, "d6")
+    d = corpus_diagrams["fig8-knot"]  # det 5: no nontrivial coloring mod 2 or 3
+    arcs = sorted(d.arcs())
+    space = quandle_space(d, d6)
+    assert space.first_nonconstant() is None and space.count == 6
+    assert quandle_space(d, d6, {arcs[0]: 4, arcs[1]: 4}).first_nonconstant() is None
+    assert quandle_space(d, d6, {arcs[0]: 4, arcs[1]: 1}).first_nonconstant() is None
+    assert walks == []
+    # a hit still walks the search, to the lexicographically first coloring
+    trefoil = corpus_diagrams["trefoil"]
+    first = quandle_space(trefoil, d6).first_nonconstant()
+    assert len(walks) == 1 and first.colors == reference(trefoil, d6)[2]
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Every call of linalg.eliminate_units, recorded."""
+    calls = []
+    real = linalg.eliminate_units
+    monkeypatch.setattr(linalg, "eliminate_units", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_dihedral_spaces_read_the_fox_residual(eliminations, solves, corpus_dir):
+    d = parse_diagram((corpus_dir / "8_16.pd").read_text())
+    det = colorings.link_determinant(d)
+    space = quandle_space(d, dihedral(3))
+    assert space.count == 3 and det == 35
+    assert len(list(space.colorings())) == 3 and space.first_nonconstant() is None
+    pinned = quandle_space(d, dihedral(5), {3: 0, 12: 0})
+    assert pinned.first_nonconstant() is not None
+    assert len(eliminations) == 1 and set(d.__dict__["_units"]) == {-1}
+    # no solve sees the crossing rows: the residual's rows and one per pin
+    residual, _, _ = d.__dict__["_units"][-1]
+    assert [len(args[0]) for args in solves] == [len(residual), len(residual) + 2]
+
+
+def test_an_alexander_quandle_builds_its_own_record(eliminations, corpus_dir):
+    d = orient(parse_diagram((corpus_dir / "fig8-knot.pd").read_text()))
+    assert quandle_space(d, alexander(7, 3)).count == 7
+    assert quandle_space(d, alexander(7, 4)).count == 7  # t = 4 is -3 in (-7/2, 7/2]
+    assert quandle_space(d, dihedral(7)).count == 7
+    assert quandle_space(d, alexander(5, 3)).count == 5  # t = 3 is -2, like alexander(7, 5)
+    assert quandle_space(d, alexander(7, 5)).count == 7
+    assert quandle_space(d, alexander(11, 5)).count == 121
+    units = d.__dict__["_units"]
+    assert set(units) == {3, -3, -1, -2, 5} and len(eliminations) == 5
+    _, _, pivots = units[3]
+    with pytest.raises(TypeError):
+        units[7] = units[3]
+    with pytest.raises(TypeError):
+        pivots[0][1][0] = 1

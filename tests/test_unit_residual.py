@@ -13,6 +13,7 @@ never by a pinned solve, and kept like the Fox system.
 import copy
 import pickle
 import random
+from itertools import islice
 
 import pytest
 
@@ -174,7 +175,7 @@ def test_an_unvalidated_diagram_keeps_no_residual(spied):
 def test_the_kept_residual_is_immutable_and_not_pickled():
     d = braid_closure([1, -2, 1, -2, 1, 1, -2], 3)
     det = link_determinant(d)
-    residual, n_left = d.__dict__["_units"]
+    residual, n_left, _ = d.__dict__["_units"][-1]
     assert isinstance(residual, tuple) and len(residual) == n_left
     with pytest.raises(TypeError):
         residual[0][0] = 1
@@ -193,7 +194,7 @@ def test_eliminate_units_keeps_every_count():
         n_rows, n_vars = rng.randint(0, 5), rng.randint(1, 5)
         rows = [{c: v for c in range(n_vars) if (v := rng.choice((0, 0, 1, -1, 2, -2, 3)))} for _ in range(n_rows)]
         before = [dict(row) for row in rows]
-        residual, n_left = linalg.eliminate_units(rows, n_vars)
+        residual, n_left, _ = linalg.eliminate_units(rows, n_vars)
         assert rows == before
         assert len(rows) - len(residual) == n_vars - n_left
         assert all(0 <= c < n_left for row in residual for c in row)
@@ -204,7 +205,24 @@ def test_eliminate_units_keeps_every_count():
 
 
 def test_eliminate_units_keeps_empty_rows_and_squareness():
-    residual, n_left = linalg.eliminate_units([{}, {0: 1, 1: -1}, {0: -1, 1: 1}], 2)
+    residual, n_left, _ = linalg.eliminate_units([{}, {0: 1, 1: -1}, {0: -1, 1: 1}], 2)
     assert residual == [{}, {}] and n_left == 1
-    residual, n_left = linalg.eliminate_units([{0: 2, 1: 3}, {0: 3, 1: 2}], 2)  # no unit: unchanged
-    assert residual == [{0: 2, 1: 3}, {0: 3, 1: 2}] and n_left == 2
+    residual, n_left, pivots = linalg.eliminate_units([{0: 2, 1: 3}, {0: 3, 1: 2}], 2)  # no unit: unchanged
+    assert residual == [{0: 2, 1: 3}, {0: 3, 1: 2}] and n_left == 2 and pivots == []
+
+
+def test_lift_units_solves_every_row():
+    # every solution mod n of the residual lifts to a solution of the rows
+    # that agrees with it on the residual's columns
+    rng = random.Random(15)
+    for _ in range(300):
+        n_rows, n_vars = rng.randint(0, 6), rng.randint(1, 6)
+        rows = [{c: v for c in range(n_vars) if (v := rng.choice((0, 0, 1, -1, 2, -2, 3)))} for _ in range(n_rows)]
+        residual, n_left, pivots = linalg.eliminate_units(rows, n_vars)
+        kept = [c for c in range(n_vars) if c not in {c for c, _ in pivots}]
+        for n in (2, 5, 6):
+            space = linalg.solve_mod(residual, [0] * len(residual), n_left, n)
+            for y in islice(space.enumerate(), 40):
+                x = linalg.lift_units(pivots, y, n_vars, n)
+                assert [x[c] for c in kept] == list(y)
+                assert all(sum(v * x[c] for c, v in row.items()) % n == 0 for row in rows), (rows, n, y)
