@@ -37,18 +37,22 @@ of a linear system over Z/n (Inoue 2001), and Fox colorings are its case
 t = -1 with signs ignored.  So both share one row rule (_crossing_rows)
 and one listing loop (linalg.odometer).  An affine quandle space, pinned
 or not, solves the residual at its t, taken in (-n/2, n/2] so that
-dihedral(n) reads the Fox one, with each pin as its strand's lift
-expression (_residual_solve); that gives its count for every n.  For
-prime n the lifted basis, in reduced row echelon form by strand, walks
-its colorings in lexicographic order of strand values (_lexicographic).
-Every other quandle (non-affine tables, affine ones of composite order,
-the 1-element one) is listed by one generator loop over strand indices:
-a propagation worklist, an undo trail and an explicit backtracking stack,
-in the same lexicographic order.  Each kind has one lazy space,
-FoxSolutionSpace or QuandleSpace, with count, colorings() and
-first_nonconstant(); only a non-affine table's count runs the search to
-its end, and an affine space whose count leaves only constant colorings
-answers first_nonconstant without a walk.
+dihedral(n) reads the Fox one, one split component (strands joined by
+crossings) at a time, each pin written as its strand's lift expression
+(_split_solve); that gives its count for every n.  For prime n each
+component's lifted basis, in reduced row echelon form by strand, and the
+odometer over all of them walk the colorings in lexicographic order of
+strand values (_lexicographic).  A component that has only the constant
+colorings needs no lift: its generator is 1 on it, built when first
+stepped.  Every other component's basis is lifted and reduced when the
+space is first walked and kept for later walks, at a cost of its size
+times its number of generators.  Every other quandle (non-affine tables,
+affine ones of composite order, the 1-element one) is listed by one
+generator loop over strand indices: a propagation worklist, an undo
+trail and an explicit backtracking stack, in the same lexicographic
+order.  Each kind has one lazy space, FoxSolutionSpace or QuandleSpace,
+with count, colorings() and first_nonconstant(); only a non-affine
+table's count runs the search to its end.
 
 Each coloring class carries one protocol: rule(oriented), its colors and
 the crossing rule's two directions; kind and key, a certificate's kind and
@@ -67,8 +71,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
-from math import isqrt
+from functools import cached_property, partial
+from math import isqrt, prod
 from types import MappingProxyType
 
 from . import linalg
@@ -598,7 +602,6 @@ class QuandleSpace:
     _col: Mapping[int, int]  # label -> its strand's position in the walked tuples
     _walk: Callable[[], Iterator[tuple[int, ...]]]
     _count: Callable[[], int]
-    _constants: int | None = None  # affine only: how many constant colorings the pins allow
 
     @cached_property
     def count(self) -> int:
@@ -611,11 +614,7 @@ class QuandleSpace:
             yield self._expand(x)
 
     def first_nonconstant(self) -> QuandleColoring | None:
-        """The lexicographically first nonconstant coloring, or None when every
-        coloring is constant: for an affine quandle, when the count says so,
-        without a walk."""
-        if self._constants is not None and self.count == self._constants:
-            return None
+        """The lexicographically first nonconstant coloring, or None when every coloring is constant."""
         return next((self._expand(x) for x in self._walk() if len(set(x)) >= 2), None)
 
     def forced_equal_pair(self) -> None:
@@ -630,13 +629,12 @@ def quandle_space(d: Diagram, q: Quandle, pins: dict[int, int] | None = None) ->
     """All colorings of d by q with the pinned arcs fixed; clashing pins give the empty space.
 
     An affine quandle (a * b = t*a + (1-t)*b mod n, dihedral(n) with t = -1)
-    is solved over Z/n on the diagram's unit residual at t (_residual_solve),
-    which gives count for every n.  For prime n the solve also lists
-    (_lexicographic).  Over a composite n a Howell basis does not step in
-    lexicographic order, so such a quandle, like every non-affine one, is
-    listed by _search.  An affine space's first_nonconstant answers None
-    from the count alone when it equals the number of constant colorings
-    the pins allow (n unpinned, 1 when every pin is equal, else 0).
+    is solved over Z/n on the diagram's unit residual at t, one split
+    component at a time (_split_solve), which gives count for every n.  For
+    prime n the solve also lists (_lexicographic).  Over a composite n a
+    Howell basis does not step in lexicographic order, so such a quandle,
+    like every non-affine one, is listed by _search.  Each space solves at
+    most once, when count or a listing first needs it.
 
     Non-involutory quandles need an oriented diagram when d has crossings.
     """
@@ -653,101 +651,200 @@ def quandle_space(d: Diagram, q: Quandle, pins: dict[int, int] | None = None) ->
     walk = partial(_search, q, triples, d.crossings, len(strands), pinned)
     if q._affine is None:
         return QuandleSpace(q, col, walk, lambda: sum(1 for _ in walk()))
-    values = set(pins.values())
-    constants = q.size if not values else int(len(values) == 1)
-    solve = partial(_residual_solve, d, fox, q, pinned)
+    split = _once(partial(_split_solve, d, fox, q, pinned))
+    count = lambda: prod(part[0].count for part in split()[2])  # noqa: E731
     if any(q.size % k == 0 for k in range(2, isqrt(q.size) + 1)):  # composite
-        return QuandleSpace(q, col, walk, lambda: solve()[0].count, constants)
-    solution, lift, loose = solve()
-    return QuandleSpace(q, col, partial(_lexicographic, solution, lift, loose, q.size), lambda: solution.count, constants)
+        return QuandleSpace(q, col, walk, count)
+    basis = _once(partial(_lexicographic, split, q.size))
+    return QuandleSpace(q, col, lambda: iter(()) if basis() is None else linalg.odometer(*basis()), count)
 
 
-def _residual_solve(d: Diagram, fox: _FoxSystem, q: Quandle, pinned):
-    """(solution, lift, loose): the colorings by the affine quandle q as
-    solve_mod of the unit residual of the rows at q's t, taken in
-    (-n/2, n/2] so that dihedral(n) reads the Fox record, with one row per
-    pin first.  lift maps a solution on the residual's columns to every
-    strand.  loose maps each residual column that no solved row and no pivot
-    row holds to its strand: a free column whose generator is 1 at that
-    strand and 0 elsewhere.
+def _once(f: Callable[[], object]) -> Callable[[], object]:
+    """f, called at most once: every later call returns its first result.
+    One is made per space, for less than functools.cache, which copies f's
+    metadata."""
+    kept = []
 
-    A pin row is its strand's lift expression over the residual's columns:
-    the strand's entries in the lifts of the residual's unit vectors.  Each
-    eliminated column is fixed by its unit pivot mod every n, so the count
-    is exact for composite n too.
+    def first():
+        if not kept:
+            kept.append(f())
+        return kept[0]
+
+    return first
+
+
+# one split component's solve: (solution over its residual columns, its
+# name (its smallest strand), its residual columns' strands, whether pinned)
+_Part = tuple[linalg.ModularAffineSpace, int, list[int], bool]
+_Split = tuple[list[int], tuple[tuple[int, Mapping[int, int]], ...], list[_Part]]
+
+
+def _split_solve(d: Diagram, fox: _FoxSystem, q: Quandle, pinned) -> _Split:
+    """(component, pivots, parts): each strand's split component (strands
+    joined by crossings), named by its smallest strand; the pivot record of
+    the unit residual at q's t, taken in (-n/2, n/2] so that dihedral(n)
+    reads the Fox record; and one part per component, solve_mod of its
+    rows of that residual with one row per pin in it first.  The colorings
+    by the affine quandle q are the product of the parts' solutions lifted
+    to every strand; no row joins two parts, and every part has a residual
+    column, since the constant colorings leave no component's rows of full
+    rank.
+
+    A pin row is its strand's lift expression over its part's residual
+    columns (_pin_rows).  Each eliminated column is fixed by its unit pivot
+    mod every n, so the count is exact for composite n too.
     """
-    n, n_vars = q.size, len(fox[0])
+    n = q.size
     t = q._affine if 2 * q._affine <= n else q._affine - n
-    residual, n_left, pivots = _unit_residual(d, fox, t)
-    lift = partial(linalg.lift_units, pivots, n_vars=n_vars, modulus=n)
-    rows = []
-    if pinned:
-        images = [lift([int(j == k) for k in range(n_left)]) for j in range(n_left)]
-        rows = [{j: image[c] for j, image in enumerate(images) if image[c]} for c, _ in pinned]
-    rows += residual
-    solution = linalg.solve_mod(rows, [v for _, v in pinned] + [0] * len(residual), n_left, n)
-    held = {k for row in rows for k in row}
-    loose = {}
-    if len(held) < n_left:
-        dropped = {c for c, _ in pivots}
-        pivot_held = {k for _, row in pivots for k in row}
-        kept = (c for c in range(n_vars) if c not in dropped)
-        loose = {j: c for j, c in enumerate(kept) if j not in held and c not in pivot_held}
-    return solution, lift, loose
+    residual, _, pivots = _unit_residual(d, fox, t)
+    component = _split_components(len(fox[0]), fox[2])
+    dropped = {c for c, _ in pivots}
+    kept = [s for s in range(len(component)) if s not in dropped]
+    parts: dict[int, tuple[list, list, list]] = {}  # name -> (residual columns' strands, rows, rhs)
+    index = {}  # residual column's strand -> its column in its part
+    for s in kept:
+        part = parts.setdefault(component[s], ([], [], []))
+        index[s] = len(part[0])
+        part[0].append(s)
+    for (c, v), row in zip(pinned, _pin_rows([c for c, _ in pinned], index, pivots, n)):
+        part = parts[component[c]]
+        part[1].append(row)
+        part[2].append(v)
+    pinned_names = {component[c] for c, _ in pinned}
+    for row in residual:
+        if row:
+            part = parts[component[kept[next(iter(row))]]]
+            part[1].append({index[kept[j]]: v for j, v in row.items()})
+            part[2].append(0)
+    solved = [
+        (linalg.solve_mod(rows, rhs, len(strands), n), name, strands, name in pinned_names)
+        for name, (strands, rows, rhs) in parts.items()
+    ]
+    return component, pivots, solved
 
 
-def _lexicographic(solution: linalg.ModularAffineSpace, lift, loose, p: int) -> Iterator[tuple[int, ...]]:
-    """Yield the strand values of every solution mod the prime p, lifted to
-    every strand, in lexicographic order.
+def _split_components(n_strands: int, triples) -> list[int]:
+    """Each strand's split component, named by its smallest strand: strands
+    that share a crossing share a component.  A union-find whose every link
+    points to a smaller strand, so one pass in increasing order resolves it."""
+    root = list(range(n_strands))
+    for a, b, c in triples:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        while root[c] != c:
+            root[c] = c = root[root[c]]
+        m = a if a < b else b
+        root[a] = root[b] = root[c] = m if m < c else c
+    for s in range(n_strands):
+        root[s] = root[root[s]]
+    return root
 
-    The lifted generators are brought to reduced row echelon form in strand
-    order (each is 1 at its pivot strand, 0 at every other pivot strand and
-    at every earlier strand), and the particular solution is cleared at the
-    pivot strands.  A solution's value at each pivot strand is then its
-    coefficient there, and two solutions first differ at the pivot strand
-    of their first differing coefficient; so the odometer, first generator
-    slowest, lists in lexicographic order.  A loose column's generator is 1
-    at its strand, where every other generator and the particular solution
-    are 0, and 0 elsewhere: it is in that form as it stands, and is built
-    only when the odometer steps it.
+
+def _pin_rows(columns: list[int], index: Mapping[int, int], pivots, n: int) -> list[dict[int, int]]:
+    """Each pinned strand's lift expression mod n over its part's residual
+    columns (index: a residual column's strand -> its column in its part).
+    A kept strand is its own column; a dropped one is read off its pivot
+    row, in one reverse pass over the pivots that the pinned strands reach
+    (a pivot row holds only later pivots' columns and kept ones)."""
+    expression: dict[int, dict[int, int]] = {}  # dropped strand -> its lift expression
+    need = {c for c in columns if c not in index}
+    if need:
+        for c, row in pivots:
+            if c in need:
+                need.update(row)
+        for c, row in reversed(pivots):
+            if c in need:
+                e: dict[int, int] = {}
+                for k, v in row.items():
+                    if k != c:
+                        for j, w in (expression[k] if k in expression else {index[k]: 1}).items():
+                            e[j] = (e.get(j, 0) - row[c] * v * w) % n
+                expression[c] = {j: w for j, w in e.items() if w}
+    return [expression[c] if c in expression else {index[c]: 1} for c in columns]
+
+
+def _lexicographic(split: Callable[[], _Split], p: int):
+    """The odometer's arguments (x, orders, vector, p) that list every
+    solution mod the prime p, lifted to every strand, in lexicographic
+    order, or None when a part has no solution.
+
+    Each part's lifted generators are brought to reduced row echelon form
+    in strand order (each is 1 at its pivot strand, 0 at every other pivot
+    strand and at every earlier strand), and its lifted particular solution
+    is cleared at the pivot strands.  A solution's value at each pivot
+    strand is then its coefficient there, and two solutions first differ at
+    the pivot strand of their first differing coefficient; so the odometer,
+    steps sorted by pivot strand, the first slowest, lists in lexicographic
+    order.  An unpinned part with one generator has only the constant
+    colorings: its generator is 1 on its component, its pivot strand the
+    component's smallest, and it needs no lift; its dense vector is built
+    only when the odometer first steps it.  Every other part is lifted and
+    reduced here, once per space, at a cost of its size times its number
+    of generators.
     """
-    if solution.count == 0:
-        return
-    pending, steps = [], []
-    for c, _ in solution.columns():
-        if c in loose:
-            steps.append((loose[c], None))
-        else:
-            pending.append(list(lift(solution._vector(c))))
-    echelon: list[tuple[int, list[int]]] = []  # (pivot strand, generator)
-    for s in range(len(pending[0]) if pending else 0):
-        i = next((i for i, g in enumerate(pending) if g[s]), None)
-        if i is None:
+    component, pivots, parts = split()
+    n_vars = len(component)
+    x, steps = [0] * n_vars, []  # (pivot strand, sparse generator, or None for a constant one)
+    by_part = None  # name -> its part of the pivot record, in pivot order
+    for solution, name, kept, pinned in parts:
+        if solution.count == 0:
+            return None
+        columns = solution.columns()
+        if not pinned and len(columns) == 1:
+            steps.append((name, None))
             continue
-        g = pending.pop(i)
-        inverse = pow(g[s], -1, p)
-        g = [v * inverse % p for v in g]
-        pending = [_clear(h, s, g, p) for h in pending]
-        echelon = [(r, _clear(h, s, g, p)) for r, h in echelon] + [(s, g)]
-        if not pending:
-            break
-    x = list(lift(solution._vector(None)))
-    for s, g in echelon:
-        x = _clear(x, s, g, p)
-    steps = sorted(steps + echelon, key=lambda step: step[0])
+        if by_part is None:  # grouped once, when the first part is lifted
+            by_part = {}
+            for c, row in pivots:
+                by_part.setdefault(component[c], []).append((c, row))
+        part_pivots = by_part.get(name, ())
+        echelon: list[tuple[int, dict[int, int]]] = []
+        for c, _ in columns:
+            g = linalg.lift_units(part_pivots, dict(zip(kept, solution._vector(c))), p)
+            for s, h in echelon:
+                g = _clear(g, s, h, p)
+            s = min(g)
+            inverse = pow(g[s], -1, p)
+            g = {k: v * inverse % p for k, v in g.items()}
+            echelon = [(r, _clear(h, s, g, p)) for r, h in echelon] + [(s, g)]
+        particular = linalg.lift_units(part_pivots, dict(zip(kept, solution._vector(None))), p) if pinned else {}
+        for s, g in echelon:
+            particular = _clear(particular, s, g, p)
+        for s, v in particular.items():
+            x[s] = v
+        steps += echelon
+    steps.sort(key=lambda step: step[0])
+    vectors: dict[int, list[int]] = {}  # step -> its dense generator, once stepped
 
-    @cache
     def vector(i: int) -> list[int]:
-        s, g = steps[i]
-        return g if g is not None else [int(k == s) for k in range(len(x))]
+        if i not in vectors:
+            s, g = steps[i]
+            if g is None:
+                vectors[i] = [int(name == s) for name in component]
+            else:
+                vectors[i] = v = [0] * n_vars
+                for k, w in g.items():
+                    v[k] = w
+        return vectors[i]
 
-    yield from linalg.odometer(tuple(x), [p] * len(steps), vector, p)
+    return tuple(x), [p] * len(steps), vector, p
 
 
-def _clear(h: list[int], s: int, g: list[int], p: int) -> list[int]:
-    """h minus h[s] times g, mod p: 0 at s when g is 1 there."""
-    f = h[s]
-    return [(a - f * b) % p for a, b in zip(h, g)] if f else h
+def _clear(h: dict[int, int], s: int, g: dict[int, int], p: int) -> dict[int, int]:
+    """h minus h[s] times g, mod p, zeros dropped: 0 at s when g is 1 there."""
+    f = h.get(s)
+    if not f:
+        return h
+    out = dict(h)
+    for k, v in g.items():
+        w = (out.get(k, 0) - f * v) % p
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
 
 
 def _search(q: Quandle, triples, crossings, n_strands: int, pinned) -> Iterator[tuple[int, ...]]:

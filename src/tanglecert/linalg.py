@@ -22,7 +22,10 @@ first reads it: ModularAffineSpace.enumerate walks the generators with
 odometer, the one listing loop, which reads each generator the first time
 it steps, so listing the first few of N^k solutions builds a few
 generators, not k.  Nothing caps a listing; callers take what they need
-of it.
+of it.  (The affine quandle listing in colorings hands odometer a basis
+in reduced row echelon form by strand instead, which it builds, one split
+component at a time, before the first step: eager in the generators of
+every component that is pinned or has more than the constant colorings.)
 
 Rows enter the elimination in the order given.  The coloring solvers feed
 crossing rows right to left (by decreasing rightmost column), which needs
@@ -36,10 +39,11 @@ other than 1, and the same solution count mod every N up to the columns
 the pivots fix.  It also returns the pivot record, each pivot's column and
 row as they stood when it was chosen; no later pivot touches that row, so
 lift_units, back-substituting in reverse pivot order, lifts any solution
-mod N on the residual's columns to every column.  The coloring solvers
-keep the residual and the record beside the Fox system, read every
-unpinned Fox count and the link determinant off the residual, and solve
-every affine quandle space on it and lift its basis.
+mod N on the residual's columns to every column, sparse, over as much of
+the record as the caller hands it (one split component's part, say).  The
+coloring solvers keep the residual and the record beside the Fox system,
+read every unpinned Fox count and the link determinant off the residual,
+and solve every affine quandle space on it and lift its basis.
 
 abs_determinant eliminates over Z without fractions (Bareiss 1968), sparse
 and column by column, so it needs no modulus: every entry it keeps is a
@@ -333,29 +337,29 @@ def eliminate_units(
 
 
 def lift_units(
-    pivots: Sequence[tuple[int, Mapping[int, int]]], values: Sequence[int], n_vars: int, modulus: int
-) -> tuple[int, ...]:
-    """The solution mod `modulus` of the rows eliminate_units reduced, over
-    all n_vars columns, that takes `values` on the residual's columns (a
-    solution of the residual, mod `modulus`).
+    pivots: Sequence[tuple[int, Mapping[int, int]]], values: Mapping[int, int], modulus: int
+) -> dict[int, int]:
+    """The solution mod `modulus` of the rows eliminate_units reduced that
+    takes `values` (column -> value) on the residual's columns, as a sparse
+    column -> value map, zeros dropped.  `values` must solve the residual
+    and give every residual column that a row of `pivots` holds.
 
     Each dropped column c is set, in reverse pivot order, so that its
     pivot row vanishes: x[c] is minus the row's +-1 at c times the sum of
     the rest of the row.  The row holds only c, later pivots' columns and
-    the residual's columns, all set by then.
+    the residual's columns, all set by then.  `pivots` may be the part of
+    the record that holds the columns of `values` (one split component's,
+    say), which then costs that part's size, not the whole record's.
     """
-    if not any(v % modulus for v in values):
-        return (0,) * n_vars  # the rows are homogeneous
-    dropped = {c for c, _ in pivots}
-    x = [0] * n_vars
-    for c, v in zip((c for c in range(n_vars) if c not in dropped), values):
-        x[c] = v % modulus
+    x = {c: v % modulus for c, v in values.items()}
+    if not any(x.values()):
+        return {}  # the rows are homogeneous
     for c, row in reversed(pivots):
-        r = 0
-        for k, v in row.items():  # x[c] is still 0
+        x[c] = r = 0  # its own entry in the row reads 0
+        for k, v in row.items():
             r += v * x[k]
         x[c] = -row[c] * r % modulus
-    return tuple(x)
+    return {c: v for c, v in x.items() if v}
 
 
 def abs_determinant(rows: list[Mapping[int, int]]) -> int:

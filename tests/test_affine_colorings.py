@@ -10,6 +10,10 @@ nonconstant coloring and the same exceptions: on seeded braid closures,
 Alexander quandles on their oriented copies (both crossing signs) and
 dihedral ones on the unoriented closures, with pins and with short
 prefixes.  Composite orders and non-affine tables are listed by the search.
+A split diagram is solved one component at a time; on many components a
+short listing must build only what it steps, bar the eager basis of each
+component with nonconstant or pinned colorings, and a second walk of the
+same space builds nothing.
 """
 
 import pickle
@@ -30,7 +34,7 @@ from tanglecert.colorings import (
     quandle_space,
     verify_coloring,
 )
-from tanglecert.diagram import orient, parse_diagram, relabel
+from tanglecert.diagram import orient, parse_diagram, relabel, serialize
 from tanglecert.moves import apply_r1
 
 
@@ -291,24 +295,6 @@ def test_composite_dihedral_counts_match_the_reference(n, corpus_diagrams):
             assert outcome(d, q, pins, caps=()) == want, (q.name, pins)
 
 
-def test_a_composite_space_of_constants_answers_without_the_search(monkeypatch, corpus_dir, corpus_diagrams):
-    walks = []
-    real = colorings._search
-    monkeypatch.setattr(colorings, "_search", lambda *args: walks.append(args) or real(*args))
-    d6 = corpus_quandle(corpus_dir, "d6")
-    d = corpus_diagrams["fig8-knot"]  # det 5: no nontrivial coloring mod 2 or 3
-    arcs = sorted(d.arcs())
-    space = quandle_space(d, d6)
-    assert space.first_nonconstant() is None and space.count == 6
-    assert quandle_space(d, d6, {arcs[0]: 4, arcs[1]: 4}).first_nonconstant() is None
-    assert quandle_space(d, d6, {arcs[0]: 4, arcs[1]: 1}).first_nonconstant() is None
-    assert walks == []
-    # a hit still walks the search, to the lexicographically first coloring
-    trefoil = corpus_diagrams["trefoil"]
-    first = quandle_space(trefoil, d6).first_nonconstant()
-    assert len(walks) == 1 and first.colors == reference(trefoil, d6)[2]
-
-
 @pytest.fixture
 def eliminations(monkeypatch):
     """Every call of linalg.eliminate_units, recorded."""
@@ -347,3 +333,115 @@ def test_an_alexander_quandle_builds_its_own_record(eliminations, corpus_dir):
         units[7] = units[3]
     with pytest.raises(TypeError):
         pivots[0][1][0] = 1
+
+
+# ---------------------------------------------------------------------------
+# split diagrams: one part per component
+
+
+def split_union(*pieces):
+    """The split union of the pieces, labels interleaved: the i-th of k
+    pieces takes the labels i + 1, i + 1 + k, i + 1 + 2k, ..., so strands
+    of different pieces alternate in strand order."""
+    k, text = len(pieces), ""
+    for i, d in enumerate(pieces):
+        text += serialize(relabel(d, {a: i + 1 + k * j for j, a in enumerate(sorted(d.arcs()))}))
+    return parse_diagram(text)
+
+
+def copies(d, k):
+    """k split copies of d, each on its own block of labels."""
+    m = max(d.arcs())
+    return parse_diagram("".join(serialize(relabel(d, {a: a + i * m for a in d.arcs()})) for i in range(k)))
+
+
+def test_split_unions_match_the_reference(corpus_diagrams):
+    trefoil, fig8 = corpus_diagrams["trefoil"], corpus_diagrams["fig8-knot"]
+    kink = parse_diagram("X 1 2 2 1")
+    circle = parse_diagram("O 1")
+    unions = [
+        split_union(trefoil, trefoil),
+        split_union(trefoil, fig8),
+        split_union(fig8, circle, trefoil),
+        split_union(kink, trefoil, circle),
+        split_union(CLOSURES[3], CLOSURES[8]),
+    ]
+    for d in unions:
+        arcs = sorted(d.arcs())
+        for dd, qs in ((d, [dihedral(3), dihedral(5)]), (orient(d), [alexander(7, 3), alexander(5, 2)])):
+            for q in qs:
+                for pins in (None, {arcs[0]: 1}, {arcs[1]: 2, arcs[-1]: 1}, {a: 0 for a in arcs[::3]}):
+                    assert outcome(dd, q, pins, (10 ** 6, 0, 4)) == reference(dd, q, pins, (10 ** 6, 0, 4)), (q.name, pins)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every linalg.lift_units and _Echelon.back_substitute call, recorded."""
+    calls = []
+    lift, back = linalg.lift_units, linalg._Echelon.back_substitute
+    monkeypatch.setattr(linalg, "lift_units", lambda *a: calls.append(("lift", a)) or lift(*a))
+    monkeypatch.setattr(linalg._Echelon, "back_substitute", lambda *a, **k: calls.append(("back", a)) or back(*a, **k))
+    return calls
+
+
+def test_components_with_only_constant_colorings_build_nothing(builds, corpus_diagrams):
+    # 300 split figure-eights (det 5) and 300 kinked unknots under dihedral(3):
+    # every component has only the constant colorings, so its generator is 1
+    # on it, read without a back-substitution or a lift, and built densely
+    # only when the odometer steps it
+    fig8, kink = corpus_diagrams["fig8-knot"], parse_diagram("X 1 2 2 1")
+    d = split_union(copies(fig8, 300), copies(kink, 300))
+    _, _, pivots = colorings._unit_residual(d, colorings._strand_columns(d), -1)
+    assert len(pivots) >= 600  # each figure-eight's rows have unit pivots
+    space = quandle_space(d, dihedral(3))
+    first = list(islice(space.colorings(), 5))
+    assert len(first) == 5 and all(verify_coloring(d, c) for c in first)
+    assert space.first_nonconstant() == first[1] and not first[0].nontrivial
+    assert builds == [] and space.count == 3 ** 600
+
+
+@pytest.mark.parametrize("which", ["kept", "dropped"])
+def test_one_pin_among_many_components_lifts_one_part(builds, corpus_diagrams, which):
+    # one pin among 1,200 circles, or on a kept or a dropped strand of one of
+    # 300 figure-eights: the pin row is read off the pivot record without a
+    # lift, and only the pinned part's particular solution is built
+    fig8 = corpus_diagrams["fig8-knot"]
+    d = copies(fig8, 300)
+    fox = colorings._strand_columns(d)
+    _, _, pivots = colorings._unit_residual(d, fox, -1)
+    dropped = {c for c, _ in pivots}
+    label = next(a for a in sorted(d.arcs())[400:] if (fox[1][a] in dropped) == (which == "dropped"))
+    for dd, pins in ((d, {label: 2}), (parse_diagram(" ; ".join(f"O {k}" for k in range(1, 1201))), {600: 2})):
+        builds.clear()
+        space = quandle_space(dd, dihedral(3), pins)
+        first = list(islice(space.colorings(), 5))
+        assert len(first) == 5 and all(verify_coloring(dd, c) and c.colors[next(iter(pins))] == 2 for c in first)
+        assert space.first_nonconstant() == first[0]
+        assert [kind for kind, _ in builds] == ["back", "lift"]
+
+
+def test_components_with_nonconstant_colorings_lift_their_own_pivots(builds, corpus_diagrams):
+    # 300 split trefoils under dihedral(3): each has two generators, lifted
+    # and reduced when the space is first walked, each lift reading only its
+    # own trefoil's pivots; a second walk builds nothing
+    d = copies(corpus_diagrams["trefoil"], 300)
+    space = quandle_space(d, dihedral(3))
+    first = list(islice(space.colorings(), 5))
+    assert all(verify_coloring(d, c) for c in first)
+    lifts = [args for kind, args in builds if kind == "lift"]
+    assert len(lifts) == 600 and max(len(args[0]) for args in lifts) <= 2
+    builds.clear()
+    assert space.first_nonconstant() == first[1]
+    assert [c.colors for c in islice(space.colorings(), 5)] == [c.colors for c in first]
+    assert builds == []
+
+
+def test_a_second_walk_builds_nothing(builds, corpus_diagrams):
+    # color --quandle walks twice: first_nonconstant, then the listing
+    d = corpus_diagrams["fig10-overlaid"]
+    space = quandle_space(d, dihedral(3))
+    first = space.first_nonconstant()
+    built = len(builds)
+    listed = list(islice(space.colorings(), 9))
+    assert built > 0 and len(builds) == built
+    assert first == next(c for c in listed if c.nontrivial)

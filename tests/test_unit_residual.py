@@ -223,6 +223,8 @@ def test_lift_units_solves_every_row():
         for n in (2, 5, 6):
             space = linalg.solve_mod(residual, [0] * len(residual), n_left, n)
             for y in islice(space.enumerate(), 40):
-                x = linalg.lift_units(pivots, y, n_vars, n)
+                lifted = linalg.lift_units(pivots, dict(zip(kept, y)), n)
+                assert all(lifted.values())
+                x = [lifted.get(c, 0) for c in range(n_vars)]
                 assert [x[c] for c in kept] == list(y)
                 assert all(sum(v * x[c] for c, v in row.items()) % n == 0 for row in rows), (rows, n, y)
