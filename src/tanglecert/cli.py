@@ -151,9 +151,8 @@ def cmd_certify(args) -> int:
         for entry in report.entries:
             if entry.get("clash"):
                 a, b = entry["clash"]
-                reasons.append(
-                    f"mod {entry['fox']}: propagation forces arcs {a} = {b}; only trivial colorings"
-                )
+                kind = f"mod {entry['fox']}" if "fox" in entry else entry["quandle"]
+                reasons.append(f"{kind}: propagation forces arcs {a} = {b}; only trivial colorings")
         payload = report.to_json()
         payload["reasons"] = reasons
         _emit(payload, args.json, ["none"] + reasons)

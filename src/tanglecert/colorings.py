@@ -6,53 +6,49 @@ strand classes (the two over-slot labels of a crossing always share a
 color), and the crossing relations form a sparse linear system solved
 exactly over Z/N for any modulus, composite or prime (see linalg).
 That system (the strand representatives, each label's column, each
-crossing's (under-in, over, under-out) columns and the crossing rows in
-elimination order) is built once per validated diagram, on the first
-solver call, and kept immutable in its instance dict beside the dart
-index; quandle_space, fox_matrix, fox_solution_space and
-link_determinant all read it.  Crossing rows enter the elimination right
-to left, in decreasing order of their rightmost column, so an incoming
-row mostly meets columns no pivot holds yet.
+crossing's (under-in, over, under-out) columns and the crossing rows,
+right to left) is built once per validated diagram, on the first solver
+call, and kept immutable in its instance dict beside the dart index;
+quandle_space, fox_matrix, fox_solution_space and link_determinant all
+read it.
 
 Beside it the diagram keeps unit residuals (_unit_residual), one per
 integer t of the affine row rule, each built on first use: the crossing
 rows at t reduced once over Z by unit pivots (linalg.eliminate_units), a
 few rows over the columns no pivot fixed, with the pivot record that
 lifts a solution on those columns to every strand (linalg.lift_units),
-immutable.  An unpinned fox_solution_space count is solve_mod of the
-t = -1 residual, exact for every modulus since each eliminated column is
-fixed by its unit pivot, and link_determinant is abs_determinant of its
-first minor.  Listing Fox colorings, first_nonconstant and
-forced_equal_pair read the Howell form of the full rows, built on first
-read, which then gives the count too; pinned Fox spaces (the certificate
-search, the transport cut) solve the full rows with their pins and never
-build a residual.
+immutable.  link_determinant is abs_determinant of the t = -1 residual's
+first minor.  Beside each residual the diagram keeps its split (_split):
+each strand's split component (strands joined by crossings), and the
+residual's rows, columns and pivots grouped by component.
 
-Quandle colorings generalize this: a crossing forces under_out = under_in
-* over (or its right inverse at negative crossings).  Dihedral quandles,
-a*b = 2b - a, reproduce Fox colorings and are involutory, so they accept
-unoriented diagrams.  An affine (Alexander) quandle of order n,
-a*b = t*a + (1-t)*b mod n, dihedral(n) among them, colors by the solutions
-of a linear system over Z/n (Inoue 2001), and Fox colorings are its case
-t = -1 with signs ignored.  So both share one row rule (_crossing_rows)
-and one listing loop (linalg.odometer).  An affine quandle space, pinned
-or not, solves the residual at its t, taken in (-n/2, n/2] so that
-dihedral(n) reads the Fox one, one split component (strands joined by
-crossings) at a time, each pin written as its strand's lift expression
-(_split_solve); that gives its count for every n.  For prime n each
-component's lifted basis, in reduced row echelon form by strand, and the
-odometer over all of them walk the colorings in lexicographic order of
-strand values (_lexicographic).  A component that has only the constant
-colorings needs no lift: its generator is 1 on it, built when first
-stepped.  Every other component's basis is lifted and reduced when the
-space is first walked and kept for later walks, at a cost of its size
-times its number of generators.  Every other quandle (non-affine tables,
-affine ones of composite order, the 1-element one) is listed by one
-generator loop over strand indices: a propagation worklist, an undo
-trail and an explicit backtracking stack, in the same lexicographic
-order.  Each kind has one lazy space, FoxSolutionSpace or QuandleSpace,
-with count, colorings() and first_nonconstant(); only a non-affine
-table's count runs the search to its end.
+Quandle colorings generalize Fox colorings: a crossing forces under_out =
+under_in * over (or its right inverse at negative crossings).  Dihedral
+quandles, a*b = 2b - a, reproduce Fox colorings and are involutory, so
+they accept unoriented diagrams.  An affine (Alexander) quandle of order
+n, a*b = t*a + (1-t)*b mod n, dihedral(n) among them, colors by the
+solutions of a linear system over Z/n (Inoue 2001), and Fox colorings are
+its case t = -1 with signs ignored.  So both share one row rule
+(_crossing_rows) and one space, AffineSpace (also named
+FoxSolutionSpace), which fox_solution_space builds at t = -1 and
+quandle_space at the quandle's t, taken in (-n/2, n/2] so that
+dihedral(n) reads the Fox residual.  A space solves once, when count or
+a listing first needs it: each split part's residual rows with its pins
+written as their strands' lift expressions (_pin_rows), over Z/n for
+every n, composite or prime, so count is the product of the parts'
+counts.  Its first listing lifts each part's generators to every strand
+into one Howell form by strand (linalg._Echelon), and one odometer walks
+it in lexicographic order of strand values for every n, re-basing each
+faster generator at its pivot strand whenever a slower one steps
+(AffineSpace._walk).  first_nonconstant is the listing's first
+nonconstant coloring, and forced_equal_pair reads the same basis.  A part
+that has only the constant colorings needs no lift: its generator is 1
+on it.  Every other quandle (a non-affine table, the 1-element one) is
+listed by one generator loop over strand indices: a propagation
+worklist, an undo trail and an explicit backtracking stack, in the same
+lexicographic order (QuandleSpace); only its count runs the search to
+its end.  Both spaces have count, colorings(), first_nonconstant() and
+forced_equal_pair().
 
 Each coloring class carries one protocol: rule(oriented), its colors and
 the crossing rule's two directions; kind and key, a certificate's kind and
@@ -64,7 +60,8 @@ kept (a Fox coloring keeps residues mod N).  The one loop that checks the
 rule (_broken_crossing) lives here, and moves and persistence name no
 coloring class.  A new kind of coloring is one coloring class, one key
 and one description function, one space constructor and one entry in the
-certificate search's list.
+certificate search's list; a new affine kind (block rows over Z/p, say)
+is a row rule that AffineSpace solves and lists.
 """
 
 from __future__ import annotations
@@ -72,13 +69,15 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import isqrt, prod
+from itertools import repeat
+from math import prod
 from types import MappingProxyType
 
 from . import linalg
 from .diagram import Diagram, _find, _union, strand_classes
 
 __all__ = [
+    "AffineSpace",
     "ColoringError",
     "FoxColoring",
     "FoxSolutionSpace",
@@ -253,57 +252,133 @@ def _right_to_left(rows: list[dict[int, int]]) -> list[dict[int, int]]:
 
 
 @dataclass
-class FoxSolutionSpace:
-    """Affine set of Fox colorings of one diagram for one modulus.
+class AffineSpace:
+    """The colorings of one diagram by one affine rule mod n with some arcs
+    pinned: Fox colorings mod n (t = -1), or an affine quandle's (t, n).
 
-    _solve builds the Howell form of every row (pins, then crossings) when
-    a read first needs it, and the form then gives the count too.  Without
-    pins, a count read before that is _count's: a solve of the diagram's
-    unit residual (_unit_residual), so the space never solves its full
-    rows for a count alone.  With pins, _count is None and the count is
-    the form's.
+    The space solves when count or a listing first needs it: the kept
+    split of the unit residual at t (_split), one part per split
+    component, each with its pin rows (_pin_rows), so count is the product
+    of the parts' counts.  The first listing or forced_equal_pair lifts
+    each part's generators to every strand (linalg.lift_units) into one
+    Howell form over strand columns and keeps it (_basis).  colorings()
+    walks it in lexicographic order of strand values for every n
+    (_walk), and first_nonconstant is that walk's first nonconstant
+    coloring.  FoxSolutionSpace names this class too.
     """
 
     diagram: Diagram
     modulus: int
     strands: list[int]
     _col: Mapping[int, int]
-    _solve: Callable[[], linalg.ModularAffineSpace]
-    _count: Callable[[], int] | None = None
+    _coloring: Callable[[dict[int, int]], object]  # colors -> a FoxColoring or a QuandleColoring
+    _fox: _FoxSystem
+    _t: int
+    _pinned: list[tuple[int, int]]  # (column, value)
 
     @cached_property
-    def _space(self) -> linalg.ModularAffineSpace:
-        return self._solve()
+    def _parts(self) -> list[tuple[linalg.ModularAffineSpace, _Part, bool]]:
+        """(solution, part, pinned) per part of the split: solve_mod of its
+        pin rows, then its residual rows, over its kept strands."""
+        n = self.modulus
+        component, index, parts, pivots = _split(self.diagram, self._fox, self._t)
+        pins: dict[int, tuple[list, list]] = {}  # part name -> (pin rows, values)
+        for (c, v), row in zip(self._pinned, _pin_rows([c for c, _ in self._pinned], index, pivots, n)):
+            rows, values = pins.setdefault(component[c], ([], []))
+            rows.append(row)
+            values.append(v)
+        out = []
+        for name, part in parts.items():
+            rows, values = pins.get(name, ((), ()))
+            rhs = [*values, *[0] * len(part[2])]
+            out.append((linalg.solve_mod([*rows, *part[2]], rhs, len(part[1]), n), part, bool(rows)))
+        return out
 
     @cached_property
     def count(self) -> int:
-        if self._count is None or "_space" in self.__dict__:
-            return self._space.count
-        return self._count()
+        return prod(solution.count for solution, _, _ in self._parts)
 
-    def colorings(self):
-        """Yield every coloring, the coefficient of the last basis generator fastest."""
-        for x in self._space.enumerate():
+    @cached_property
+    def _basis(self) -> tuple[tuple[int, ...], list[tuple[int, int, object]]] | None:
+        """(x, steps), or None when the space is empty: a particular solution
+        x and one step (pivot strand s, g, generator) per Howell basis row
+        over strand columns, by pivot strand.  Each generator is 0 before s
+        and g | n at s, and x[s] < g.  An unpinned part with only the
+        constant colorings takes the generator 1 on its component, given as
+        its strands, with no lift; every other part's generators are
+        lifted, one back-substitution and one lift each."""
+        n = self.modulus
+        x = [0] * len(self.strands)
+        form = linalg._Echelon(n)
+        steps: list[tuple[int, int, object]] = []
+        for solution, (members, kept, _, pivots), pinned in self._parts:
+            if solution.count == 0:
+                return None
+            columns = solution.columns()
+            if not pinned and len(columns) == 1:
+                steps.append((members[0], 1, members))
+                continue
+            for c, _ in columns:
+                form.insert(linalg.lift_units(pivots, dict(zip(kept, solution._vector(c))), n))
+            if pinned:
+                for s, v in linalg.lift_units(pivots, dict(zip(kept, solution._vector(None))), n).items():
+                    x[s] = v
+        for s, row in form.rows.items():
+            g, u = form.units[s]  # u * row is g at s
+            steps.append((s, g, {k: w for k, v in row.items() if (w := v * u % n)}))
+        steps.sort(key=lambda step: step[0])
+        for s, g, h in steps:
+            _add(x, h, -(x[s] // g), n)
+        return tuple(x), steps
+
+    def _walk(self) -> Iterator[tuple[int, ...]]:
+        """Every solution as strand values, in lexicographic order.
+
+        One odometer over the steps, the first slowest.  A step's value at
+        its pivot strand s rises by g and stops before it would wrap past
+        n; when a step moves, every faster step is re-based, in order, by
+        subtracting the multiple of its generator that brings x[s] below g,
+        which lists the same coset of that generator's span.  So each
+        solution comes once, and two solutions first differ where their
+        first differing step's pivot strand is: the order is lexicographic
+        for every n.  For prime n every g is 1.
+        """
+        basis = self._basis
+        if basis is None:
+            return
+        n, (x, steps) = self.modulus, basis
+        x = list(x)
+        yield tuple(x)
+        while True:
+            i = len(steps) - 1
+            while i >= 0 and x[steps[i][0]] + steps[i][1] >= n:
+                i -= 1
+            if i < 0:
+                return
+            _add(x, steps[i][2], 1, n)
+            for s, g, h in steps[i + 1:]:
+                _add(x, h, -(x[s] // g), n)
+            yield tuple(x)
+
+    def colorings(self) -> Iterator:
+        """Yield every coloring, in lexicographic order of strand values."""
+        for x in self._walk():
             yield self._expand(x)
 
-    def first_nonconstant(self) -> FoxColoring | None:
-        """A nonconstant coloring read off the basis, or None when every coloring is constant.
+    def first_nonconstant(self):
+        """The first nonconstant coloring of colorings(), or None when every coloring is constant.
 
-        The particular solution if it is nonconstant, else the particular
-        solution plus the first nonconstant generator.  Nothing is
-        enumerated, and generators are built only up to that one.
+        A count no larger than the constant colorings' (n without pins, at
+        most one with them) means there is none, and nothing is walked.
+        Otherwise one of the first two colorings is nonconstant.  With pins
+        at most one is constant.  Without, the first is all 0; were the
+        second all 1, no other coloring would be 0 at the first strand, so
+        no two would agree there, and the count would be at most n.
         """
-        space = self._space
-        if space.count == 0:
+        pins = {v % self.modulus for _, v in self._pinned}
+        if self.count <= (len(pins) == 1 if pins else self.modulus):
             return None
-        particular = space._vector(None)
-        if len(set(particular)) >= 2:
-            return self._expand(particular)
-        for c, _ in space.columns():
-            g = space._vector(c)
-            if len(set(g)) >= 2:  # the particular solution is constant, so particular + g is not
-                return self._expand(tuple((a + b) % self.modulus for a, b in zip(particular, g)))
-        return None
+        return next(self._expand(x) for x in self._walk() if len(set(x)) >= 2)
 
     def forced_equal_pair(self) -> tuple[int, int] | None:
         """Two distinct strands that receive equal colors in every solution.
@@ -311,50 +386,68 @@ class FoxSolutionSpace:
         This is the propagation clash behind a failed certificate search:
         the boundary pins force two internal arcs to agree, collapsing every
         coloring to a constant one.  Two strands agree in every solution iff
-        they agree in the particular solution and in every generator.
+        they agree in the particular solution and in every generator of
+        _basis, and the set of such pairs does not depend on the basis.
         Returns the lexicographically first such pair, or None when the
         space is empty or has no such pair.
         """
-        if self._space.count == 0:
+        basis = self._basis
+        if basis is None:
             return None
-        particular, generators = self._space.basis()
+        x, steps = basis
+        keys = [[v] for v in x]
+        for i, (_, _, h) in enumerate(steps):
+            for k, v in _entries(h):
+                keys[k].append((i, v))
         groups: dict[tuple, list[int]] = {}
-        for i in range(len(self.strands)):
-            key = (particular[i],) + tuple(g[i] for g, _ in generators)
-            groups.setdefault(key, []).append(i)
+        for s, key in enumerate(keys):
+            groups.setdefault(tuple(key), []).append(s)
         pairs = [g[:2] for g in groups.values() if len(g) >= 2]
         if not pairs:
             return None
         i, j = min(pairs)
         return (self.strands[i], self.strands[j])
 
-    def _expand(self, strand_values) -> FoxColoring:
-        return FoxColoring(self.modulus, {label: strand_values[c] for label, c in self._col.items()})
+    def _expand(self, strand_values):
+        return self._coloring({label: strand_values[c] for label, c in self._col.items()})
 
 
-def fox_solution_space(d: Diagram, modulus: int, pins: dict[int, int] | None = None) -> FoxSolutionSpace:
-    """All Fox colorings of d mod `modulus` with the pinned arcs fixed.
+FoxSolutionSpace = AffineSpace  # the name it has always had, read by bench/spans.py
+
+
+def _entries(h) -> Iterator[tuple[int, int]]:
+    """A generator's (strand, value) pairs: h is a sparse dict, or the strands of a component, on which it is 1."""
+    return h.items() if isinstance(h, dict) else zip(h, repeat(1))
+
+
+def _add(x: list[int], h, f: int, n: int) -> None:
+    """x += f * h mod n, in place; nothing when f is 0."""
+    if f:
+        for k, v in _entries(h):
+            x[k] = (x[k] + f * v) % n
+
+
+def fox_solution_space(d: Diagram, modulus: int, pins: dict[int, int] | None = None) -> AffineSpace:
+    """All Fox colorings of d mod `modulus` with the pinned arcs fixed: the
+    affine space at t = -1.
 
     Inconsistent pins give the empty space (count 0), not an error.
     """
     if modulus < 2:
         raise ColoringError("modulus must be at least 2")
-    fox = strands, col, _, crossing_rows = _strand_columns(d)
-    pins = pins or {}
-    for label in pins:
+    fox = strands, col, _, _ = _strand_columns(d)
+    return AffineSpace(d, modulus, list(strands), col, partial(FoxColoring, modulus), fox, -1, _pinned(col, pins))
+
+
+def _pinned(col: Mapping[int, int], pins: dict[int, int] | None, size: int | None = None) -> list[tuple[int, int]]:
+    """Each pin as (its strand's column, its value); ColoringError for an arc
+    not in the diagram or, when size is given, a value outside range(size)."""
+    for label, v in (pins or {}).items():
         if label not in col:
             raise ColoringError(f"pinned arc {label} is not in the diagram")
-    solve = partial(_pinned_solve, col, pins, crossing_rows, len(strands), modulus)
-    count = None if pins else partial(_residual_count, d, fox, modulus)
-    return FoxSolutionSpace(d, modulus, list(strands), col, solve, count)
-
-
-def _pinned_solve(col: Mapping[int, int], pins: Mapping[int, int], rows, n_vars: int, modulus: int):
-    """solve_mod on one row per pin (1 at the label's column, its value on the
-    right) and then the crossing rows.  Pins go first: each fixes one
-    unknown, and eliminating it first adds no fill."""
-    rhs = [*pins.values()] + [0] * len(rows)
-    return linalg.solve_mod([{col[label]: 1} for label in pins] + list(rows), rhs, n_vars, modulus)
+        if size is not None and not 0 <= v < size:
+            raise ColoringError(f"pin value {v} outside the quandle")
+    return [(col[label], v) for label, v in (pins or {}).items()]
 
 
 _Units = tuple[tuple[Mapping[int, int], ...], int, tuple[tuple[int, Mapping[int, int]], ...]]
@@ -368,7 +461,7 @@ def _unit_residual(d: Diagram, fox: _FoxSystem, t: int = -1) -> _Units:
     A validated diagram keeps each t's record, immutable, in its instance
     dict under "_units" (t -> record) from the first call on, beside
     "_fox"; an unvalidated one keeps nothing.  At t = -1 the rows are the
-    Fox system's, so link_determinant, every unpinned Fox count and every
+    Fox system's, so link_determinant, every Fox space and every
     dihedral(n) quandle space read one record.
     """
     units = d.__dict__.get("_units", {})
@@ -384,12 +477,60 @@ def _unit_residual(d: Diagram, fox: _FoxSystem, t: int = -1) -> _Units:
     return record
 
 
-def _residual_count(d: Diagram, fox: _FoxSystem, modulus: int) -> int:
-    """The number of Fox colorings mod `modulus`, counted on the unit residual:
-    each eliminated column is fixed by its unit pivot, so this is exact for
-    every modulus."""
-    residual, n_left, _ = _unit_residual(d, fox)
-    return linalg.solve_mod(residual, [0] * len(residual), n_left, modulus).count
+# one split component: (its strands, its kept strands (the residual's columns
+# it holds), its residual rows over its kept strands' positions, its part of
+# the pivot record), each in strand order
+_Part = tuple[tuple[int, ...], tuple[int, ...], tuple[Mapping[int, int], ...], tuple[tuple[int, Mapping[int, int]], ...]]
+_Split = tuple[tuple[int, ...], Mapping[int, int], Mapping[int, _Part], tuple[tuple[int, Mapping[int, int]], ...]]
+
+
+def _split(d: Diagram, fox: _FoxSystem, t: int) -> _Split:
+    """(component, index, parts, pivots) of d's unit residual at t: each
+    strand's split component (strands joined by crossings), named by its
+    smallest strand; each kept strand's position among its part's kept
+    strands; one part per component (name -> _Part); and the whole pivot
+    record, which _pin_rows reads.  The colorings are the product of the
+    parts' solutions lifted to every strand: no residual row joins two
+    parts, and every part keeps a strand, since the constant colorings
+    leave no component's rows of full rank.  Each eliminated column is
+    fixed by its unit pivot mod every n, so the parts count exactly for
+    composite n too.
+
+    A validated diagram keeps each t's split, immutable, in its instance
+    dict under "_split" (t -> split) beside "_units", so the spaces of one
+    diagram and rule, whatever their modulus and pins, add only their pin
+    rows; an unvalidated one keeps nothing.
+    """
+    splits = d.__dict__.get("_split", {})
+    record = splits.get(t)
+    if record is None:
+        residual, _, pivots = _unit_residual(d, fox, t)
+        component = _split_components(len(fox[0]), fox[2])
+        dropped = {c for c, _ in pivots}
+        parts: dict[int, tuple[list, list, list, list]] = {}
+        index: dict[int, int] = {}
+        kept = []  # the residual's columns' strands
+        for s, name in enumerate(component):
+            members, part_kept, _, _ = parts.setdefault(name, ([], [], [], []))
+            members.append(s)
+            if s not in dropped:
+                index[s] = len(part_kept)
+                part_kept.append(s)
+                kept.append(s)
+        if len(parts) == 1:  # one component: its columns are the residual's
+            parts[0][2].extend(row for row in residual if row)
+        else:
+            for row in residual:
+                if row:
+                    local = MappingProxyType({index[kept[j]]: v for j, v in row.items()})
+                    parts[component[kept[next(iter(row))]]][2].append(local)
+        for pivot in pivots:
+            parts[component[pivot[0]]][3].append(pivot)
+        frozen = MappingProxyType({name: tuple(map(tuple, part)) for name, part in parts.items()})
+        record = (tuple(component), MappingProxyType(index), frozen, pivots)
+        if "_valid" in d.__dict__:
+            d.__dict__["_split"] = MappingProxyType({**splits, t: record})
+    return record
 
 
 def has_nontrivial_fox(d: Diagram, modulus: int) -> bool:
@@ -595,18 +736,18 @@ class QuandleColoring(_Coloring):
 
 @dataclass
 class QuandleSpace:
-    """One diagram's colorings by one quandle, walked lazily as strand-value
-    tuples in lexicographic order; a dict is built only per coloring taken."""
+    """One diagram's colorings by a quandle that is not affine, walked lazily
+    by _search as strand-value tuples in lexicographic order; a dict is
+    built only per coloring taken."""
 
     quandle: Quandle
     _col: Mapping[int, int]  # label -> its strand's position in the walked tuples
     _walk: Callable[[], Iterator[tuple[int, ...]]]
-    _count: Callable[[], int]
 
     @cached_property
     def count(self) -> int:
-        """By elimination for an affine quandle, else a walk to the end of the search that builds no dicts."""
-        return self._count()
+        """A walk to the end of the search that builds no dicts."""
+        return sum(1 for _ in self._walk())
 
     def colorings(self) -> Iterator[QuandleColoring]:
         """Yield every coloring, in lexicographic order of strand values."""
@@ -618,109 +759,33 @@ class QuandleSpace:
         return next((self._expand(x) for x in self._walk() if len(set(x)) >= 2), None)
 
     def forced_equal_pair(self) -> None:
-        """None: a quandle search records no clash."""
+        """None: a search over a non-affine table records no clash."""
         return None
 
     def _expand(self, strand_values) -> QuandleColoring:
         return QuandleColoring(self.quandle, {label: strand_values[c] for label, c in self._col.items()})
 
 
-def quandle_space(d: Diagram, q: Quandle, pins: dict[int, int] | None = None) -> QuandleSpace:
+def quandle_space(d: Diagram, q: Quandle, pins: dict[int, int] | None = None) -> AffineSpace | QuandleSpace:
     """All colorings of d by q with the pinned arcs fixed; clashing pins give the empty space.
 
-    An affine quandle (a * b = t*a + (1-t)*b mod n, dihedral(n) with t = -1)
-    is solved over Z/n on the diagram's unit residual at t, one split
-    component at a time (_split_solve), which gives count for every n.  For
-    prime n the solve also lists (_lexicographic).  Over a composite n a
-    Howell basis does not step in lexicographic order, so such a quandle,
-    like every non-affine one, is listed by _search.  Each space solves at
-    most once, when count or a listing first needs it.
+    An affine quandle (a * b = t*a + (1-t)*b mod n) gets the affine space
+    of its rule mod n, the one Fox colorings get, with t taken in
+    (-n/2, n/2] so that dihedral(n) reads the Fox residual; it solves and
+    lists for every n.  Every other quandle (a non-affine table, the
+    1-element one) is listed by _search.
 
     Non-involutory quandles need an oriented diagram when d has crossings.
     """
     if not q.involutory and d.crossings and not d.oriented:
         raise ColoringError("orientation required for non-involutory quandle colorings")
-    pins = pins or {}
     fox = strands, col, triples, _ = _strand_columns(d)
-    for label, v in pins.items():
-        if label not in col:
-            raise ColoringError(f"pinned arc {label} is not in the diagram")
-        if not (0 <= v < q.size):
-            raise ColoringError(f"pin value {v} outside the quandle")
-    pinned = [(col[label], v) for label, v in pins.items()]
-    walk = partial(_search, q, triples, d.crossings, len(strands), pinned)
-    if q._affine is None:
-        return QuandleSpace(q, col, walk, lambda: sum(1 for _ in walk()))
-    split = _once(partial(_split_solve, d, fox, q, pinned))
-    count = lambda: prod(part[0].count for part in split()[2])  # noqa: E731
-    if any(q.size % k == 0 for k in range(2, isqrt(q.size) + 1)):  # composite
-        return QuandleSpace(q, col, walk, count)
-    basis = _once(partial(_lexicographic, split, q.size))
-    return QuandleSpace(q, col, lambda: iter(()) if basis() is None else linalg.odometer(*basis()), count)
-
-
-def _once(f: Callable[[], object]) -> Callable[[], object]:
-    """f, called at most once: every later call returns its first result.
-    One is made per space, for less than functools.cache, which copies f's
-    metadata."""
-    kept = []
-
-    def first():
-        if not kept:
-            kept.append(f())
-        return kept[0]
-
-    return first
-
-
-# one split component's solve: (solution over its residual columns, its
-# name (its smallest strand), its residual columns' strands, whether pinned)
-_Part = tuple[linalg.ModularAffineSpace, int, list[int], bool]
-_Split = tuple[list[int], tuple[tuple[int, Mapping[int, int]], ...], list[_Part]]
-
-
-def _split_solve(d: Diagram, fox: _FoxSystem, q: Quandle, pinned) -> _Split:
-    """(component, pivots, parts): each strand's split component (strands
-    joined by crossings), named by its smallest strand; the pivot record of
-    the unit residual at q's t, taken in (-n/2, n/2] so that dihedral(n)
-    reads the Fox record; and one part per component, solve_mod of its
-    rows of that residual with one row per pin in it first.  The colorings
-    by the affine quandle q are the product of the parts' solutions lifted
-    to every strand; no row joins two parts, and every part has a residual
-    column, since the constant colorings leave no component's rows of full
-    rank.
-
-    A pin row is its strand's lift expression over its part's residual
-    columns (_pin_rows).  Each eliminated column is fixed by its unit pivot
-    mod every n, so the count is exact for composite n too.
-    """
-    n = q.size
-    t = q._affine if 2 * q._affine <= n else q._affine - n
-    residual, _, pivots = _unit_residual(d, fox, t)
-    component = _split_components(len(fox[0]), fox[2])
-    dropped = {c for c, _ in pivots}
-    kept = [s for s in range(len(component)) if s not in dropped]
-    parts: dict[int, tuple[list, list, list]] = {}  # name -> (residual columns' strands, rows, rhs)
-    index = {}  # residual column's strand -> its column in its part
-    for s in kept:
-        part = parts.setdefault(component[s], ([], [], []))
-        index[s] = len(part[0])
-        part[0].append(s)
-    for (c, v), row in zip(pinned, _pin_rows([c for c, _ in pinned], index, pivots, n)):
-        part = parts[component[c]]
-        part[1].append(row)
-        part[2].append(v)
-    pinned_names = {component[c] for c, _ in pinned}
-    for row in residual:
-        if row:
-            part = parts[component[kept[next(iter(row))]]]
-            part[1].append({index[kept[j]]: v for j, v in row.items()})
-            part[2].append(0)
-    solved = [
-        (linalg.solve_mod(rows, rhs, len(strands), n), name, strands, name in pinned_names)
-        for name, (strands, rows, rhs) in parts.items()
-    ]
-    return component, pivots, solved
+    pinned = _pinned(col, pins, q.size)
+    if q._affine is not None:
+        n = q.size
+        t = q._affine if 2 * q._affine <= n else q._affine - n
+        return AffineSpace(d, n, list(strands), col, partial(QuandleColoring, q), fox, t, pinned)
+    return QuandleSpace(q, col, partial(_search, q, triples, d.crossings, len(strands), pinned))
 
 
 def _split_components(n_strands: int, triples) -> list[int]:
@@ -763,88 +828,6 @@ def _pin_rows(columns: list[int], index: Mapping[int, int], pivots, n: int) -> l
                             e[j] = (e.get(j, 0) - row[c] * v * w) % n
                 expression[c] = {j: w for j, w in e.items() if w}
     return [expression[c] if c in expression else {index[c]: 1} for c in columns]
-
-
-def _lexicographic(split: Callable[[], _Split], p: int):
-    """The odometer's arguments (x, orders, vector, p) that list every
-    solution mod the prime p, lifted to every strand, in lexicographic
-    order, or None when a part has no solution.
-
-    Each part's lifted generators are brought to reduced row echelon form
-    in strand order (each is 1 at its pivot strand, 0 at every other pivot
-    strand and at every earlier strand), and its lifted particular solution
-    is cleared at the pivot strands.  A solution's value at each pivot
-    strand is then its coefficient there, and two solutions first differ at
-    the pivot strand of their first differing coefficient; so the odometer,
-    steps sorted by pivot strand, the first slowest, lists in lexicographic
-    order.  An unpinned part with one generator has only the constant
-    colorings: its generator is 1 on its component, its pivot strand the
-    component's smallest, and it needs no lift; its dense vector is built
-    only when the odometer first steps it.  Every other part is lifted and
-    reduced here, once per space, at a cost of its size times its number
-    of generators.
-    """
-    component, pivots, parts = split()
-    n_vars = len(component)
-    x, steps = [0] * n_vars, []  # (pivot strand, sparse generator, or None for a constant one)
-    by_part = None  # name -> its part of the pivot record, in pivot order
-    for solution, name, kept, pinned in parts:
-        if solution.count == 0:
-            return None
-        columns = solution.columns()
-        if not pinned and len(columns) == 1:
-            steps.append((name, None))
-            continue
-        if by_part is None:  # grouped once, when the first part is lifted
-            by_part = {}
-            for c, row in pivots:
-                by_part.setdefault(component[c], []).append((c, row))
-        part_pivots = by_part.get(name, ())
-        echelon: list[tuple[int, dict[int, int]]] = []
-        for c, _ in columns:
-            g = linalg.lift_units(part_pivots, dict(zip(kept, solution._vector(c))), p)
-            for s, h in echelon:
-                g = _clear(g, s, h, p)
-            s = min(g)
-            inverse = pow(g[s], -1, p)
-            g = {k: v * inverse % p for k, v in g.items()}
-            echelon = [(r, _clear(h, s, g, p)) for r, h in echelon] + [(s, g)]
-        particular = linalg.lift_units(part_pivots, dict(zip(kept, solution._vector(None))), p) if pinned else {}
-        for s, g in echelon:
-            particular = _clear(particular, s, g, p)
-        for s, v in particular.items():
-            x[s] = v
-        steps += echelon
-    steps.sort(key=lambda step: step[0])
-    vectors: dict[int, list[int]] = {}  # step -> its dense generator, once stepped
-
-    def vector(i: int) -> list[int]:
-        if i not in vectors:
-            s, g = steps[i]
-            if g is None:
-                vectors[i] = [int(name == s) for name in component]
-            else:
-                vectors[i] = v = [0] * n_vars
-                for k, w in g.items():
-                    v[k] = w
-        return vectors[i]
-
-    return tuple(x), [p] * len(steps), vector, p
-
-
-def _clear(h: dict[int, int], s: int, g: dict[int, int], p: int) -> dict[int, int]:
-    """h minus h[s] times g, mod p, zeros dropped: 0 at s when g is 1 there."""
-    f = h.get(s)
-    if not f:
-        return h
-    out = dict(h)
-    for k, v in g.items():
-        w = (out.get(k, 0) - f * v) % p
-        if w:
-            out[k] = w
-        else:
-            del out[k]
-    return out
 
 
 def _search(q: Quandle, triples, crossings, n_strands: int, pinned) -> Iterator[tuple[int, ...]]:

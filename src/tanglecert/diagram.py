@@ -45,11 +45,11 @@ the pairing.  Only validate and faces() walk every face.  The first
 coloring solver call on a validated diagram keeps its Fox system
 (colorings._strand_columns: strand representatives, label columns,
 crossing triples and crossing rows, immutable) beside the index, and the
-first unpinned Fox count, link determinant or affine quandle space keeps
-the unit residual of its crossing rows, one per affine rule
-(colorings._unit_residual, immutable), beside that;
-validate builds neither, an unvalidated diagram keeps nothing, and a
-pickled or copied diagram drops both.  validate
+first Fox or affine quandle space solve or link determinant keeps the
+unit residual of its crossing rows and its split by component, one each
+per affine rule (colorings._unit_residual and _split, immutable), beside
+that; validate builds none of them, an unvalidated diagram keeps nothing,
+and a pickled or copied diagram drops them.  validate
 rejects a Diagram whose fields, or a Crossing whose slots, are not
 tuples, so a marked object cannot change after the check, and labels the
 index cannot hold (not integers below 2**31).
@@ -121,9 +121,9 @@ class Diagram:
         return bool(self.crossings) and all(c.sign != 0 for c in self.crossings)
 
     def __getstate__(self) -> dict:
-        # the kept Fox system and unit residual hold mappingproxies, which do
-        # not pickle; the first solver call on the copy builds them again
-        return {k: v for k, v in self.__dict__.items() if k not in ("_fox", "_units")}
+        # the kept Fox system, unit residuals and splits hold mappingproxies,
+        # which do not pickle; the first solver call on the copy builds them again
+        return {k: v for k, v in self.__dict__.items() if k not in ("_fox", "_units", "_split")}
 
     def arcs(self) -> frozenset[int]:
         labels = set()

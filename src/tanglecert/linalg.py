@@ -15,17 +15,15 @@ extended-gcd step (a unimodular 2x2 transform) replaces the pivot by their
 gcd, so the pivot's ideal strictly grows.  In Howell form the system is
 inconsistent iff some pivot sits in the right-hand-side column.  The
 solution count is the product of gcd(pivot, N) over pivot columns times N
-per free column.  Back substitution solves the system without
-backtracking.  The basis of solutions (a particular solution plus
-generators with their orders) is built a vector at a time, when a caller
-first reads it: ModularAffineSpace.enumerate walks the generators with
-odometer, the one listing loop, which reads each generator the first time
-it steps, so listing the first few of N^k solutions builds a few
-generators, not k.  Nothing caps a listing; callers take what they need
-of it.  (The affine quandle listing in colorings hands odometer a basis
-in reduced row echelon form by strand instead, which it builds, one split
-component at a time, before the first step: eager in the generators of
-every component that is pinned or has more than the constant colorings.)
+per free column.  Back substitution gives a particular solution and one
+generator per column of order > 1 (ModularAffineSpace), without
+backtracking.  The same form, grown from generators rather than
+equations (_Echelon.insert), is a Howell basis of the module they span:
+each pivot row times its u is 0 before its pivot column s and g | N at s,
+and every element that is 0 before s is a combination of the rows from s
+on.  The coloring solvers list a solution set from such a basis by
+strand, which gives lexicographic order for every N
+(colorings.AffineSpace._walk).
 
 Rows enter the elimination in the order given.  The coloring solvers feed
 crossing rows right to left (by decreasing rightmost column), which needs
@@ -42,8 +40,9 @@ lift_units, back-substituting in reverse pivot order, lifts any solution
 mod N on the residual's columns to every column, sparse, over as much of
 the record as the caller hands it (one split component's part, say).  The
 coloring solvers keep the residual and the record beside the Fox system,
-read every unpinned Fox count and the link determinant off the residual,
-and solve every affine quandle space on it and lift its basis.
+read the link determinant off the residual, and solve every Fox and
+affine quandle space on it, one split component at a time, and lift its
+basis.
 
 abs_determinant eliminates over Z without fractions (Bareiss 1968), sparse
 and column by column, so it needs no modulus: every entry it keeps is a
@@ -53,8 +52,8 @@ a bound on it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from math import gcd, prod
 
 
@@ -185,67 +184,29 @@ class _Echelon:
 
 @dataclass
 class ModularAffineSpace:
-    """The solution set of A*x = b (mod N), exactly counted and walkable.
+    """The solution set of A*x = b (mod N), exactly counted.
 
     The count comes straight from the Howell form.  Every solution is
     x0 + sum(l_i * g_i) for exactly one choice of 0 <= l_i < o_i: x0 the
     particular solution, g_i the generator of column c_i, of order o_i > 1.
-    columns() lists the (c_i, o_i) and builds nothing; each vector is
-    back-substituted on first use and kept for basis() and enumerate().
+    columns() lists the (c_i, o_i) and builds nothing; _vector
+    back-substitutes x0 or one g_i.
     """
 
     modulus: int
     n_vars: int
     count: int
     _form: _Echelon | None = None
-    _vectors: dict = field(default_factory=dict)  # column -> generator; None -> particular
 
     def _vector(self, c: int | None) -> tuple[int, ...]:
-        """The particular solution (c None) or the generator of column c, kept once built."""
-        if c not in self._vectors:
-            values = {} if c is None else {c: 1}
-            self._vectors[c] = self._form.back_substitute(self.n_vars, values, rhs=c is None)
-        return self._vectors[c]
+        """The particular solution (c None) or the generator of column c, back-substituted."""
+        return self._form.back_substitute(self.n_vars, {} if c is None else {c: 1}, rhs=c is None)
 
     def columns(self) -> list[tuple[int, int]]:
         """(column, order) of every generator, by increasing column."""
         form = self._form
         orders = [form.units[c][0] if c in form.rows else self.modulus for c in range(self.n_vars)]
         return [(c, order) for c, order in enumerate(orders) if order > 1]
-
-    def basis(self) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]:
-        """(particular solution, [(generator, order), ...]); the space must not be empty."""
-        if self.count == 0:
-            raise ValueError("the solution set is empty")
-        return self._vector(None), [(self._vector(c), order) for c, order in self.columns()]
-
-    def enumerate(self):
-        """Yield every solution as a tuple: the coefficients of the generators
-        of columns() in lexicographic order, the last one fastest; a
-        generator is built when it first steps."""
-        if self.count == 0:
-            return
-        columns = self.columns()
-        orders = [order for _, order in columns]
-        yield from odometer(self._vector(None), orders, lambda i: self._vector(columns[i][0]), self.modulus)
-
-
-def odometer(x: tuple[int, ...], orders: list[int], vector: Callable[[int], Sequence[int]], modulus: int):
-    """Yield x + sum(l_i * vector(i)) mod modulus, as tuples, for every
-    0 <= l_i < orders[i], in lexicographic order of (l_0, l_1, ...), the
-    last fastest.  vector(i) is read each time l_i steps, so a caller can
-    build it on first use.  This is the one listing loop."""
-    coeffs = [0] * len(orders)
-    yield x
-    for _ in range(prod(orders) - 1):
-        for i in reversed(range(len(orders))):
-            order = orders[i]
-            coeffs[i] = (coeffs[i] + 1) % order
-            step = 1 if coeffs[i] else 1 - order
-            x = tuple([(a + step * b) % modulus for a, b in zip(x, vector(i))])
-            if coeffs[i]:
-                break
-        yield x
 
 
 def solve_mod(rows: list[Mapping[int, int]], rhs: list[int], n_vars: int, modulus: int) -> ModularAffineSpace:

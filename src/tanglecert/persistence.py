@@ -433,8 +433,9 @@ def find_certificate_report(
     reaches it.
     Endpoints are pinned to 0 for Fox moduli (the affine symmetry u*c + v
     makes this lossless) and to each orbit representative for quandles.
-    When no certificate exists at some modulus, the report records a
-    propagation clash: a pair of arcs forced to share a color.
+    When no certificate exists at some modulus or affine quandle, the
+    report records a propagation clash, a pair of arcs forced to share a
+    color (for a quandle, in its last pinned space).
     """
     if len(t.boundary) not in (2, 4):
         raise DiagramError("certificates are for 1- and 2-tangles")

@@ -6,14 +6,18 @@ assignments, determinants use recursive cofactor expansion or Gaussian
 elimination over the stdlib Fraction type, which fractions use as well,
 and the dense integer diagonalization below is the unimodular elimination
 over Z that the sparse modular solver replaced.
-reference_fox_solution_space is the Fox solve as it was before each
-diagram kept its coloring system and crossing rows entered the
-elimination right to left: strand columns built afresh on every call,
-pins first, then the crossing rows in crossing order, into the library's
-solve_mod, whose counts the oracles above check.
-reference_first_nonconstant is first_nonconstant as it was before it built
-generators only up to the first nonconstant one: read off basis(), which
-back-substitutes every generator.
+reference_fox_solution_space is the Fox solve as it was before Fox spaces
+solved the unit residual one split component at a time: strand columns
+built afresh on every call, pins first, then the full crossing rows in
+crossing order, into the library's solve_mod, whose counts the oracles
+above check.  Its forced_equal_pair groups strands by the particular
+solution and every generator of that solve, as the Fox space did before
+it read its lifted basis; its solutions() lists every coloring from that
+basis (modular_solutions, which walks any solve_mod space), sorted.
+reference_first_nonconstant reads the lexicographically first nonconstant
+Fox coloring off those full-row solves, one strand at a time: each strand
+takes the least value the solve with every earlier strand pinned allows
+(its particular value mod the gcd of its generators' entries and N).
 The quandle coloring reference is the recursive backtracking search that
 the one-loop search replaced.
 The diagram validator is the tuple-keyed occurrence scan that the
@@ -60,7 +64,9 @@ the co-facial pairs collected face by face from faces().
 reference_find_certificate_report is the certificate search as it was
 before each coloring kind carried its own rule and key: one loop over the
 Fox moduli, then one over the quandles and their orbit representatives.
-It calls the library's solvers and issuer, which the tests above check.
+It calls the library's solvers and issuer, which the tests above check,
+and, as the one loop does, records the clash of a quandle's last pinned
+space, which an affine quandle's space reports.
 """
 
 import random
@@ -72,7 +78,6 @@ from math import gcd
 from tanglecert.colorings import (
     ColoringError,
     FoxColoring,
-    FoxSolutionSpace,
     QuandleColoring,
     fox_solution_space,
     link_determinant,
@@ -334,6 +339,56 @@ def minor_determinant(d):
     return abs(int(det))
 
 
+class ReferenceFoxSpace:
+    """The Fox colorings of one diagram mod N read off one full-row solve."""
+
+    def __init__(self, strands, modulus, space):
+        self.strands, self.modulus, self.space = strands, modulus, space
+        self.count = space.count
+
+    def basis(self):
+        """(particular solution, [generator, ...]) as strand-value tuples; the space must not be empty."""
+        space = self.space
+        return space._vector(None), [space._vector(c) for c, _ in space.columns()]
+
+    def forced_equal_pair(self):
+        """The first pair of strands equal in the particular solution and every generator."""
+        if self.count == 0:
+            return None
+        particular, generators = self.basis()
+        groups = {}
+        for i in range(len(self.strands)):
+            groups.setdefault((particular[i], *(g[i] for g in generators)), []).append(i)
+        pairs = [g[:2] for g in groups.values() if len(g) >= 2]
+        if not pairs:
+            return None
+        i, j = min(pairs)
+        return (self.strands[i], self.strands[j])
+
+    def solutions(self):
+        """Every solution as strand values, sorted."""
+        return sorted(modular_solutions(self.space))
+
+
+def modular_solutions(space):
+    """Every solution of a solve_mod space, each once: its particular
+    solution plus each combination of its generators, each taken up to its
+    order, the last generator's coefficient fastest."""
+    if space.count == 0:
+        return
+    n, columns = space.modulus, space.columns()
+    vectors = [space._vector(c) for c, _ in columns]
+
+    def walk(i, x):
+        if i == len(vectors):
+            yield x
+            return
+        for k in range(columns[i][1]):
+            yield from walk(i + 1, tuple((a + k * b) % n for a, b in zip(x, vectors[i])))
+
+    yield from walk(0, space._vector(None))
+
+
 def reference_fox_solution_space(d, modulus, pins=None):
     """Fox colorings of d mod modulus with pinned arcs: fresh strand columns,
     pin rows first, then one row per crossing in crossing order."""
@@ -350,22 +405,50 @@ def reference_fox_solution_space(d, modulus, pins=None):
         row[u_out] = row.get(u_out, 0) - 1
         rows.append({k: v for k, v in row.items() if v})
         rhs.append(0)
-    space = solve_mod(rows, rhs, len(strands), modulus)
-    return FoxSolutionSpace(d, modulus, strands, col, lambda: space)
+    return ReferenceFoxSpace(strands, modulus, solve_mod(rows, rhs, len(strands), modulus))
 
 
-def reference_first_nonconstant(space):
-    """FoxSolutionSpace.first_nonconstant read off the whole basis: the
-    particular solution if it is nonconstant, else it plus the first
-    nonconstant generator, every generator back-substituted first."""
-    if space.count == 0:
-        return None
-    particular, generators = space._space.basis()
-    if len(set(particular)) >= 2:
-        return space._expand(particular)
-    for g, _ in generators:
-        if len(set(g)) >= 2:
-            return space._expand(tuple((a + b) % space.modulus for a, b in zip(particular, g)))
+def reference_first_nonconstant(d, modulus, pins=None):
+    """The lexicographically first nonconstant Fox coloring of d mod modulus
+    with the pins, as strand values, or None.
+
+    The least coloring takes, strand by strand, the least value the full
+    rows allow with every earlier strand pinned.  If it is constant, the
+    next coloring in lexicographic order raises the last strand that can
+    rise with the strands before it kept, by the gcd its solve gives, and
+    completes the rest least; a constant coloring's successor is
+    nonconstant whenever any coloring is, since each value of the first
+    strand carries at most one constant coloring."""
+    pins = dict(pins or {})
+    strands = reference_fox_solution_space(d, modulus, pins).strands
+
+    def step(fixed, i):
+        """(value, gcd) that strand i takes least with fixed pinned, or None when nothing solves."""
+        space = reference_fox_solution_space(d, modulus, fixed)
+        if space.count == 0:
+            return None
+        particular, generators = space.basis()
+        g = gcd(modulus, *(h[i] for h in generators))
+        return particular[i] % g, g
+
+    def least(fixed, start):
+        fixed = dict(fixed)
+        for i in range(start, len(strands)):
+            found = step(fixed, i)
+            if found is None:
+                return None
+            fixed[strands[i]] = found[0]
+        return tuple(fixed[s] for s in strands)
+
+    first = least(pins, 0)
+    if first is None or len(set(first)) >= 2:
+        return first
+    for i in reversed(range(len(strands))):
+        fixed = {**pins, **dict(zip(strands[:i], first))}
+        _, g = step(fixed, i)
+        if first[i] + g < modulus:
+            following = least({**fixed, strands[i]: first[i] + g}, i + 1)
+            return following if len(set(following)) >= 2 else None
     return None
 
 
@@ -1071,13 +1154,19 @@ def reference_find_certificate_report(t, moduli=None, quandles=()):
             entry["clash"] = list(clash)
         report.entries.append(entry)
     for q in quandles:
+        clash = None
         for v in q.orbit_representatives():
-            hit = quandle_space(t, q, pins={e: v for e in t.boundary}).first_nonconstant()
+            space = quandle_space(t, q, pins={e: v for e in t.boundary})
+            hit = space.first_nonconstant()
             if hit is not None:
                 report.certificate = _issue(t, hit, v)
                 report.entries.append({"quandle": q.name or "table", "pin": v, "found": True})
                 return report
-        report.entries.append({"quandle": q.name or "table", "found": False})
+            clash = space.forced_equal_pair()
+        entry = {"quandle": q.name or "table", "found": False}
+        if clash:
+            entry["clash"] = list(clash)
+        report.entries.append(entry)
     return report
 
 

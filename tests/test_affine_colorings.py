@@ -1,17 +1,18 @@
 """Affine quandle colorings by elimination against the search they replaced.
 
-quandle_space solves an affine quandle (a * b = t*a + (1-t)*b mod n) by
-one linalg.solve_mod call on the diagram's unit residual at t, which gives
-its count; for prime n the same solve, lifted to every strand, lists the
-colorings.  Its listing must be that of
-oracles.reference_quandle_colorings in the same order (every prefix taken
-with islice the reference's prefix), with the same count, the same first
-nonconstant coloring and the same exceptions: on seeded braid closures,
-Alexander quandles on their oriented copies (both crossing signs) and
-dihedral ones on the unoriented closures, with pins and with short
-prefixes.  Composite orders and non-affine tables are listed by the search.
-A split diagram is solved one component at a time; on many components a
-short listing must build only what it steps, bar the eager basis of each
+quandle_space solves an affine quandle (a * b = t*a + (1-t)*b mod n) on
+the diagram's unit residual at t, one split component at a time, which
+gives its count; the solve, lifted to every strand, lists the colorings
+for every n, prime or composite, as a Fox space lists its own.  Its
+listing must be that of oracles.reference_quandle_colorings and of
+_search in the same order (every prefix taken with islice the reference's
+prefix), with the same count, the same first nonconstant coloring, the
+forced pair read off the listing and the same exceptions: on seeded braid
+closures, Alexander quandles on their oriented copies (both crossing
+signs) and dihedral ones on the unoriented closures, with pins and with
+short prefixes.  Only non-affine tables are listed by the search.  A
+split diagram is solved one component at a time; on many components a
+short listing must build only what it steps, bar the lifted basis of each
 component with nonconstant or pinned colorings, and a second walk of the
 same space builds nothing.
 """
@@ -22,7 +23,7 @@ from itertools import islice
 
 import pytest
 
-from oracles import reference_quandle_colorings
+from oracles import brute_fox_count, reference_quandle_colorings
 from tanglecert import colorings, linalg
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import (
@@ -139,13 +140,17 @@ def solves(monkeypatch):
 
 @pytest.mark.parametrize(
     "q,want",
-    [(dihedral(3), 1), (alexander(7, 3), 1), (dihedral(4), 0), (NOT_AFFINE, 0)],
+    [(dihedral(3), 1), (alexander(7, 3), 1), (dihedral(4), 1), (NOT_AFFINE, 0)],
     ids=["dihedral-3", "alexander-7-3", "dihedral-4", "not-affine"],
 )
-def test_only_prime_affine_quandles_are_solved(solves, q, want):
+def test_every_affine_quandle_is_solved(solves, monkeypatch, q, want):
+    # a listing solves an affine quandle of any order once and never walks the search
+    walks = []
+    real = colorings._search
+    monkeypatch.setattr(colorings, "_search", lambda *args: walks.append(args) or real(*args))
     d = orient(braid_closure([1, -2, 1, -2], 3))
     list(quandle_space(d, q, pins={1: 0}).colorings())
-    assert len(solves) == want
+    assert (len(solves), len(walks)) == (want, 1 - want)
 
 
 @pytest.mark.parametrize(
@@ -173,6 +178,64 @@ def test_composite_and_non_affine_quandles_still_match_the_reference():
             dd = d if q.involutory else oriented
             for pins in pin_sets(dd, q):
                 assert outcome(dd, q, pins, (10 ** 6, 2)) == reference(dd, q, pins, (10 ** 6, 2)), (q.name, pins)
+
+
+FAMILY_DIHEDRALS = [dihedral(n) for n in (3, 4, 5, 6, 8, 9, 12, 15, 25, 27)]
+FAMILY_ALEXANDERS = [alexander(n, t) for n, t in ((9, 4), (9, 2), (15, 2), (25, 3), (8, 3), (10, 3), (12, 5), (7, 3), (11, 5))]
+FAMILY = [CLOSURES[i:i + 20] for i in range(0, 60, 20)]
+
+
+PREFIX = 50  # colorings compared with the search's per space
+WHOLE = 3000  # on every third closure, spaces up to this count are compared whole with the reference
+BRUTE = 20_000  # n ** strands up to which Fox counts are compared with exhaustive backtracking
+
+
+def searched(d, q, pins):
+    """_search's first PREFIX colorings, as colors by label."""
+    strands, col, triples, _ = colorings._strand_columns(d)
+    pinned = [(col[label], v) for label, v in (pins or {}).items()]
+    walk = colorings._search(q, triples, d.crossings, len(strands), pinned)
+    return [{label: x[c] for label, c in col.items()} for x in islice(walk, PREFIX)]
+
+
+def forced_pair(space, listed):
+    """The first pair of strands equal in every listed coloring."""
+    strands = space.strands
+    for i, a in enumerate(strands):
+        for b in strands[i + 1:]:
+            if all(c[a] == c[b] for c in listed):
+                return (a, b)
+    return None
+
+
+@pytest.mark.parametrize("chunk", FAMILY, ids=[f"closures{i}-{i + 19}" for i in range(0, 60, 20)])
+def test_composite_listings_match_the_search(chunk):
+    # dihedral(n) and oriented Alexander quandles of composite and prime
+    # order, each unpinned and with one and two pins: the listing starts as
+    # the search's, and on every third closure, up to WHOLE colorings, it is
+    # the reference's whole listing, count and forced pair; the Fox space
+    # mod n lists the dihedral(n) colorings, and small ones count as
+    # exhaustive backtracking does
+    for k, d in enumerate(chunk):
+        oriented = orient(d)
+        for dd, quandles in ((d, FAMILY_DIHEDRALS), (oriented, FAMILY_ALEXANDERS)):
+            for q in quandles:
+                for pins in pin_sets(dd, q):
+                    space = quandle_space(dd, q, pins)
+                    listed = [c.colors for c in islice(space.colorings(), PREFIX)]
+                    assert listed == searched(dd, q, pins), (q.name, pins)
+                    first = space.first_nonconstant()
+                    want = next((c for c in listed if len(set(c.values())) >= 2), None)
+                    assert (first and first.colors) == want or len(listed) == PREFIX and want is None
+                    if q in FAMILY_DIHEDRALS:
+                        fox = fox_solution_space(dd, q.size, pins)
+                        assert [c.colors for c in islice(fox.colorings(), PREFIX)] == listed
+                        if q.size ** len(fox.strands) <= BRUTE:
+                            assert fox.count == space.count == brute_fox_count(dd, q.size, pins)
+                    if k % 3 == 0 and space.count <= WHOLE:
+                        whole = [c.colors for c in reference_quandle_colorings(dd, q, pins)]
+                        assert whole[:PREFIX] == listed and space.count == len(whole), (q.name, pins)
+                        assert space.forced_equal_pair() == (forced_pair(space, whole) if whole else None)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -387,8 +450,8 @@ def builds(monkeypatch):
 def test_components_with_only_constant_colorings_build_nothing(builds, corpus_diagrams):
     # 300 split figure-eights (det 5) and 300 kinked unknots under dihedral(3):
     # every component has only the constant colorings, so its generator is 1
-    # on it, read without a back-substitution or a lift, and built densely
-    # only when the odometer steps it
+    # on its strands, read off the kept split without a back-substitution or
+    # a lift
     fig8, kink = corpus_diagrams["fig8-knot"], parse_diagram("X 1 2 2 1")
     d = split_union(copies(fig8, 300), copies(kink, 300))
     _, _, pivots = colorings._unit_residual(d, colorings._strand_columns(d), -1)
@@ -422,7 +485,7 @@ def test_one_pin_among_many_components_lifts_one_part(builds, corpus_diagrams, w
 
 def test_components_with_nonconstant_colorings_lift_their_own_pivots(builds, corpus_diagrams):
     # 300 split trefoils under dihedral(3): each has two generators, lifted
-    # and reduced when the space is first walked, each lift reading only its
+    # into one Howell form when the space is first walked, each lift reading only its
     # own trefoil's pivots; a second walk builds nothing
     d = copies(corpus_diagrams["trefoil"], 300)
     space = quandle_space(d, dihedral(3))

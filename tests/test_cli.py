@@ -210,6 +210,66 @@ def test_algebra_output_matches_golden(capsys, corpus_dir, monkeypatch, stem, ar
     assert out == Path("tests", "expected", f"{stem}.json").read_text()
 
 
+EXPECTED = Path(__file__).parent / "expected"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXPECTED.glob("*.color-mod*.json")), ids=lambda p: p.stem
+)
+def test_fox_listing_goldens_are_the_sorted_reference_listing(corpus_dir, path):
+    # each `color --mod N --enumerate K` golden lists the first K of every
+    # coloring, found by the reference search over dihedral(N) and sorted by
+    # strand values, and counts all of them
+    from oracles import reference_quandle_colorings, strand_partition
+    from tanglecert.colorings import dihedral
+    from tanglecert.diagram import parse_diagram
+
+    name, n = path.stem.split(".color-mod")
+    d = parse_diagram((corpus_dir / f"{name}.pd").read_text())
+    strands = sorted(set(strand_partition(d).values()))
+    every = sorted(reference_quandle_colorings(d, dihedral(int(n))), key=lambda c: [c.colors[s] for s in strands])
+    golden = json.loads(path.read_text())
+    listed = golden["colorings"]
+    assert golden["count"] == len(every) and golden["complete"] == (len(listed) == len(every))
+    assert listed == [
+        {"modulus": int(n), "colors": {str(a): v for a, v in sorted(c.colors.items())}, "nontrivial": c.nontrivial}
+        for c in every[: len(listed)]
+    ]
+
+
+def golden_certificates():
+    """(golden, tangle, certificate JSON) of every golden that holds a certificate."""
+    out = []
+    for path in sorted(EXPECTED.glob("*.json")):
+        payload = json.loads(path.read_text())
+        if "witness" in payload:
+            out.append((path.name, payload["tangle"], payload))
+    return out
+
+
+CERTIFIED = golden_certificates()
+
+
+@pytest.mark.parametrize("golden,tangle,payload", CERTIFIED, ids=[golden for golden, _, _ in CERTIFIED])
+def test_golden_certificates_pass_the_check(corpus_dir, golden, tangle, payload):
+    from tanglecert.colorings import FoxColoring, QuandleColoring, parse_quandle
+    from tanglecert.diagram import orient, parse_diagram
+    from tanglecert.persistence import PersistenceCertificate, _check_certificate
+
+    if tangle.startswith("corpus/"):  # certify: the corpus tangle, oriented for an ".oriented." golden
+        t = parse_diagram((corpus_dir.parent / tangle).read_text())
+        t = orient(t) if ".oriented." in golden else t
+    else:  # cut and build: the tangle written beside the certificate
+        t = parse_diagram((EXPECTED / tangle).read_text())
+    kind = payload["kind"]
+    if "fox" in kind:
+        coloring = FoxColoring(kind["fox"], {int(a): v for a, v in payload["colors"].items()})
+    else:
+        q = parse_quandle((corpus_dir / f"{kind['quandle']}.q").read_text(), name=kind["quandle"])
+        coloring = QuandleColoring(q, {int(a): v for a, v in payload["colors"].items()})
+    _check_certificate(t, PersistenceCertificate(coloring, payload["boundary_color"], tuple(payload["witness"])))
+
+
 # `certify --verify 100 --seed 0` glues every sampled host closure; diffed by
 # the CI steps "certify --verify output unchanged" and, for the oriented
 # fig1-krebes against the unoriented golden, the step after it
@@ -396,7 +456,7 @@ QUANDLE_GOLDEN = [
      ["color", "fig8-knot", "--quandle", "corpus/alexander-11-5.q", "--enumerate", "50"], 0),
     ("fig1-krebes.color-d3", ["color", "fig1-krebes", "--quandle", "corpus/d3.q", "--enumerate", "30"], 0),
     ("fig8-tangle.certify-d3", ["certify", "fig8-tangle", "--quandles", "corpus/d3.q"], 1),  # pinned
-    # dihedral of order 6 is composite, so these two run the search, not elimination
+    # dihedral of order 6 is composite: solved and listed as the prime orders are
     ("trefoil.color-d6", ["color", "trefoil", "--quandle", "corpus/d6.q", "--enumerate", "20"], 0),
     ("fig1-krebes.certify-d6", ["certify", "fig1-krebes", "--mods", "7", "--quandles", "corpus/d6.q"], 0),
     # a non-involutory quandle certificate: its kind is {"quandle": "alexander-7-3"}

@@ -170,41 +170,50 @@ class TestSolutionSpace:
         assert c is not None and c.nontrivial and verify_coloring(space.diagram, c)
         assert fox_solution_space(parse_diagram("O 1"), 97).first_nonconstant() is None
 
-    def test_a_short_listing_builds_only_the_generators_it_steps(self, monkeypatch):
-        # the first 5 of 3^1200 colorings step the last two generators only;
-        # basis() then builds the other 1,198 and reuses the three kept vectors
-        from tanglecert.linalg import _Echelon
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every back-substitution and lift, recorded."""
+        from tanglecert import linalg
 
-        calls, back_substitute = [], _Echelon.back_substitute
+        calls = []
+        back, lift = linalg._Echelon.back_substitute, linalg.lift_units
+        monkeypatch.setattr(linalg._Echelon, "back_substitute", lambda *a, **k: calls.append(a) or back(*a, **k))
+        monkeypatch.setattr(linalg, "lift_units", lambda *a: calls.append(a) or lift(*a))
+        return calls
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return back_substitute(*args, **kwargs)
-
-        monkeypatch.setattr(_Echelon, "back_substitute", counting)
+    def test_a_short_listing_builds_only_the_generators_it_steps(self, builds):
+        # on 1,200 circles each circle is a part with only the constant
+        # colorings, whose generator is 1 on it, read off the kept split: the
+        # first 5 of 3^1200 colorings step the last two generators only, and
+        # nothing is back-substituted or lifted
         d = parse_diagram(" ; ".join(f"O {k}" for k in range(1, 1201)))
-        assert len(list(islice(quandle_space(d, dihedral(3)).colorings(), 5))) == 5 and len(calls) <= 3
-        calls.clear()
-        space = fox_solution_space(d, 3)
-        assert len(list(islice(space.colorings(), 5))) == 5 and len(calls) <= 3
-        assert len(space._space.basis()[1]) == 1200 and len(calls) == 1 + 1200
+        tails = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+        for space in (quandle_space(d, dihedral(3)), fox_solution_space(d, 3)):
+            listed = [tuple(c.colors[k] for k in range(1, 1201)) for c in islice(space.colorings(), 5)]
+            assert listed == [(0,) * 1198 + tail for tail in tails]
+        assert builds == []
 
-    def test_first_nonconstant_builds_only_the_vectors_it_reads(self, monkeypatch):
-        # on 1,200 circles mod 3 the particular solution is constant and the
-        # first generator is not: two back-substitutions, not 1 + 1,200
-        from tanglecert.linalg import _Echelon
-
-        calls, back_substitute = [], _Echelon.back_substitute
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return back_substitute(*args, **kwargs)
-
-        monkeypatch.setattr(_Echelon, "back_substitute", counting)
+    def test_first_nonconstant_builds_only_the_vectors_it_reads(self, builds):
+        # on 1,200 circles mod 3 the first nonconstant coloring is the
+        # listing's second: the last circle's generator stepped once, and no
+        # back-substitution or lift
         d = parse_diagram(" ; ".join(f"O {k}" for k in range(1, 1201)))
         c = fox_solution_space(d, 3).first_nonconstant()
         assert c is not None and c.nontrivial and verify_coloring(d, c)
-        assert len(calls) <= 2
+        assert c.colors == {**dict.fromkeys(range(1, 1200), 0), 1200: 1}
+        assert builds == []
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 11, 15])
+    def test_first_nonconstant_is_the_first_of_the_listing(self, corpus_diagrams, n):
+        # for Fox and dihedral(n) spaces, unpinned and with the boundary
+        # pinned; a Fox space once gave the particular solution plus a
+        # generator, which is not its listing's first on the unpinned
+        # fig4-tangle for every n here
+        for name, d in corpus_diagrams.items():
+            for pins in [{}] + [{e: 0 for e in d.boundary}] * bool(d.boundary):
+                for space in (fox_solution_space(d, n, pins), quandle_space(d, dihedral(n), pins)):
+                    first = next((c for c in space.colorings() if c.nontrivial), None)
+                    assert space.first_nonconstant() == first, (name, n, pins)
 
     @given(st.integers(2, 9), st.integers(0, 50), st.integers(1, 50))
     @settings(max_examples=40, deadline=None)
@@ -316,7 +325,7 @@ class TestQuandles:
         assert space.first_nonconstant() is None
 
     def test_dihedral_counts_equal_fox(self, corpus_diagrams):
-        # composite n: the count by elimination over Z/n and the listing by the search
+        # composite n too: the count and the listing by elimination over Z/n
         for name, d in corpus_diagrams.items():
             for n in range(2, 10):
                 space = quandle_space(d, dihedral(n))

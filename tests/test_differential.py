@@ -4,8 +4,10 @@ Counts are compared with the dense diagonalization of oracles.py run over
 Z/N, determinants with the same diagonalization over Z (kept to closures of
 at most 40 crossings, where its entries stay small) and with a first minor
 eliminated over the rationals.  Every answer of fox_solution_space, which
-reads each diagram's kept system and feeds its rows right to left, is
-compared with the solve in crossing order on fresh strand columns.  The
+solves each diagram's kept unit residual one split component at a time,
+is compared with the solve of the full rows in crossing order on fresh
+strand columns: its count, forced pair, lexicographic listing and first
+nonconstant coloring.  The
 report's closure evidence, read from one determinant per closure, is
 compared with a Fox solve per modulus.
 """
@@ -156,16 +158,26 @@ def shuffled(rng, d):
     return out
 
 
-def assert_same_space(got, want, listed=40):
+def strand_values(space, coloring):
+    return tuple(coloring.colors[s] for s in space.strands)
+
+
+def assert_same_space(got, want, listed=40, sorted_up_to=2000):
+    """The full-row solve's count, strands and forced pair; got's listing the
+    start of want's sorted solutions (or, past sorted_up_to of them,
+    increasing colorings of want's space); got's first nonconstant coloring
+    its listing's first."""
     assert got.count == want.count
     assert got.strands == want.strands
-    if want.count:
-        assert got._space.basis() == want._space.basis()
-    assert list(islice(got.colorings(), listed)) == list(
-        islice(want.colorings(), listed)
-    )
-    assert got.first_nonconstant() == want.first_nonconstant()
     assert got.forced_equal_pair() == want.forced_equal_pair()
+    prefix = [strand_values(got, c) for c in islice(got.colorings(), listed)]
+    if want.count <= sorted_up_to:
+        assert prefix == want.solutions()[:listed]
+    else:
+        assert prefix == sorted(set(prefix)) and len(prefix) == listed
+        assert all(verify_coloring(got.diagram, c) for c in islice(got.colorings(), listed))
+    first = got.first_nonconstant()
+    assert first == next((c for c in got.colorings() if c.nontrivial), None)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -189,7 +201,8 @@ def test_row_order_changes_no_answer(corpus_diagrams, seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_first_nonconstant_matches_the_basis_reading(corpus_diagrams, seed):
     # the corpus, pinned and unpinned, then seeded closures pinned on two
-    # arcs and seeded T+T* sums pinned on their boundary
+    # arcs and seeded T+T* sums pinned on their boundary, against the
+    # lexicographically first nonconstant coloring read off full-row solves
     rng = random.Random(seed)
     cases = []
     for d in corpus_diagrams.values():
@@ -208,8 +221,9 @@ def test_first_nonconstant_matches_the_basis_reading(corpus_diagrams, seed):
         cases.append((s, {e: 0 for e in s.boundary}))
     for d, pins in cases:
         for n in (3, 5, 15):
-            got = fox_solution_space(d, n, pins).first_nonconstant()
-            assert got == reference_first_nonconstant(fox_solution_space(d, n, pins)), (d, pins, n)
+            space = fox_solution_space(d, n, pins)
+            got = space.first_nonconstant()
+            assert (got and strand_values(space, got)) == reference_first_nonconstant(d, n, pins), (d, pins, n)
 
 
 def test_link_determinant_matches_the_rational_first_minor():

@@ -1,13 +1,13 @@
 """The unit residual against the oracles.
 
 Each diagram's crossing rows are reduced once over Z by unit pivots
-(linalg.eliminate_units); every count without pins and the link
+(linalg.eliminate_units); every Fox space, pinned or not, and the link
 determinant read the few rows left.  Counts are compared with exhaustive
 backtracking (small inputs) and with the solve of the full rows in
 crossing order, for composite moduli too; determinants with the dense
 diagonalization and with the dense fraction-free determinant of the
-crossing matrix's first minor.  The residual is built once per diagram,
-never by a pinned solve, and kept like the Fox system.
+crossing matrix's first minor.  The residual and its split are built once
+per diagram, whatever the moduli and pins, and kept like the Fox system.
 """
 
 import copy
@@ -22,10 +22,11 @@ from oracles import (
     crossing_matrix,
     diagonal_count,
     link_invariant,
+    modular_solutions,
     reference_fox_solution_space,
     strand_partition,
 )
-from tanglecert import linalg
+from tanglecert import colorings, linalg
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import fox_solution_space, link_determinant
 from tanglecert.diagram import Crossing, Diagram, parse_diagram
@@ -125,7 +126,7 @@ def test_a_count_read_first_agrees_with_the_listing():
     for n in (3, 4, 6, 9):
         space = fox_solution_space(d, n)
         count = space.count
-        assert count == sum(1 for _ in space.colorings()) == space._space.count
+        assert count == sum(1 for _ in space.colorings()) == reference_fox_solution_space(d, n).count
 
 
 def fresh(corpus_dir, name):
@@ -141,46 +142,81 @@ def test_the_residual_is_built_once_per_diagram(spied, corpus_dir):
     assert len(spied) == 1 and "_units" in d.__dict__
 
 
-def test_no_pinned_solve_builds_the_residual(spied, corpus_dir):
+@pytest.fixture
+def splits(monkeypatch):
+    """Every call of colorings._split_components, recorded."""
+    calls = []
+    real = colorings._split_components
+    monkeypatch.setattr(colorings, "_split_components", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_pinned_solves_build_the_residual_once(spied, splits, corpus_dir):
     d = fresh(corpus_dir, "8_16")
     for n in MODULI:
         space = fox_solution_space(d, n, pins={3: 0, 12: 0})
         space.count, space.first_nonconstant(), space.forced_equal_pair()
         sum(1 for _ in zip(range(20), space.colorings()))
-    assert spied == [] and "_units" not in d.__dict__
+    assert fox_solution_space(d, 5).count == 25
+    assert len(spied) == len(splits) == 1 and set(d.__dict__["_split"]) == {-1}
 
 
-def test_a_two_arc_cut_never_builds_the_residual(spied, corpus_dir):
-    # the transport cut: a pinned solve, then moves, recoloring and the cut
+def test_a_two_arc_cut_builds_the_residual_once(spied, corpus_dir):
+    # the transport cut: a pinned solve, then moves, recoloring and the cut,
+    # which solve nothing more
     for name, a, b, n in (("8_16", 3, 12, 5), ("trefoil", 1, 6, 3)):
         d = fresh(corpus_dir, name)
         coloring = fox_solution_space(d, n, pins={a: 0, b: 0}).first_nonconstant()
         cut_two_arcs(d, coloring, a, b, extra_passes=1)
-    assert spied == []
+    assert len(spied) == 2
 
 
-def test_a_read_of_the_basis_gives_the_count(spied, corpus_dir):
+def test_a_read_of_the_basis_gives_the_count(spied, corpus_dir, monkeypatch):
+    # first_nonconstant solves the parts, which then give the count
+    solves = []
+    real = linalg.solve_mod
+    monkeypatch.setattr(linalg, "solve_mod", lambda *a: solves.append(a) or real(*a))
     d = fresh(corpus_dir, "6_2")
     space = fox_solution_space(d, 11)
-    assert space.first_nonconstant() is not None and space.count == 121
-    assert spied == []
+    assert space.first_nonconstant() is not None and len(solves) == 1
+    assert space.count == 121 and len(solves) == 1 and len(spied) == 1
+
+
+def test_one_split_per_tangle_and_rule(splits, corpus_dir):
+    # the certificate search builds a Fox space per modulus (five misses)
+    # and a dihedral(3) space per orbit representative on one tangle, all at
+    # t = -1
+    from tanglecert.colorings import dihedral, quandle_space
+    from tanglecert.persistence import find_certificate_report
+
+    t = fresh(corpus_dir, "fig1-krebes")
+    report = find_certificate_report(t, [2, 4, 5, 7, 11], (dihedral(3),))
+    assert [e["found"] for e in report.entries] == [False] * 5 + [True]
+    for v in range(3):
+        quandle_space(t, dihedral(3), {e: v for e in t.boundary}).count
+    assert len(splits) == 1 and set(t.__dict__["_split"]) == {-1}
 
 
 def test_an_unvalidated_diagram_keeps_no_residual(spied):
     d = Diagram((Crossing((1, 4, 2, 5)), Crossing((3, 6, 4, 1)), Crossing((5, 2, 6, 3))))
     assert link_determinant(d) == 3 and fox_solution_space(d, 3).count == 9
-    assert len(spied) == 2 and "_units" not in d.__dict__
+    assert len(spied) == 2 and "_units" not in d.__dict__ and "_split" not in d.__dict__
 
 
 def test_the_kept_residual_is_immutable_and_not_pickled():
     d = braid_closure([1, -2, 1, -2, 1, 1, -2], 3)
     det = link_determinant(d)
+    assert fox_solution_space(d, 3).count == 9
     residual, n_left, _ = d.__dict__["_units"][-1]
+    component, index, parts, _ = d.__dict__["_split"][-1]
+    assert isinstance(component, tuple) and index[next(iter(index))] == 0 and len(parts) == 1
+    with pytest.raises(TypeError):
+        parts[1] = parts[0]
     assert isinstance(residual, tuple) and len(residual) == n_left
     with pytest.raises(TypeError):
         residual[0][0] = 1
     for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
-        assert twin == d and "_units" not in twin.__dict__ and "_fox" not in twin.__dict__
+        assert twin == d and not {"_units", "_split", "_fox"} & set(twin.__dict__)
         assert link_determinant(twin) == det
 
 
@@ -222,7 +258,7 @@ def test_lift_units_solves_every_row():
         kept = [c for c in range(n_vars) if c not in {c for c, _ in pivots}]
         for n in (2, 5, 6):
             space = linalg.solve_mod(residual, [0] * len(residual), n_left, n)
-            for y in islice(space.enumerate(), 40):
+            for y in islice(modular_solutions(space), 40):
                 lifted = linalg.lift_units(pivots, dict(zip(kept, y)), n)
                 assert all(lifted.values())
                 x = [lifted.get(c, 0) for c in range(n_vars)]
