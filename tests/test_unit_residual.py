@@ -151,7 +151,11 @@ def splits(monkeypatch):
     return calls
 
 
-def test_pinned_solves_build_the_residual_once(spied, splits, corpus_dir):
+def test_pinned_solves_build_the_residual_once(spied, splits, corpus_dir, monkeypatch):
+    # and no solve sees the crossing rows: only the residual's and the pins'
+    solves = []
+    real = linalg.solve_mod
+    monkeypatch.setattr(linalg, "solve_mod", lambda *a: solves.append(len(a[0])) or real(*a))
     d = fresh(corpus_dir, "8_16")
     for n in MODULI:
         space = fox_solution_space(d, n, pins={3: 0, 12: 0})
@@ -159,6 +163,8 @@ def test_pinned_solves_build_the_residual_once(spied, splits, corpus_dir):
         sum(1 for _ in zip(range(20), space.colorings()))
     assert fox_solution_space(d, 5).count == 25
     assert len(spied) == len(splits) == 1 and set(d.__dict__["_split"]) == {-1}
+    residual, _, _ = d.__dict__["_units"][-1]
+    assert solves == [len(residual) + 2] * len(MODULI) + [len(residual)] and len(residual) < len(d.crossings)
 
 
 def test_a_two_arc_cut_builds_the_residual_once(spied, corpus_dir):
