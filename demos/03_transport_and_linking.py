@@ -28,10 +28,12 @@ from tanglecert import (
 
 trefoil = parse_diagram("X 1 4 2 5 ; X 3 6 4 1 ; X 5 2 6 3")
 coloring = fox_solution_space(trefoil, 3).first_nonconstant()
-pairs = [p for p in find_same_colored_pairs(trefoil, coloring) if not co_facial(trefoil, *p)]
-print("Same-colored, non-co-facial arc pairs of the tricolored trefoil:", pairs)
+print("Same-colored arc pairs on distinct strands of the tricolored trefoil:",
+      find_same_colored_pairs(trefoil, coloring))
+print("Each of its 3 strands has its own color.  Arcs 1 and 6 lie on one strand,")
+print(f"so they share a color; co_facial(trefoil, 1, 6) is {co_facial(trefoil, 1, 6)}.")
 
-a1, a2 = pairs[0]
+a1, a2 = 1, 6
 moved = r2_transport(trefoil, coloring, a1, a2)
 print(f"Transporting arc {a1} toward arc {a2} took {len(moved.records)} move(s);")
 print(f"the diagram now has {len(moved.diagram.crossings)} crossings and the")
@@ -45,9 +47,10 @@ print(f"move trace of {len(records)} record(s), replayable from the JSON output.
 six2 = numerator_closure(rational_tangle([3, 1, 2]))
 c11 = fox_solution_space(six2, 11).first_nonconstant()
 print("\nA 6-crossing knot with determinant 11; its colorings give its 6 strands")
-print("6 distinct colors, so each same-colored pair lies on one strand (ROADMAP item 3).")
+print("6 distinct colors, so no same-colored pair lies on two strands:",
+      find_same_colored_pairs(six2, c11))
 d2, c2, pair, setup = ensure_same_colored_pair(six2, c11)
-print(f"Created pair {pair} with {len(setup)} setup move(s).")
+print(f"Pushing one arc over another minted pair {pair} with {len(setup)} setup move(s).")
 
 print("\nExtra spiral passes before cutting inflate the linking between the")
 print("tangle's two open strands (reported in half-units):")

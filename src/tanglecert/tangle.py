@@ -128,6 +128,16 @@ _SUM_GLUE = [(1, 4), (2, 7)]  # t's NE/SE to the host's NW/SW; the sum keeps (0,
 _N_GLUE = _SUM_GLUE + [(0, 5), (3, 6)]  # then cap NW-NE and SW-SE
 _D_GLUE = _SUM_GLUE + [(0, 3), (5, 6)]  # or NW-SW and NE-SE
 _ARC_GLUE = [(0, 2), (1, 3)]  # a 1-tangle meets its host end to end
+_HOST_ENDS = {"H": [(4, 5), (6, 7)], "V": [(4, 7), (5, 6)], "X": [(4, 6), (5, 7)]}  # by pairing
+
+
+def _closure_cycles(ends, pairing: str, closure: str) -> int:
+    """The cycles insert_into_host's closure makes of the 8 glued ends, each
+    on two edges: t's end edges `ends` (positions 0-3), those of a host with
+    this connectivity and the closure's glue; no diagram is built."""
+    parent: dict[int, int] = {}
+    glue = _N_GLUE if closure == "N" else _D_GLUE
+    return 8 - sum(_union(parent, a, b) for a, b in (*ends, *_HOST_ENDS[pairing], *glue))
 
 
 def numerator_closure(t: Diagram) -> Diagram:
@@ -177,7 +187,7 @@ def rotate90(t: Diagram) -> Diagram:
 
 
 def insert_into_host(t: Diagram, host: Diagram, closure: str = "N") -> Diagram:
-    """Close tangle_add(t, host); the verification harness for persistence.
+    """Close tangle_add(t, host): the closures verify_certificate composes.
 
     Up to isotopy of the complement, any knot diagram containing t is such
     a closure, so certificates are exercised by sampling hosts.  1-tangles
@@ -211,6 +221,13 @@ class TangleFraction:
     @property
     def is_infinity(self) -> bool:
         return self.q == 0
+
+    @property
+    def connectivity(self) -> str:
+        """The end pairing of the rational tangles of this fraction, as
+        connectivity() names it: 'H' when p is even, 'V' when q is even, else
+        'X' (Conway 1970; Kauffman and Lambropoulou 2004)."""
+        return "H" if self.p % 2 == 0 else "V" if self.q % 2 == 0 else "X"
 
     def __str__(self) -> str:
         return "inf" if self.q == 0 else f"{self.p}/{self.q}"

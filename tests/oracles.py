@@ -32,9 +32,12 @@ R2 move, which the validator and move tests check against references of
 their own.  reference_recolor_after_move is the re-solve that local
 recoloring replaced: every untouched arc pinned, and exactly one solution
 required of the library's solvers, which the counting oracles above check.
-reference_verify_certificate is the host loop that checking each distinct
-host closure once replaced: it builds every sampled host and glues, counts
-and checks every closure, repeats included.
+reference_verify_certificate is the host loop that composing each
+closure's answer from end pairings replaced: it builds every drawn host
+(drawn_hosts, the verifier's draws), glues, counts and checks every
+closure, repeats included.  drawn_closures glues each distinct drawn pair
+once, for the tests that keep the glue covered now that verification
+builds no closure; east_cap is the 1-tangle hosts' cap.
 canonical_form, a relabeling-invariant rendering that only tests compare,
 reads the library's dart pairing.
 reference_verify_coloring is the coloring check as it was before the
@@ -61,6 +64,8 @@ from a label -> component dict built off components().
 reference_non_cofacial_pairs is the co-facial filter that
 find_same_colored_pairs ran before its callers asked co_facial instead:
 the co-facial pairs collected face by face from faces().
+same_colored_arc_pairs is find_same_colored_pairs as it was before it kept
+only pairs on distinct strands: every equal-colored pair, by a double loop.
 reference_find_certificate_report is the certificate search as it was
 before each coloring kind carried its own rule and key: one loop over the
 Fox moduli, then one over the quandles and their orbit representatives.
@@ -110,16 +115,17 @@ from tanglecert.persistence import (
     _check_certificate,
     _cut,
     _default_moduli,
-    _east_cap,
     _issue,
     _random_twists,
 )
 from tanglecert.tangle import (
+    _ARC_HOST,
+    _INFINITY_HOST,
+    _ZERO_HOST,
     TangleError,
-    infinity_tangle,
+    _glue,
     insert_into_host,
     rational_tangle,
-    zero_tangle,
 )
 
 INF = "inf"
@@ -1035,29 +1041,54 @@ def reference_insert_into_host(t, host, closure="N"):
     return reference_numerator_closure(s) if closure == "N" else reference_denominator_closure(s)
 
 
-def reference_verify_certificate(t, cert, trials=100, seed=0):
-    """verify_certificate building every drawn host and every closure afresh."""
-    _check_certificate(t, cert)
+def east_cap(t):
+    """Close a 2-tangle's east side, leaving a 1-tangle with NW/SW endpoints:
+    the library's glue, as verification once capped its 1-tangle hosts."""
+    return _glue(t, _ARC_HOST, [(1, 4), (2, 5)], (0, 3))
+
+
+def drawn_hosts(t, trials=100, seed=0):
+    """(name, host) for each host verify_certificate draws for t, repeats
+    included, each built: the library's validated trivial hosts, then
+    `trials` rational tangles drawn by _random_twists, east-capped for a
+    1-tangle, where a cap that closes a loop is drawn again."""
     rng = random.Random(seed)
-    report = VerificationReport()
     one_tangle = len(t.boundary) == 2
-    hosts = []
     if one_tangle:
-        hosts.append(("trivial", Diagram(boundary=(1, 1))))
-        while len(hosts) < trials + 1:
-            w = _random_twists(rng)
-            host = _east_cap(rational_tangle(w))
-            if host.circles or len(components(host)) != 1:
-                continue
-            hosts.append((f"rational{w}-capped", host))
+        hosts = [("trivial", _ARC_HOST)]
     else:
-        hosts.append(("zero", zero_tangle()))
-        hosts.append(("infinity", infinity_tangle()))
-        while len(hosts) < trials + 2:
-            w = _random_twists(rng)
+        hosts = [("zero", _ZERO_HOST), ("infinity", _INFINITY_HOST)]
+    wanted = len(hosts) + trials
+    while len(hosts) < wanted:
+        w = _random_twists(rng)
+        if not one_tangle:
             hosts.append((f"rational{w}", rational_tangle(w)))
-    closures = ("N",) if one_tangle else ("N", "D")
-    for name, host in hosts:
+            continue
+        host = east_cap(rational_tangle(w))
+        if not host.circles and len(components(host)) == 1:
+            hosts.append((f"rational{w}-capped", host))
+    return hosts
+
+
+def drawn_closures(t, trials=100, seed=0):
+    """(host name, closure, closed diagram) for each distinct drawn pair, in
+    first-draw order, each glued once by insert_into_host."""
+    closures = ("N",) if len(t.boundary) == 2 else ("N", "D")
+    out = {}
+    for name, host in drawn_hosts(t, trials, seed):
+        for closure in closures:
+            if (name, closure) not in out:
+                out[name, closure] = insert_into_host(t, host, closure)
+    return [(name, closure, dgm) for (name, closure), dgm in out.items()]
+
+
+def reference_verify_certificate(t, cert, trials=100, seed=0):
+    """verify_certificate building every drawn host and every closure afresh,
+    and checking the extended coloring on each 1-component closure."""
+    _check_certificate(t, cert)
+    report = VerificationReport()
+    closures = ("N",) if len(t.boundary) == 2 else ("N", "D")
+    for name, host in drawn_hosts(t, trials, seed):
         for closure in closures:
             dgm = insert_into_host(t, host, closure)
             n_comp = len(components(dgm))
@@ -1078,6 +1109,16 @@ def reference_verify_certificate(t, cert, trials=100, seed=0):
             report.passes += 1
             report.entries.append(entry)
     return report
+
+
+def same_colored_arc_pairs(d, coloring):
+    """Every pair of arcs with equal colors, smallest labels first, the labels
+    of one strand included: the list find_same_colored_pairs returned before
+    it kept only pairs on distinct strands.  cut_two_arcs cuts any such pair,
+    so the cut tests draw their pairs from it."""
+    colors = coloring.colors
+    arcs = sorted(d.arcs())
+    return [(a, b) for i, a in enumerate(arcs) for b in arcs[i + 1:] if colors[a] == colors[b]]
 
 
 def reference_verify_coloring(d, coloring):

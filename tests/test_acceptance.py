@@ -7,7 +7,7 @@ print.  Every tolerance here is exact.
 import random
 from itertools import product
 
-from oracles import brute_fox_count
+from oracles import brute_fox_count, same_colored_arc_pairs
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import (
     determinant,
@@ -84,7 +84,7 @@ def _emitted_certificates(corpus_diagrams, trefoil):
     c = fox_solution_space(trefoil, 3).first_nonconstant()
     t, cert = cut_arc_twice(trefoil, c, 1)
     out.append(("trefoil-cut-twice", t, cert))
-    pair = [p for p in find_same_colored_pairs(trefoil, c) if not co_facial(trefoil, *p)][0]
+    pair = [p for p in same_colored_arc_pairs(trefoil, c) if not co_facial(trefoil, *p)][0]
     t2, cert2, _ = cut_two_arcs(trefoil, c, *pair)
     out.append(("trefoil-two-arcs", t2, cert2))
     return out
@@ -103,7 +103,10 @@ def test_criterion_04_certificate_soundness(corpus_diagrams, trefoil):
 
 def test_criterion_05_transport_pipeline(trefoil):
     c = fox_solution_space(trefoil, 3).first_nonconstant()
-    pairs = [p for p in find_same_colored_pairs(trefoil, c) if not co_facial(trefoil, *p)]
+    # each strand of the tricolored trefoil has its own color, so its same-colored
+    # pairs lie on one strand; cut_two_arcs cuts those too
+    assert find_same_colored_pairs(trefoil, c) == []
+    pairs = [p for p in same_colored_arc_pairs(trefoil, c) if not co_facial(trefoil, *p)]
     assert pairs, "tricolored trefoil must have a same-colored non-co-facial pair"
     t, cert, moves = cut_two_arcs(trefoil, c, *pairs[0])
     assert len(moves) >= 1

@@ -284,10 +284,9 @@ class TestCutPrecondition:
             cut_arc_twice(trefoil, broken, 1)
 
 
-def test_pair_creation_mints_with_the_quandle_rule(corpus_diagrams, monkeypatch):
-    # the two over labels of a crossing share a color, so a valid coloring of a
-    # diagram with crossings always has a pair; hide them to reach the minting
-    monkeypatch.setattr(persistence, "find_same_colored_pairs", lambda d, coloring: [])
+def test_pair_creation_mints_with_the_quandle_rule(corpus_diagrams):
+    # 6_2 mod 11 gives each of its 6 strands its own color, so no pair lies on
+    # two strands and one is minted
     d = corpus_diagrams["6_2"]
     fox = fox_solution_space(d, 11).first_nonconstant()
     quandle = QuandleColoring(dihedral(11), dict(fox.colors))

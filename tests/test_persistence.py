@@ -1,10 +1,17 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
-from oracles import canonical_form, reference_cut_choice, reference_verify_certificate
-from tanglecert import colorings, persistence
+from oracles import (
+    canonical_form,
+    drawn_closures,
+    reference_cut_choice,
+    reference_verify_certificate,
+    same_colored_arc_pairs,
+)
+from tanglecert import colorings, persistence, tangle
 from tanglecert.colorings import (
     FoxColoring,
     Quandle,
@@ -13,9 +20,20 @@ from tanglecert.colorings import (
     dihedral,
     fox_solution_space,
     link_determinant,
+    verify_coloring,
 )
 from tanglecert.braids import braid_closure
-from tanglecert.diagram import Diagram, DiagramError, co_facial, components, max_label, orient, parse_diagram
+from tanglecert.diagram import (
+    Diagram,
+    DiagramError,
+    co_facial,
+    components,
+    max_label,
+    orient,
+    parse_diagram,
+    relabel,
+    strand_classes,
+)
 from tanglecert.persistence import (
     CertificateError,
     CertificateNotFound,
@@ -33,12 +51,13 @@ from tanglecert.persistence import (
     verify_certificate,
 )
 from tanglecert.tangle import (
+    TangleError,
     close_one_tangle,
     denominator_closure,
-    insert_into_host,
     linking_sum,
     numerator_closure,
     rational_tangle,
+    tangle_add,
     zero_tangle,
 )
 
@@ -96,7 +115,7 @@ class TestCutTwice:
 class TestCutTwoArcs:
     def test_non_cofacial_pair_needs_transport(self, trefoil):
         c = tricoloring(trefoil)
-        pairs = [p for p in find_same_colored_pairs(trefoil, c) if not co_facial(trefoil, *p)]
+        pairs = [p for p in same_colored_arc_pairs(trefoil, c) if not co_facial(trefoil, *p)]
         assert pairs
         t, cert, moves = cut_two_arcs(trefoil, c, *pairs[0])
         assert len(moves) >= 1
@@ -144,7 +163,7 @@ class TestCutTwoArcs:
         # whatever transport route is taken, the certified modulus and the
         # boundary color depend only on the chosen arcs
         c = tricoloring(trefoil)
-        pairs = [p for p in find_same_colored_pairs(trefoil, c) if not co_facial(trefoil, *p)]
+        pairs = [p for p in same_colored_arc_pairs(trefoil, c) if not co_facial(trefoil, *p)]
         results = {
             (cert.kind, cert.boundary_color)
             for pair in pairs
@@ -157,8 +176,9 @@ class TestCutTwoArcs:
         # 6 and 0 are one residue mod 3; the solver's own coloring is reduced
         c = FoxColoring(3, {1: 0, 2: 2, 3: 2, 4: 1, 5: 1, 6: 3})
         reduced = FoxColoring(3, {**c.colors, 6: 0})
-        assert find_same_colored_pairs(trefoil, c) == [(1, 6), (2, 3), (4, 5)]
-        assert find_same_colored_pairs(trefoil, c) == find_same_colored_pairs(trefoil, reduced)
+        assert c.colors == reduced.colors
+        assert same_colored_arc_pairs(trefoil, c) == [(1, 6), (2, 3), (4, 5)]  # one strand each
+        assert find_same_colored_pairs(trefoil, c) == find_same_colored_pairs(trefoil, reduced) == []
         t, cert, moves = cut_two_arcs(trefoil, c, 1, 6)
         t2, cert2, moves2 = cut_two_arcs(trefoil, reduced, 1, 6)
         assert (t, cert.to_json(), moves) == (t2, cert2.to_json(), moves2)
@@ -166,9 +186,35 @@ class TestCutTwoArcs:
 
     def test_regluing_preserves_determinant(self, trefoil):
         c = tricoloring(trefoil)
-        t, cert, _ = cut_two_arcs(trefoil, c, *find_same_colored_pairs(trefoil, c)[0])
+        t, cert, _ = cut_two_arcs(trefoil, c, *same_colored_arc_pairs(trefoil, c)[0])
         n = numerator_closure(t)
         assert determinant(n) == determinant(trefoil)
+
+
+class TestSameColoredPairs:
+    def test_pairs_lie_on_distinct_strands(self, corpus_diagrams):
+        d = corpus_diagrams["8_16"]
+        c = fox_solution_space(d, 5).first_nonconstant()
+        classes = strand_classes(d)
+        pairs = find_same_colored_pairs(d, c)
+        assert pairs == sorted(
+            p for p in same_colored_arc_pairs(d, c) if classes[p[0]] != classes[p[1]]
+        )
+        assert 0 < len(pairs) < len(same_colored_arc_pairs(d, c))
+
+    def test_six2_mod_11_mints_its_pair(self):
+        # N([3, 1, 2]) mod 11 gives each of its 6 strands its own color
+        six2 = numerator_closure(rational_tangle([3, 1, 2]))
+        c = fox_solution_space(six2, 11).first_nonconstant()
+        assert len(set(strand_classes(six2).values())) == len(set(c.colors.values())) == 6
+        assert find_same_colored_pairs(six2, c) == []
+        d2, c2, (a, b), records = ensure_same_colored_pair(six2, c)
+        assert len(records) == 1 and len(d2.crossings) == 8
+        classes = strand_classes(d2)
+        assert c2.colors[a] == c2.colors[b] and classes[a] != classes[b]
+        assert (min(a, b), max(a, b)) in find_same_colored_pairs(d2, c2)
+        assert verify_coloring(d2, c2)
+        assert ensure_same_colored_pair(d2, c2)[2:] == (find_same_colored_pairs(d2, c2)[0], [])
 
 
 class TestLinkingInflation:
@@ -241,7 +287,7 @@ class TestCutChoice:
             c = _fox_colored(d)
             if c is None:
                 continue
-            pairs = [p for p in find_same_colored_pairs(d, c) if not co_facial(d, *p)]
+            pairs = [p for p in same_colored_arc_pairs(d, c) if not co_facial(d, *p)]
             for pair in pairs[:1] + pairs[-1:]:
                 for k in range(4):
                     t, (d2, mover, candidates, scores) = _cut_choices(d, c, pair, k, monkeypatch)
@@ -507,47 +553,106 @@ def _verified_certificates(corpus):
     return out
 
 
+def _tangles_with_closed_components(corpus):
+    """(name, tangle, certificate): fig1-krebes with a crossing-free circle
+    colored like its boundary, and fig4-tangle summed with a V + V sum of
+    [2, 0] twists, which leaves a closed strand of crossings between the two."""
+    krebes = corpus["fig1-krebes"]
+    circle = max_label(krebes) + 1
+    ringed = Diagram(krebes.crossings, (circle,), krebes.boundary)
+    cert = find_certificate(krebes)
+    colors = {**cert.coloring.colors, circle: cert.boundary_color}
+    ringed_cert = PersistenceCertificate(replace(cert.coloring, colors=colors), cert.boundary_color, cert.witness)
+    vertical = rational_tangle([2, 0])
+    looped = tangle_add(corpus["fig4-tangle"], tangle_add(vertical, vertical))
+    return [
+        ("fig1-krebes and a circle", ringed, ringed_cert),
+        ("fig4-tangle and a closed strand", looped, find_certificate(looped)),
+    ]
+
+
 class TestVerifyEachHostOnce:
     @pytest.mark.parametrize("trials", [0, 1, 5, 100])
     def test_report_equals_the_reference_loop(self, corpus_diagrams, trials):
         certs = _verified_certificates(corpus_diagrams)
         assert "fig3-1tangle" in [name for name, _, _ in certs]
-        for name, t, cert in certs:
+        closed = _tangles_with_closed_components(corpus_diagrams)
+        assert [len(components(t)) - len(t.boundary) // 2 for _, t, _ in closed] == [1, 2]
+        for name, t, cert in certs + closed:
             for seed in (0, 3, 7919):
                 got = verify_certificate(t, cert, trials=trials, seed=seed).to_json()
                 want = reference_verify_certificate(t, cert, trials=trials, seed=seed).to_json()
                 assert got == want, (name, seed)
 
+    def test_the_demos_certificates_equal_the_reference_loop(self, trefoil):
+        c = tricoloring(trefoil)
+        runs = [(*cut_arc_twice(trefoil, c, 1), 100, 0), (*cut_two_arcs(trefoil, c, 1, 6)[:2], 100, 0)]
+        six2 = numerator_closure(rational_tangle([3, 1, 2]))
+        d2, c2, pair, _ = ensure_same_colored_pair(six2, fox_solution_space(six2, 11).first_nonconstant())
+        runs += [(*cut_two_arcs(d2, c2, *pair, extra_passes=k)[:2], 25, k) for k in range(4)]
+        runs.append((*build_T_plus_Tstar([3, 0]), 100, 1))
+        for t, cert, trials, seed in runs:
+            got = verify_certificate(t, cert, trials=trials, seed=seed)
+            assert got.to_json() == reference_verify_certificate(t, cert, trials, seed).to_json()
+            assert got.passes > 0
+
     @pytest.mark.parametrize("name", ["fig5-t-plus-tstar", "fig3-1tangle"])
-    def test_each_distinct_host_and_closure_is_built_once(self, corpus_diagrams, monkeypatch, name):
+    def test_each_distinct_host_and_closure_is_built_once(self, corpus_diagrams, name):
+        # verification builds no closure; each distinct drawn pair, glued once
+        # here, has the components of its report entries
+        t = corpus_diagrams[name]
+        report = verify_certificate(t, find_certificate(t), trials=100, seed=1)
+        entries = {(e["host"], e["closure"]): e for e in report.entries}
+        assert len(entries) < len(report.entries)  # the draws repeat
+        glued = drawn_closures(t, trials=100, seed=1)
+        assert [(host, closure) for host, closure, _ in glued] == list(entries)
+        for host, closure, out in glued:
+            assert len(components(out)) == entries[host, closure]["components"]
+
+    @pytest.mark.parametrize("name", ["fig5-t-plus-tstar", "fig3-1tangle"])
+    def test_verification_builds_no_host_and_no_closure(self, corpus_diagrams, monkeypatch, name):
         t = corpus_diagrams[name]
         cert = find_certificate(t)
-        glued, built = [], []
 
-        def counting_insert(t, host, closure="N"):
-            glued.append(closure)
-            return insert_into_host(t, host, closure)
+        def refuse(*args, **kwargs):
+            raise AssertionError("verification built a diagram")
 
-        def counting_rational(w):
-            built.append(tuple(w))
-            return rational_tangle(w)
-
-        monkeypatch.setattr(persistence, "insert_into_host", counting_insert)
-        monkeypatch.setattr(persistence, "rational_tangle", counting_rational)
+        for attr in ("rational_tangle", "insert_into_host", "_glue"):
+            monkeypatch.setattr(tangle, attr, refuse)
+            monkeypatch.setattr(persistence, attr, refuse, raising=False)
         report = verify_certificate(t, cert, trials=100, seed=1)
-        pairs = {(e["host"], e["closure"]) for e in report.entries}
-        assert len(pairs) < len(report.entries)  # the draws repeat
-        assert len(glued) == len(pairs)
-        assert len(built) == len(set(built))  # rejected 1-tangle caps included
-        suffix = "-capped" if len(t.boundary) == 2 else ""
-        hosts = {e["host"] for e in report.entries} - {"zero", "infinity", "trivial"}
-        assert hosts <= {f"rational{list(w)}{suffix}" for w in built}
+        assert report.passes > 0
 
     def test_repeated_entries_are_copies(self, corpus_diagrams):
         t = corpus_diagrams["fig5-t-plus-tstar"]
         report = verify_certificate(t, find_certificate(t), trials=100, seed=1)
         ids = {id(e) for e in report.entries}
         assert len(ids) == len(report.entries)
+
+    def test_a_rule_that_breaks_the_constant_crossing_is_named(self, monkeypatch):
+        # a crossing-free tangle: the zero tangle and a circle of another color
+        t = Diagram(boundary=(1, 1, 2, 2), circles=(3,))
+        cert = PersistenceCertificate(FoxColoring(3, {1: 0, 2: 0, 3: 1}), 0, (1, 3))
+        assert verify_certificate(t, cert, trials=5).passes == 0
+        rule = FoxColoring.rule
+        monkeypatch.setattr(
+            FoxColoring, "rule", lambda self, oriented: (*rule(self, oriented)[:1], lambda a, b: (a + 1) % 3, None)
+        )
+        with pytest.raises(CertificateError, match=re.escape("host crossing: 0 * 0 != 0")):
+            verify_certificate(t, cert, trials=5)
+
+    def test_the_largest_label_verifies_since_no_host_is_glued(self, corpus_diagrams):
+        # a glued host's labels are raised past the tangle's, which 2**31 - 1 leaves no room for
+        t = corpus_diagrams["fig1-krebes"]
+        big = relabel(t, {max(t.arcs()): 2**31 - 1})
+        got = verify_certificate(big, find_certificate(big), trials=10)
+        assert got.to_json() == verify_certificate(t, find_certificate(t), trials=10).to_json()
+
+    def test_a_closed_diagram_is_not_a_tangle_to_verify(self, trefoil):
+        coloring = tricoloring(trefoil)
+        cert = PersistenceCertificate(coloring, 0, coloring.witness())
+        with pytest.raises(TangleError, match="4-endpoint tangle"):
+            verify_certificate(trefoil, cert, trials=1)
 
 
 class TestTPlusTstar:

@@ -20,6 +20,8 @@ import random
 import pytest
 
 from oracles import (
+    drawn_closures,
+    east_cap,
     reference_close_one_tangle,
     reference_denominator_closure,
     reference_east_cap,
@@ -27,6 +29,7 @@ from oracles import (
     reference_numerator_closure,
     reference_tangle_add,
     reference_validate,
+    same_colored_arc_pairs,
 )
 from tanglecert import diagram, moves, persistence
 from tanglecert.braids import braid_closure
@@ -51,17 +54,17 @@ from tanglecert.diagram import (
 from tanglecert.moves import apply_r1, apply_r2_over, apply_r3, find_r3_triangles, undo_move
 from tanglecert.persistence import (
     CertificateError,
-    _east_cap,
     cut_arc_once,
     cut_arc_twice,
     cut_two_arcs,
     find_certificate,
-    find_same_colored_pairs,
     verify_certificate,
 )
 from tanglecert.tangle import (
     TangleError,
+    TangleFraction,
     close_one_tangle,
+    connectivity,
     denominator_closure,
     infinity_tangle,
     insert_into_host,
@@ -70,6 +73,7 @@ from tanglecert.tangle import (
     rational_tangle,
     rotate90,
     tangle_add,
+    tangle_fraction,
     zero_tangle,
 )
 
@@ -94,8 +98,8 @@ HOSTS = random_hosts()
 def one_tangle_hosts():
     """The trivial host, east-capped rational tangles and cut knots; capping the
     infinity tangle leaves a crossing-free circle."""
-    hosts = [Diagram(boundary=(1, 1)), _east_cap(infinity_tangle())]
-    hosts += [_east_cap(rational_tangle(w)) for w in ([1], [2], [-3], [2, 1], [1, 2], [-2, 3], [2, 2])]
+    hosts = [Diagram(boundary=(1, 1)), east_cap(infinity_tangle())]
+    hosts += [east_cap(rational_tangle(w)) for w in ([1], [2], [-3], [2, 1], [1, 2], [-2, 3], [2, 2])]
     hosts += [cut_arc_once(parse_diagram(TREFOIL), a) for a in (1, 4)]
     return hosts
 
@@ -148,20 +152,14 @@ class TestSplicedIndex:
                 assert_spliced_index_is_the_validated_one(insert_into_host(t, host))
 
     @pytest.mark.parametrize("name", ["fig1-krebes", "fig5-t-plus-tstar", "fig3-1tangle"])
-    def test_every_closure_of_the_verify_goldens(self, corpus_diagrams, monkeypatch, name):
-        # the closures `certify corpus/<name>.pd --verify 100 --seed 0` glues
-        glued = []
-
-        def recording_insert(t, host, closure="N"):
-            out = insert_into_host(t, host, closure)
-            glued.append(out)
-            return out
-
-        monkeypatch.setattr(persistence, "insert_into_host", recording_insert)
+    def test_every_closure_of_the_verify_goldens(self, corpus_diagrams, name):
+        # the closures `certify corpus/<name>.pd --verify 100 --seed 0` draws,
+        # glued here since verification composes them without gluing
         t = corpus_diagrams[name]
         report = verify_certificate(t, find_certificate(t), trials=100, seed=0)
+        glued = drawn_closures(t, trials=100, seed=0)
         assert len(glued) == len({(e["host"], e["closure"]) for e in report.entries}) > 20
-        for out in glued:
+        for _, _, out in glued:
             assert_spliced_index_is_the_validated_one(out)
 
     def test_oriented_closures_fail_exactly_when_a_fresh_copy_fails(self):
@@ -199,7 +197,7 @@ RATIONALS = seeded_rational_tangles()
 CLOSURES = [
     (numerator_closure, reference_numerator_closure),
     (denominator_closure, reference_denominator_closure),
-    (_east_cap, reference_east_cap),
+    (east_cap, reference_east_cap),
 ]
 
 
@@ -228,7 +226,7 @@ class TestGlueAgainstReference:
         for t in tangles:
             for glue, reference in CLOSURES:
                 assert_glues_like(glue, reference, t)
-            assert_glues_like(close_one_tangle, reference_close_one_tangle, _east_cap(t))
+            assert_glues_like(close_one_tangle, reference_close_one_tangle, east_cap(t))
         for t in ones:
             assert_glues_like(close_one_tangle, reference_close_one_tangle, t)
 
@@ -237,7 +235,7 @@ class TestGlueAgainstReference:
         for t in RATIONALS:
             for glue, reference in CLOSURES:
                 results.add(kind(assert_glues_like(glue, reference, t)))
-            cap = outcome(lambda: _east_cap(t))
+            cap = outcome(lambda: east_cap(t))
             if isinstance(cap, Diagram):
                 closed = assert_glues_like(close_one_tangle, reference_close_one_tangle, cap)
                 results.add(kind(closed))
@@ -265,7 +263,7 @@ class TestGlueAgainstReference:
             t, host, closure = rng.choice(tangles), rng.choice(HOSTS), rng.choice("ND")
             assert_glues_like(insert_into_host, reference_insert_into_host, t, host, closure)
         hosts = one_tangle_hosts()
-        for t in [_east_cap(t) for t in RATIONALS[:40]] + hosts:
+        for t in [east_cap(t) for t in RATIONALS[:40]] + hosts:
             for host in hosts:
                 assert_glues_like(insert_into_host, reference_insert_into_host, t, host)
 
@@ -284,7 +282,7 @@ class TestGlueAgainstReference:
         )
 
     def test_gluing_validated_parts_builds_no_dart_structure(self, monkeypatch):
-        t, host, one = SUMS[0], HOSTS[4], _east_cap(RATIONALS[0])
+        t, host, one = SUMS[0], HOSTS[4], east_cap(RATIONALS[0])
         knot = parse_diagram(TREFOIL)
         glues = [  # and one move and one cut, which splice the same way
             lambda: apply_r2_over(knot, 2, 4)[0],
@@ -296,7 +294,7 @@ class TestGlueAgainstReference:
             lambda: numerator_closure(t),
             lambda: denominator_closure(t),
             lambda: close_one_tangle(one),
-            lambda: _east_cap(t),
+            lambda: east_cap(t),
         ]
         for glue in glues:  # validates the trivial hosts the closures and caps glue in
             glue()
@@ -360,7 +358,7 @@ class TestEditedIndex:
                 continue
             cut_arc_twice(d, coloring, rng.choice(sorted(d.arcs())))
             kinds["cut twice"] += 1
-            a1, a2 = rng.choice(find_same_colored_pairs(d, coloring))
+            a1, a2 = rng.choice(same_colored_arc_pairs(d, coloring))
             for passes in range(3):
                 try:
                     records = cut_two_arcs(d, coloring, a1, a2, extra_passes=passes)[2]
@@ -395,30 +393,38 @@ class TestRationalHosts:
         assert len(vectors) == 1554
         for w in vectors:
             host = rational_tangle(w)
-            cap = _east_cap(host)
+            cap = east_cap(host)
             assert_built_unnumbered_and_validated_alike(host)
             assert_built_unnumbered_and_validated_alike(cap)
+
+    def test_the_fraction_parity_gives_every_drawable_end_pairing(self):
+        # what verify_certificate reads instead of building the host
+        pairings = {}
+        for w in every_drawable_twist_vector():
+            host = rational_tangle(w)
+            pairing = tangle_fraction(w).connectivity
+            assert pairing == connectivity(host), w
+            cap = east_cap(host)
+            assert (not cap.circles and len(components(cap)) == 1) == (pairing != "V"), w
+            pairings[pairing] = pairings.get(pairing, 0) + 1
+        assert set(pairings) == {"H", "V", "X"}
+        assert TangleFraction(0, 1).connectivity == connectivity(zero_tangle()) == "H"
+        assert TangleFraction(1, 0).connectivity == connectivity(infinity_tangle()) == "V"
 
 
 class TestLazyFaces:
     def test_verify_numbers_the_faces_of_no_host_closure(self, corpus_diagrams, monkeypatch):
         t = corpus_diagrams["fig5-t-plus-tstar"]
         cert = find_certificate(t)
-        glued, numbered = [], []
-
-        def recording_insert(t, host, closure="N"):
-            out = insert_into_host(t, host, closure)
-            glued.append(out)
-            return out
-
+        numbered = []
         real = diagram._face_ids
-        monkeypatch.setattr(persistence, "insert_into_host", recording_insert)
         monkeypatch.setattr(diagram, "_face_ids", lambda face_next: numbered.append(face_next) or real(face_next))
         report = verify_certificate(t, cert, trials=100)
+        glued = drawn_closures(t, trials=100)
         assert report.passes > 0 and len(glued) > 20
         assert numbered == []
         monkeypatch.setattr(diagram, "_face_ids", real)
-        for out in glued:
+        for _, _, out in glued:
             assert_built_unnumbered_and_validated_alike(out)
 
 

@@ -28,6 +28,7 @@ from oracles import (
     reference_linking_sum,
     reference_non_cofacial_pairs,
     reference_orient,
+    same_colored_arc_pairs,
     reference_r2_transport,
 )
 from tanglecert.braids import braid_closure
@@ -104,7 +105,7 @@ def cut_tangles():
         c = next((c for space in spaces if (c := space.first_nonconstant())), None)
         if c is None:
             continue
-        pairs = find_same_colored_pairs(d, c)
+        pairs = same_colored_arc_pairs(d, c)
         for pair in pairs[:1] + pairs[-1:]:
             out += [cut_two_arcs(d, c, *pair, extra_passes=k)[0] for k in range(4)]
     return out
