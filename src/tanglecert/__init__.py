@@ -33,7 +33,6 @@ from .colorings import (
     QuandleSpace,
     determinant,
     dihedral,
-    fox_matrix,
     fox_solution_space,
     has_nontrivial_fox,
     link_determinant,

@@ -42,26 +42,27 @@ check numbers its faces when something first reads them (faces, _sides,
 _far_ends, the transport search, find_r3_triangles) and keeps them from
 then on; the strand walk, _has_arc, _flow, max_label and _edit read only
 the pairing.  Only validate and faces() walk every face.  The first
-coloring solver call on a validated diagram keeps its Fox system
-(colorings._strand_columns: strand representatives, label columns,
-crossing triples and crossing rows, immutable) beside the index, and the
-first Fox or affine quandle space solve or link determinant keeps the
-unit residual of its crossing rows and its split by component, one each
-per affine rule (colorings._unit_residual and _split, immutable), beside
-that; validate builds none of them, an unvalidated diagram keeps nothing,
-and a pickled or copied diagram drops them.  validate
-rejects a Diagram whose fields, or a Crossing whose slots, are not
-tuples, so a marked object cannot change after the check, and labels the
-index cannot hold (not integers below 2**31).
+coloring solver call on a validated diagram keeps its strand columns
+(colorings._strand_columns: strand representatives, label columns and
+crossing triples, immutable) beside the index, and the first Fox or
+affine quandle space solve or link determinant keeps the unit residual
+of its crossing rows and its split by component, one each per affine
+rule (colorings._unit_residual and _split, immutable), beside that;
+validate builds none of them, and an unvalidated diagram keeps nothing.
+A pickled or copied diagram keeps its fields and its index and faces
+(Diagram.__getstate__), and builds the rest again.  validate rejects a
+Diagram whose fields, or a Crossing whose slots, are not tuples, so a
+marked object cannot change after the check, and labels the index cannot
+hold (not integers below 2**31).
 parse_diagram and every public constructor return validated diagrams;
 intermediates that never leave a function are not validated.  One builder,
 _edit, makes a diagram from a validated one, and every move, undo, cut and
 glue (sums, closures, caps, host closures, a quarter turn) is one _edit
 call, and so is a rational tangle: the zero or infinity tangle with its
 twists appended.  It splices the result's pairing from the kept one (see
-_edit), a glue copying the host's kept pairing as well, so only the glued
-ends pair by label, and marks it without validate: each result is planar
-by construction, as a move or cut is surgery inside one face, a twist adds
+_edit), so only the darts at the site and the appended crossings' darts
+pair by label, and marks it without validate: each result is planar by
+construction, as a move or cut is surgery inside one face, a twist adds
 a crossing at the boundary, and planar disks glued along boundary arcs
 make a disk or a sphere, and each leaves every label on two darts, so the
 occurrence count and Euler walk would pass; signs and flow are checked.
@@ -121,9 +122,10 @@ class Diagram:
         return bool(self.crossings) and all(c.sign != 0 for c in self.crossings)
 
     def __getstate__(self) -> dict:
-        # the kept Fox system, unit residuals and splits hold mappingproxies,
-        # which do not pickle; the first solver call on the copy builds them again
-        return {k: v for k, v in self.__dict__.items() if k not in ("_fox", "_units", "_split")}
+        # the fields, the kept index and faces; what other modules keep on the
+        # object (mappingproxies, which do not pickle) is built again on the copy
+        keep = ("crossings", "circles", "boundary", "_valid", "_faces")
+        return {k: v for k, v in self.__dict__.items() if k in keep}
 
     def arcs(self) -> frozenset[int]:
         labels = set()
@@ -279,9 +281,7 @@ def validate(d: Diagram) -> None:
     _keep_faces(d, face_next, face)
 
 
-def _edit(
-    d: Diagram, spots=(), added=(), circles=None, boundary=None, drop=0, pairing=None
-) -> Diagram:
+def _edit(d: Diagram, spots=(), added=(), circles=None, boundary=None, drop=0) -> Diagram:
     """d rewritten at one site, marked valid with d's kept index spliced:
     its last `drop` crossings dropped, the `added` crossings appended,
     labels substituted at (vertex, slot, old, new) places (the cap's vertex
@@ -289,12 +289,9 @@ def _edit(
     (cap places name the new boundary's positions).
 
     The kept crossings keep their darts and every pairing between them,
-    except at a substituted place.  So do the appended ones when `pairing`
-    is given: the kept `other` of a validated diagram whose crossings are
-    `added` with each label raised past d's, except at its ends (the darts
-    it pairs with its cap).  The loose darts pair by label: the substituted
-    ones and their old partners, the partners of d's dropped and cap darts,
-    the appended darts (with `pairing`, only the ends) and every cap dart.
+    except at a substituted place.  The loose darts pair by label: the
+    substituted ones and their old partners, the partners of d's dropped
+    and cap darts, the appended darts and every cap dart.
     The result passes the occurrence and Euler counts by construction (see
     the module docstring), so only the signs and an oriented result's flow
     are checked; its faces are numbered when first read.
@@ -309,13 +306,7 @@ def _edit(
     labels += d.boundary if boundary is None else boundary
     other = d_other[:p4].tolist()
     loose = {k for k in d_other[p4:] if k < p4}
-    if pairing is None:
-        loose.update(range(p4, len(labels)))
-    else:
-        n4 = c4 - p4
-        other += map(p4.__add__, pairing[:n4])
-        loose.update(p4 + k for k in pairing[n4:] if k < n4)
-        loose.update(range(c4, len(labels)))
+    loose.update(range(p4, len(labels)))
     other += [0] * (len(labels) - len(other))
     for v, s, old, new in spots:
         j = c4 + s if v == _CAP else 4 * v + s

@@ -25,24 +25,25 @@ on.  The coloring solvers list a solution set from such a basis by
 strand, which gives lexicographic order for every N
 (colorings.AffineSpace._walk).
 
-Rows enter the elimination in the order given.  The coloring solvers feed
-crossing rows right to left (by decreasing rightmost column), which needs
-far fewer reduction steps than crossing order; no answer depends on it.
+Rows enter each elimination in the order given; no answer depends on it.
 
 eliminate_units reduces a matrix once over Z by unit pivots: each row
 that holds a +-1 entry, in the given order, clears the column of that
-entry the fewest rows hold from every other row, and goes with it.  What
-is left (a few rows for a crossing matrix) has the same invariant factors
-other than 1, and the same solution count mod every N up to the columns
-the pivots fix.  It also returns the pivot record, each pivot's column and
+entry the fewest rows hold from every other row, and goes with it.  The
+coloring solvers feed it crossing rows right to left (by decreasing
+rightmost column), which keeps short the chains of pivot rows that a
+pinned strand's lift reads (colorings._right_to_left).  What is left (a
+few rows for a crossing matrix) has the same invariant factors other
+than 1, and the same solution count mod every N up to the columns the
+pivots fix.  It also returns the pivot record, each pivot's column and
 row as they stood when it was chosen; no later pivot touches that row, so
 lift_units, back-substituting in reverse pivot order, lifts any solution
 mod N on the residual's columns to every column, sparse, over as much of
 the record as the caller hands it (one split component's part, say).  The
-coloring solvers keep the residual and the record beside the Fox system,
-read the link determinant off the residual, and solve every Fox and
-affine quandle space on it, one split component at a time, and lift its
-basis.
+coloring solvers keep the residual and the record beside the strand
+columns, read the link determinant off the residual, and solve every Fox
+and affine quandle space on it, one split component at a time, and lift
+its basis.
 
 abs_determinant eliminates over Z without fractions (Bareiss 1968), sparse
 and column by column, so it needs no modulus: every entry it keeps is a

@@ -435,7 +435,8 @@ def find_certificate_report(
     moduli: list[int] | None = None,
     quandles: tuple[Quandle, ...] = (),
 ) -> CertificateSearchReport:
-    """Search Fox moduli then quandles for a boundary-monochromatic coloring.
+    """Search Fox moduli, each once in increasing order, then quandles for a
+    boundary-monochromatic coloring.
 
     One list of (key, space constructor, modulus or quandle, pin values) is
     walked once; an entry's pin values are computed only when the walk
@@ -451,7 +452,7 @@ def find_certificate_report(
     report = CertificateSearchReport()
     if moduli is None:
         moduli, report.cannot_exist = _default_moduli(t)
-    searches = [(_fox_key(n), fox_solution_space, n, lambda: (0,)) for n in sorted(moduli)]
+    searches = [(_fox_key(n), fox_solution_space, n, lambda: (0,)) for n in sorted(set(moduli))]
     searches += [(_quandle_key(q), quandle_space, q, q.orbit_representatives) for q in quandles]
     for key, space_of, over, pin_values in searches:
         clash = None

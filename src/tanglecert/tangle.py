@@ -90,13 +90,12 @@ def _glue(t: Diagram, host: Diagram, glue, boundary=()) -> Diagram:
     merges, the smaller label kept, which keeps the left operand's labels
     stable under addition; a pair whose ends already meet closes a circle.
     The result is one _edit of t: the merged labels substituted at t's end
-    darts, the host's crossings appended raised, with the merged labels at
-    their end darts and the host's kept pairing, and the open ends, in the
-    order given, as its boundary.  t and host are validated if they are not
-    yet.
+    darts, the host's crossings appended with their labels raised and the
+    merged ones renamed, and the open ends, in the order given, as its
+    boundary.  t and host are validated if they are not yet.
     """
     shift = max_label(t)
-    h_labels, h_other = _pairing(host)
+    validate(host)
     ends = t.boundary + tuple(e + shift for e in host.boundary)
     merged: dict[int, int] = {}  # union-find of the ends: dropped label -> a smaller one
     circles = [*t.circles, *(k + shift for k in host.circles)]
@@ -105,21 +104,18 @@ def _glue(t: Diagram, host: Diagram, glue, boundary=()) -> Diagram:
             circles.append(_find(merged, ends[p]))
     rename = {x: _find(merged, x) for x in merged}
     labels, other = _pairing(t)
-    c4, h4 = 4 * len(t.crossings), 4 * len(host.crossings)
+    c4 = 4 * len(t.crossings)
     spots = [
         (k >> 2, k & 3, labels[k], rename[labels[k]])
         for k in other[c4:]
         if k < c4 and labels[k] in rename
     ]
-    raised = [label + shift for label in h_labels[:h4]]
-    for k in h_other[h4:]:  # the host's end darts take their merged labels
-        if k < h4:
-            raised[k] = rename.get(raised[k], raised[k])
     added = [
-        Crossing(tuple(raised[j : j + 4]), c.sign) for j, c in zip(range(0, h4, 4), host.crossings)
+        Crossing(tuple(rename.get(s + shift, s + shift) for s in c.slots), c.sign)
+        for c in host.crossings
     ]
     carry = [rename.get(ends[p], ends[p]) for p in boundary]
-    return _edit(t, spots, added, circles, carry, pairing=h_other)
+    return _edit(t, spots, added, circles, carry)
 
 
 # validated once: the trivial hosts, and the tangles rational twists grow from

@@ -192,7 +192,7 @@ BRUTE = 20_000  # n ** strands up to which Fox counts are compared with exhausti
 
 def searched(d, q, pins):
     """_search's first PREFIX colorings, as colors by label."""
-    strands, col, triples, _ = colorings._strand_columns(d)
+    strands, col, triples = colorings._strand_columns(d)
     pinned = [(col[label], v) for label, v in (pins or {}).items()]
     walk = colorings._search(q, triples, d.crossings, len(strands), pinned)
     return [{label: x[c] for label, c in col.items()} for x in islice(walk, PREFIX)]
@@ -332,7 +332,7 @@ def test_a_kink_row_without_a_unit_matches_the_reference():
         for arc in sorted(d.arcs())[:2]:
             for positive in (True, False):
                 kinked = orient(apply_r1(d, arc, positive)[0])
-                _, _, triples, _ = colorings._strand_columns(kinked)
+                _, _, triples = colorings._strand_columns(kinked)
                 rows = colorings._crossing_rows(triples, kinked.crossings, 3)
                 found |= any(row and all(abs(v) != 1 for v in row.values()) for row in rows)
                 for pins in (None, {arc: 4}):

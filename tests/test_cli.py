@@ -153,6 +153,13 @@ class TestCertify:
         assert code == 1
         assert "none" in out and "forces arcs" in out
 
+    def test_a_repeated_modulus_is_reported_once(self, capsys, corpus_dir):
+        path = str(corpus_dir / "fig9-tangle.pd")
+        code, out, _ = run(capsys, "certify", path, "--mods", "3,5,3", "--json")
+        want = run(capsys, "certify", path, "--mods", "3,5", "--json")
+        assert (code, out) == want[:2] and code == 1
+        assert [e["fox"] for e in json.loads(out)["entries"]] == [3, 5]
+
     def test_fig8_tangle_gcd_reason(self, capsys, corpus_dir):
         code, out, _ = run(capsys, "certify", str(corpus_dir / "fig8-tangle.pd"))
         assert code == 1

@@ -13,7 +13,6 @@ from tanglecert.colorings import (
     QuandleColoring,
     determinant,
     dihedral,
-    fox_matrix,
     fox_solution_space,
     has_nontrivial_fox,
     link_determinant,
@@ -24,7 +23,7 @@ from tanglecert.colorings import (
 )
 from tanglecert import colorings
 from tanglecert.braids import braid_closure
-from tanglecert.diagram import Crossing, Diagram, parse_diagram, serialize
+from tanglecert.diagram import Crossing, Diagram, faces, orient, parse_diagram, serialize
 from tanglecert.tangle import numerator_closure
 
 TRICOLORING = {1: 0, 6: 0, 2: 1, 3: 1, 4: 2, 5: 2}
@@ -87,34 +86,38 @@ class TestKeptFoxSystem:
     def test_the_kept_system_is_immutable(self):
         d = closure_3x50()
         fox_solution_space(d, 3)
-        strands, col, triples, rows = d.__dict__["_fox"]
-        assert isinstance(strands, tuple) and isinstance(triples, tuple) and isinstance(rows, tuple)
+        strands, col, triples = d.__dict__["_fox"]
+        assert isinstance(strands, tuple) and isinstance(triples, tuple)
         with pytest.raises(TypeError):
             col[1] = 0
-        with pytest.raises(TypeError):
-            rows[0][0] = 1
 
     def test_a_solved_diagram_still_pickles_and_copies(self):
         import copy
         import pickle
 
-        d = closure_3x50()
-        count = fox_solution_space(d, 3).count
-        for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
-            assert twin == d and "_fox" not in twin.__dict__
-            assert fox_solution_space(twin, 3).count == count
+        # an oriented closure holding its faces, its strand columns, and the
+        # residual and split at t = -1 and, by alexander(7, 3), at t = 3
+        d = orient(closure_3x50())
+        alexander = Quandle(tuple(tuple((3 * a - 2 * b) % 7 for b in range(7)) for a in range(7)))
 
-    def test_mutating_the_returned_matrix_changes_no_later_count(self):
+        def answers(x):
+            return fox_solution_space(x, 3).count, quandle_space(x, alexander).count, link_determinant(x)
+
+        want = answers(d)
+        faces(d)
+        assert {"_valid", "_faces", "_fox"} <= set(d.__dict__)
+        assert set(d.__dict__["_units"]) == set(d.__dict__["_split"]) == {-1, 3}
+        for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+            assert twin == d
+            assert set(twin.__dict__) == {"crossings", "circles", "boundary", "_valid", "_faces"}
+            assert twin.__dict__["_faces"] == d.__dict__["_faces"]
+            assert answers(twin) == want
+
+    def test_mutating_a_returned_space_changes_no_later_count(self):
         d = closure_3x50()
         before = {n: fox_solution_space(d, n).count for n in (3, 5, 97)}
-        matrix = fox_matrix(d)
-        rows, strands = fox_matrix(d)
-        for row in rows:
-            row.clear()
-        strands.reverse()
         fox_solution_space(d, 3).strands.clear()
         assert {n: fox_solution_space(d, n).count for n in (3, 5, 97)} == before
-        assert fox_matrix(d) == matrix
 
 
 class TestSolutionSpace:

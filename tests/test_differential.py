@@ -25,11 +25,19 @@ from oracles import (
     reference_closure_evidence,
     reference_first_nonconstant,
     reference_fox_solution_space,
+    reference_quandle_colorings,
     strand_partition,
 )
 from tanglecert.braids import braid_closure
-from tanglecert.colorings import determinant, fox_solution_space, link_determinant, verify_coloring
-from tanglecert.diagram import Diagram, components, parse_diagram, relabel, validate
+from tanglecert.colorings import (
+    Quandle,
+    determinant,
+    fox_solution_space,
+    link_determinant,
+    quandle_space,
+    verify_coloring,
+)
+from tanglecert.diagram import Diagram, components, orient, parse_diagram, relabel, validate
 from tanglecert.persistence import _closure_evidence
 from tanglecert.tangle import (
     close_one_tangle,
@@ -148,14 +156,15 @@ ORDER_MODULI = (2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 25, 27, 30, 49, 97)
 
 
 def shuffled(rng, d):
-    """d with its crossings in a random order and its labels permuted, validated."""
+    """(d with its crossings in a random order and its labels permuted,
+    validated; the permutation, d's label -> the twin's)."""
     crossings = list(d.crossings)
     rng.shuffle(crossings)
     labels = sorted(d.arcs())
-    image = rng.sample(labels, len(labels))
-    out = relabel(Diagram(tuple(crossings), d.circles, d.boundary), dict(zip(labels, image)))
+    image = dict(zip(labels, rng.sample(labels, len(labels))))
+    out = relabel(Diagram(tuple(crossings), d.circles, d.boundary), image)
     validate(out)
-    return out
+    return out, image
 
 
 def strand_values(space, coloring):
@@ -180,6 +189,26 @@ def assert_same_space(got, want, listed=40, sorted_up_to=2000):
     assert first == next((c for c in got.colorings() if c.nontrivial), None)
 
 
+ALEXANDER_7_3 = Quandle(tuple(tuple((3 * a - 2 * b) % 7 for b in range(7)) for a in range(7)))
+
+
+def assert_same_quandle_listing(d, q, image, listed=40):
+    """quandle_space's count and listing prefix are the reference search's.
+
+    The search runs on d with the labels it had before `image` permuted
+    them, in whose order its propagation stays quick, and its colorings are
+    renamed back and sorted in lexicographic order of d's strands.
+    """
+    back = {new: old for old, new in image.items()}
+    listed_back = reference_quandle_colorings(relabel(d, back), q)
+    want = [{image.get(a, a): v for a, v in c.colors.items()} for c in listed_back]
+    strands = sorted(set(strand_partition(d).values()))
+    want.sort(key=lambda colors: [colors[s] for s in strands])
+    space = quandle_space(d, q)
+    assert space.count == len(want)
+    assert [c.colors for c in islice(space.colorings(), listed)] == want[:listed]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_row_order_changes_no_answer(corpus_diagrams, seed):
     # 12 cases a seed, each over 15 moduli: 1,440 spaces compared in all
@@ -187,7 +216,12 @@ def test_row_order_changes_no_answer(corpus_diagrams, seed):
     cases = []
     for _ in range(4):
         d = random_closure(rng, rng.randint(2, 5), rng.randint(1, 40))
-        cases += [(d, {}), (shuffled(rng, d), {})]
+        twin, image = shuffled(rng, d)
+        cases += [(d, {}), (twin, {})]
+        # the determinant, and the rows at t = 3 in either order, answer alike too
+        assert link_determinant(twin) == link_determinant(d)
+        for dd, permuted in ((d, {}), (twin, image)):
+            assert_same_quandle_listing(orient(dd), ALEXANDER_7_3, permuted)
     tangles = sorted(name for name, t in corpus_diagrams.items() if len(t.boundary) == 4)
     for name in rng.sample(tangles, 2):
         t = corpus_diagrams[name]

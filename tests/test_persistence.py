@@ -353,6 +353,13 @@ class TestFindCertificate:
         assert all(not e["found"] for e in report.entries)
         assert any("clash" in e for e in report.entries)
 
+    def test_a_repeated_modulus_is_searched_once(self, corpus_diagrams):
+        t = corpus_diagrams["fig9-tangle"]
+        once = find_certificate_report(t, moduli=[3, 5])
+        assert [e["fox"] for e in once.entries] == [3, 5]
+        assert find_certificate_report(t, moduli=[3, 5, 3]).entries == once.entries
+        assert find_certificate_report(t, moduli=[5, 3, 5, 3]).entries == once.entries
+
     def test_fig8_tangle_no_fox_certificate_below_97(self, corpus_diagrams):
         t = corpus_diagrams["fig8-tangle"]
         primes = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
