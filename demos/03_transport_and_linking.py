@@ -1,8 +1,8 @@
 """Transporting arcs with R2 moves, and inflating the linking number.
 
 Two same-colored arcs need not share a face.  Pushing one of them over the
-intervening arcs (type II moves, recoloring as we go) carries a descendant
-segment into the other's face, where both can be cut.  Pushing is always
+intervening arcs (type II moves, recolored once per move sequence) carries a
+descendant segment into the other's face, where both can be cut.  Pushing is always
 over, so the moving segment keeps its color and the boundary stays
 monochromatic.
 

@@ -885,16 +885,12 @@ def quandle_colorings(d: Diagram, q: Quandle, pins: dict[int, int] | None = None
     return QuandleSearch(list(quandle_space(d, q, pins).colorings()))
 
 
-def _broken_crossing(d: Diagram, coloring, colors=None):
+def _broken_crossing(d: Diagram, coloring):
     """The first crossing of d whose relation the coloring breaks, or None;
     ColoringError when an arc has no color or coloring.rule rejects a value.
     under-out = forward(under-in, over) at a positive or unsigned crossing,
-    and under-in = backward(under-out, over); swapped at a negative one.
-    colors, when given, is checked by the coloring's rule in place of its
-    own colors, which the caller vouches it would accept."""
+    and under-in = backward(under-out, over); swapped at a negative one."""
     values, forward, backward = coloring.rule(d.oriented or not d.crossings)
-    if colors is not None:
-        values = colors
     get, broken = values.__getitem__, None
     try:
         for x in d.crossings:  # every one, so that a missing color anywhere raises

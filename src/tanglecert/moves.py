@@ -6,13 +6,14 @@ substitutions, the crossings it appended and the circle it removed.  Each
 move builds its diagram with one diagram._edit call, which splices the
 kept dart index, and undo_move inverts any record the same way (an R3
 slide's substitutions run backwards, so its inverse is the slide back),
-then checks the result from scratch.  Recoloring is local: every untouched arc
-keeps its color, and the crossing rule fixes each changed label at the
-record's site, the crossings it appended or substituted labels at, where
-every occurrence of such a label sits; the result is then checked on every
-crossing.  The rule is coloring.rule (read as involutory: the diagrams are
-unoriented) and the check comes from colorings.  Counts of colorings are
-preserved by all three move types, which the test suite exercises directly.
+then checks the result anew.  Recoloring is local, once per move
+sequence: untouched arcs keep their colors, and move by move the crossing
+rule fixes each changed label at its record's site, the crossings it
+appended or substituted labels at, as they stood then; the result is then
+checked on every crossing once.  The rule is coloring.rule (read as
+involutory: the diagrams are unoriented) and the check comes from colorings.
+Counts of colorings are preserved by all three move types, which the test
+suite exercises directly.
 
 The transport routine repeatedly pushes a chosen arc across faces (always
 passing over the obstructions, so the mover keeps its color) along a
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field, replace
 
 from .colorings import ColoringError, _broken_crossing
 from .diagram import (
-    _CAP,
     Crossing,
     Diagram,
     DiagramError,
@@ -257,8 +257,9 @@ def undo_move(d: Diagram, rec: MoveRecord) -> tuple[Diagram, MoveRecord]:
 # recoloring
 
 
-def recolor_after_move(coloring, rec: MoveRecord, after: Diagram):
-    """The unique coloring of `after` agreeing with the old one off the move site.
+def recolor_after_move(coloring, records, after: Diagram):
+    """The unique coloring of `after` agreeing with the old one off the labels
+    changed by `records`, the moves that made `after` in order (one: a list of one).
 
     Raises MoveError when the old coloring does not extend: the crossing
     rule rejects it, it breaks a crossing of `after`, or it leaves an arc of
@@ -268,31 +269,37 @@ def recolor_after_move(coloring, rec: MoveRecord, after: Diagram):
         values, forward, backward = coloring.rule(after.oriented)
     except ColoringError as exc:
         raise MoveError(f"cannot recolor: {exc}") from None
+    # a record's changed labels occur only at its site or on the cap; walking
+    # back from `after` undoes later substitutions to see each site as it stood
+    n, now, sites = len(after.crossings), {}, []
+    for rec in reversed(records):
+        site = sorted({v for v in (*rec.added, *(s[0] for s in rec.replaced)) if 0 <= v < n})
+        sites.append([tuple(now.setdefault(v, [*after.crossings[v].slots])) for v in site])
+        for v, s, old, _ in reversed(rec.replaced):
+            if 0 <= v < n:
+                now[v][s] = old
     colors = dict(values)  # the rule's values are the coloring's own dict
-    for label in rec.changed_labels():
-        colors.pop(label, None)
-    # every occurrence of a changed label sits at the record's site or on
-    # the cap, so the rule runs at the site's crossings until nothing new is colored
-    site = sorted({*rec.added, *(v for v, _, _, _ in rec.replaced if v != _CAP)})
-    grew = True
-    while grew:
-        grew = False
-        for v in site:
-            a, b, c, e = after.crossings[v].slots
-            over = colors.get(b, colors.get(e))
-            if over is None and {a, c} & {b, e}:  # a kink: one color on the whole crossing
-                over = colors.get(a, colors.get(c))
-            if over is None:
-                continue
-            forced = {b: over, e: over}
-            if a in colors:
-                forced[c] = forward(colors[a], over)  # the moves leave every crossing unsigned
-            elif c in colors:
-                forced[a] = backward(colors[c], over)
-            for label, value in forced.items():
-                if label not in colors:
-                    colors[label] = value
-                    grew = True
+    for rec, site in zip(records, reversed(sites)):  # in move order: each reads what earlier ones fixed
+        for label in rec.changed_labels():
+            colors.pop(label, None)
+        grew = True
+        while grew:
+            grew = False
+            for a, b, c, e in site:
+                over = colors.get(b, colors.get(e))
+                if over is None and {a, c} & {b, e}:  # a kink: one color on the whole crossing
+                    over = colors.get(a, colors.get(c))
+                if over is None:
+                    continue
+                forced = {b: over, e: over}
+                if a in colors:
+                    forced[c] = forward(colors[a], over)  # the moves leave every crossing unsigned
+                elif c in colors:
+                    forced[a] = backward(colors[c], over)
+                for label, value in forced.items():
+                    if label not in colors:
+                        colors[label] = value
+                        grew = True
     try:
         out = replace(coloring, colors={label: colors[label] for label in after.arcs()})
     except KeyError as exc:
@@ -351,8 +358,8 @@ def r2_transport(d: Diagram, coloring, source: int, dest: int) -> TransportResul
     """Bring a descendant segment of `source` into a face shared with `dest`.
 
     Each step pushes the current segment over the next arc on a shortest
-    face path, recoloring as it goes; the mover passes over everything, so
-    the returned segment keeps the source's color.
+    face path; the coloring is recolored once per move sequence, at the end.
+    The mover passes over everything, so the segment keeps the source's color.
     """
     if source == dest:
         raise MoveError("source and destination must differ")
@@ -363,7 +370,7 @@ def r2_transport(d: Diagram, coloring, source: int, dest: int) -> TransportResul
     mover = source
     while (target := _first_step_arc(d, mover, dest)) is not None:
         d, rec = apply_r2_over(d, mover, target)
-        coloring = recolor_after_move(coloring, rec, d)
         records.append(rec)
         mover = rec.fresh[0]  # the middle segment, now one face closer
+    coloring = recolor_after_move(coloring, records, d) if records else coloring
     return TransportResult(d, coloring, mover, records)

@@ -145,20 +145,20 @@ class PersistenceCertificate:
         }
 
 
-def _check_certificate(t: Diagram, cert: PersistenceCertificate, colors=None) -> None:
+def _check_certificate(t: Diagram, cert: PersistenceCertificate) -> None:
     """Every endpoint has the boundary color, the witness arcs of t differ and
     every crossing relation holds, comparing colors as the coloring keeps
-    them (Fox ones mod N); else CertificateError naming the fault.  colors,
-    when given, stands in for cert.coloring.colors: kept as the coloring
-    keeps them, and colors the coloring accepts."""
-    values = cert.coloring.colors if colors is None else colors
+    them (Fox ones mod N); else CertificateError naming the fault."""
+    values = cert.coloring.colors
     if not (isinstance(cert.witness, (tuple, list)) and len(cert.witness) == 2):
         raise CertificateError(f"witness must be a pair of arcs, got {cert.witness!r}")
+    if type(cert.boundary_color) is not int:
+        raise CertificateError(f"boundary color must be an integer, got {cert.boundary_color!r}")
     for label in (*t.boundary, *cert.witness):
         if label not in values or not _has_arc(t, label):
             raise CertificateError(f"endpoint or witness arc {label} has no color on t")
     try:
-        broken = _broken_crossing(t, cert.coloring, values)
+        broken = _broken_crossing(t, cert.coloring)
     except ColoringError as exc:
         raise CertificateError(f"cannot check the certificate on the tangle: {exc}") from None
     fill = cert.coloring.reduce(cert.boundary_color)
@@ -285,26 +285,23 @@ def cut_two_arcs(d: Diagram, coloring, a1: int, a2: int, extra_passes: int = 0):
         raise CertificateError(f"arcs {a1} and {a2} carry different colors")
     moved = r2_transport(d, coloring, a1, a2)
     d, coloring, mover, records = moved.diagram, moved.coloring, moved.segment, moved.records
-    dest_labels = [a2]
+    dest_labels = [a2]  # R2 moves only add labels, so every one stays in d
     for _ in range(extra_passes):
-        target = None
-        for candidate in (dest_labels[-1], *reversed(dest_labels[:-1])):
-            if candidate != mover and _has_arc(d, candidate) and co_facial(d, mover, candidate):
-                target = candidate
-                break
+        order = (dest_labels[-1], *reversed(dest_labels[:-1]))
+        target = next((x for x in order if x != mover and co_facial(d, mover, x)), None)
         if target is None:
             raise CertificateError("cannot continue the spiral: no co-facial segment")
         d, rec = apply_r2_over(d, mover, target)
-        coloring = recolor_after_move(coloring, rec, d)
         records.append(rec)
         mover = rec.fresh[0]
         dest_labels.extend([rec.fresh[2], rec.fresh[3]])
+    if extra_passes:
+        coloring = recolor_after_move(coloring, records[-extra_passes:], d)
     boundary_color = coloring.colors[mover]
     candidates = [
         lbl
         for lbl in dest_labels
         if lbl != mover
-        and _has_arc(d, lbl)
         and coloring.colors[lbl] == boundary_color
         and co_facial(d, mover, lbl)
     ]
@@ -364,7 +361,7 @@ def ensure_same_colored_pair(d: Diagram, coloring):
                 if not match:
                     continue
                 d2, rec = apply_r2_over(d, mover, target)
-                c2 = recolor_after_move(coloring, rec, d2)
+                c2 = recolor_after_move(coloring, [rec], d2)
                 pair = (rec.fresh[2], match[0])  # the new middle segment of target
                 assert c2.colors[pair[0]] == c2.colors[pair[1]]
                 return d2, c2, pair, [rec]

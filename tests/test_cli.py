@@ -430,6 +430,11 @@ CUT_GOLDEN = [
     ("trefoil.cut-arc1", ["trefoil", "--arc", "1", "--mod", "3"]),
     ("trefoil.cut-arc1-arc6-passes2", ["trefoil", "--arc", "1", "--arc2", "6", "--mod", "3", "--passes", "2"]),
     ("8_16.cut-arc3-arc12-mod5", ["8_16", "--arc", "3", "--arc2", "12", "--mod", "5"]),  # 2 R2 moves
+    # written before recoloring went once per move sequence: 3 transport moves, then 3 spiral passes
+    (
+        "fig10-overlaid.cut-arc3-arc24-mod3-passes3",
+        ["fig10-overlaid", "--arc", "3", "--arc2", "24", "--mod", "3", "--passes", "3"],
+    ),
 ]
 
 

@@ -8,11 +8,13 @@ unoriented closures, and non-involutory Alexander quandle colorings of
 oriented closures with crossings of both signs.  Every single-entry
 mutation of a coloring must be rejected by both, and both refuse a
 non-involutory coloring of an unoriented diagram with crossings.  The certificate tests
-show that persistence._check_certificate compares reduced colors, names
-the broken crossing relation, and runs on every emitted certificate.
+show that persistence._check_certificate compares reduced colors, refuses
+a boundary color that is no integer, names the broken crossing relation,
+and runs on every emitted certificate.
 """
 
 import random
+import re
 from dataclasses import replace
 from itertools import islice
 
@@ -194,6 +196,14 @@ class TestCertificateCheck:
         assert verify_certificate(t, shifted, trials=5).to_json() == verify_certificate(
             t, cert, trials=5
         ).to_json()
+
+    @pytest.mark.parametrize("value", ["x", "1", 1.0, None, True])
+    def test_a_boundary_color_that_is_no_integer_is_refused(self, corpus_diagrams, value):
+        t = corpus_diagrams["fig1-krebes"]
+        cert = find_certificate_report(t).certificate
+        bad = PersistenceCertificate(cert.coloring, value, cert.witness)
+        with pytest.raises(CertificateError, match=re.escape(f"must be an integer, got {value!r}")):
+            verify_certificate(t, bad, trials=5)
 
     def test_a_witness_off_the_tangle_is_refused(self, corpus_diagrams):
         t = corpus_diagrams["fig1-krebes"]

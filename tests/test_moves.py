@@ -5,7 +5,7 @@ from itertools import islice
 import pytest
 
 from oracles import canonical_form, reference_recolor_after_move
-from tanglecert import diagram, persistence
+from tanglecert import colorings, diagram, moves, persistence
 from tanglecert.braids import braid_closure
 from tanglecert.colorings import (
     FoxColoring,
@@ -76,13 +76,13 @@ class TestR2:
     def test_constant_coloring_stays_constant(self, trefoil):
         c = FoxColoring(5, {a: 3 for a in trefoil.arcs()})
         d2, rec = apply_r2_over(trefoil, 2, 4)
-        c2 = recolor_after_move(c, rec, d2)
+        c2 = recolor_after_move(c, [rec], d2)
         assert set(c2.colors.values()) == {3}
 
     def test_recoloring_preserves_nontriviality(self, trefoil):
         c = fox_solution_space(trefoil, 3).first_nonconstant()
         d2, rec = apply_r2_over(trefoil, 2, 4)
-        c2 = recolor_after_move(c, rec, d2)
+        c2 = recolor_after_move(c, [rec], d2)
         assert verify_coloring(d2, c2) and c2.nontrivial
         # the mover keeps its color on all three segments
         assert c2.colors[rec.fresh[0]] == c.colors[2]
@@ -238,12 +238,12 @@ class TestLocalRecoloring:
                 moves.append(apply_r3(d, rng.choice(tris)))
             for c in some_colorings(d, rng):
                 for after, rec in moves:
-                    got = recolor_after_move(c, rec, after)
+                    got = recolor_after_move(c, [rec], after)
                     want = reference_recolor_after_move(c, rec, after)
                     # same colors in the same order, so payloads built from them match too
                     assert got == want and list(got.colors.items()) == list(want.colors.items())
                     back, inverse = undo_move(after, rec)
-                    assert recolor_after_move(got, inverse, back) == reference_recolor_after_move(
+                    assert recolor_after_move(got, [inverse], back) == reference_recolor_after_move(
                         got, inverse, back
                     )
                     kinds[rec.kind] = kinds.get(rec.kind, 0) + 1
@@ -253,14 +253,14 @@ class TestLocalRecoloring:
         d = parse_diagram("B 1 1")
         for c in (FoxColoring(3, {1: 2}), QuandleColoring(dihedral(5), {1: 4})):
             after, rec = apply_r1(d, 1)
-            assert recolor_after_move(c, rec, after) == reference_recolor_after_move(c, rec, after)
+            assert recolor_after_move(c, [rec], after) == reference_recolor_after_move(c, rec, after)
 
     def test_unreduced_fox_values_come_back_reduced(self, trefoil):
         c = fox_solution_space(trefoil, 3).first_nonconstant()
         shifted = FoxColoring(3, {a: v + 3 * a - 6 for a, v in c.colors.items()})
         d2, rec = apply_r2_over(trefoil, 2, 4)
-        got = recolor_after_move(shifted, rec, d2)
-        assert got == recolor_after_move(c, rec, d2)
+        got = recolor_after_move(shifted, [rec], d2)
+        assert got == recolor_after_move(c, [rec], d2)
         assert set(got.colors.values()) <= {0, 1, 2}
 
     def test_a_broken_coloring_raises(self, trefoil):
@@ -268,28 +268,120 @@ class TestLocalRecoloring:
         broken = FoxColoring(3, {**c.colors, 6: c.colors[6] + 1})
         d2, rec = apply_r2_over(trefoil, 2, 4)
         with pytest.raises(MoveError):
-            recolor_after_move(broken, rec, d2)
+            recolor_after_move(broken, [rec], d2)
         q = QuandleColoring(dihedral(3), {a: v % 3 for a, v in broken.colors.items()})
         with pytest.raises(MoveError):
-            recolor_after_move(q, rec, d2)
+            recolor_after_move(q, [rec], d2)
 
     def test_an_incomplete_coloring_raises(self, trefoil):
         d2, rec = apply_r2_over(trefoil, 2, 4)
         for c in (FoxColoring(3, {}), QuandleColoring(dihedral(3), {2: 1})):
             with pytest.raises(MoveError):
-                recolor_after_move(c, rec, d2)
+                recolor_after_move(c, [rec], d2)
 
     def test_colors_outside_the_quandle_raise(self, trefoil):
         d2, rec = apply_r2_over(trefoil, 2, 4)
         with pytest.raises(MoveError):
-            recolor_after_move(QuandleColoring(dihedral(3), {a: 3 for a in trefoil.arcs()}), rec, d2)
+            recolor_after_move(QuandleColoring(dihedral(3), {a: 3 for a in trefoil.arcs()}), [rec], d2)
 
     def test_a_non_involutory_quandle_raises(self, trefoil):
         # the Alexander quandle a * b = 2a - b mod 5: (a * b) * b = 4a - 3b
         q = Quandle(tuple(tuple((2 * a - b) % 5 for b in range(5)) for a in range(5)))
         d2, rec = apply_r2_over(trefoil, 2, 4)
         with pytest.raises(MoveError):
-            recolor_after_move(QuandleColoring(q, {a: 0 for a in trefoil.arcs()}), rec, d2)
+            recolor_after_move(QuandleColoring(q, {a: 0 for a in trefoil.arcs()}), [rec], d2)
+
+
+def random_move(d, rng):
+    """One seeded R1, R2 or R3 move on d: (after, record), or None if the draw does not apply."""
+    kind = rng.choice(("R1", "R2", "R3"))
+    if kind == "R1":
+        return apply_r1(d, rng.choice(sorted(d.arcs())), positive=rng.random() < 0.5)
+    if kind == "R2":
+        eligible = [f for f in faces(d) if len(f.arcs) >= 2 and f.corners]
+        try:
+            return apply_r2_over(d, *rng.sample(sorted(rng.choice(eligible).arcs), 2))
+        except MoveError:  # the two arcs share only a degenerate face
+            return None
+    tris = find_r3_triangles(d)
+    return apply_r3(d, rng.choice(tris)) if tris else None
+
+
+class TestRecolorOncePerSequence:
+    def test_one_recoloring_matches_the_re_solve_move_by_move(self):
+        """Moves land on labels earlier moves minted too, where no site keeps
+        its shape in the last diagram."""
+        rng = random.Random(1)
+        knots = []
+        while len(knots) < 49:
+            word = [rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(rng.randint(3, 9))]
+            if len(components(d := braid_closure(word, 3))) == 1:
+                knots.append(d)
+        kinds, sequences = {}, 0
+        for d in knots:
+            steps, after = [], d
+            for _ in range(rng.randint(1, 8)):
+                while (move := random_move(after, rng)) is None:
+                    pass
+                after, rec = move
+                steps.append((after, rec))
+                kinds[rec.kind] = kinds.get(rec.kind, 0) + 1
+            records = [rec for _, rec in steps]
+            for c in some_colorings(d, rng)[::2] + [rng.choice(list(quandle_space(d, dihedral(3)).colorings()))]:
+                want = c
+                for step, rec in steps:
+                    want = reference_recolor_after_move(want, rec, step)
+                got = recolor_after_move(c, records, after)
+                assert got == want and list(got.colors.items()) == list(want.colors.items())
+                sequences += 1
+        assert sequences == 196 and set(kinds) == {"R1+", "R2+", "R3"} and min(kinds.values()) >= 20
+
+    def test_kinks_on_minted_labels_recolor_as_move_by_move(self, trefoil):
+        # each kink lands on a label an earlier kink minted, so no site keeps
+        # its kink in the last diagram; the rule must see each site as it stood
+        c = fox_solution_space(trefoil, 3).first_nonconstant()
+        for arc in sorted(trefoil.arcs()):
+            after, want, records = trefoil, c, []
+            for label, positive in ((arc, False), (8, True), (10, True), (9, True), (7, False)):
+                after, rec = apply_r1(after, label, positive=positive)
+                want = recolor_after_move(want, [rec], after)
+                records.append(rec)
+            assert recolor_after_move(c, records, after) == want
+
+    def test_a_record_and_its_undo_recolor_as_one_sequence(self, trefoil):
+        c = fox_solution_space(trefoil, 3).first_nonconstant()
+        d2, rec = apply_r2_over(trefoil, 2, 4)
+        back, inverse = undo_move(d2, rec)
+        assert recolor_after_move(c, [rec, inverse], back) == c
+
+    def test_the_transport_and_the_spiral_recolor_once_each(self, corpus_diagrams, monkeypatch):
+        d = corpus_diagrams["fig10-overlaid"]
+        c = fox_solution_space(d, 3, {3: 0, 24: 0}).first_nonconstant()
+        recolorings, checks, real_check = [], [], colorings._broken_crossing
+
+        def recolor(coloring, records, after):
+            recolorings.append(len(records))  # the transport's list grows in the spiral
+            return recolor_after_move(coloring, records, after)
+
+        def check(*args):
+            checks.append(args)
+            return real_check(*args)
+
+        for module in (moves, persistence):
+            monkeypatch.setattr(module, "recolor_after_move", recolor)
+        for module in (colorings, moves, persistence):
+            monkeypatch.setattr(module, "_broken_crossing", check)
+        assert len(moves.r2_transport(d, c, 3, 24).records) == 3
+        assert recolorings == [3] and len(checks) == 1
+        per_pass = []
+        for passes in range(1, 4):
+            recolorings.clear()
+            checks.clear()
+            records = persistence.cut_two_arcs(d, c, 3, 24, extra_passes=passes)[2]
+            assert len(records) == 3 + passes
+            assert recolorings == [3, passes]
+            per_pass.append(len(checks))
+        assert per_pass == [4, 4, 4]  # the input, the transport, the spiral and the certificate
 
 
 class TestDartIndex:
@@ -361,9 +453,9 @@ class TestUndoRecords:
                 back, inverse = undo_move(after, rec)
                 assert canonical_form(back) == canonical_form(before)
                 for c in some_colorings(before, rng)[::2]:  # Fox mod 3 and 15, dihedral 5
-                    moved = recolor_after_move(c, rec, after)
+                    moved = recolor_after_move(c, [rec], after)
                     assert moved == reference_recolor_after_move(c, rec, after)
-                    restored = recolor_after_move(moved, inverse, back)
+                    restored = recolor_after_move(moved, [inverse], back)
                     assert restored == reference_recolor_after_move(moved, inverse, back) == c
                 kind = "R1 circle" if before is circled else rec.kind
                 kinds[kind] = kinds.get(kind, 0) + 1
